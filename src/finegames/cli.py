@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .equilibrium import (
@@ -148,8 +149,8 @@ def cmd_fine(args: argparse.Namespace) -> int:
 def cmd_ne(args: argparse.Namespace) -> int:
     table = load_game(_read_json(args.game, "--game"))
     tol = args.tol if args.tol is not None else 1e-9
-    if tol <= 0:
-        raise ParamError("--tol: must be positive")
+    if not 0 < tol < math.inf:
+        raise ParamError("--tol: must be a finite positive number")
 
     if args.mode == "verify":
         if args.triple is None:

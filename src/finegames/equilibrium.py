@@ -9,8 +9,8 @@ optimizer is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .qstates import PLAYERS
 
 DEFAULT_NE_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
+ROOT_ZERO_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -123,62 +124,57 @@ def grid_ne_search(
         raise ShapeError("resolution must be at least 2 to include both endpoints")
     grid = np.linspace(0.0, 1.0, resolution)
     w = np.stack([grid, 1.0 - grid], axis=1)
-    cubes = [
-        np.einsum("ia,jb,kc,abc->ijk", w, w, w, table.entries[:, p].reshape(2, 2, 2))
-        for p in range(3)
-    ]
-    best = [
-        np.maximum(cubes[0][0, :, :], cubes[0][-1, :, :])[None, :, :],
-        np.maximum(cubes[1][:, 0, :], cubes[1][:, -1, :])[:, None, :],
-        np.maximum(cubes[2][:, :, 0], cubes[2][:, :, -1])[:, :, None],
-    ]
-    mask = np.ones_like(cubes[0], dtype=bool)
-    for cube, b in zip(cubes, best):
-        mask &= cube - b >= -tol
+    mask = _endpoint_screen(table, w, 0, tol)
+    for p in (1, 2):
+        mask &= _endpoint_screen(table, w, p, tol)
+    hits = zip(*np.unravel_index(np.flatnonzero(mask), mask.shape))
     return [
         verify_ne_factorizable(
             table, StrategyTriple(grid[i], grid[j], grid[k]), tol
         )
-        for i, j, k in np.argwhere(mask)
+        for i, j, k in hits
     ]
 
 
-def _scan_roots(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n: int = 1025,
-    zero_tol: float = 1e-13,
-    width: float = 1e-14,
-) -> list[float]:
-    """Roots of a scalar function: grid zeros plus bisected sign changes."""
-    xs = np.linspace(lo, hi, n)
-    ys = np.array([f(float(x)) for x in xs])
-    roots = [float(x) for x, y in zip(xs, ys) if abs(y) <= zero_tol]
-    for i in range(n - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        if abs(y0) <= zero_tol or abs(y1) <= zero_tol:
-            continue
-        if (y0 < 0.0) == (y1 < 0.0):
-            continue
-        a, b, fa = float(xs[i]), float(xs[i + 1]), float(y0)
-        while b - a > width:
-            mid = (a + b) / 2.0
-            fm = f(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        roots.append((a + b) / 2.0)
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 1e-9:
-            deduped.append(r)
-    return deduped
+def _endpoint_screen(
+    table: PayoffTable, w: np.ndarray, p: int, tol: float
+) -> np.ndarray:
+    """Lattice points where player p gains at most tol at either endpoint.
+
+    Builds player p's payoff cube and subtracts the best endpoint payoff
+    in place, so that grid_ne_search holds one cube at a time. At
+    resolution 61 a cube is 1.8 MB; three live cubes and their
+    differences were about 11 MB of fresh memory per search, all of it
+    page-faulted in again each time.
+    """
+    cube = np.einsum(
+        "ia,jb,kc,abc->ijk", w, w, w, table.entries[:, p].reshape(2, 2, 2)
+    )
+    own = np.moveaxis(cube, p, 0)
+    own -= np.maximum(own[0], own[-1])
+    return cube >= -tol
+
+
+def _smallest_root(a: float, b: float, c: float, lo: float, hi: float) -> float | None:
+    """Smallest root of a*x**2 + b*x + c in [lo, hi], or None.
+
+    Uses the cancellation-free form of the quadratic formula. A
+    constant within ROOT_ZERO_TOL of zero counts as a root everywhere,
+    and a vertex within ROOT_ZERO_TOL of zero counts as a double root.
+    """
+    if a == 0.0:
+        if b == 0.0:
+            return lo if abs(c) <= ROOT_ZERO_TOL else None
+        roots = [-c / b]
+    else:
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            roots = [-b / (2.0 * a)] if -disc <= 4.0 * abs(a) * ROOT_ZERO_TOL else []
+        else:
+            q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+            roots = [q / a, c / q] if q != 0.0 else [0.0]
+    inside = [r for r in roots if lo <= r <= hi]
+    return min(inside) if inside else None
 
 
 def _require_player_symmetric(table: PayoffTable):
@@ -209,15 +205,10 @@ def product_state_interior_solve(table: PayoffTable) -> StrategyTriple | None:
     del c_pbc  # the BC pair does not involve player A's own probability
     if max(abs(c_xi), abs(c_pab + c_pac), abs(c_lam)) <= 1e-12:
         return None
-
-    def own_gradient(t: float) -> float:
-        u = 2.0 * t - 1.0
-        return c_xi * u * u + (c_pab + c_pac) * u + c_lam
-
-    roots = _scan_roots(own_gradient, 0.0, 1.0)
-    if not roots:
+    u = _smallest_root(c_xi, c_pab + c_pac, c_lam, -1.0, 1.0)
+    if u is None:
         return None
-    r = roots[0]
+    r = (u + 1.0) / 2.0
     return StrategyTriple(r, r, r)
 
 
@@ -390,34 +381,21 @@ def coop_best_response_solve(
     First finds the common opponent probability c* that makes the first
     player's own-probability derivative vanish, then the first-player
     probability l* at which the second player is stationary against
-    (l*, c*, c*). Both payoffs are at most quadratic in the varied
-    probability, so a three-point quadratic interpolation
-    differentiates them exactly.
+    (l*, c*, c*). Both derivatives are polynomials in the marginal-form
+    coefficients: a quadratic in c for the first player, and, along
+    the diagonal mu = nu, an affine function of l for the second.
     """
     if table is None:
         table = coop_game()
-
-    def pay(player: int, lam: float, mu: float, nu: float) -> float:
-        return float(payoff_factorizable(table, StrategyTriple(lam, mu, nu))[player])
-
-    def own_gradient_a(c: float) -> float:
-        return pay(0, 1.0, c, c) - pay(0, 0.0, c, c)
-
-    roots = _scan_roots(own_gradient_a, 0.0, 1.0)
-    if not roots:
+    coeffs = marginal_form_coefficients(table)
+    c_xi, c_pab, _, c_pac, c_lam = (float(v) for v in coeffs[:5, 0])
+    c_star = _smallest_root(c_xi, c_pab + c_pac, c_lam, 0.0, 1.0)
+    if c_star is None:
         raise ValueError("first player's stationarity has no root in [0, 1]")
-    c_star = roots[0]
 
-    def stationarity_b(lam: float) -> float:
-        y0 = pay(1, lam, 0.0, 0.0)
-        y1 = pay(1, lam, 0.5, 0.5)
-        y2 = pay(1, lam, 1.0, 1.0)
-        quad = 2.0 * y0 - 4.0 * y1 + 2.0 * y2
-        lin = -3.0 * y0 + 4.0 * y1 - y2
-        return 2.0 * quad * c_star + lin
-
-    g0 = stationarity_b(0.0)
-    g1 = stationarity_b(1.0)
+    b_xi, b_pab, b_pbc, b_pac, _, b_mu, b_nu = (float(v) for v in coeffs[:7, 1])
+    g0 = 2.0 * b_pbc * c_star + b_mu + b_nu
+    g1 = g0 + 2.0 * b_xi * c_star + b_pab + b_pac
     if abs(g0 - g1) < 1e-15:
         if abs(g0) < 1e-12:
             return 0.5, float(c_star)

@@ -243,9 +243,9 @@ def payoff_marginal_form(table: PayoffTable, m: MarginalSet) -> np.ndarray:
 def strategy_weights(s: StrategyTriple) -> np.ndarray:
     """Product distribution over the eight outcomes of independent mixes."""
     lam, mu, nu = s.as_tuple()
-    return np.kron(
-        np.kron([lam, 1.0 - lam], [mu, 1.0 - mu]), [nu, 1.0 - nu]
-    )
+    return np.multiply.outer(
+        np.multiply.outer([lam, 1.0 - lam], [mu, 1.0 - mu]), [nu, 1.0 - nu]
+    ).ravel()
 
 
 def strategy_marginals(

@@ -8,6 +8,7 @@ set exactly when a computed value contradicts a reference claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,8 +143,12 @@ def _positive_int(value, path: str, minimum: int) -> int:
 
 
 def _tolerance(value, path: str = "params.tol") -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        raise ParamError(f"{path}: expected a positive number")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value < math.inf
+    ):
+        raise ParamError(f"{path}: expected a finite positive number")
     return float(value)
 
 

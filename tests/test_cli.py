@@ -165,6 +165,25 @@ def test_ne_interior(tmp_path, capsys):
     assert json.loads(out)["triple"] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scenario", "--id", "pd-classical", "--tol", "nan"),
+        ("scenario", "--id", "coop-classical", "--tol", "inf"),
+        ("ne", "--mode", "grid", "--tol", "nan"),
+        ("ne", "--mode", "verify", "--triple", "0,0,0", "--tol", "nan"),
+        ("ne", "--mode", "grid", "--tol", "inf"),
+    ],
+)
+def test_non_finite_tolerance_exits_2(tmp_path, capsys, argv):
+    if argv[0] == "ne":
+        argv += ("--game", write(tmp_path, "game.json", PD_GAME))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "finite positive" in err
+
+
 def test_invert_marginals_exit_codes(tmp_path, capsys):
     feasible = write(tmp_path, "ok.json", PARITY_GHZ)
     code, out, _ = run(capsys, "invert-marginals", "--marginals", feasible)

@@ -156,6 +156,13 @@ def test_strategy_weights_factorize():
     assert w[7] == pytest.approx(0.8 * 0.4 * 0.1, abs=1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.0, 1.0), mu=st.floats(0.0, 1.0), nu=st.floats(0.0, 1.0))
+def test_strategy_weights_match_kronecker_products(lam, mu, nu):
+    expected = np.kron(np.kron([lam, 1.0 - lam], [mu, 1.0 - mu]), [nu, 1.0 - nu])
+    assert np.array_equal(strategy_weights(StrategyTriple(lam, mu, nu)), expected)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     lam=st.floats(0.0, 1.0),
