@@ -13,7 +13,8 @@ Inputs are JSON descriptor files; every report is emitted as
 deterministic JSON (default) or markdown. Exit codes: 0 on success with
 a positive verdict, 1 on a negative verdict (no joint distribution,
 infeasible inversion, not an equilibrium, no interior root), 2 on
-invalid input or usage.
+invalid input or usage, 3 on an internal failure (any unexpected
+exception, one "error:" line), so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -278,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
     except FinegamesError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # any other failure is a defect, not a verdict
+        detail = " ".join(str(err).split())
+        print(f"error: internal failure: {type(err).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

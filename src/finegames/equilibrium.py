@@ -27,6 +27,8 @@ from .qstates import PLAYERS
 DEFAULT_NE_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 ROOT_ZERO_TOL = 1e-13
+# Largest lattice resolution: one payoff cube of 290^3 float64 is 195 MB.
+MAX_RESOLUTION = 290
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ def grid_ne_search(
     """
     if resolution < 2:
         raise ShapeError("resolution must be at least 2 to include both endpoints")
+    if resolution > MAX_RESOLUTION:
+        raise ShapeError(f"resolution must be at most {MAX_RESOLUTION}")
     grid = np.linspace(0.0, 1.0, resolution)
     w = np.stack([grid, 1.0 - grid], axis=1)
     mask = _endpoint_screen(table, w, 0, tol)

@@ -21,10 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConventionError, NoJointError, RangeError, ShapeError
-from .measurement import MarginalConvention, MarginalSet
-
-SLACK_TOL = 1e-12
-ORACLE_TOL = 1e-9
+from .measurement import SLACK_TOL, MarginalConvention, MarginalSet
 
 # Outcome order of joint distributions, aligned with the basis order of
 # qstates: index bits (a, b, c), bit 0 = outcome +1.
@@ -145,22 +142,34 @@ def _note(m: MarginalSet) -> str:
     return f"evaluated on {m.convention.value}-convention values"
 
 
-def bell_slacks(m: MarginalSet) -> BellReport:
+def bell_slack_values(values) -> np.ndarray:
     """Slack of the four existence inequalities, RHS minus LHS.
 
-    Order: (1) the singles-sum bound, then the three pair-exchange
-    bounds anchored at players A, B, C. Works on either convention;
-    the note records which one the values came from.
+    `values` holds marginal values in MarginalSet field order, shape
+    (..., 7); the result has shape (..., 4). Order: (1) the singles-sum
+    bound, then the three pair-exchange bounds anchored at players A,
+    B, C.
     """
-    lam, mu, nu = m.lam, m.mu, m.nu
-    p_ab, p_bc, p_ac = m.p_ab, m.p_bc, m.p_ac
-    slack = (
-        1.0 + p_ab + p_ac + p_bc - (lam + mu + nu),
-        lam + p_bc - (p_ab + p_ac),
-        mu + p_ac - (p_ab + p_bc),
-        nu + p_ab - (p_ac + p_bc),
-    )
-    return BellReport(slack, _note(m))
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape[-1:] != (7,):
+        raise ShapeError(f"marginal values must have shape (..., 7), got {v.shape}")
+    # .T reverses every axis, so the field axis leads here and the
+    # closing .T puts the slack axis last again.
+    lam, mu, nu, p_ab, p_bc, p_ac, _ = v.T
+    return np.array(
+        [
+            1.0 + p_ab + p_ac + p_bc - (lam + mu + nu),
+            lam + p_bc - (p_ab + p_ac),
+            mu + p_ac - (p_ab + p_bc),
+            nu + p_ab - (p_ac + p_bc),
+        ]
+    ).T
+
+
+def bell_slacks(m: MarginalSet) -> BellReport:
+    """Bell report of one marginal set of either convention; the note
+    records which one the values came from."""
+    return BellReport(tuple(bell_slack_values(m.values())), _note(m))
 
 
 def xi_interval(m: MarginalSet) -> XiInterval:
@@ -226,52 +235,3 @@ def marginals_from_joint(
         p_ac = float(p[0] + p[2] + p[5] + p[7])
         xi = float(p[0] + p[3] + p[5] + p[6])
     return MarginalSet(lam, mu, nu, p_ab, p_bc, p_ac, xi, convention)
-
-
-def joint_exists_oracle(m: MarginalSet, grid_n: int = 1000) -> bool:
-    """Brute-force feasibility check independent of the inequalities.
-
-    Scans grid_n evenly spaced triple values between 0 and the smallest
-    pair probability and reports whether any triple value keeps all
-    eight implied terms non-negative (within 1e-9). The worst term is a
-    concave piecewise-linear function of the scanned value, so when the
-    plain scan fails a ternary search inside the best grid cell decides
-    feasibility windows narrower than one grid step as well. The search
-    never consults the analytic interval arithmetic it cross-checks.
-    """
-    if grid_n < 1000:
-        raise ValueError("grid_n must be at least 1000")
-    top = min(m.p_ab, m.p_bc, m.p_ac)
-    lam, mu, nu = m.lam, m.mu, m.nu
-    p_ab, p_bc, p_ac = m.p_ab, m.p_bc, m.p_ac
-
-    def worst_term(xis: np.ndarray) -> np.ndarray:
-        terms = np.stack(
-            [
-                xis,
-                p_ab - xis,
-                p_ac - xis,
-                lam - p_ab - p_ac + xis,
-                p_bc - xis,
-                mu - p_ab - p_bc + xis,
-                nu - p_ac - p_bc + xis,
-                1.0 - lam - mu - nu + p_ab + p_ac + p_bc - xis,
-            ]
-        )
-        return np.min(terms, axis=0)
-
-    xis = np.linspace(0.0, top, grid_n)
-    scores = worst_term(xis)
-    if float(np.max(scores)) >= -ORACLE_TOL:
-        return True
-    best = int(np.argmax(scores))
-    lo = xis[max(best - 1, 0)]
-    hi = xis[min(best + 1, grid_n - 1)]
-    while hi - lo > 1e-14:
-        third = (hi - lo) / 3.0
-        left, right = lo + third, hi - third
-        if worst_term(np.array([left]))[0] < worst_term(np.array([right]))[0]:
-            lo = left
-        else:
-            hi = right
-    return bool(worst_term(np.array([0.5 * (lo + hi)]))[0] >= -ORACLE_TOL)

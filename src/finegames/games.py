@@ -21,7 +21,6 @@ import numpy as np
 from .errors import DilemmaViolation, RangeError, ShapeError
 from .fine import JointDistribution, marginals_from_joint
 from .measurement import MarginalConvention, MarginalSet
-from .qstates import PureState
 
 # Column order of marginal_form_coefficients.
 MARGINAL_COEFF_ORDER = ("xi", "p_ab", "p_bc", "p_ac", "lam", "mu", "nu", "const")
@@ -259,21 +258,3 @@ def strategy_marginals(
 def payoff_factorizable(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
     """Expected payoffs (A, B, C) of independent mixed strategies."""
     return strategy_weights(s) @ table.entries
-
-
-def pd_payoffs_from_pure_state(state: PureState) -> np.ndarray:
-    """Default-parameter dilemma payoffs of a pure state, closed form.
-
-    A fixed integer combination of the basis probabilities, valid for
-    the default payoff levels only; must agree with the marginal form
-    evaluated on the state's parity marginals.
-    """
-    q = state.probabilities()
-    inner = np.array(
-        [
-            [3.0, 1.0, 1.0, 0.0, 4.0, 2.0, 2.0, -1.0],
-            [3.0, 1.0, 4.0, 2.0, 1.0, 0.0, 2.0, -1.0],
-            [3.0, 4.0, 1.0, 2.0, 1.0, 2.0, 0.0, -1.0],
-        ]
-    )
-    return 2.0 * (inner @ q) + 1.0

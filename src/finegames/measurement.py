@@ -23,10 +23,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RangeError, ShapeError
-from .qstates import BASIS_LABELS, DensityMatrix, PureState, basis_bit
+from .qstates import BASIS_LABELS, PLAYERS, DensityMatrix, basis_bit
 
 CLAMP_TOL = 1e-12
-INFEASIBILITY_TOL = 1e-9
+# Negative-weight floor of weights_from_marginals and fine.reconstruct_joint.
+SLACK_TOL = 1e-12
+
+MARGINAL_FIELDS = ("lam", "mu", "nu", "p_ab", "p_bc", "p_ac", "xi")
 
 PAIR_LABELS = ("AB", "BC", "AC")
 
@@ -76,7 +79,7 @@ class MarginalSet:
     def __post_init__(self):
         if not isinstance(self.convention, MarginalConvention):
             raise ShapeError("convention must be a MarginalConvention")
-        for name in ("lam", "mu", "nu", "p_ab", "p_bc", "p_ac", "xi"):
+        for name in MARGINAL_FIELDS:
             value = float(getattr(self, name))
             if not np.isfinite(value):
                 raise RangeError(f"{name} is not finite")
@@ -214,49 +217,51 @@ def triple_povm(convention: MarginalConvention) -> tuple[PovmElement, PovmElemen
     return _projector_from_indices(hit), _projector_from_indices(rest)
 
 
-def _trace_probability(element: PovmElement, rho: DensityMatrix, what: str) -> float:
-    value = complex(np.trace(element.matrix @ rho.matrix))
-    return _clamp_unit(value.real, what)
+@lru_cache(maxsize=None)
+def _incidence(convention: MarginalConvention) -> np.ndarray:
+    """7x8 0/1 rows: the diagonals of the seven "+1" POVM elements.
 
-
-def extract_marginals(
-    rho: DensityMatrix, convention: MarginalConvention
-) -> MarginalSet:
-    """All seven marginal probabilities of a state, as POVM traces."""
-    lam = _trace_probability(single_povm("A")[0], rho, "lam")
-    mu = _trace_probability(single_povm("B")[0], rho, "mu")
-    nu = _trace_probability(single_povm("C")[0], rho, "nu")
-    p_ab = _trace_probability(pair_povm("AB", convention)[0], rho, "p_ab")
-    p_bc = _trace_probability(pair_povm("BC", convention)[0], rho, "p_bc")
-    p_ac = _trace_probability(pair_povm("AC", convention)[0], rho, "p_ac")
-    xi = _trace_probability(triple_povm(convention)[0], rho, "xi")
-    return MarginalSet(lam, mu, nu, p_ab, p_bc, p_ac, xi, convention)
-
-
-def pure_state_marginals(state: PureState) -> MarginalSet:
-    """Parity marginals of a pure state from its basis probabilities.
-
-    Closed form over q_i = |c_i|^2; must agree with the POVM traces of
-    the corresponding projector to within floating-point noise.
+    Every element is a diagonal projector, so its trace against rho is
+    its row applied to diag(rho).
     """
-    q = state.probabilities()
-    lam = q[0] + q[1] + q[2] + q[3]
-    mu = q[0] + q[1] + q[4] + q[5]
-    nu = q[0] + q[2] + q[4] + q[6]
-    p_ab = q[0] + q[1] + q[6] + q[7]
-    p_bc = q[0] + q[3] + q[4] + q[7]
-    p_ac = q[0] + q[2] + q[5] + q[7]
-    xi = q[0] + q[3] + q[5] + q[6]
-    return MarginalSet(
-        float(lam),
-        float(mu),
-        float(nu),
-        float(p_ab),
-        float(p_bc),
-        float(p_ac),
-        float(xi),
-        MarginalConvention.PARITY,
+    elements = (
+        [single_povm(player)[0] for player in PLAYERS]
+        + [pair_povm(pair, convention)[0] for pair in PAIR_LABELS]
+        + [triple_povm(convention)[0]]
     )
+    rows = np.array([e.matrix.diagonal().real for e in elements])
+    rows.flags.writeable = False
+    return rows
+
+
+def marginal_values(diagonals, convention: MarginalConvention) -> np.ndarray:
+    """The seven marginal probabilities of each state in a batch.
+
+    `diagonals` holds real diagonals diag(rho), shape (..., 8); the
+    result has shape (..., 7) in MarginalSet field order. Each value is
+    tr(P rho) of the matching POVM element, summed in np.trace's order
+    ((d0+d4)+(d1+d5)) + ((d2+d6)+(d3+d7)) so that it is bit-identical
+    to the trace. Values within CLAMP_TOL of [0, 1] are clamped into it;
+    any other value raises RangeError naming the first such marginal.
+    """
+    d = np.asarray(diagonals, dtype=np.float64)
+    if d.shape[-1:] != (8,):
+        raise ShapeError(f"diagonals must have shape (..., 8), got {d.shape}")
+    s = d[..., None, :] * _incidence(convention)
+    t = s[..., :4] + s[..., 4:]
+    values = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])
+    bad = ~((values >= -CLAMP_TOL) & (values <= 1.0 + CLAMP_TOL))
+    if bad.any():
+        first = np.argwhere(bad)[0]
+        raise RangeError(
+            f"{MARGINAL_FIELDS[first[-1]]} = {float(values[tuple(first)])!r} outside [0, 1]"
+        )
+    return np.clip(values, 0.0, 1.0)
+
+
+def extract_marginals(rho: DensityMatrix, convention: MarginalConvention) -> MarginalSet:
+    """All seven marginal probabilities of a state, as POVM traces."""
+    return MarginalSet(*marginal_values(rho.diagonal(), convention).tolist(), convention)
 
 
 def convert_marginals(m: MarginalSet, target: MarginalConvention) -> MarginalSet:
@@ -312,7 +317,7 @@ class WeightInversion:
     """Unique solution of the marginal-to-weights linear system.
 
     `weights` always holds the full solution, signs included;
-    `negative_indices` lists components below -1e-9, and the solution
+    `negative_indices` lists components below -SLACK_TOL, and the solution
     counts as feasible only when that list is empty.
     """
 
@@ -338,6 +343,6 @@ def weights_from_marginals(m: MarginalSet) -> WeightInversion:
     e = m.correlations()
     coeffs = np.array([1.0, *e], dtype=np.float64)
     weights = (_WALSH @ coeffs) / 8.0
-    negative = tuple(int(i) for i in np.nonzero(weights < -INFEASIBILITY_TOL)[0])
+    negative = tuple(int(i) for i in np.nonzero(weights < -SLACK_TOL)[0])
     weights.flags.writeable = False
     return WeightInversion(weights, negative)

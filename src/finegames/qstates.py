@@ -120,6 +120,35 @@ class ProductStateAngles:
         object.__setattr__(self, "delta", _freeze(delta))
 
 
+def validate_densities(rho) -> np.ndarray:
+    """Check a stack of density matrices, shape (..., 8, 8), and return it
+    as complex128: each must be finite, hermitian, of unit trace and
+    positive semidefinite. Messages give the worst hermiticity defect,
+    the first bad trace or the smallest eigenvalue of the stack.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape[-2:] != (8, 8):
+        raise ShapeError(f"density matrices must have shape (..., 8, 8), got {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ShapeError("density matrix contains non-finite entries")
+    defect = rho.conj().swapaxes(-1, -2)
+    defect -= rho
+    herm_defect = float(np.abs(defect).max(initial=0.0))
+    if herm_defect > HERMITICITY_TOL:
+        raise InvalidDensityError(f"matrix is not hermitian: max defect {herm_defect!r}")
+    traces = rho.trace(axis1=-2, axis2=-1)
+    bad = abs(traces - 1.0) > NORMALIZATION_TOL
+    if bad.any():
+        trace = complex(traces[np.unravel_index(np.argmax(bad), bad.shape)])
+        raise InvalidDensityError(f"trace is {trace!r}, not 1")
+    eigmin = float(np.linalg.eigvalsh(rho)[..., 0].min(initial=np.inf))
+    if eigmin < EIGENVALUE_FLOOR:
+        raise InvalidDensityError(
+            f"matrix is not positive semidefinite: min eigenvalue {eigmin!r}"
+        )
+    return rho
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """8x8 density operator: hermitian, unit trace, positive semidefinite."""
@@ -130,22 +159,7 @@ class DensityMatrix:
         rho = np.array(self.matrix, dtype=np.complex128)
         if rho.shape != (8, 8):
             raise ShapeError(f"density matrix must be 8x8, got {rho.shape}")
-        if not np.all(np.isfinite(rho)):
-            raise ShapeError("density matrix contains non-finite entries")
-        herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
-        if herm_defect > HERMITICITY_TOL:
-            raise InvalidDensityError(
-                f"matrix is not hermitian: max defect {herm_defect!r}"
-            )
-        trace = complex(np.trace(rho))
-        if abs(trace - 1.0) > NORMALIZATION_TOL:
-            raise InvalidDensityError(f"trace is {trace!r}, not 1")
-        eigmin = float(np.linalg.eigvalsh(rho)[0])
-        if eigmin < EIGENVALUE_FLOOR:
-            raise InvalidDensityError(
-                f"matrix is not positive semidefinite: min eigenvalue {eigmin!r}"
-            )
-        object.__setattr__(self, "matrix", _freeze(rho))
+        object.__setattr__(self, "matrix", _freeze(validate_densities(rho)))
 
     def diagonal(self) -> np.ndarray:
         """Real diagonal (basis-outcome distribution)."""
@@ -185,9 +199,7 @@ def product_state(angles: ProductStateAngles) -> PureState:
 
 
 def ghz(a: complex, b: complex) -> PureState:
-    """Superposition a|000> + b|111>."""
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > NORMALIZATION_TOL:
-        raise NormalizationError("|a|^2 + |b|^2 must equal 1")
+    """Superposition a|000> + b|111> (PureState checks its norm)."""
     amps = np.zeros(8, dtype=np.complex128)
     amps[0] = a
     amps[7] = b

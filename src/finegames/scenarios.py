@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibrium import (
+    MAX_RESOLUTION,
     NeCertificate,
     coalition_analysis,
     coalition_reduction,
@@ -24,7 +25,15 @@ from .equilibrium import (
     verify_ne_factorizable,
 )
 from .errors import ParamError, UnknownScenarioError
-from .fine import bell_slacks, reconstruct_joint, xi_interval, BellReport, NoJointError, XiRule
+from .fine import (
+    BellReport,
+    NoJointError,
+    XiRule,
+    bell_slack_values,
+    bell_slacks,
+    reconstruct_joint,
+    xi_interval,
+)
 from .games import (
     DEFAULT_PD_PARAMS,
     PdParams,
@@ -37,10 +46,12 @@ from .games import (
     strategy_marginals,
 )
 from .measurement import (
+    SLACK_TOL,
     MarginalConvention,
     MarginalSet,
     convert_marginals,
     extract_marginals,
+    marginal_values,
     weights_from_marginals,
 )
 from .qstates import (
@@ -51,6 +62,7 @@ from .qstates import (
     ghz,
     pd_state,
     product_state,
+    validate_densities,
     w_state,
 )
 from .serialize import (
@@ -59,6 +71,7 @@ from .serialize import (
     complex_pair,
     coalition_reduction_to_dict,
     coalition_values_to_list,
+    complementary_amplitude,
     interval_to_dict,
     inversion_to_dict,
     joint_to_dict,
@@ -68,6 +81,9 @@ from .serialize import (
 )
 
 REFERENCE_TOL = 1e-9
+
+# Largest ghz-bell weight grid: one 1 KiB density per point, ~100 MB.
+MAX_SCAN_GRID = 100_001
 
 ROOT_HALF = 2.0 ** -0.5
 ROOT_THIRD = 3.0 ** -0.5
@@ -134,11 +150,11 @@ def _pd_params(value, path: str = "params.pd_params") -> PdParams:
     return PdParams(*values)
 
 
-def _positive_int(value, path: str, minimum: int) -> int:
+def _bounded_int(value, path: str, minimum: int, maximum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParamError(f"{path}: expected an integer")
-    if value < minimum:
-        raise ParamError(f"{path}: must be at least {minimum}")
+    if not minimum <= value <= maximum:
+        raise ParamError(f"{path}: must be between {minimum} and {maximum}")
     return value
 
 
@@ -212,7 +228,7 @@ def _scenario_pd_classical(params: dict | None) -> ScenarioReport:
         "pd-classical",
     )
     pd_params = _pd_params(merged["pd_params"])
-    resolution = _positive_int(merged["resolution"], "params.resolution", 2)
+    resolution = _bounded_int(merged["resolution"], "params.resolution", 2, MAX_RESOLUTION)
     tol = _tolerance(merged["tol"])
     table = pd3(pd_params)
 
@@ -274,10 +290,7 @@ def _scenario_pd_ghz(params: dict | None) -> ScenarioReport:
     )
     a = parse_complex(merged["a"], "params.a")
     if merged["b"] is None:
-        rest = 1.0 - abs(a) ** 2
-        if rest < -1e-9:
-            raise ParamError("params.a: |a|^2 exceeds 1")
-        b = complex(max(rest, 0.0) ** 0.5, 0.0)
+        b = complementary_amplitude(a, "params.a")
     else:
         b = parse_complex(merged["b"], "params.b")
     pd_params = _pd_params(merged["pd_params"])
@@ -352,25 +365,23 @@ def _scenario_ghz_bell(params: dict | None) -> ScenarioReport:
         params, {"a": [ROOT_HALF, 0.0], "grid": 101}, "ghz-bell"
     )
     a = parse_complex(merged["a"], "params.a")
-    grid_n = _positive_int(merged["grid"], "params.grid", 2)
-    rest = 1.0 - abs(a) ** 2
-    if rest < -1e-9:
-        raise ParamError("params.a: |a|^2 exceeds 1")
-    b = complex(max(rest, 0.0) ** 0.5, 0.0)
+    b = complementary_amplitude(a, "params.a")
+    grid_n = _bounded_int(merged["grid"], "params.grid", 2, MAX_SCAN_GRID)
 
     state = ghz(a, b)
     m = extract_marginals(density_from_pure(state), MarginalConvention.PARITY)
     bell = bell_slacks(m)
 
+    # The weight scan as one batch. Amplitudes use pow like
+    # complementary_amplitude: np.sqrt rounds a few grid points apart.
     xs = np.linspace(0.0, 1.0, grid_n)
-    satisfied_points = []
-    for x in xs:
-        mx = extract_marginals(
-            density_from_pure(ghz(complex(float(x) ** 0.5, 0.0), complex((1.0 - float(x)) ** 0.5, 0.0))),
-            MarginalConvention.PARITY,
-        )
-        if bell_slacks(mx).satisfied:
-            satisfied_points.append(float(x))
+    amps = np.zeros((grid_n, 8), dtype=np.complex128)
+    amps[:, 0] = [float(x) ** 0.5 for x in xs]
+    amps[:, 7] = [(1.0 - float(x)) ** 0.5 for x in xs]
+    rho = validate_densities(amps[:, :, None] * amps.conj()[:, None, :])
+    values = marginal_values(rho.diagonal(0, -2, -1).real, MarginalConvention.PARITY)
+    satisfied = bell_slack_values(values).min(axis=-1) >= -SLACK_TOL
+    satisfied_points = xs[satisfied].tolist()
 
     report = ScenarioReport(
         scenario_id="ghz-bell",
@@ -451,7 +462,9 @@ def _scenario_pd_product(params: dict | None) -> ScenarioReport:
         "are flat in each player's own probability",
     )
 
-    sign_pattern = ["negative" if w < -1e-9 else "non-negative" for w in inversion.weights]
+    sign_pattern = [
+        "negative" if i in inversion.negative_indices else "non-negative" for i in range(8)
+    ]
     report = ScenarioReport(
         scenario_id="pd-product",
         inputs=inputs,
@@ -678,7 +691,7 @@ def _scenario_coop_classical(params: dict | None) -> ScenarioReport:
     merged = _merge_params(
         params, {"resolution": 11, "tol": 1e-9}, "coop-classical"
     )
-    resolution = _positive_int(merged["resolution"], "params.resolution", 2)
+    resolution = _bounded_int(merged["resolution"], "params.resolution", 2, MAX_RESOLUTION)
     tol = _tolerance(merged["tol"])
     table = coop_game()
 
@@ -786,8 +799,8 @@ def _scenario_coop_quantum(params: dict | None) -> ScenarioReport:
     u = _weight(merged["u"], "params.u")
     v = _weight(merged["v"], "params.v")
     seed = merged["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ParamError("params.seed: expected an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ParamError("params.seed: expected a non-negative integer")
 
     state = _coop_condition_state(amplitudes, q1, u, v, seed)
     rho = density_from_pure(state)

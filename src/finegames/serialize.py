@@ -18,6 +18,7 @@ from .games import PayoffTable, PdParams, StrategyTriple, coop_game, pd3
 from .measurement import MarginalConvention, MarginalSet, WeightInversion
 from .equilibrium import CoalitionReduction, CoalitionValue, NeCertificate
 from .qstates import (
+    NORMALIZATION_TOL,
     DiagonalMixedState,
     ProductStateAngles,
     PureState,
@@ -101,12 +102,29 @@ def _number_list(value, length: int, path: str) -> list[float]:
 
 
 def parse_complex(value, path: str) -> complex:
-    """Accept either a plain number or an [re, im] pair."""
+    """Accept a state amplitude as a plain number or an [re, im] pair.
+
+    A component above 1 in modulus is rejected: no unit vector has one,
+    and its square could overflow.
+    """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
-    raise ParamError(f"{path}: expected a number or an [re, im] pair")
+        z = complex(float(value), 0.0)
+    elif isinstance(value, list) and len(value) == 2:
+        z = complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+    else:
+        raise ParamError(f"{path}: expected a number or an [re, im] pair")
+    bound = 1.0 + NORMALIZATION_TOL
+    if not (abs(z.real) <= bound and abs(z.imag) <= bound):
+        raise ParamError(f"{path}: expected components of modulus at most 1")
+    return z
+
+
+def complementary_amplitude(a: complex, path: str) -> complex:
+    """b = sqrt(1 - |a|^2), completing a|000> + b|111> to unit norm."""
+    rest = 1.0 - abs(a) ** 2
+    if rest < -1e-9:
+        raise ParamError(f"{path}: |a|^2 exceeds 1")
+    return complex(max(rest, 0.0) ** 0.5, 0.0)
 
 
 def complex_pair(z: complex) -> list[float]:
@@ -150,10 +168,7 @@ def load_state(descriptor, path: str = "state"):
         if "b" in d:
             b = parse_complex(d["b"], f"{path}.b")
         else:
-            rest = 1.0 - abs(a) ** 2
-            if rest < -1e-9:
-                raise ParamError(f"{path}.a: |a|^2 exceeds 1")
-            b = complex(max(rest, 0.0) ** 0.5, 0.0)
+            b = complementary_amplitude(a, f"{path}.a")
         return ghz(a, b)
     if kind == "w":
         _reject_unknown(d, path, ("kind", "c2", "c3", "c5"))

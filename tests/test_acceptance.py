@@ -27,7 +27,6 @@ from finegames import (
     extract_marginals,
     ghz,
     grid_ne_search,
-    joint_exists_oracle,
     marginals_from_joint,
     pair_povm,
     parity_product_gradient,
@@ -36,10 +35,8 @@ from finegames import (
     payoff_marginal_values,
     payoff_outcome_form,
     pd3,
-    pd_payoffs_from_pure_state,
     pd_state,
     product_state_interior_solve,
-    pure_state_marginals,
     reconstruct_joint,
     run_scenario,
     single_povm,
@@ -50,6 +47,7 @@ from finegames import (
     weights_from_marginals,
     xi_interval,
 )
+from oracles import joint_exists_oracle, pd_payoffs_from_pure_state, pure_state_marginals
 from finegames.equilibrium import factorizable_gradient
 
 # frozen expected values (formulas in trailing comments)

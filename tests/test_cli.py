@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+import finegames.cli as cli
 from finegames import load_schema
 from finegames.cli import main
+from finegames.equilibrium import MAX_RESOLUTION
+from finegames.scenarios import MAX_SCAN_GRID
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -227,3 +230,64 @@ def test_md_output_to_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert out_path.read_text().startswith("# marginals")
+
+
+# Conjunction marginals of the joint [.2, .1, .1, .1, .2, .1, .2, 0] with
+# 5e-11 added to lambda: term 7 of the reconstruction and weight 7 of the
+# inversion both come out near -5e-11, below the shared 1e-12 floor.
+NEAR_BOUNDARY = {
+    "convention": "conjunction",
+    "lambda": 0.5 + 5e-11, "mu": 0.6, "nu": 0.7,
+    "p_ab": 0.3, "p_bc": 0.4, "p_ac": 0.3, "xi": 0.2,
+}
+
+
+def test_fine_and_invert_share_one_feasibility_floor(tmp_path, capsys):
+    path = write(tmp_path, "m.json", NEAR_BOUNDARY)
+    code, out, _ = run(capsys, "fine", "--marginals", path)
+    assert code == 1
+    assert json.loads(out)["violated_terms"] == [7]
+    code, out, _ = run(capsys, "invert-marginals", "--marginals", path)
+    assert code == 1
+    assert json.loads(out)["negative_indices"] == [7]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scenario", "--id", "coop-quantum", "--params", '{"seed": -1}'),
+        ("scenario", "--id", "coop-quantum", "--seed", "-1"),
+        ("scenario", "--id", "ghz-bell", "--params", '{"a": [1e200, 0]}'),
+        ("scenario", "--id", "pd-ghz", "--params", '{"a": [1e200, 0]}'),
+        ("scenario", "--id", "pd-ghz", "--params", '{"b": [1e200, 0]}'),
+        ("scenario", "--id", "ghz-bell", "--params", '{"grid": %d}' % (MAX_SCAN_GRID + 1)),
+        ("scenario", "--id", "pd-classical", "--resolution", str(MAX_RESOLUTION + 1)),
+        ("scenario", "--id", "coop-classical", "--resolution", str(MAX_RESOLUTION + 1)),
+        ("scenario", "--id", "pd-w", "--params", '{"c2": [0, 1e200]}'),
+        ("ne", "--mode", "grid", "--resolution", str(MAX_RESOLUTION + 1)),
+        ("marginals", {"kind": "ghz", "a": 1e200}),
+        ("marginals", {"kind": "w", "c2": 1e200, "c3": 0, "c5": 0}),
+        ("marginals", {"kind": "pure", "amplitudes": [1e308] * 8}),
+    ],
+)
+def test_out_of_domain_inputs_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "ne":
+        argv += ("--game", write(tmp_path, "game.json", PD_GAME))
+    if argv[0] == "marginals":
+        state = write(tmp_path, "s.json", argv[1])
+        argv = ("marginals", "--convention", "parity", "--state", state)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    code, out, err = run(capsys, "scenario", "--id", "pd-ghz")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal failure: RuntimeError: first line second line\n"

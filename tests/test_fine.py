@@ -11,14 +11,15 @@ from finegames import (
     NoJointError,
     RangeError,
     XiRule,
+    bell_slack_values,
     bell_slacks,
-    joint_exists_oracle,
     marginals_from_joint,
     reconstruct_joint,
     strategy_weights,
     xi_interval,
     StrategyTriple,
 )
+from oracles import joint_exists_oracle
 from conftest import conjunction_set_of_joint, random_conjunction_set, random_joint
 
 GHZ_PARITY = MarginalSet(
@@ -147,3 +148,14 @@ def test_joint_distribution_validation():
         JointDistribution(np.full(8, 0.2))
     with pytest.raises(RangeError):
         JointDistribution(np.array([0.5, 0.6, -0.1, 0, 0, 0, 0, 0]))
+
+
+def test_bell_slack_values_batch_matches_bell_slacks(rng):
+    sets = [random_conjunction_set(rng) for _ in range(50)]
+    batch = bell_slack_values(np.array([m.values() for m in sets]))
+    assert batch.shape == (50, 4)
+    for row, m in zip(batch, sets):
+        assert tuple(row.tolist()) == bell_slacks(m).slack
+    grid = bell_slack_values(np.array([m.values() for m in sets]).reshape(5, 10, 7))
+    assert np.array_equal(grid.reshape(50, 4), batch)
+    assert bell_slack_values(GHZ_PARITY.values()).tolist() == [2.5, -0.5, -0.5, -0.5]

@@ -26,10 +26,10 @@ from finegames import (
     payoff_marginal_form,
     payoff_outcome_form,
     pd3,
-    pd_payoffs_from_pure_state,
     strategy_marginals,
     strategy_weights,
 )
+from oracles import pd_payoffs_from_pure_state
 from conftest import random_joint, random_pure_state
 
 probability = st.floats(0.0, 1.0)

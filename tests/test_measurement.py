@@ -2,29 +2,33 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finegames import (
+    DensityMatrix,
     MarginalConvention,
     MarginalSet,
     RangeError,
+    ShapeError,
     basis_bit,
     convert_marginals,
     density_from_pure,
     extract_marginals,
     ghz,
+    marginal_values,
     marginals_from_joint,
     pair_povm,
-    pure_state_marginals,
     single_povm,
     strategy_marginals,
     strategy_weights,
     triple_povm,
+    validate_densities,
     weights_from_marginals,
     JointDistribution,
     StrategyTriple,
 )
+from oracles import pure_state_marginals
 from conftest import random_joint, random_pure_state
 
 CONVENTIONS = (MarginalConvention.CONJUNCTION, MarginalConvention.PARITY)
@@ -179,3 +183,86 @@ def test_product_marginals_always_consistent(lam, mu, nu):
         assert np.all(values <= 1.0 + 1e-12)
         inv = weights_from_marginals(m)
         assert inv.feasible
+
+
+def trace_values(rho: np.ndarray, convention: MarginalConvention) -> list[float]:
+    """The seven marginals as np.trace(P @ rho).real of the "+1" POVM
+    elements, clamped into [0, 1] as every marginal is."""
+    elements = (
+        single_povm("A")[0],
+        single_povm("B")[0],
+        single_povm("C")[0],
+        pair_povm("AB", convention)[0],
+        pair_povm("BC", convention)[0],
+        pair_povm("AC", convention)[0],
+        triple_povm(convention)[0],
+    )
+    return [min(max(np.trace(e.matrix @ rho).real, 0.0), 1.0) for e in elements]
+
+
+component = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def densities(draw) -> np.ndarray:
+    """Validated density matrices: pure, mixed (a weighted sum of two to
+    four pure projectors), sparse (a pure state on a random support, so
+    the diagonal holds exact zeros) or diagonal (a basis mixture with
+    zero weights allowed)."""
+    kind = draw(st.sampled_from(("pure", "mixed", "sparse", "diagonal")))
+    if kind == "diagonal":
+        weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)))
+        assume(weights.sum() > 1e-3)
+        return DensityMatrix(np.diag(weights / weights.sum()).astype(complex)).matrix
+    rho = np.zeros((8, 8), dtype=complex)
+    for _ in range(draw(st.integers(2, 4)) if kind == "mixed" else 1):
+        amps = np.array(draw(st.lists(component, min_size=16, max_size=16))).view(complex)
+        if kind == "sparse":
+            support = draw(st.lists(st.booleans(), min_size=8, max_size=8))
+            amps[~np.array(support)] = 0.0
+        norm = np.linalg.norm(amps)
+        assume(norm > 1e-3)
+        amps = amps / norm
+        rho += draw(st.floats(0.05, 1.0)) * np.outer(amps, amps.conj())
+    return DensityMatrix(rho / np.trace(rho).real).matrix
+
+
+@settings(max_examples=400, deadline=None)
+@given(rho=densities(), convention=st.sampled_from(CONVENTIONS))
+def test_marginal_values_equal_povm_traces_exactly(rho, convention):
+    values = marginal_values(rho.diagonal().real, convention)
+    assert values.tolist() == trace_values(rho, convention)
+    m = extract_marginals(DensityMatrix(rho), convention)
+    assert list(m.values()) == trace_values(rho, convention)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stack=st.lists(densities(), min_size=1, max_size=6),
+    convention=st.sampled_from(CONVENTIONS),
+)
+def test_marginal_values_batch_matches_single_calls(stack, convention):
+    rho = validate_densities(np.stack(stack))
+    batch = marginal_values(rho.diagonal(0, -2, -1).real, convention)
+    assert batch.shape == (len(stack), 7)
+    singles = [marginal_values(r.diagonal().real, convention) for r in stack]
+    assert np.array_equal(batch, np.stack(singles))
+    grid = marginal_values(rho.diagonal(0, -2, -1).real.reshape(len(stack), 1, 8), convention)
+    assert np.array_equal(grid[:, 0], batch)
+
+
+def test_marginal_values_clamp_and_range_check():
+    diag = np.zeros(8)
+    diag[0] = 1.0 + 5e-13
+    assert marginal_values(diag, MarginalConvention.CONJUNCTION).tolist() == [1.0] * 7
+    diag[0] = -5e-13
+    assert marginal_values(diag, MarginalConvention.PARITY).tolist() == [0.0] * 7
+    diag[0] = 1.5
+    with pytest.raises(RangeError, match=r"^lam = 1\.5 outside \[0, 1\]$"):
+        marginal_values(diag, MarginalConvention.PARITY)
+    batch = np.full((3, 8), 0.125)
+    batch[2, 6] = -0.5
+    with pytest.raises(RangeError, match=r"^nu = "):
+        marginal_values(batch, MarginalConvention.PARITY)
+    with pytest.raises(ShapeError):
+        marginal_values(np.zeros(7), MarginalConvention.PARITY)

@@ -14,12 +14,14 @@ from finegames import (
     ProductStateAngles,
     PureState,
     RangeError,
+    ShapeError,
     basis_bit,
     density_from_mixed,
     density_from_pure,
     ghz,
     pd_state,
     product_state,
+    validate_densities,
     w_state,
 )
 from conftest import random_pure_state
@@ -72,6 +74,46 @@ def test_density_matrix_validation():
         DensityMatrix(bad)
     with pytest.raises(InvalidDensityError):
         DensityMatrix(np.eye(8, dtype=complex))  # trace 8
+
+
+def _message(matrix) -> str:
+    with pytest.raises(InvalidDensityError) as err:
+        DensityMatrix(matrix)
+    return str(err.value)
+
+
+def test_validate_densities_checks_every_matrix_of_a_stack(rng):
+    good = [density_from_pure(random_pure_state(rng)).matrix for _ in range(3)]
+    stack = np.stack(good)
+    checked = validate_densities(stack)
+    assert checked.dtype == np.complex128 and np.array_equal(checked, stack)
+    assert np.array_equal(validate_densities(good[0]), good[0])
+
+    not_hermitian = good[1].copy()
+    not_hermitian[0, 1] += 1e-6
+    bad_trace = 2.0 * good[1]
+    negative = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+    for bad in (not_hermitian, bad_trace, negative):
+        with pytest.raises(InvalidDensityError) as err:
+            validate_densities(np.stack([good[0], bad, good[2]]))
+        assert str(err.value) == _message(bad)
+    with pytest.raises(ShapeError):
+        validate_densities(np.zeros((3, 8, 7)))
+    nonfinite = stack.copy()
+    nonfinite[2, 3, 3] = np.nan
+    with pytest.raises(ShapeError):
+        validate_densities(nonfinite)
+
+
+def test_density_matrix_messages():
+    assert _message(np.eye(8, dtype=complex)) == "trace is (8+0j), not 1"
+    negative = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+    assert _message(negative) == (
+        "matrix is not positive semidefinite: min eigenvalue -0.5"
+    )
+    skew = np.eye(8, dtype=complex) / 8
+    skew[0, 1] = 0.25
+    assert _message(skew) == "matrix is not hermitian: max defect 0.25"
 
 
 def test_density_from_pure_is_projector(rng):

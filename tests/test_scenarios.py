@@ -1,16 +1,30 @@
 """End-to-end scenario reports: values, schema, determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from finegames import (
+    MarginalConvention,
     ParamError,
+    ShapeError,
     UnknownScenarioError,
+    bell_slacks,
+    density_from_pure,
+    extract_marginals,
+    ghz,
+    grid_ne_search,
     load_schema,
+    pd3,
     render_json,
+    render_markdown,
     run_scenario,
     SCENARIO_IDS,
 )
+import finegames.equilibrium as equilibrium
+from finegames.equilibrium import MAX_RESOLUTION
+from finegames.scenarios import MAX_SCAN_GRID
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -176,3 +190,124 @@ def test_scenario_seed_changes_phases_but_not_payoffs():
     a = run_scenario("coop-quantum", {"seed": 1})
     b = run_scenario("coop-quantum", {"seed": 2})
     assert a.payoffs == pytest.approx(b.payoffs, abs=1e-12)
+
+
+# sha256 of render_json and of render_markdown ("scenario <id>" title)
+# of every default report. A change that moves a report byte updates
+# these digests and lists each moved field, with its reason, in
+# CHANGES.md.
+DEFAULT_REPORT_SHA256 = {
+    "pd-classical": (
+        "85aec22de9b9b4d0a7d9ccc481c4c2ae51c3b4a0561571188d339779297653de",
+        "a897e406309ba051cbebe8dcfee783f86bb7ae327bccbb47b8938655893ab302",
+    ),
+    "pd-ghz": (
+        "d550389f19595dd91fb333630a177bc8a8471bbb9667a9eb5326ceaafd38e067",
+        "5683ae44e31bac763382fdcbc9ad25b1e6f4d0e1246e8d6df6b1209810fa9ad7",
+    ),
+    "ghz-bell": (
+        "60d0bbda2af62ad2752cc1c36635bf2945059065c611de15ea6ed130cdd570e5",
+        "ce0af7d7a6987792306e1f7c8ccff9393d1993d2f431925056b67e36464bd6d8",
+    ),
+    "pd-product": (
+        "5c806ae6e1f623245e2ffeace7f756a0d75ba0063dd8fd01799224a3d84bb6c7",
+        "e192c96a0cc7771fc28e6d541f1337f99ccf47907d9e574bf0c2c882970b01b9",
+    ),
+    "pd-w": (
+        "be2d2a9d14a15c10f01f09956e1b19ac02ed4c13a7f43adbeaa056b6094180f6",
+        "fb8ec101697c9d3302d3a0d7886c5f38c26e875e0f94b3c827339eb7f6226195",
+    ),
+    "pd-continuum": (
+        "6ad2f45d2ff95580fadc916fdd400570110cf9895a7b594005b22b858e321fc5",
+        "f37d3792af70483e467f1bafe92c1a60276caf3abf20dea888946c7707cf6117",
+    ),
+    "coop-classical": (
+        "ca3941bf1d395412dbb9e0d9ee1c02f926d3bf0113c22b4fc618142ee05528af",
+        "a1eee04f8bfd06919cbba4ea6e22d1f6ccdc23d7702c94dc127df83d1528c173",
+    ),
+    "coop-quantum": (
+        "9c516705d5b2f683c48c30c2291740f35aa7f3ee49bab1c66ee57bbaa971b7f4",
+        "d4335a31b0e4c9ff9a91f584ba7192bec0134507f743b9fd8fea538728d10691",
+    ),
+}
+GHZ_BELL_10001_SHA256 = "f6cf1164b5e1ef1fd01e5ce47f0e55ce7e1ef3ca8792c9fb2ff47ff2bb1b3f48"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_every_scenario_has_pinned_digests():
+    assert sorted(DEFAULT_REPORT_SHA256) == sorted(SCENARIO_IDS)
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+def test_default_reports_match_pinned_digests(scenario_id):
+    report = run_scenario(scenario_id).to_dict()
+    json_digest, md_digest = DEFAULT_REPORT_SHA256[scenario_id]
+    assert sha256(render_json(report)) == json_digest
+    assert sha256(render_markdown(f"scenario {scenario_id}", report)) == md_digest
+
+
+def per_point_weight_scan(grid_n: int) -> list[float]:
+    """The ghz-bell weight scan one state at a time, through the
+    single-state API."""
+    points = []
+    for x in np.linspace(0.0, 1.0, grid_n):
+        state = ghz(complex(float(x) ** 0.5, 0.0), complex((1.0 - float(x)) ** 0.5, 0.0))
+        m = extract_marginals(density_from_pure(state), MarginalConvention.PARITY)
+        if bell_slacks(m).satisfied:
+            points.append(float(x))
+    return points
+
+
+@pytest.mark.parametrize("grid_n", [101, 10001])
+def test_batched_weight_scan_matches_per_point_loop(grid_n):
+    report = run_scenario("ghz-bell", {"grid": grid_n})
+    scan = report.details["weight_scan"]
+    assert scan["satisfied_points"] == per_point_weight_scan(grid_n)
+    if grid_n == 10001:
+        assert sha256(render_json(report.to_dict())) == GHZ_BELL_10001_SHA256
+
+
+def test_weight_scan_grid_bound():
+    scan = run_scenario("ghz-bell", {"grid": MAX_SCAN_GRID}).details["weight_scan"]
+    assert scan["grid"] == MAX_SCAN_GRID and scan["satisfied_points"] == [1.0]
+    with pytest.raises(ParamError, match="params.grid"):
+        run_scenario("ghz-bell", {"grid": MAX_SCAN_GRID + 1})
+
+
+def test_lattice_resolution_bound(monkeypatch):
+    # A full search at the largest resolution takes seconds and a
+    # 195 MB cube; a stand-in screen records that the bound let it in.
+    seen = []
+
+    def screen(table, w, p, tol):
+        seen.append(len(w))
+        return np.zeros((1, 1, 1), dtype=bool)
+
+    monkeypatch.setattr(equilibrium, "_endpoint_screen", screen)
+    assert grid_ne_search(pd3(), MAX_RESOLUTION) == []
+    for scenario_id in ("pd-classical", "coop-classical"):
+        run_scenario(scenario_id, {"resolution": MAX_RESOLUTION})
+    assert seen == [MAX_RESOLUTION] * 9
+    with pytest.raises(ShapeError, match="at most"):
+        grid_ne_search(pd3(), MAX_RESOLUTION + 1)
+    for scenario_id in ("pd-classical", "coop-classical"):
+        with pytest.raises(ParamError, match="params.resolution"):
+            run_scenario(scenario_id, {"resolution": MAX_RESOLUTION + 1})
+    assert seen == [MAX_RESOLUTION] * 9
+
+
+@pytest.mark.parametrize(
+    "scenario_id, params",
+    [
+        ("coop-quantum", {"seed": -1}),
+        ("ghz-bell", {"a": [1e200, 0.0]}),
+        ("pd-ghz", {"a": [1e200, 0.0]}),
+        ("pd-ghz", {"b": [0.0, 1e200]}),
+    ],
+)
+def test_out_of_domain_params_raise_param_error(scenario_id, params):
+    with pytest.raises(ParamError):
+        run_scenario(scenario_id, params)

@@ -54,6 +54,9 @@ def test_render_json_handles_numpy_scalars():
 def test_parse_complex_accepts_number_and_pair():
     assert parse_complex(0.5, "z") == complex(0.5, 0.0)
     assert parse_complex([0.5, -0.25], "z") == complex(0.5, -0.25)
+    for too_large in (1.5, [0.0, -1e200], [float("inf"), 0.0], [float("nan"), 0.0]):
+        with pytest.raises(ParamError, match="modulus at most 1"):
+            parse_complex(too_large, "z")
     with pytest.raises(ParamError):
         parse_complex("half", "z")
     with pytest.raises(ParamError):
