@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConventionError, NoJointError, RangeError, ShapeError
-from .measurement import SLACK_TOL, MarginalConvention, MarginalSet
+from .measurement import (
+    MOBIUS,
+    SLACK_TOL,
+    MarginalConvention,
+    MarginalSet,
+    _apply,
+    marginal_values,
+)
 
 # Outcome order of joint distributions, aligned with the basis order of
 # qstates: index bits (a, b, c), bit 0 = outcome +1.
@@ -106,20 +113,7 @@ class XiRule(enum.Enum):
 
 def _condition_terms(m: MarginalSet, xi: float) -> np.ndarray:
     """The eight joint probabilities implied by inclusion-exclusion."""
-    lam, mu, nu = m.lam, m.mu, m.nu
-    p_ab, p_bc, p_ac = m.p_ab, m.p_bc, m.p_ac
-    return np.array(
-        [
-            xi,
-            p_ab - xi,
-            p_ac - xi,
-            lam - p_ab - p_ac + xi,
-            p_bc - xi,
-            mu - p_ab - p_bc + xi,
-            nu - p_ac - p_bc + xi,
-            1.0 - lam - mu - nu + p_ab + p_ac + p_bc - xi,
-        ]
-    )
+    return _apply(MOBIUS, (1.0, *m.values()[:6], xi))
 
 
 def _xi_bounds(m: MarginalSet) -> tuple[float, float]:
@@ -199,39 +193,25 @@ def reconstruct_joint(
     literally in the conjunction sense whatever the tag, mirroring
     bell_slacks.
     """
-    if rule is XiRule.GIVEN:
-        xi = m.xi
-    else:
-        lower, upper = _xi_bounds(m)
-        interval = XiInterval(lower, upper)
-        if interval.is_empty:
-            bad = _condition_terms(m, interval.midpoint())
-            violated = tuple(int(i) for i in np.nonzero(bad < -SLACK_TOL)[0])
-            raise NoJointError(violated, bell_slacks(m))
-        xi = interval.midpoint() if rule is XiRule.MIDPOINT else lower
+    xi, empty = m.xi, False
+    if rule is not XiRule.GIVEN:
+        interval = XiInterval(*_xi_bounds(m))
+        empty = interval.is_empty  # reported with the terms at its midpoint
+        use_lower = rule is XiRule.LOWER and not empty
+        xi = interval.lower if use_lower else interval.midpoint()
     terms = _condition_terms(m, xi)
     violated = tuple(int(i) for i in np.nonzero(terms < -SLACK_TOL)[0])
-    if violated:
+    if violated or empty:
         raise NoJointError(violated, bell_slacks(m))
-    return JointDistribution(np.clip(terms, 0.0, None))
+    clipped = np.maximum(terms, 0.0)
+    if terms.min() < 0.0:
+        # Zeroing terms within the floor adds their size to the total.
+        clipped /= clipped.sum()
+    return JointDistribution(clipped)
 
 
 def marginals_from_joint(
     j: JointDistribution, convention: MarginalConvention
 ) -> MarginalSet:
     """Marginal probabilities of an explicit joint distribution."""
-    p = j.prob
-    lam = float(p[0] + p[1] + p[2] + p[3])
-    mu = float(p[0] + p[1] + p[4] + p[5])
-    nu = float(p[0] + p[2] + p[4] + p[6])
-    if convention is MarginalConvention.CONJUNCTION:
-        p_ab = float(p[0] + p[1])
-        p_bc = float(p[0] + p[4])
-        p_ac = float(p[0] + p[2])
-        xi = float(p[0])
-    else:
-        p_ab = float(p[0] + p[1] + p[6] + p[7])
-        p_bc = float(p[0] + p[3] + p[4] + p[7])
-        p_ac = float(p[0] + p[2] + p[5] + p[7])
-        xi = float(p[0] + p[3] + p[5] + p[6])
-    return MarginalSet(lam, mu, nu, p_ab, p_bc, p_ac, xi, convention)
+    return MarginalSet(*marginal_values(j.prob, convention).tolist(), convention)

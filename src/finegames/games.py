@@ -20,7 +20,11 @@ import numpy as np
 
 from .errors import DilemmaViolation, RangeError, ShapeError
 from .fine import JointDistribution, marginals_from_joint
-from .measurement import MarginalConvention, MarginalSet
+from .measurement import MOBIUS, MarginalConvention, MarginalSet, _apply
+
+# Largest payoff magnitude a table accepts: sums of a few entries and
+# the squares the equilibrium solvers take of them stay finite.
+MAX_PAYOFF = 1e150
 
 # Column order of marginal_form_coefficients.
 MARGINAL_COEFF_ORDER = ("xi", "p_ab", "p_bc", "p_ac", "lam", "mu", "nu", "const")
@@ -38,6 +42,8 @@ class PayoffTable:
             raise ShapeError(f"payoff table must be 8x3, got {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ShapeError("payoff table contains non-finite entries")
+        if np.max(np.abs(entries)) > MAX_PAYOFF:
+            raise RangeError(f"a payoff table entry exceeds {MAX_PAYOFF:g} in magnitude")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -192,19 +198,9 @@ def marginal_form_coefficients(table: PayoffTable) -> np.ndarray:
     probability into the outcome form and collecting terms gives these
     combinations of table rows.
     """
-    t = table.entries
-    return np.array(
-        [
-            t[0] - t[1] - t[2] + t[3] - t[4] + t[5] + t[6] - t[7],
-            t[1] - t[3] - t[5] + t[7],
-            t[4] - t[5] - t[6] + t[7],
-            t[2] - t[3] - t[6] + t[7],
-            t[3] - t[7],
-            t[5] - t[7],
-            t[6] - t[7],
-            t[7],
-        ]
-    )
+    # Payoff = weights @ t with weights = MOBIUS @ (1, lam, ..., xi), so
+    # MOBIUS.T @ t holds the coefficients in that order; reorder them.
+    return _apply(MOBIUS.T, table.entries.T).T[[7, 4, 5, 6, 1, 2, 3, 0]]
 
 
 def payoff_marginal_values(

@@ -16,6 +16,7 @@ convention tag so the two readings can never be silently mixed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RangeError, ShapeError
-from .qstates import BASIS_LABELS, PLAYERS, DensityMatrix, basis_bit
+from .qstates import BASIS_LABELS, PLAYERS, DensityMatrix
 
 CLAMP_TOL = 1e-12
 # Negative-weight floor of weights_from_marginals and fine.reconstruct_joint.
@@ -39,6 +40,45 @@ class MarginalConvention(enum.Enum):
 
     CONJUNCTION = "conjunction"
     PARITY = "parity"
+
+
+# The outcome lattice. Each map is a Kronecker product over players A,
+# B, C of one 2x2 block indexed by (outcome bit, subset bit), outcome bit
+# 0 read as +1 (the qstates basis order); the subset columns are then put
+# in the order (), A, B, C, AB, BC, AC, ABC of (1, lam, mu, nu, p_ab,
+# p_bc, p_ac, xi). Adding 0.0 turns the blocks' -0.0 products into 0.0.
+def _over_players(block: list[list[float]]) -> np.ndarray:
+    b = np.array(block)
+    return np.take(np.kron(np.kron(b, b), b), [0, 4, 2, 1, 6, 3, 5, 7], axis=1) + 0.0
+
+
+# Outcome weights -> conjunction values (1, lam, ..., xi): row s marks
+# the outcomes where every player of subset s is +1.
+ZETA = np.ascontiguousarray(_over_players([[1.0, 1.0], [1.0, 0.0]]).T)
+# Conjunction values -> weights (inclusion-exclusion), ZETA's inverse.
+MOBIUS = _over_players([[0.0, 1.0], [1.0, -1.0]])
+# Correlations (1, e_a, ..., e_abc) -> 8 x weights: entry (i, s) is the
+# sign of subset s's outcome product at i, so WALSH.T / 8 inverts it.
+WALSH = _over_players([[1.0, 1.0], [1.0, -1.0]])
+# The diagonals of the seven "+1" POVM elements in field order, so a
+# trace against rho is a row applied to diag(rho); C order is faster.
+_INCIDENCE = {
+    MarginalConvention.CONJUNCTION: ZETA[1:],
+    MarginalConvention.PARITY: np.ascontiguousarray(1.0 + WALSH.T[1:]) / 2.0,
+}
+for _matrix in (ZETA, MOBIUS, WALSH, *_INCIDENCE.values()):
+    _matrix.flags.writeable = False
+
+
+def _apply(matrix: np.ndarray, x) -> np.ndarray:
+    """`matrix @ v` for every (8,) vector v of a (..., 8) batch.
+
+    Summed by numpy's add.reduce rather than `@`, so the bits do not
+    depend on the BLAS build. The order follows the product's memory
+    layout: pairwise when both operands are C-ordered, else left to
+    right (as for MOBIUS.T applied to a payoff table's columns).
+    """
+    return (np.asarray(x, dtype=np.float64)[..., None, :] * matrix).sum(-1)
 
 
 class Correlations(NamedTuple):
@@ -115,25 +155,7 @@ class MarginalSet:
 
     def correlations(self) -> Correlations:
         """Signed expectations of the outcome products, convention-free."""
-        e_a = 2.0 * self.lam - 1.0
-        e_b = 2.0 * self.mu - 1.0
-        e_c = 2.0 * self.nu - 1.0
-        if self.convention is MarginalConvention.PARITY:
-            e_ab = 2.0 * self.p_ab - 1.0
-            e_bc = 2.0 * self.p_bc - 1.0
-            e_ac = 2.0 * self.p_ac - 1.0
-            e_abc = 2.0 * self.xi - 1.0
-        else:
-            e_ab = 4.0 * self.p_ab - 1.0 - e_a - e_b
-            e_bc = 4.0 * self.p_bc - 1.0 - e_b - e_c
-            e_ac = 4.0 * self.p_ac - 1.0 - e_a - e_c
-            e_abc = (
-                8.0 * self.xi
-                - 1.0
-                - (e_a + e_b + e_c)
-                - (e_ab + e_bc + e_ac)
-            )
-        return Correlations(e_a, e_b, e_c, e_ab, e_bc, e_ac, e_abc)
+        return Correlations(*_signed(self)[1:].tolist())
 
 
 @dataclass(frozen=True)
@@ -155,26 +177,17 @@ class PovmElement:
         object.__setattr__(self, "matrix", mat)
 
 
-def _projector_from_indices(indices: tuple[int, ...]) -> PovmElement:
-    diag = np.zeros(8, dtype=np.complex128)
-    diag[list(indices)] = 1.0
-    return PovmElement(np.diag(diag))
-
-
-def _pair_bits(label: str) -> tuple[str, str]:
-    if label not in PAIR_LABELS:
-        raise ShapeError(f"pair must be one of {PAIR_LABELS}, got {label!r}")
-    return label[0], label[1]
+def _projector_pair(row: int, convention: MarginalConvention) -> tuple:
+    hit = _INCIDENCE[convention][row]
+    return PovmElement(np.diag(hit)), PovmElement(np.diag(1.0 - hit))
 
 
 @lru_cache(maxsize=None)
 def single_povm(player: str) -> tuple[PovmElement, PovmElement]:
     """Projectors onto outcome +1 and -1 of one player's observable."""
-    if player not in ("A", "B", "C"):
+    if player not in PLAYERS:
         raise ShapeError(f"player must be 'A', 'B' or 'C', got {player!r}")
-    plus = tuple(i for i in range(8) if basis_bit(i, player) == 0)
-    minus = tuple(i for i in range(8) if basis_bit(i, player) == 1)
-    return _projector_from_indices(plus), _projector_from_indices(minus)
+    return _projector_pair(PLAYERS.index(player), MarginalConvention.CONJUNCTION)
 
 
 @lru_cache(maxsize=None)
@@ -186,19 +199,9 @@ def pair_povm(
     Under parity the first element projects onto "the two outcomes
     agree"; under conjunction onto "both outcomes are +1".
     """
-    first, second = _pair_bits(pair)
-    if convention is MarginalConvention.PARITY:
-        hit = tuple(
-            i for i in range(8) if basis_bit(i, first) == basis_bit(i, second)
-        )
-    else:
-        hit = tuple(
-            i
-            for i in range(8)
-            if basis_bit(i, first) == 0 and basis_bit(i, second) == 0
-        )
-    rest = tuple(i for i in range(8) if i not in hit)
-    return _projector_from_indices(hit), _projector_from_indices(rest)
+    if pair not in PAIR_LABELS:
+        raise ShapeError(f"pair must be one of {PAIR_LABELS}, got {pair!r}")
+    return _projector_pair(3 + PAIR_LABELS.index(pair), convention)
 
 
 @lru_cache(maxsize=None)
@@ -209,29 +212,7 @@ def triple_povm(convention: MarginalConvention) -> tuple[PovmElement, PovmElemen
     is +1" (an even number of -1 results); under conjunction onto "all
     three outcomes are +1".
     """
-    if convention is MarginalConvention.PARITY:
-        hit = tuple(i for i in range(8) if bin(i).count("1") % 2 == 0)
-    else:
-        hit = (0,)
-    rest = tuple(i for i in range(8) if i not in hit)
-    return _projector_from_indices(hit), _projector_from_indices(rest)
-
-
-@lru_cache(maxsize=None)
-def _incidence(convention: MarginalConvention) -> np.ndarray:
-    """7x8 0/1 rows: the diagonals of the seven "+1" POVM elements.
-
-    Every element is a diagonal projector, so its trace against rho is
-    its row applied to diag(rho).
-    """
-    elements = (
-        [single_povm(player)[0] for player in PLAYERS]
-        + [pair_povm(pair, convention)[0] for pair in PAIR_LABELS]
-        + [triple_povm(convention)[0]]
-    )
-    rows = np.array([e.matrix.diagonal().real for e in elements])
-    rows.flags.writeable = False
-    return rows
+    return _projector_pair(6, convention)
 
 
 def marginal_values(diagonals, convention: MarginalConvention) -> np.ndarray:
@@ -247,7 +228,7 @@ def marginal_values(diagonals, convention: MarginalConvention) -> np.ndarray:
     d = np.asarray(diagonals, dtype=np.float64)
     if d.shape[-1:] != (8,):
         raise ShapeError(f"diagonals must have shape (..., 8), got {d.shape}")
-    s = d[..., None, :] * _incidence(convention)
+    s = d[..., None, :] * _INCIDENCE[convention]
     t = s[..., :4] + s[..., 4:]
     values = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])
     bad = ~((values >= -CLAMP_TOL) & (values <= 1.0 + CLAMP_TOL))
@@ -267,49 +248,25 @@ def extract_marginals(rho: DensityMatrix, convention: MarginalConvention) -> Mar
 def convert_marginals(m: MarginalSet, target: MarginalConvention) -> MarginalSet:
     """Re-express a marginal set under the other reading convention.
 
-    The signed correlation vector is convention-free, so conversion
-    goes through it and back; applying the conversion twice returns the
-    original values. Raises RangeError when the converted values leave
-    [0, 1] (a parity set need not admit a conjunction reading).
+    The eight outcome weights a set implies are convention-free, so
+    conversion reads the target convention's incidence rows off them;
+    applying the conversion twice returns the original values. Raises
+    RangeError when the converted values leave [0, 1] (a parity set need
+    not admit a conjunction reading).
     """
     if target is m.convention:
         return m
-    e = m.correlations()
-    if target is MarginalConvention.PARITY:
-        p_ab = (1.0 + e.e_ab) / 2.0
-        p_bc = (1.0 + e.e_bc) / 2.0
-        p_ac = (1.0 + e.e_ac) / 2.0
-        xi = (1.0 + e.e_abc) / 2.0
-    else:
-        p_ab = (1.0 + e.e_a + e.e_b + e.e_ab) / 4.0
-        p_bc = (1.0 + e.e_b + e.e_c + e.e_bc) / 4.0
-        p_ac = (1.0 + e.e_a + e.e_c + e.e_ac) / 4.0
-        xi = (
-            1.0
-            + (e.e_a + e.e_b + e.e_c)
-            + (e.e_ab + e.e_bc + e.e_ac)
-            + e.e_abc
-        ) / 8.0
-    return MarginalSet(m.lam, m.mu, m.nu, p_ab, p_bc, p_ac, xi, target)
+    values = marginal_values(weights_from_marginals(m).weights, target)
+    return MarginalSet(m.lam, m.mu, m.nu, *values[3:].tolist(), target)
 
 
-def _walsh_design() -> np.ndarray:
-    # Row per basis index: signs of (1, a, b, c, ab, bc, ac, abc) with
-    # bit 0 read as +1. A Hadamard-type sign matrix, hence full rank.
-    rows = []
-    for i in range(8):
-        s_a = 1.0 if basis_bit(i, "A") == 0 else -1.0
-        s_b = 1.0 if basis_bit(i, "B") == 0 else -1.0
-        s_c = 1.0 if basis_bit(i, "C") == 0 else -1.0
-        rows.append(
-            [1.0, s_a, s_b, s_c, s_a * s_b, s_b * s_c, s_a * s_c, s_a * s_b * s_c]
-        )
-    return np.array(rows)
-
-
-_WALSH = _walsh_design()
-# Full rank by construction: |det| of this 8x8 sign matrix is 8^4.
-assert round(abs(np.linalg.det(_WALSH))) == 4096
+def _signed(m: MarginalSet) -> np.ndarray:
+    """(1, e_a, e_b, e_c, e_ab, e_bc, e_ac, e_abc) of a marginal set."""
+    x = np.array((1.0, *m.values()))
+    if m.convention is MarginalConvention.PARITY:
+        return 2.0 * x - 1.0
+    # An integer map: every product is exact and fsum rounds each sum once.
+    return np.array([math.fsum(row) for row in (WALSH.T @ MOBIUS) * x])
 
 
 @dataclass(frozen=True)
@@ -335,14 +292,17 @@ class WeightInversion:
 def weights_from_marginals(m: MarginalSet) -> WeightInversion:
     """Invert seven marginals plus normalization to eight basis weights.
 
-    The system is the full-rank Walsh transform over the signed
-    correlations, so the solution always exists and is unique; it is a
-    probability distribution exactly when all components are
-    non-negative.
+    Conjunction values invert by MOBIUS, parity values by the Walsh
+    transform of their signed correlations; both maps are full rank, so
+    the solution always exists and is unique. It is a probability
+    distribution exactly when all components are non-negative.
     """
-    e = m.correlations()
-    coeffs = np.array([1.0, *e], dtype=np.float64)
-    weights = (_WALSH @ coeffs) / 8.0
+    if m.convention is MarginalConvention.CONJUNCTION:
+        weights = _apply(MOBIUS, (1.0, *m.values()))
+    else:
+        # `@` on input values here only: the helper's summation order would
+        # move pd-product's reported parity inversion by an ulp.
+        weights = (WALSH @ _signed(m)) / 8.0
     negative = tuple(int(i) for i in np.nonzero(weights < -SLACK_TOL)[0])
     weights.flags.writeable = False
     return WeightInversion(weights, negative)

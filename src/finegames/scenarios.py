@@ -169,8 +169,12 @@ def _tolerance(value, path: str = "params.tol") -> float:
 
 
 def _weight(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-        raise ParamError(f"{path}: expected a non-negative number")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 <= value < math.inf
+    ):
+        raise ParamError(f"{path}: expected a finite non-negative number")
     return float(value)
 
 

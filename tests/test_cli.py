@@ -268,6 +268,8 @@ def test_fine_and_invert_share_one_feasibility_floor(tmp_path, capsys):
         ("marginals", {"kind": "ghz", "a": 1e200}),
         ("marginals", {"kind": "w", "c2": 1e200, "c3": 0, "c5": 0}),
         ("marginals", {"kind": "pure", "amplitudes": [1e308] * 8}),
+        ("scenario", "--id", "coop-quantum", "--params", '{"q1": NaN}'),
+        ("scenario", "--id", "coop-quantum", "--params", '{"u": Infinity}'),
     ],
 )
 def test_out_of_domain_inputs_exit_2(tmp_path, capsys, argv):
@@ -280,6 +282,51 @@ def test_out_of_domain_inputs_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "params, name", [('{"q1": NaN}', "params.q1"), ('{"u": Infinity}', "params.u")]
+)
+def test_non_finite_state_weight_names_its_param(capsys, params, name):
+    code, _, err = run(capsys, "scenario", "--id", "coop-quantum", "--params", params)
+    assert code == 2
+    assert err == f"error: {name}: expected a finite non-negative number\n"
+
+
+HUGE_GAME = {"kind": "custom", "rows": [[1.7e308, -1.7e308, 1.7e308]] * 8}
+
+
+@pytest.mark.parametrize(
+    "mode", [("grid", "--resolution", "3"), ("interior",), ("verify", "--triple", "0,0,0")]
+)
+def test_payoff_beyond_bound_exits_2(tmp_path, capsys, mode):
+    game = write(tmp_path, "game.json", HUGE_GAME)
+    code, out, err = run(capsys, "ne", "--game", game, "--mode", *mode)
+    assert code == 2
+    assert out == ""
+    assert err == "error: a payoff table entry exceeds 1e+150 in magnitude\n"
+
+
+# Conjunction values near the boundary: terms 3 and 5 of the
+# reconstruction come out near -8e-13 and -7e-13, inside the 1e-12
+# floor; clipping them to 0 alone left a total of 1 + 1.5e-12.
+CLIPPED_TERMS = {
+    "convention": "conjunction",
+    "lambda": 0.18469580331596774, "mu": 0.36139207710169063,
+    "nu": 0.7505658901526856, "p_ab": 0.18469580331667534,
+    "p_bc": 0.21178641572962695, "p_ac": 0.035090141944032475,
+    "xi": 0.03509014194390409,
+}
+
+
+def test_fine_accepts_terms_clipped_within_the_floor(tmp_path, capsys):
+    path = write(tmp_path, "m.json", CLIPPED_TERMS)
+    code, out, err = run(capsys, "fine", "--marginals", path)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["exists"] is True
+    assert payload["joint"]["prob"][3] == 0 and payload["joint"]["prob"][5] == 0
+    assert run(capsys, "invert-marginals", "--marginals", path)[0] == 0
 
 
 def test_unexpected_exception_exits_3(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Equilibrium certification, lattice search, and coalition analysis."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from finegames import (
     verify_ne_factorizable,
     zero_sum_2x2_value,
 )
+from finegames.games import MAX_PAYOFF
 
 probability = st.floats(0.0, 1.0)
 level = st.floats(-10.0, 10.0, allow_subnormal=False)
@@ -301,3 +304,22 @@ def test_coop_midpoint_is_weak_equilibrium():
     cert = verify_ne_factorizable(coop_game(), StrategyTriple(0.5, 0.5, 0.5))
     assert cert.is_ne
     assert "weak equilibrium" in cert.note
+
+
+def test_tables_at_the_payoff_bound_raise_no_warning():
+    signs = [np.array(levels) for levels in itertools.product((-1.0, 1.0), repeat=6)]
+    tables = [symmetric_table(*(MAX_PAYOFF * s)) for s in signs]
+    tables += [
+        PayoffTable(MAX_PAYOFF * np.where(np.arange(24) % k == 0, -1.0, 1.0).reshape(8, 3))
+        for k in (2, 3, 5, 7)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for table in tables:
+            grid_ne_search(table, 5, 1e-9)
+            for triple in ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.3, 0.9, 0.1)):
+                verify_ne_factorizable(table, StrategyTriple(*triple), 1e-9)
+        for table in tables[: len(signs)]:
+            solution = product_state_interior_solve(table)
+            if solution is not None:
+                parity_product_gradient(table, solution)

@@ -15,6 +15,7 @@ from finegames import (
     bell_slacks,
     marginals_from_joint,
     reconstruct_joint,
+    weights_from_marginals,
     strategy_weights,
     xi_interval,
     StrategyTriple,
@@ -159,3 +160,55 @@ def test_bell_slack_values_batch_matches_bell_slacks(rng):
     grid = bell_slack_values(np.array([m.values() for m in sets]).reshape(5, 10, 7))
     assert np.array_equal(grid.reshape(50, 4), batch)
     assert bell_slack_values(GHZ_PARITY.values()).tolist() == [2.5, -0.5, -0.5, -0.5]
+
+
+def test_reconstruction_equals_inversion_on_conjunction_sets(rng):
+    checked = 0
+    for k in range(400):
+        m = random_conjunction_set(rng) if k % 2 else conjunction_set_of_joint(rng)
+        weights = weights_from_marginals(m).weights
+        if weights.min() < 0.0:
+            continue
+        assert np.array_equal(reconstruct_joint(m, XiRule.GIVEN).prob, weights)
+        checked += 1
+    assert checked > 200
+
+
+def boundary_sets(seed: int, count: int):
+    """Conjunction sets of joints with one to three zero entries, each
+    value moved by +-1e-13 to 1e-8 with probability one half; draws
+    that break the pair bounds are skipped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = rng.dirichlet(np.ones(8))
+        p[rng.choice(8, size=rng.integers(1, 4), replace=False)] = 0.0
+        values = np.array(
+            marginals_from_joint(
+                JointDistribution(p / p.sum()), MarginalConvention.CONJUNCTION
+            ).values()
+        )
+        moved = rng.random(7) < 0.5
+        values += moved * rng.choice([-1.0, 1.0], 7) * 10.0 ** rng.uniform(-13, -8, 7)
+        try:
+            yield MarginalSet(*values, MarginalConvention.CONJUNCTION)
+        except RangeError:
+            continue
+
+
+def test_reconstruction_verdict_matches_inversion_on_boundary_sets():
+    # A term within the floor below zero is clipped to 0; before the
+    # clipped terms were rescaled, their total could leave 1 by more
+    # than the floor and JointDistribution raised RangeError.
+    outcomes = {"joint": 0, "none": 0}
+    for m in boundary_sets(seed=7, count=6000):
+        negative = weights_from_marginals(m).negative_indices
+        try:
+            joint = reconstruct_joint(m, XiRule.GIVEN)
+        except NoJointError as err:
+            assert err.violated_terms == negative
+            outcomes["none"] += 1
+        else:
+            assert negative == ()
+            assert joint.prob.min() >= 0.0
+            outcomes["joint"] += 1
+    assert min(outcomes.values()) > 500

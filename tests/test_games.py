@@ -29,6 +29,7 @@ from finegames import (
     strategy_marginals,
     strategy_weights,
 )
+from finegames.games import MAX_PAYOFF
 from oracles import pd_payoffs_from_pure_state
 from conftest import random_joint, random_pure_state
 
@@ -67,6 +68,17 @@ def test_payoff_table_rejects_bad_shapes():
         PayoffTable(np.full((8, 3), np.nan))
 
 
+def test_payoff_table_bounds_magnitudes():
+    PayoffTable(np.full((8, 3), -MAX_PAYOFF))
+    above = np.zeros((8, 3))
+    above[5, 1] = -np.nextafter(MAX_PAYOFF, np.inf)
+    message = r"^a payoff table entry exceeds 1e\+150 in magnitude$"
+    with pytest.raises(RangeError, match=message):
+        PayoffTable(above)
+    with pytest.raises(RangeError, match="exceeds 1e"):
+        pd3(PdParams(7e200, 9e200, 3e200, 0.0, 1e200, 5e200))
+
+
 def test_outcome_form_is_expectation(rng):
     table = pd3()
     joint = random_joint(rng)
@@ -87,6 +99,24 @@ def test_default_pd_marginal_coefficients():
 def test_coop_marginal_coefficients():
     coeffs = marginal_form_coefficients(coop_game())
     assert coeffs[:, 0] == pytest.approx([0, 2, -4, 2, -2, 1, 1, 0], abs=1e-12)
+
+
+def test_marginal_coefficients_keep_left_to_right_sums(rng):
+    # The expansion the lattice map replaced, as the reference: MOBIUS.T
+    # on the table's columns is reduced left to right, so the bits agree.
+    for _ in range(300):
+        t = rng.normal(size=(8, 3)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        expected = [
+            t[0] - t[1] - t[2] + t[3] - t[4] + t[5] + t[6] - t[7],
+            t[1] - t[3] - t[5] + t[7],
+            t[4] - t[5] - t[6] + t[7],
+            t[2] - t[3] - t[6] + t[7],
+            t[3] - t[7],
+            t[5] - t[7],
+            t[6] - t[7],
+            t[7],
+        ]
+        assert np.array_equal(marginal_form_coefficients(PayoffTable(t)), expected)
 
 
 @settings(max_examples=60, deadline=None)

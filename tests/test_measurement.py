@@ -28,6 +28,7 @@ from finegames import (
     JointDistribution,
     StrategyTriple,
 )
+from finegames.measurement import _INCIDENCE, MOBIUS, WALSH, ZETA, _apply
 from oracles import pure_state_marginals
 from conftest import random_joint, random_pure_state
 
@@ -70,6 +71,34 @@ def test_conjunction_pair_povm_selects_double_cooperation():
         for i in range(8)
     ]
     assert list(diag) == expected
+
+
+def test_lattice_matrices_are_exact_inverses():
+    assert np.array_equal(MOBIUS @ ZETA, np.eye(8))
+    assert np.array_equal(ZETA @ MOBIUS, np.eye(8))
+    assert np.array_equal(WALSH @ WALSH.T, 8.0 * np.eye(8))
+    for matrix in (ZETA, MOBIUS, WALSH):
+        assert not matrix.flags.writeable
+    assert WALSH.flags.c_contiguous
+
+
+def test_incidence_rows_are_lattice_rows():
+    assert np.array_equal(_INCIDENCE[MarginalConvention.CONJUNCTION], ZETA[1:])
+    assert np.array_equal(_INCIDENCE[MarginalConvention.PARITY], (1.0 + WALSH.T[1:]) / 2.0)
+    for rows in _INCIDENCE.values():
+        assert not rows.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "matrix", [ZETA, MOBIUS, WALSH, WALSH.T, MOBIUS.T],
+    ids=["ZETA", "MOBIUS", "WALSH", "WALSH.T", "MOBIUS.T"],
+)
+def test_apply_batches_match_row_calls(rng, matrix):
+    rows = rng.normal(size=(12, 8))
+    singles = np.stack([_apply(matrix, row) for row in rows])
+    assert np.allclose(singles, rows @ matrix.T, rtol=0.0, atol=1e-14)
+    assert np.array_equal(_apply(matrix, rows), singles)
+    assert np.array_equal(_apply(matrix, rows.reshape(3, 4, 8)), singles.reshape(3, 4, 8))
 
 
 def test_extracted_marginals_match_closed_form(rng):
