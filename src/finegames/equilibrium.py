@@ -18,16 +18,20 @@ from .errors import ShapeError
 from .games import (
     PayoffTable,
     StrategyTriple,
+    _payoff_polynomial,
+    _polynomial_values,
     coop_game,
     marginal_form_coefficients,
-    payoff_factorizable,
 )
 from .qstates import PLAYERS
 
 DEFAULT_NE_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 ROOT_ZERO_TOL = 1e-13
-# Largest lattice resolution: one payoff cube of 290^3 float64 is 195 MB.
+# Largest lattice resolution. It bounds the screen's one boolean cube of
+# resolution^3 bytes: a search at 290 peaks at 69 MB ru_maxrss (30 MB of
+# it the import). Every hit becomes a certificate, so it does not bound
+# the output of tables with lattices full of equilibria.
 MAX_RESOLUTION = 290
 
 
@@ -54,62 +58,50 @@ class NeCertificate:
 
 
 def factorizable_gradient(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
-    """Exact own-probability payoff derivatives (A, B, C).
+    """Exact own-probability payoff derivatives (A, B, C)."""
+    return _polynomial_values(_payoff_polynomial(table), s.as_tuple())[1]
 
-    Multilinearity makes the derivative the difference of the two
-    own-endpoint payoffs with opponents held fixed.
+
+def _endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> tuple:
+    """Slacks, verdicts and notes of an (n, 3) batch of strategy triples.
+
+    With own slope g, moving player p to 0 gains -x_p g and moving to 1
+    gains (1 - x_p) g; the slack is minus the larger gain. The triple is
+    an equilibrium when no move gains more than tol, and a move to an
+    endpoint other than x_p is payoff-neutral when it loses at most tol.
     """
-    own = s.as_tuple()
-    grads = []
-    for p in range(3):
-        hi = list(own)
-        lo = list(own)
-        hi[p] = 1.0
-        lo[p] = 0.0
-        grads.append(
-            payoff_factorizable(table, StrategyTriple(*hi))[p]
-            - payoff_factorizable(table, StrategyTriple(*lo))[p]
-        )
-    return np.array(grads)
+    slope = _polynomial_values(coeffs, x)[1]
+    gains = np.stack([-x * slope, (1.0 - x) * slope], axis=-1)
+    slack = 0.0 - gains.max(axis=-1)
+    is_ne = slack.min(axis=-1) >= -tol
+    neutral = ((x[..., None] != (0.0, 1.0)) & (gains >= -tol)).any(axis=-1)
+    notes = []
+    rows = zip(gains.reshape(-1, 6).tolist(), is_ne.tolist(), neutral.tolist())
+    for row_gains, ok, flat in rows:
+        if not ok:
+            worst = row_gains.index(max(row_gains))  # first of A0, A1, B0, ...
+            notes.append(
+                f"not an equilibrium: player {PLAYERS[worst // 2]} gains "
+                f"{row_gains[worst]:g} by moving to {worst % 2:g}"
+            )
+        elif any(flat):
+            notes.append(
+                "weak equilibrium: payoff-neutral deviations for "
+                + ", ".join(player for player, f in zip(PLAYERS, flat) if f)
+            )
+        else:
+            notes.append("strict equilibrium: every unilateral deviation loses")
+    return slack, is_ne, notes
 
 
 def verify_ne_factorizable(
     table: PayoffTable, s: StrategyTriple, tol: float = DEFAULT_NE_TOL
 ) -> NeCertificate:
     """Check a strategy triple for Nash equilibrium by endpoint audit."""
-    base = payoff_factorizable(table, s)
-    own = s.as_tuple()
-    slacks = []
-    flat_players = []
-    worst = (0.0, None, None)  # (gain, player, endpoint)
-    for p, player in enumerate(PLAYERS):
-        endpoint_pay = {}
-        for e in (0.0, 1.0):
-            moved = list(own)
-            moved[p] = e
-            endpoint_pay[e] = float(
-                payoff_factorizable(table, StrategyTriple(*moved))[p]
-            )
-        best = max(endpoint_pay.values())
-        slacks.append(float(base[p]) - best)
-        for e, pay in endpoint_pay.items():
-            gain = pay - float(base[p])
-            if gain > worst[0]:
-                worst = (gain, player, e)
-            if abs(e - own[p]) > tol and gain >= -tol:
-                if player not in flat_players:
-                    flat_players.append(player)
-    is_ne = min(slacks) >= -tol
-    if not is_ne:
-        gain, player, endpoint = worst
-        note = f"not an equilibrium: player {player} gains {gain:g} by moving to {endpoint:g}"
-    elif flat_players:
-        note = "weak equilibrium: payoff-neutral deviations for " + ", ".join(
-            flat_players
-        )
-    else:
-        note = "strict equilibrium: every unilateral deviation loses"
-    return NeCertificate(s, tuple(slacks), is_ne, note)
+    slack, is_ne, notes = _endpoint_audit(
+        _payoff_polynomial(table), np.array([s.as_tuple()]), tol
+    )
+    return NeCertificate(s, tuple(slack[0]), bool(is_ne[0]), notes[0])
 
 
 def grid_ne_search(
@@ -117,46 +109,41 @@ def grid_ne_search(
 ) -> list[NeCertificate]:
     """All equilibria on the uniform strategy lattice.
 
-    Evaluates the three payoff cubes over a resolution^3 lattice by
-    tensor contraction, screens with the endpoint-slack condition, and
-    re-certifies every hit with verify_ne_factorizable. Results are
-    sorted lexicographically by (lam, mu, nu).
+    Screens the resolution^3 lattice with the endpoint-gain condition
+    and certifies every hit in one batched audit. Results are sorted
+    lexicographically by (lam, mu, nu).
     """
     if resolution < 2:
         raise ShapeError("resolution must be at least 2 to include both endpoints")
     if resolution > MAX_RESOLUTION:
         raise ShapeError(f"resolution must be at most {MAX_RESOLUTION}")
     grid = np.linspace(0.0, 1.0, resolution)
-    w = np.stack([grid, 1.0 - grid], axis=1)
-    mask = _endpoint_screen(table, w, 0, tol)
-    for p in (1, 2):
-        mask &= _endpoint_screen(table, w, p, tol)
-    hits = zip(*np.unravel_index(np.flatnonzero(mask), mask.shape))
+    coeffs = _payoff_polynomial(table)
+    hits = grid[np.argwhere(_lattice_screen(coeffs, grid, tol))]
+    slack, is_ne, notes = _endpoint_audit(coeffs, hits, tol)
     return [
-        verify_ne_factorizable(
-            table, StrategyTriple(grid[i], grid[j], grid[k]), tol
-        )
-        for i, j, k in hits
+        NeCertificate(StrategyTriple(*x), tuple(s), ok, note)
+        for x, s, ok, note in zip(hits.tolist(), slack.tolist(), is_ne.tolist(), notes)
     ]
 
 
-def _endpoint_screen(
-    table: PayoffTable, w: np.ndarray, p: int, tol: float
-) -> np.ndarray:
-    """Lattice points where player p gains at most tol at either endpoint.
+def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
+    """Boolean cube of lattice points where no player gains more than tol.
 
-    Builds player p's payoff cube and subtracts the best endpoint payoff
-    in place, so that grid_ne_search holds one cube at a time. At
-    resolution 61 a cube is 1.8 MB; three live cubes and their
-    differences were about 11 MB of fresh memory per search, all of it
-    page-faulted in again each time.
+    Player p's slope does not depend on x_p, so one plane of slopes over
+    the opponents' values serves every slice of p's axis. Each slice
+    takes the gains as _endpoint_audit does, so the screen and the
+    certificates agree on every point.
     """
-    cube = np.einsum(
-        "ia,jb,kc,abc->ijk", w, w, w, table.entries[:, p].reshape(2, 2, 2)
-    )
-    own = np.moveaxis(cube, p, 0)
-    own -= np.maximum(own[0], own[-1])
-    return cube >= -tol
+    n = grid.size
+    pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+    mask = np.ones((n, n, n), dtype=bool)
+    for p in range(3):
+        g = _polynomial_values(coeffs, np.insert(pairs, p, 0.0, axis=-1))[1][..., p]
+        slices = np.moveaxis(mask, p, 0)
+        for i, x in enumerate(grid):
+            slices[i] &= (-x * g <= tol) & ((1.0 - x) * g <= tol)
+    return mask
 
 
 def _smallest_root(a: float, b: float, c: float, lo: float, hi: float) -> float | None:
@@ -219,21 +206,14 @@ def product_state_interior_solve(table: PayoffTable) -> StrategyTriple | None:
 def parity_product_gradient(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
     """Own-probability payoff derivatives in the parity product-state game.
 
-    For independent states with single probabilities (lam, mu, nu), the
-    parity pair and triple values are bilinear/trilinear in the signed
-    singles, so each player's payoff is again affine in their own
-    probability; the slope follows from the marginal-form coefficients.
+    For independent states with signed singles u = 2x - 1, each parity
+    pair or triple value is (1 + product of its signed singles) / 2, so
+    the marginal-form payoff is (P(u) + P(1, 1, 1)) / 2 for the payoff
+    polynomial P. A player's slope in their own probability is then P's
+    own partial derivative at the signed singles.
     """
-    c = marginal_form_coefficients(table)
-    u = 2.0 * s.lam - 1.0
-    v = 2.0 * s.mu - 1.0
-    w = 2.0 * s.nu - 1.0
-    c_xi, c_pab, c_pbc, c_pac = c[0], c[1], c[2], c[3]
-    c_lam, c_mu, c_nu = c[4], c[5], c[6]
-    grad_a = c_xi[0] * v * w + c_pab[0] * v + c_pac[0] * w + c_lam[0]
-    grad_b = c_xi[1] * u * w + c_pab[1] * u + c_pbc[1] * w + c_mu[1]
-    grad_c = c_xi[2] * u * v + c_pbc[2] * v + c_pac[2] * u + c_nu[2]
-    return np.array([grad_a, grad_b, grad_c])
+    signed = 2.0 * np.array(s.as_tuple()) - 1.0
+    return _polynomial_values(_payoff_polynomial(table), signed)[1]
 
 
 def zero_sum_2x2_value(

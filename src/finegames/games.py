@@ -8,8 +8,9 @@ Payoffs come in three equivalent forms:
 
 * outcome form: expectation against an explicit joint distribution;
 * marginal form: an affine expression in the seven marginal values;
-* factorizable form: the marginal form evaluated on the product
-  distribution of three independent mixed strategies.
+* factorizable form: for three independent mixed strategies the
+  conjunction marginals are the monomials (lam, mu, nu, lam mu, mu nu,
+  lam nu, lam mu nu), so each payoff is one multilinear polynomial.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DilemmaViolation, RangeError, ShapeError
-from .fine import JointDistribution, marginals_from_joint
-from .measurement import MOBIUS, MarginalConvention, MarginalSet, _apply
+from .fine import JointDistribution
+from .measurement import MOBIUS, MarginalConvention, MarginalSet, _apply, convert_marginals
 
 # Largest payoff magnitude a table accepts: sums of a few entries and
 # the squares the equilibrium solvers take of them stay finite.
@@ -28,6 +29,15 @@ MAX_PAYOFF = 1e150
 
 # Column order of marginal_form_coefficients.
 MARGINAL_COEFF_ORDER = ("xi", "p_ab", "p_bc", "p_ac", "lam", "mu", "nu", "const")
+
+# Rows C[.] of the payoff polynomial for player p = A, B, C with
+# opponents q < r: p's payoff is REST + x_p * SLOPE, where
+#   SLOPE = C7 x_q x_r + C[pq] x_q + C[pr] x_r + C[p] and
+#   REST = C[qr] x_q x_r + C[q] x_q + C[r] x_r + C0 (C[pq]: row of x_p x_q),
+# each summed left to right: the order the parity gradient always used.
+_Q, _R, _PLAYER = [1, 0, 0], [2, 2, 1], [0, 1, 2]
+_SLOPE_ROWS = ([4, 4, 6], [6, 5, 5], [1, 2, 3])
+_REST_ROWS = ([5, 6, 4], [2, 1, 1], [3, 3, 2])
 
 
 @dataclass(frozen=True)
@@ -189,18 +199,43 @@ def payoff_outcome_form(table: PayoffTable, joint: JointDistribution) -> np.ndar
     return joint.prob @ table.entries
 
 
+def _payoff_polynomial(table: PayoffTable) -> np.ndarray:
+    """Coefficients of the factorizable payoffs, shape (8, 3).
+
+    Row m multiplies the m-th monomial of (1, lam, mu, nu, lam mu,
+    mu nu, lam nu, lam mu nu); columns are players. Outcome weights are
+    MOBIUS @ (1, lam, ..., xi), so the payoffs weights @ t have the
+    coefficients MOBIUS.T @ t.
+    """
+    return _apply(MOBIUS.T, table.entries.T).T
+
+
+def _polynomial_values(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """Payoffs (A, B, C) and own-probability slopes at a (..., 3) batch.
+
+    Each payoff is affine in its player's own probability: the slope is
+    the exact partial derivative, and the payoff at an own endpoint e is
+    payoff + (e - x_p) * slope. Every entry is computed elementwise, so
+    its bits do not depend on the batch's shape.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    xq, xr = x[..., _Q], x[..., _R]
+    pq, pr, own = (coeffs[rows, _PLAYER] for rows in _SLOPE_ROWS)
+    qr, q, r = (coeffs[rows, _PLAYER] for rows in _REST_ROWS)
+    slope = coeffs[7] * xq * xr + pq * xq + pr * xr + own
+    rest = qr * xq * xr + q * xq + r * xr + coeffs[0]
+    return rest + x * slope, slope
+
+
 def marginal_form_coefficients(table: PayoffTable) -> np.ndarray:
     """Affine coefficients of the payoffs in the seven marginals.
 
     Returns shape (8, 3): rows follow MARGINAL_COEFF_ORDER
     (xi, p_ab, p_bc, p_ac, lam, mu, nu, constant), columns are players.
-    Substituting the inclusion-exclusion expansion of each outcome
-    probability into the outcome form and collecting terms gives these
-    combinations of table rows.
+    They are the payoff polynomial's coefficients, each monomial read
+    as the conjunction marginal it equals under independence.
     """
-    # Payoff = weights @ t with weights = MOBIUS @ (1, lam, ..., xi), so
-    # MOBIUS.T @ t holds the coefficients in that order; reorder them.
-    return _apply(MOBIUS.T, table.entries.T).T[[7, 4, 5, 6, 1, 2, 3, 0]]
+    return _payoff_polynomial(table)[[7, 4, 5, 6, 1, 2, 3, 0]]
 
 
 def payoff_marginal_values(
@@ -235,22 +270,15 @@ def payoff_marginal_form(table: PayoffTable, m: MarginalSet) -> np.ndarray:
     )
 
 
-def strategy_weights(s: StrategyTriple) -> np.ndarray:
-    """Product distribution over the eight outcomes of independent mixes."""
-    lam, mu, nu = s.as_tuple()
-    return np.multiply.outer(
-        np.multiply.outer([lam, 1.0 - lam], [mu, 1.0 - mu]), [nu, 1.0 - nu]
-    ).ravel()
-
-
 def strategy_marginals(
     s: StrategyTriple, convention: MarginalConvention
 ) -> MarginalSet:
     """Marginal set induced by independent mixed strategies."""
-    joint = JointDistribution(strategy_weights(s))
-    return marginals_from_joint(joint, convention)
+    lam, mu, nu = s.as_tuple()
+    conj = (lam, mu, nu, lam * mu, mu * nu, lam * nu, lam * mu * nu)
+    return convert_marginals(MarginalSet(*conj, MarginalConvention.CONJUNCTION), convention)
 
 
 def payoff_factorizable(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
     """Expected payoffs (A, B, C) of independent mixed strategies."""
-    return strategy_weights(s) @ table.entries
+    return _polynomial_values(_payoff_polynomial(table), s.as_tuple())[0]

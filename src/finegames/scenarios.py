@@ -38,10 +38,10 @@ from .games import (
     DEFAULT_PD_PARAMS,
     PdParams,
     StrategyTriple,
+    _payoff_polynomial,
     coop_game,
     payoff_factorizable,
     payoff_marginal_form,
-    payoff_marginal_values,
     pd3,
     strategy_marginals,
 )
@@ -208,17 +208,13 @@ def _is_default_pd(params: PdParams) -> bool:
 def _affine_reduction(table, family) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of the payoffs over a family's free (lam, mu, nu).
 
-    `family` maps free singles to the seven raw marginal values; it
-    must be affine. Returns (matrix, const) with matrix[player][var].
+    `family` (4, 4) gives the family's (p_ab, p_bc, p_ac, xi) as affine
+    functions of (1, lam, mu, nu). Read into the monomial slots of the
+    payoff polynomial, it restricts the marginal form to the family.
+    Returns (matrix, const) with matrix[player][var].
     """
-
-    def payoffs_at(lam: float, mu: float, nu: float) -> np.ndarray:
-        lam_v, mu_v, nu_v, p_ab, p_bc, p_ac, xi = family(lam, mu, nu)
-        return payoff_marginal_values(table, lam_v, mu_v, nu_v, p_ab, p_bc, p_ac, xi)
-
-    const = payoffs_at(0.0, 0.0, 0.0)
-    columns = [payoffs_at(*point) - const for point in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    return np.stack(columns, axis=1), const
+    reduced = _payoff_polynomial(table).T @ np.vstack((np.eye(4), family))
+    return reduced[:, 1:], reduced[:, 0]
 
 
 def _scenario_pd_classical(params: dict | None) -> ScenarioReport:
@@ -542,18 +538,11 @@ def _scenario_pd_w(params: dict | None) -> ScenarioReport:
     m = extract_marginals(rho, MarginalConvention.PARITY)
     payoffs = payoff_marginal_form(table, m)
 
-    def family(lam: float, mu: float, nu: float):
-        return (
-            lam,
-            mu,
-            nu,
-            (lam + mu - nu) / 2.0,
-            (mu + nu - lam) / 2.0,
-            (lam + nu - mu) / 2.0,
-            0.0,
-        )
-
-    matrix, const = _affine_reduction(table, family)
+    # p_ab = (lam + mu - nu) / 2 and cyclically, xi = 0.
+    matrix, const = _affine_reduction(
+        table,
+        [[0, 0.5, 0.5, -0.5], [0, -0.5, 0.5, 0.5], [0, 0.5, -0.5, 0.5], [0, 0, 0, 0]],
+    )
     own = [float(matrix[p, p]) for p in range(3)]
     singles_sum = m.lam + m.mu + m.nu
     push_sum = sum(0.0 if g < 0 else 1.0 for g in own)
@@ -634,10 +623,10 @@ def _scenario_pd_continuum(params: dict | None) -> ScenarioReport:
     m = extract_marginals(rho, MarginalConvention.PARITY)
     payoffs = payoff_marginal_form(table, m)
 
-    def family(lam: float, mu: float, nu: float):
-        return (lam, mu, nu, nu, lam, mu, lam + mu + nu)
-
-    matrix, const = _affine_reduction(table, family)
+    # p_ab = nu, p_bc = lam, p_ac = mu, xi = lam + mu + nu.
+    matrix, const = _affine_reduction(
+        table, [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]]
+    )
     own = [float(matrix[p, p]) for p in range(3)]
     singles_sum = m.lam + m.mu + m.nu
     flat = max(abs(g) for g in own) <= 1e-9
@@ -772,9 +761,6 @@ def _coop_condition_state(
                 "params.amplitudes: |c2|^2, |c3|^2, |c5|^2 must be equal"
             )
         return state
-    for name, value in (("q1", q1), ("u", u), ("v", v)):
-        if value < 0.0:
-            raise ParamError(f"params.{name}: must be non-negative")
     q8 = 1.0 - q1 - 3.0 * u - 3.0 * v
     if q8 < -1e-9:
         raise ParamError("params: q1 + 3*u + 3*v exceeds 1")

@@ -2,13 +2,16 @@
 
 Each re-derives a library result by a route the library does not take:
 parity marginals and default dilemma payoffs as closed forms over the
-basis probabilities |c_i|^2, and joint existence by a direct scan over
-the triple value instead of the interval arithmetic.
+basis probabilities |c_i|^2, joint existence by a direct scan over the
+triple value instead of the interval arithmetic, and factorizable
+payoffs, equilibrium certificates and the lattice screen from the
+outcome form (product weights against the payoff table) instead of the
+payoff polynomial.
 """
 
 import numpy as np
 
-from finegames import MarginalConvention, MarginalSet, PureState
+from finegames import PLAYERS, MarginalConvention, MarginalSet, PureState, StrategyTriple
 
 ORACLE_TOL = 1e-9
 
@@ -104,3 +107,73 @@ def joint_exists_oracle(m: MarginalSet, grid_n: int = 1000) -> bool:
         else:
             hi = right
     return bool(worst_term(np.array([0.5 * (lo + hi)]))[0] >= -ORACLE_TOL)
+
+
+def strategy_weights(s: StrategyTriple) -> np.ndarray:
+    """Product distribution over the eight outcomes of independent mixes."""
+    lam, mu, nu = s.as_tuple()
+    return np.multiply.outer(
+        np.multiply.outer([lam, 1.0 - lam], [mu, 1.0 - mu]), [nu, 1.0 - nu]
+    ).ravel()
+
+
+def outcome_payoffs(entries: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """Payoffs (A, B, C) of an (n, 3) batch of independent mixes: the
+    outer-product outcome weights of each row against the table."""
+    f = np.stack([triples, 1.0 - triples], axis=-1)
+    weights = np.einsum("na,nb,nc->nabc", f[:, 0], f[:, 1], f[:, 2]).reshape(-1, 8)
+    return weights @ entries
+
+
+def endpoint_certificates(entries: np.ndarray, triples, tol: float):
+    """(slacks, is_ne, notes) of endpoint audits in the outcome form.
+
+    Moves each player of each (n, 3) row to 0 and to 1 in turn. An
+    endpoint is a deviation when it differs from the player's own
+    probability, and it is payoff-neutral when it gains at least -tol.
+    """
+    triples = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
+    base = outcome_payoffs(entries, triples)
+    gains = np.empty(triples.shape + (2,))
+    for p in range(3):
+        for e in (0, 1):
+            moved = triples.copy()
+            moved[:, p] = e
+            gains[:, p, e] = outcome_payoffs(entries, moved)[:, p] - base[:, p]
+    slacks = -gains.max(axis=-1)
+    is_ne = slacks.min(axis=-1) >= -tol
+    neutral = (triples[..., None] != (0.0, 1.0)) & (gains >= -tol)
+    notes = []
+    for row, ok, flat in zip(gains.tolist(), is_ne, neutral.any(axis=-1).tolist()):
+        if not ok:
+            p = max(range(3), key=lambda q: max(row[q]))
+            e = row[p].index(max(row[p]))
+            notes.append(
+                f"not an equilibrium: player {PLAYERS[p]} gains {row[p][e]:g} "
+                f"by moving to {e:g}"
+            )
+        elif any(flat):
+            notes.append(
+                "weak equilibrium: payoff-neutral deviations for "
+                + ", ".join(player for player, f in zip(PLAYERS, flat) if f)
+            )
+        else:
+            notes.append("strict equilibrium: every unilateral deviation loses")
+    return slacks, is_ne.tolist(), notes
+
+
+def lattice_screen(entries: np.ndarray, resolution: int, tol: float) -> list[tuple]:
+    """Sorted lattice triples where no player gains more than tol.
+
+    Contracts each player's payoff cube from the outcome weights of the
+    three axes and subtracts the better own-endpoint payoff.
+    """
+    grid = np.linspace(0.0, 1.0, resolution)
+    w = np.stack([grid, 1.0 - grid], axis=1)
+    mask = np.ones((resolution,) * 3, dtype=bool)
+    for p in range(3):
+        cube = np.einsum("ia,jb,kc,abc->ijk", w, w, w, entries[:, p].reshape(2, 2, 2))
+        own = np.moveaxis(cube, p, 0)
+        own -= np.maximum(own[0], own[-1])
+        mask &= cube >= -tol
+    return [tuple(float(v) for v in grid[idx]) for idx in np.argwhere(mask)]

@@ -41,13 +41,17 @@ from finegames import (
     run_scenario,
     single_povm,
     strategy_marginals,
-    strategy_weights,
     triple_povm,
     verify_ne_factorizable,
     weights_from_marginals,
     xi_interval,
 )
-from oracles import joint_exists_oracle, pd_payoffs_from_pure_state, pure_state_marginals
+from oracles import (
+    joint_exists_oracle,
+    pd_payoffs_from_pure_state,
+    pure_state_marginals,
+    strategy_weights,
+)
 from finegames.equilibrium import factorizable_gradient
 
 # frozen expected values (formulas in trailing comments)

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -137,6 +138,46 @@ def test_ne_verify_exit_codes(tmp_path, capsys):
                        "--triple", "1,1,1")
     assert code == 1
     assert json.loads(out)["is_ne"] is False
+
+
+def test_ne_verify_note_follows_the_tolerance(tmp_path, capsys):
+    # Every player gains 2 by defecting from all-cooperate: within a
+    # tolerance of 3 that is an equilibrium, and a weak one.
+    game = write(tmp_path, "game.json", PD_GAME)
+    code, out, _ = run(capsys, "ne", "--game", game, "--mode", "verify",
+                       "--triple", "1,1,1", "--tol", "3")
+    cert = json.loads(out)
+    assert code == 0 and cert["is_ne"] is True
+    assert cert["player_slack"] == [-2.0, -2.0, -2.0]
+    assert cert["note"] == "weak equilibrium: payoff-neutral deviations for A, B, C"
+
+
+# sha256 of `ne` JSON output, pinned when the search and the verifier
+# still evaluated payoffs in the outcome form; a change that moves a
+# byte updates these and lists the moved fields in CHANGES.md.
+NE_OUTPUT_SHA256 = [
+    ("pd3", ("--mode", "grid", "--resolution", "11"),
+     "2d051068cc81f77678bed1685a307cd2493d9160f2d568db689e4ec809cdeeaa"),
+    ("pd3", ("--mode", "grid", "--resolution", "61"),
+     "392dabc8e14bc445fe1801a282f038786f133705cd9fcf33b63356659c078311"),
+    ("coop", ("--mode", "grid", "--resolution", "11"),
+     "6e61f65f1803563b58403a1092941814ba5fdcd5d0cefba07833aeab1e7d8ca3"),
+    ("coop", ("--mode", "grid", "--resolution", "61"),
+     "a1b8109cdd6e63abfac97b4434a5e5ba5d2418899529b30d4657c80b67497383"),
+    ("pd3", ("--mode", "interior"),
+     "dfa7ed07b0042b9ce0b610000e388a096b8f6de4b92b0121b5f77cf3c524e225"),
+    ("pd3", ("--mode", "verify", "--triple", "0,0,0"),
+     "aed2d17dd574238dbc28ec1c97d321291afef72d393070530cf1955eb04bacfc"),
+    ("pd3", ("--mode", "verify", "--triple", "1,1,1"),
+     "6df9ad54d7432dd8ab5c62377cccdab6e9d8b0b10705b7a5d4cd629643042394"),
+]
+
+
+@pytest.mark.parametrize("kind, argv, digest", NE_OUTPUT_SHA256)
+def test_ne_outputs_match_pinned_digests(tmp_path, capsys, kind, argv, digest):
+    game = write(tmp_path, "game.json", {"kind": kind})
+    _, out, _ = run(capsys, "ne", "--game", game, *argv)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_ne_verify_requires_triple(tmp_path, capsys):

@@ -10,8 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finegames import (
+    DEFAULT_PD_PARAMS,
     MarginalConvention,
     PayoffTable,
+    PdParams,
     ShapeError,
     StrategyTriple,
     coalition_analysis,
@@ -30,6 +32,7 @@ from finegames import (
     zero_sum_2x2_value,
 )
 from finegames.games import MAX_PAYOFF
+from oracles import endpoint_certificates, lattice_screen
 
 probability = st.floats(0.0, 1.0)
 level = st.floats(-10.0, 10.0, allow_subnormal=False)
@@ -111,6 +114,58 @@ def test_coop_lattice_equilibria():
     found = grid_ne_search(coop_game(), 11)
     triples = [c.triple.as_tuple() for c in found]
     assert triples == [(0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]
+
+
+def own_choice_blind_table(rng) -> PayoffTable:
+    """Each player's payoff depends on the two opponents' choices only."""
+    others = rng.normal(size=(3, 2, 2))
+    bits = np.array(list(itertools.product((0, 1), repeat=3)))
+    return PayoffTable(
+        np.array([[others[p][tuple(np.delete(b, p))] for p in range(3)] for b in bits])
+    )
+
+
+def oracle_family(rng, resolution):
+    """Seeded tables: perturbed dilemmas, normal tables, small-integer
+    tables full of ties and own-choice-blind tables (every point a
+    weak equilibrium). The oracle's cubes and the all-hit lattices grow
+    as resolution^3, so finer lattices get fewer tables."""
+    count, blind = {5: (60, 40), 11: (50, 15), 61: (6, 1)}[resolution]
+    levels = np.array(DEFAULT_PD_PARAMS.as_tuple())
+    for _ in range(count):
+        yield pd3(PdParams(*(levels + rng.uniform(-0.2, 0.2, 6))))
+        yield PayoffTable(rng.normal(size=(8, 3)))
+        yield PayoffTable(rng.integers(-2, 3, size=(8, 3)).astype(float))
+    for _ in range(blind):
+        yield own_choice_blind_table(rng)
+
+
+def test_lattice_search_matches_outcome_form_oracle():
+    rng = np.random.default_rng(20261018)
+    searches = 0
+    for resolution in (5, 11, 61):
+        for table in oracle_family(rng, resolution):
+            found = grid_ne_search(table, resolution)
+            triples = [c.triple.as_tuple() for c in found]
+            assert triples == lattice_screen(table.entries, resolution, 1e-9)
+            slacks, is_ne, notes = endpoint_certificates(table.entries, triples, 1e-9)
+            assert [c.is_ne for c in found] == is_ne
+            assert [c.note for c in found] == notes
+            got = np.array([c.player_slack for c in found]).reshape(-1, 3)
+            assert np.max(np.abs(got - slacks), initial=0.0) <= 1e-14
+            searches += 1
+    assert searches >= 400
+
+
+def test_verify_matches_outcome_form_oracle(rng):
+    for _ in range(200):
+        table = PayoffTable(rng.integers(-2, 3, size=(8, 3)).astype(float))
+        triple = rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform()], size=3)
+        tol = float(rng.choice([1e-9, 0.5, 3.0]))
+        cert = verify_ne_factorizable(table, StrategyTriple(*triple), tol)
+        slacks, is_ne, notes = endpoint_certificates(table.entries, [triple], tol)
+        assert (cert.is_ne, cert.note) == (is_ne[0], notes[0])
+        assert cert.player_slack == pytest.approx(slacks[0], abs=1e-14)
 
 
 def test_grid_requires_two_points():

@@ -16,11 +16,10 @@ from finegames import (
     marginals_from_joint,
     reconstruct_joint,
     weights_from_marginals,
-    strategy_weights,
     xi_interval,
     StrategyTriple,
 )
-from oracles import joint_exists_oracle
+from oracles import joint_exists_oracle, strategy_weights
 from conftest import conjunction_set_of_joint, random_conjunction_set, random_joint
 
 GHZ_PARITY = MarginalSet(

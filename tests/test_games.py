@@ -27,10 +27,9 @@ from finegames import (
     payoff_outcome_form,
     pd3,
     strategy_marginals,
-    strategy_weights,
 )
 from finegames.games import MAX_PAYOFF
-from oracles import pd_payoffs_from_pure_state
+from oracles import pd_payoffs_from_pure_state, strategy_weights
 from conftest import random_joint, random_pure_state
 
 probability = st.floats(0.0, 1.0)

@@ -21,7 +21,6 @@ from finegames import (
     pair_povm,
     single_povm,
     strategy_marginals,
-    strategy_weights,
     triple_povm,
     validate_densities,
     weights_from_marginals,
@@ -29,7 +28,7 @@ from finegames import (
     StrategyTriple,
 )
 from finegames.measurement import _INCIDENCE, MOBIUS, WALSH, ZETA, _apply
-from oracles import pure_state_marginals
+from oracles import pure_state_marginals, strategy_weights
 from conftest import random_joint, random_pure_state
 
 CONVENTIONS = (MarginalConvention.CONJUNCTION, MarginalConvention.PARITY)

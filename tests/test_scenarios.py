@@ -278,25 +278,26 @@ def test_weight_scan_grid_bound():
 
 
 def test_lattice_resolution_bound(monkeypatch):
-    # A full search at the largest resolution takes seconds and a
-    # 195 MB cube; a stand-in screen records that the bound let it in.
+    # A full search at the largest resolution takes about half a second
+    # and a 24 MB boolean cube; a stand-in screen records that the bound
+    # let it in.
     seen = []
 
-    def screen(table, w, p, tol):
-        seen.append(len(w))
+    def screen(coeffs, grid, tol):
+        seen.append(len(grid))
         return np.zeros((1, 1, 1), dtype=bool)
 
-    monkeypatch.setattr(equilibrium, "_endpoint_screen", screen)
+    monkeypatch.setattr(equilibrium, "_lattice_screen", screen)
     assert grid_ne_search(pd3(), MAX_RESOLUTION) == []
     for scenario_id in ("pd-classical", "coop-classical"):
         run_scenario(scenario_id, {"resolution": MAX_RESOLUTION})
-    assert seen == [MAX_RESOLUTION] * 9
+    assert seen == [MAX_RESOLUTION] * 3
     with pytest.raises(ShapeError, match="at most"):
         grid_ne_search(pd3(), MAX_RESOLUTION + 1)
     for scenario_id in ("pd-classical", "coop-classical"):
         with pytest.raises(ParamError, match="params.resolution"):
             run_scenario(scenario_id, {"resolution": MAX_RESOLUTION + 1})
-    assert seen == [MAX_RESOLUTION] * 9
+    assert seen == [MAX_RESOLUTION] * 3
 
 
 @pytest.mark.parametrize(
