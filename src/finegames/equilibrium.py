@@ -30,9 +30,11 @@ SYMMETRY_TOL = 1e-12
 ROOT_ZERO_TOL = 1e-13
 # Largest lattice resolution. It bounds the screen's one boolean cube of
 # resolution^3 bytes: a search at 290 peaks at 69 MB ru_maxrss (30 MB of
-# it the import). Every hit becomes a certificate, so it does not bound
-# the output of tables with lattices full of equilibria.
+# it the import).
 MAX_RESOLUTION = 290
+# Most screen hits a search certifies. Each hit becomes a certificate: an
+# own-choice-blind table makes 226,981 at resolution 61 (5 s, +200 MB).
+_MAX_LATTICE_HITS = 250_000
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,14 @@ def grid_ne_search(
         raise ShapeError(f"resolution must be at most {MAX_RESOLUTION}")
     grid = np.linspace(0.0, 1.0, resolution)
     coeffs = _payoff_polynomial(table)
-    hits = grid[np.argwhere(_lattice_screen(coeffs, grid, tol))]
+    screen = _lattice_screen(coeffs, grid, tol)
+    count = int(np.count_nonzero(screen))
+    if count > _MAX_LATTICE_HITS:
+        raise ShapeError(
+            f"lattice screen passes {count} points, more than the "
+            f"{_MAX_LATTICE_HITS} a search certifies; lower the resolution"
+        )
+    hits = grid[np.argwhere(screen)]
     slack, is_ne, notes = _endpoint_audit(coeffs, hits, tol)
     return [
         NeCertificate(StrategyTriple(*x), tuple(s), ok, note)

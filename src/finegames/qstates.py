@@ -53,6 +53,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _require_unit_norms(norms: np.ndarray) -> None:
+    """Reject a batch of amplitude vectors, given by their norms
+    squared, unless each is within NORMALIZATION_TOL of 1."""
+    off = abs(norms - 1.0) > NORMALIZATION_TOL
+    if off.any():
+        raise _norm_error(float(norms[off][0]))
+
+
+def _norm_error(norm: float) -> NormalizationError:
+    return NormalizationError(
+        f"amplitude norm squared is {norm!r}, not 1 within {NORMALIZATION_TOL}"
+    )
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over the eight basis states."""
@@ -63,9 +77,7 @@ class PureState:
         amps = _as_complex_vector(self.amplitudes, 8, "amplitudes")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"amplitude norm squared is {norm!r}, not 1 within {NORMALIZATION_TOL}"
-            )
+            raise _norm_error(norm)
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def probabilities(self) -> np.ndarray:

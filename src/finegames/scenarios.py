@@ -1,19 +1,23 @@
 """Named end-to-end case studies, reproducible from the CLI.
 
 Every numeric value in a report re-derives from the library modules at
-run time; reference rows (expected vs computed) attach only when a
-scenario runs with its default published inputs, and paper_deviation is
-set exactly when a computed value contradicts a reference claim.
+run time. Each scenario is one spec: its params in echo order, each
+with a default and a parser, and a body that holds only the analysis.
+Reference rows (expected vs computed) attach only when the inputs echo
+equals the echo of the defaults, and paper_deviation is then set
+exactly when a computed value contradicts a reference claim.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .equilibrium import (
+    DEFAULT_NE_TOL,
     MAX_RESOLUTION,
     NeCertificate,
     coalition_analysis,
@@ -58,11 +62,11 @@ from .qstates import (
     BASIS_LABELS,
     ProductStateAngles,
     PureState,
+    _require_unit_norms,
     density_from_pure,
     ghz,
     pd_state,
     product_state,
-    validate_densities,
     w_state,
 )
 from .serialize import (
@@ -82,19 +86,26 @@ from .serialize import (
 
 REFERENCE_TOL = 1e-9
 
-# Largest ghz-bell weight grid: one 1 KiB density per point, ~100 MB.
+# Largest ghz-bell weight grid. The scan holds (grid, 8) amplitudes, no
+# densities: a run at this bound peaks at 134 MB ru_maxrss (30 MB of it
+# the import), most of the rest marginal_values' (grid, 7, 8) products.
 MAX_SCAN_GRID = 100_001
 
 ROOT_HALF = 2.0 ** -0.5
 ROOT_THIRD = 3.0 ** -0.5
 
-
 @dataclass
 class ScenarioReport:
-    """Machine-checkable record of one case study."""
+    """Machine-checkable record of one case study.
 
-    scenario_id: str
-    inputs: dict
+    A scenario body fills the analysis, its candidate reference rows
+    and any claim of its own in paper_deviation; run_scenario sets
+    scenario_id and inputs and keeps rows and claim only for the
+    default inputs.
+    """
+
+    scenario_id: str = ""
+    inputs: dict = field(default_factory=dict)
     marginals: dict[str, MarginalSet] = field(default_factory=dict)
     bell: BellReport | None = None
     payoffs: object = None
@@ -128,18 +139,7 @@ class ScenarioReport:
         }
 
 
-def _merge_params(params: dict | None, defaults: dict, scenario: str) -> dict:
-    supplied = dict(params or {})
-    unknown = sorted(set(supplied) - set(defaults))
-    if unknown:
-        raise ParamError(
-            f"params: unknown keys {unknown} for scenario {scenario!r}; "
-            f"allowed: {sorted(defaults)}"
-        )
-    return {**defaults, **supplied}
-
-
-def _pd_params(value, path: str = "params.pd_params") -> PdParams:
+def _pd_params(value, path: str) -> PdParams:
     if not isinstance(value, (list, tuple)) or len(value) != 6:
         raise ParamError(f"{path}: expected a list of 6 payoff levels")
     values = []
@@ -158,24 +158,58 @@ def _bounded_int(value, path: str, minimum: int, maximum: int) -> int:
     return value
 
 
-def _tolerance(value, path: str = "params.tol") -> float:
+def _seed(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParamError(f"{path}: expected a non-negative integer")
+    return value
+
+
+def _finite(value, path: str, positive: bool) -> float:
+    """A finite number, above zero if positive, else at least zero."""
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
-        or not 0 < value < math.inf
+        or not (0 < value < math.inf if positive else 0 <= value < math.inf)
     ):
-        raise ParamError(f"{path}: expected a finite positive number")
+        sign = "positive" if positive else "non-negative"
+        raise ParamError(f"{path}: expected a finite {sign} number")
     return float(value)
 
 
-def _weight(value, path: str) -> float:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not 0 <= value < math.inf
-    ):
-        raise ParamError(f"{path}: expected a finite non-negative number")
-    return float(value)
+def _amplitudes(value, path: str) -> list[complex] | None:
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ParamError(f"{path}: expected a list of 8 entries")
+    amplitudes = [parse_complex(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if len(amplitudes) != 8:
+        raise ParamError(f"{path}: expected 8 entries")
+    return amplitudes
+
+
+def _ghz_b(value, path: str, parsed: dict) -> complex:
+    """An explicit b, or the one completing the parsed a to unit norm."""
+    if value is None:
+        return complementary_amplitude(parsed["a"], "params.a")
+    return parse_complex(value, path)
+
+
+def _param(parse: Callable, *args) -> Callable:
+    """A spec parser that reads its own value only."""
+    return lambda value, path, parsed: parse(value, path, *args)
+
+
+def _echo(value):
+    """JSON form of parsed inputs: complex as [re, im], levels as a list."""
+    if isinstance(value, dict):
+        return {k: _echo(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_echo(v) for v in value]
+    if isinstance(value, complex):
+        return complex_pair(value)
+    if isinstance(value, PdParams):
+        return list(value.as_tuple())
+    return value
 
 
 def _reference_rows(entries: list[tuple[str, float, float]]) -> list[dict]:
@@ -194,44 +228,20 @@ def _reference_rows(entries: list[tuple[str, float, float]]) -> list[dict]:
     return rows
 
 
-def _reference_deviation(rows: list[dict], tol: float = REFERENCE_TOL) -> str | None:
-    bad = [r["quantity"] for r in rows if r["abs_delta"] > tol]
-    if bad:
-        return "computed values contradict reference claims: " + ", ".join(bad)
-    return None
+def _rows(names: tuple[str, ...], expected: float, computed) -> list[tuple]:
+    """Reference entries that share one expected value."""
+    return [(name, expected, c) for name, c in zip(names, computed)]
 
 
-def _is_default_pd(params: PdParams) -> bool:
-    return params == DEFAULT_PD_PARAMS
+_PAYOFFS = ("payoff_a", "payoff_b", "payoff_c")
+_OWN = ("own_coefficient_a", "own_coefficient_b", "own_coefficient_c")
+_SINGLES = ("marginal_lambda", "marginal_mu", "marginal_nu")
+_PAIRS = ("marginal_p_ab", "marginal_p_bc", "marginal_p_ac")
+_BELL = ("bell_slack_1", "bell_slack_2", "bell_slack_3", "bell_slack_4")
 
 
-def _affine_reduction(table, family) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of the payoffs over a family's free (lam, mu, nu).
-
-    `family` (4, 4) gives the family's (p_ab, p_bc, p_ac, xi) as affine
-    functions of (1, lam, mu, nu). Read into the monomial slots of the
-    payoff polynomial, it restricts the marginal form to the family.
-    Returns (matrix, const) with matrix[player][var].
-    """
-    reduced = _payoff_polynomial(table).T @ np.vstack((np.eye(4), family))
-    return reduced[:, 1:], reduced[:, 0]
-
-
-def _scenario_pd_classical(params: dict | None) -> ScenarioReport:
-    merged = _merge_params(
-        params,
-        {
-            "pd_params": list(DEFAULT_PD_PARAMS.as_tuple()),
-            "resolution": 11,
-            "tol": 1e-9,
-        },
-        "pd-classical",
-    )
-    pd_params = _pd_params(merged["pd_params"])
-    resolution = _bounded_int(merged["resolution"], "params.resolution", 2, MAX_RESOLUTION)
-    tol = _tolerance(merged["tol"])
+def _pd_classical(pd_params: PdParams, resolution: int, tol: float) -> ScenarioReport:
     table = pd3(pd_params)
-
     equilibria = grid_ne_search(table, resolution, tol)
     all_defect = StrategyTriple(0.0, 0.0, 0.0)
     all_coop = StrategyTriple(1.0, 1.0, 1.0)
@@ -241,13 +251,8 @@ def _scenario_pd_classical(params: dict | None) -> ScenarioReport:
     m = strategy_marginals(all_defect, MarginalConvention.CONJUNCTION)
 
     coop_gain = -min(cert_coop.player_slack)
-    report = ScenarioReport(
-        scenario_id="pd-classical",
-        inputs={
-            "pd_params": [float(v) for v in pd_params.as_tuple()],
-            "resolution": resolution,
-            "tol": tol,
-        },
+    eq = equilibria[0].triple if equilibria else all_coop
+    return ScenarioReport(
         marginals={"all_defect_conjunction": m},
         bell=bell_slacks(m),
         payoffs=payoffs,
@@ -258,79 +263,46 @@ def _scenario_pd_classical(params: dict | None) -> ScenarioReport:
             "all_cooperate_rejected": certificate_to_dict(cert_coop),
             "all_cooperate_best_deviation_gain": float(coop_gain),
         },
-    )
-    if _is_default_pd(pd_params) and resolution == 11:
-        eq = equilibria[0].triple if equilibria else StrategyTriple(1.0, 1.0, 1.0)
-        rows = _reference_rows(
+        reference=_reference_rows(
             [
                 ("lattice_equilibrium_count", 1.0, float(len(equilibria))),
                 ("equilibrium_lam", 0.0, eq.lam),
                 ("equilibrium_mu", 0.0, eq.mu),
                 ("equilibrium_nu", 0.0, eq.nu),
-                ("payoff_a", 1.0, float(payoffs[0])),
-                ("payoff_b", 1.0, float(payoffs[1])),
-                ("payoff_c", 1.0, float(payoffs[2])),
+                *_rows(_PAYOFFS, 1.0, payoffs),
                 ("all_cooperate_best_deviation_gain", 2.0, float(coop_gain)),
             ]
-        )
-        report.reference = rows
-        report.paper_deviation = _reference_deviation(rows)
-    return report
-
-
-def _scenario_pd_ghz(params: dict | None) -> ScenarioReport:
-    merged = _merge_params(
-        params,
-        {
-            "a": [ROOT_HALF, 0.0],
-            "b": None,
-            "pd_params": list(DEFAULT_PD_PARAMS.as_tuple()),
-        },
-        "pd-ghz",
+        ),
     )
-    a = parse_complex(merged["a"], "params.a")
-    if merged["b"] is None:
-        b = complementary_amplitude(a, "params.a")
-    else:
-        b = parse_complex(merged["b"], "params.b")
-    pd_params = _pd_params(merged["pd_params"])
-    table = pd3(pd_params)
 
+
+def _joint_or_terms(m: MarginalSet, out: dict, joint_key: str, terms_key: str):
+    """Store the GIVEN-rule joint under joint_key, or None and the
+    violated terms under terms_key."""
+    try:
+        out[joint_key] = joint_to_dict(reconstruct_joint(m, XiRule.GIVEN))
+    except NoJointError as err:
+        out[joint_key] = None
+        out[terms_key] = list(err.violated_terms)
+
+
+def _pd_ghz(a: complex, b: complex, pd_params: PdParams) -> ScenarioReport:
+    table = pd3(pd_params)
     state = ghz(a, b)
     rho = density_from_pure(state)
     m_parity = extract_marginals(rho, MarginalConvention.PARITY)
     m_conj = convert_marginals(m_parity, MarginalConvention.CONJUNCTION)
     payoffs = payoff_marginal_form(table, m_parity)
     bell_parity = bell_slacks(m_parity)
-    bell_conj = bell_slacks(m_conj)
 
-    details: dict = {
-        "conjunction_reading": {
-            "bell": bell_to_dict(bell_conj),
-            "xi_interval": interval_to_dict(xi_interval(m_conj)),
-        }
+    conj = {
+        "bell": bell_to_dict(bell_slacks(m_conj)),
+        "xi_interval": interval_to_dict(xi_interval(m_conj)),
     }
-    try:
-        joint = reconstruct_joint(m_parity, XiRule.GIVEN)
-        details["parity_as_literal_joint"] = joint_to_dict(joint)
-    except NoJointError as err:
-        details["parity_as_literal_joint"] = None
-        details["parity_violated_terms"] = list(err.violated_terms)
-    try:
-        details["conjunction_reading"]["joint"] = joint_to_dict(
-            reconstruct_joint(m_conj, XiRule.GIVEN)
-        )
-    except NoJointError as err:
-        details["conjunction_reading"]["joint"] = None
-        details["conjunction_reading"]["violated_terms"] = list(err.violated_terms)
-
-    report = ScenarioReport(
-        scenario_id="pd-ghz",
-        inputs={
-            "a": complex_pair(a),
-            "b": complex_pair(b),
-            "pd_params": [float(v) for v in pd_params.as_tuple()],
-        },
+    details: dict = {"conjunction_reading": conj}
+    _joint_or_terms(m_parity, details, "parity_as_literal_joint", "parity_violated_terms")
+    _joint_or_terms(m_conj, conj, "joint", "violated_terms")
+    return ScenarioReport(
         marginals={"parity": m_parity, "conjunction": m_conj},
         bell=bell_parity,
         payoffs=payoffs,
@@ -340,71 +312,55 @@ def _scenario_pd_ghz(params: dict | None) -> ScenarioReport:
             "freedom remains and no factorizable equilibrium audit applies"
         ],
         details=details,
-    )
-    default_a = abs(a - complex(ROOT_HALF, 0.0)) < 1e-12 and abs(b - complex(ROOT_HALF, 0.0)) < 1e-12
-    if default_a and _is_default_pd(pd_params):
-        rows = _reference_rows(
+        reference=_reference_rows(
             [
-                ("payoff_a", 3.0, float(payoffs[0])),
-                ("payoff_b", 3.0, float(payoffs[1])),
-                ("payoff_c", 3.0, float(payoffs[2])),
-                ("bell_slack_1", 2.5, bell_parity.slack[0]),
-                ("bell_slack_2", -0.5, bell_parity.slack[1]),
-                ("bell_slack_3", -0.5, bell_parity.slack[2]),
-                ("bell_slack_4", -0.5, bell_parity.slack[3]),
+                *_rows(_PAYOFFS, 3.0, payoffs),
+                *zip(_BELL, (2.5, -0.5, -0.5, -0.5), bell_parity.slack),
                 ("bell_satisfied", 0.0, 1.0 if bell_parity.satisfied else 0.0),
             ]
-        )
-        report.reference = rows
-        report.paper_deviation = _reference_deviation(rows)
-    return report
-
-
-def _scenario_ghz_bell(params: dict | None) -> ScenarioReport:
-    merged = _merge_params(
-        params, {"a": [ROOT_HALF, 0.0], "grid": 101}, "ghz-bell"
+        ),
     )
-    a = parse_complex(merged["a"], "params.a")
-    b = complementary_amplitude(a, "params.a")
-    grid_n = _bounded_int(merged["grid"], "params.grid", 2, MAX_SCAN_GRID)
 
+
+def _ghz_bell(a: complex, grid: int) -> ScenarioReport:
+    b = complementary_amplitude(a, "params.a")
     state = ghz(a, b)
     m = extract_marginals(density_from_pure(state), MarginalConvention.PARITY)
     bell = bell_slacks(m)
 
     # The weight scan as one batch. Amplitudes use pow like
     # complementary_amplitude: np.sqrt rounds a few grid points apart.
-    xs = np.linspace(0.0, 1.0, grid_n)
-    amps = np.zeros((grid_n, 8), dtype=np.complex128)
+    # Each row's squared moduli are the diagonal of its rank-one density
+    # |psi><psi|, the same elementwise product. That density is exactly
+    # hermitian (float products commute), its trace is the norm squared
+    # and its eigenvalues are (norm squared, 0, ..., 0): the norm check
+    # is validate_densities' trace check, and eigvalsh's error on such a
+    # matrix, about 1e-16, stays far above its -1e-10 eigenvalue floor.
+    xs = np.linspace(0.0, 1.0, grid)
+    amps = np.zeros((grid, 8), dtype=np.complex128)
     amps[:, 0] = [float(x) ** 0.5 for x in xs]
     amps[:, 7] = [(1.0 - float(x)) ** 0.5 for x in xs]
-    rho = validate_densities(amps[:, :, None] * amps.conj()[:, None, :])
-    values = marginal_values(rho.diagonal(0, -2, -1).real, MarginalConvention.PARITY)
+    diagonals = (amps * amps.conj()).real
+    _require_unit_norms(diagonals.sum(axis=-1))
+    values = marginal_values(diagonals, MarginalConvention.PARITY)
     satisfied = bell_slack_values(values).min(axis=-1) >= -SLACK_TOL
     satisfied_points = xs[satisfied].tolist()
 
-    report = ScenarioReport(
-        scenario_id="ghz-bell",
-        inputs={"a": complex_pair(a), "grid": grid_n},
+    return ScenarioReport(
         marginals={"parity": m},
         bell=bell,
         payoffs="not evaluated: feasibility-only scenario",
         ne_findings=[],
         details={
             "weight_scan": {
-                "grid": grid_n,
+                "grid": grid,
                 "satisfied_points": satisfied_points,
                 "satisfied_count": len(satisfied_points),
             }
         },
-    )
-    if abs(a - complex(ROOT_HALF, 0.0)) < 1e-12 and grid_n == 101:
-        rows = _reference_rows(
+        reference=_reference_rows(
             [
-                ("bell_slack_1", 2.5, bell.slack[0]),
-                ("bell_slack_2", -0.5, bell.slack[1]),
-                ("bell_slack_3", -0.5, bell.slack[2]),
-                ("bell_slack_4", -0.5, bell.slack[3]),
+                *zip(_BELL, (2.5, -0.5, -0.5, -0.5), bell.slack),
                 ("satisfied_count", 1.0, float(len(satisfied_points))),
                 (
                     "satisfied_point",
@@ -412,25 +368,15 @@ def _scenario_ghz_bell(params: dict | None) -> ScenarioReport:
                     satisfied_points[0] if satisfied_points else float("inf"),
                 ),
             ]
-        )
-        report.reference = rows
-        report.paper_deviation = _reference_deviation(rows)
-    return report
-
-
-def _scenario_pd_product(params: dict | None) -> ScenarioReport:
-    merged = _merge_params(
-        params, {"pd_params": list(DEFAULT_PD_PARAMS.as_tuple())}, "pd-product"
+        ),
     )
-    pd_params = _pd_params(merged["pd_params"])
-    table = pd3(pd_params)
 
+
+def _pd_product(pd_params: PdParams) -> ScenarioReport:
+    table = pd3(pd_params)
     solution = product_state_interior_solve(table)
-    inputs = {"pd_params": [float(v) for v in pd_params.as_tuple()]}
     if solution is None:
         return ScenarioReport(
-            scenario_id="pd-product",
-            inputs=inputs,
             payoffs="not evaluated: no isolated symmetric stationary point",
             ne_findings=[
                 "the symmetric own-probability derivative has no isolated root "
@@ -457,7 +403,7 @@ def _scenario_pd_product(params: dict | None) -> ScenarioReport:
     cert = NeCertificate(
         solution,
         flat_slack,
-        min(flat_slack) >= -1e-9,
+        min(flat_slack) >= -DEFAULT_NE_TOL,
         "symmetric stationary point of the parity product-state game: payoffs "
         "are flat in each player's own probability",
     )
@@ -465,9 +411,10 @@ def _scenario_pd_product(params: dict | None) -> ScenarioReport:
     sign_pattern = [
         "negative" if i in inversion.negative_indices else "non-negative" for i in range(8)
     ]
-    report = ScenarioReport(
-        scenario_id="pd-product",
-        inputs=inputs,
+    lam_ref = (2.0 - 2.0 ** 0.5) / 2.0
+    pair_ref = 2.0 - 2.0 ** 0.5
+    xi_ref = (2.0 - 2.0 ** 0.5) * (3.0 - 2.0 ** 0.5) / 2.0
+    return ScenarioReport(
         marginals={
             "parity": m,
             "conjunction": extract_marginals(rho, MarginalConvention.CONJUNCTION),
@@ -482,154 +429,99 @@ def _scenario_pd_product(params: dict | None) -> ScenarioReport:
             "inversion": inversion_to_dict(inversion),
             "inversion_sign_pattern": dict(zip(BASIS_LABELS, sign_pattern)),
         },
-    )
-    if _is_default_pd(pd_params):
-        lam_ref = (2.0 - 2.0 ** 0.5) / 2.0
-        pair_ref = 2.0 - 2.0 ** 0.5
-        xi_ref = (2.0 - 2.0 ** 0.5) * (3.0 - 2.0 ** 0.5) / 2.0
-        rows = _reference_rows(
+        reference=_reference_rows(
             [
                 ("stationary_lam", lam_ref, t),
-                ("marginal_lambda", lam_ref, m.lam),
-                ("marginal_mu", lam_ref, m.mu),
-                ("marginal_nu", lam_ref, m.nu),
-                ("marginal_p_ab", pair_ref, m.p_ab),
-                ("marginal_p_bc", pair_ref, m.p_bc),
-                ("marginal_p_ac", pair_ref, m.p_ac),
+                *_rows(_SINGLES, lam_ref, (m.lam, m.mu, m.nu)),
+                *_rows(_PAIRS, pair_ref, (m.p_ab, m.p_bc, m.p_ac)),
                 ("marginal_xi", xi_ref, m.xi),
             ]
+        ),
+        paper_deviation=(
+            "reference analysis reports a negative weight for basis outcome "
+            "011 at this stationary point, but the unique inversion is "
+            "non-negative everywhere (smallest weight "
+            f"{float(np.min(inversion.weights)):.6g}); the marginal set is "
+            "realized exactly by the product state itself"
         )
-        report.reference = rows
-        deviations = []
-        mismatch = _reference_deviation(rows)
-        if mismatch:
-            deviations.append(mismatch)
-        if inversion.feasible:
-            deviations.append(
-                "reference analysis reports a negative weight for basis outcome "
-                "011 at this stationary point, but the unique inversion is "
-                "non-negative everywhere (smallest weight "
-                f"{float(np.min(inversion.weights)):.6g}); the marginal set is "
-                "realized exactly by the product state itself"
-            )
-        report.paper_deviation = "; ".join(deviations) if deviations else None
-    return report
-
-
-def _scenario_pd_w(params: dict | None) -> ScenarioReport:
-    merged = _merge_params(
-        params,
-        {
-            "c2": [ROOT_THIRD, 0.0],
-            "c3": [ROOT_THIRD, 0.0],
-            "c5": [ROOT_THIRD, 0.0],
-            "pd_params": list(DEFAULT_PD_PARAMS.as_tuple()),
-        },
-        "pd-w",
+        if inversion.feasible
+        else None,
     )
-    c2 = parse_complex(merged["c2"], "params.c2")
-    c3 = parse_complex(merged["c3"], "params.c3")
-    c5 = parse_complex(merged["c5"], "params.c5")
-    pd_params = _pd_params(merged["pd_params"])
-    table = pd3(pd_params)
 
-    state = w_state(c2, c3, c5)
+
+def _affine_family(
+    state: PureState, pd_params: PdParams, family: list, analysis: Callable
+) -> ScenarioReport:
+    """A state family whose pairs and triple are affine in the singles.
+
+    `family` (4, 4) gives the family's (p_ab, p_bc, p_ac, xi) as affine
+    functions of (1, lam, mu, nu). Read into the monomial slots of the
+    payoff polynomial, it restricts the marginal form to the family:
+    matrix[player][var] and const are the payoffs' coefficients over
+    the free (lam, mu, nu). `analysis(m, payoffs, matrix, const, own,
+    singles_sum)` returns the family's findings and reference entries.
+    """
+    table = pd3(pd_params)
     rho = density_from_pure(state)
     m = extract_marginals(rho, MarginalConvention.PARITY)
     payoffs = payoff_marginal_form(table, m)
-
-    # p_ab = (lam + mu - nu) / 2 and cyclically, xi = 0.
-    matrix, const = _affine_reduction(
-        table,
-        [[0, 0.5, 0.5, -0.5], [0, -0.5, 0.5, 0.5], [0, 0.5, -0.5, 0.5], [0, 0, 0, 0]],
-    )
+    reduced = _payoff_polynomial(table).T @ np.vstack((np.eye(4), family))
+    matrix, const = reduced[:, 1:], reduced[:, 0]
     own = [float(matrix[p, p]) for p in range(3)]
     singles_sum = m.lam + m.mu + m.nu
-    push_sum = sum(0.0 if g < 0 else 1.0 for g in own)
-
-    report = ScenarioReport(
-        scenario_id="pd-w",
-        inputs={
-            "c2": complex_pair(c2),
-            "c3": complex_pair(c3),
-            "c5": complex_pair(c5),
-            "pd_params": [float(v) for v in pd_params.as_tuple()],
-        },
+    findings, entries = analysis(m, payoffs, matrix, const, own, singles_sum)
+    return ScenarioReport(
         marginals={"parity": m},
         bell=bell_slacks(m),
         payoffs=payoffs,
-        ne_findings=[
-            "own-probability payoff gradients in this family are the constants "
-            f"{own}; every player is pushed to the boundary value "
-            f"{[0.0 if g < 0 else 1.0 for g in own]} with singles sum {push_sum:g}, "
-            f"while the family enforces lambda + mu + nu = {singles_sum:.12g}: the "
-            "equilibrium conditions are inconsistent and no state of the family "
-            "satisfies them"
-        ],
+        ne_findings=findings,
         details={
             "reduced_coefficients": [[float(v) for v in row] for row in matrix],
             "reduced_constants": [float(v) for v in const],
             "singles_sum": float(singles_sum),
         },
+        reference=_reference_rows(entries),
     )
-    default_amps = all(
-        abs(c - complex(ROOT_THIRD, 0.0)) < 1e-12 for c in (c2, c3, c5)
+
+
+def _pd_w(c2: complex, c3: complex, c5: complex, pd_params: PdParams) -> ScenarioReport:
+    # p_ab = (lam + mu - nu) / 2 and cyclically, xi = 0.
+    family = [[0, 0.5, 0.5, -0.5], [0, -0.5, 0.5, 0.5], [0, 0.5, -0.5, 0.5], [0, 0, 0, 0]]
+    return _affine_family(w_state(c2, c3, c5), pd_params, family, _w_analysis)
+
+
+def _w_analysis(m, payoffs, matrix, const, own, singles_sum) -> tuple[list, list]:
+    push = [0.0 if g < 0 else 1.0 for g in own]
+    finding = (
+        "own-probability payoff gradients in this family are the constants "
+        f"{own}; every player is pushed to the boundary value "
+        f"{push} with singles sum {sum(push):g}, "
+        f"while the family enforces lambda + mu + nu = {singles_sum:.12g}: the "
+        "equilibrium conditions are inconsistent and no state of the family "
+        "satisfies them"
     )
-    if default_amps and _is_default_pd(pd_params):
-        rows = _reference_rows(
-            [
-                ("marginal_lambda", 2.0 / 3.0, m.lam),
-                ("marginal_mu", 2.0 / 3.0, m.mu),
-                ("marginal_nu", 2.0 / 3.0, m.nu),
-                ("marginal_p_ab", 1.0 / 3.0, m.p_ab),
-                ("marginal_p_bc", 1.0 / 3.0, m.p_bc),
-                ("marginal_p_ac", 1.0 / 3.0, m.p_ac),
-                ("marginal_xi", 0.0, m.xi),
-                ("payoff_a", 5.0, float(payoffs[0])),
-                ("payoff_b", 5.0, float(payoffs[1])),
-                ("payoff_c", 5.0, float(payoffs[2])),
-                ("own_coefficient_a", -2.0, own[0]),
-                ("own_coefficient_b", -2.0, own[1]),
-                ("own_coefficient_c", -2.0, own[2]),
-                ("cross_coefficient_ab", 4.0, float(matrix[0, 1])),
-                ("constant_a", 1.0, float(const[0])),
-                ("singles_sum", 2.0, float(singles_sum)),
-            ]
-        )
-        report.reference = rows
-        report.paper_deviation = _reference_deviation(rows)
-    return report
+    return [finding], [
+        *_rows(_SINGLES, 2.0 / 3.0, (m.lam, m.mu, m.nu)),
+        *_rows(_PAIRS, 1.0 / 3.0, (m.p_ab, m.p_bc, m.p_ac)),
+        ("marginal_xi", 0.0, m.xi),
+        *_rows(_PAYOFFS, 5.0, payoffs),
+        *_rows(_OWN, -2.0, own),
+        ("cross_coefficient_ab", 4.0, matrix[0, 1]),
+        ("constant_a", 1.0, const[0]),
+        ("singles_sum", 2.0, singles_sum),
+    ]
 
 
-def _scenario_pd_continuum(params: dict | None) -> ScenarioReport:
-    merged = _merge_params(
-        params,
-        {
-            "c4": [ROOT_THIRD, 0.0],
-            "c6": [ROOT_THIRD, 0.0],
-            "c7": [ROOT_THIRD, 0.0],
-            "pd_params": list(DEFAULT_PD_PARAMS.as_tuple()),
-        },
-        "pd-continuum",
-    )
-    c4 = parse_complex(merged["c4"], "params.c4")
-    c6 = parse_complex(merged["c6"], "params.c6")
-    c7 = parse_complex(merged["c7"], "params.c7")
-    pd_params = _pd_params(merged["pd_params"])
-    table = pd3(pd_params)
-
-    state = pd_state(c4, c6, c7)
-    rho = density_from_pure(state)
-    m = extract_marginals(rho, MarginalConvention.PARITY)
-    payoffs = payoff_marginal_form(table, m)
-
+def _pd_continuum(
+    c4: complex, c6: complex, c7: complex, pd_params: PdParams
+) -> ScenarioReport:
     # p_ab = nu, p_bc = lam, p_ac = mu, xi = lam + mu + nu.
-    matrix, const = _affine_reduction(
-        table, [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]]
-    )
-    own = [float(matrix[p, p]) for p in range(3)]
-    singles_sum = m.lam + m.mu + m.nu
-    flat = max(abs(g) for g in own) <= 1e-9
+    family = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]]
+    return _affine_family(pd_state(c4, c6, c7), pd_params, family, _continuum_analysis)
+
+
+def _continuum_analysis(m, payoffs, matrix, const, own, singles_sum) -> tuple[list, list]:
+    flat = max(abs(g) for g in own) <= DEFAULT_NE_TOL
     cert = NeCertificate(
         StrategyTriple(m.lam, m.mu, m.nu),
         tuple(-abs(g) for g in own),
@@ -638,56 +530,18 @@ def _scenario_pd_continuum(params: dict | None) -> ScenarioReport:
         "so every state with lambda + mu + nu = 1 is a weak equilibrium "
         "(a continuum of equilibria)",
     )
-
-    report = ScenarioReport(
-        scenario_id="pd-continuum",
-        inputs={
-            "c4": complex_pair(c4),
-            "c6": complex_pair(c6),
-            "c7": complex_pair(c7),
-            "pd_params": [float(v) for v in pd_params.as_tuple()],
-        },
-        marginals={"parity": m},
-        bell=bell_slacks(m),
-        payoffs=payoffs,
-        ne_findings=[cert] if flat else [cert.note],
-        details={
-            "reduced_coefficients": [[float(v) for v in row] for row in matrix],
-            "reduced_constants": [float(v) for v in const],
-            "singles_sum": float(singles_sum),
-        },
-    )
-    default_amps = all(
-        abs(c - complex(ROOT_THIRD, 0.0)) < 1e-12 for c in (c4, c6, c7)
-    )
-    if default_amps and _is_default_pd(pd_params):
-        rows = _reference_rows(
-            [
-                ("payoff_a", 11.0 / 3.0, float(payoffs[0])),
-                ("payoff_b", 11.0 / 3.0, float(payoffs[1])),
-                ("payoff_c", 11.0 / 3.0, float(payoffs[2])),
-                ("own_coefficient_a", 0.0, own[0]),
-                ("own_coefficient_b", 0.0, own[1]),
-                ("own_coefficient_c", 0.0, own[2]),
-                ("cross_coefficient_ab", 4.0, float(matrix[0, 1])),
-                ("constant_a", 1.0, float(const[0])),
-                ("singles_sum", 1.0, float(singles_sum)),
-                ("marginal_xi", 1.0, m.xi),
-            ]
-        )
-        report.reference = rows
-        report.paper_deviation = _reference_deviation(rows)
-    return report
+    return [cert] if flat else [cert.note], [
+        *_rows(_PAYOFFS, 11.0 / 3.0, payoffs),
+        *_rows(_OWN, 0.0, own),
+        ("cross_coefficient_ab", 4.0, matrix[0, 1]),
+        ("constant_a", 1.0, const[0]),
+        ("singles_sum", 1.0, singles_sum),
+        ("marginal_xi", 1.0, m.xi),
+    ]
 
 
-def _scenario_coop_classical(params: dict | None) -> ScenarioReport:
-    merged = _merge_params(
-        params, {"resolution": 11, "tol": 1e-9}, "coop-classical"
-    )
-    resolution = _bounded_int(merged["resolution"], "params.resolution", 2, MAX_RESOLUTION)
-    tol = _tolerance(merged["tol"])
+def _coop_classical(resolution: int, tol: float) -> ScenarioReport:
     table = coop_game()
-
     values = coalition_analysis(table)
     reduction = coalition_reduction(table, "A")
     l_star, c_star = coop_best_response_solve(table)
@@ -697,9 +551,10 @@ def _scenario_coop_classical(params: dict | None) -> ScenarioReport:
     payoffs = payoff_factorizable(table, solved)
     m = strategy_marginals(solved, MarginalConvention.CONJUNCTION)
 
-    report = ScenarioReport(
-        scenario_id="coop-classical",
-        inputs={"resolution": resolution, "tol": tol},
+    lattice_has_half = any(
+        c.triple.as_tuple() == (0.5, 0.5, 0.5) for c in equilibria
+    )
+    return ScenarioReport(
         marginals={"solved_point_conjunction": m},
         bell=bell_slacks(m),
         payoffs=payoffs,
@@ -710,12 +565,7 @@ def _scenario_coop_classical(params: dict | None) -> ScenarioReport:
             "best_response": [float(l_star), float(c_star)],
             "lattice_equilibria": [certificate_to_dict(c) for c in equilibria],
         },
-    )
-    if resolution == 11:
-        lattice_has_half = any(
-            c.triple.as_tuple() == (0.5, 0.5, 0.5) for c in equilibria
-        )
-        rows = _reference_rows(
+        reference=_reference_rows(
             [
                 ("coalition_value_a", -1.0, values[0].value),
                 ("coalition_value_b", -1.0, values[1].value),
@@ -728,28 +578,19 @@ def _scenario_coop_classical(params: dict | None) -> ScenarioReport:
                 ("reduction_odd_mix_first", 0.5, reduction.odd_mix[0]),
                 ("best_response_lam", 0.5, l_star),
                 ("best_response_c", 0.5, c_star),
-                ("payoff_a", 0.0, float(payoffs[0])),
-                ("payoff_b", 0.0, float(payoffs[1])),
-                ("payoff_c", 0.0, float(payoffs[2])),
+                *_rows(_PAYOFFS, 0.0, payoffs),
                 ("lattice_contains_half_point", 1.0, 1.0 if lattice_has_half else 0.0),
             ]
-        )
-        report.reference = rows
-        report.paper_deviation = _reference_deviation(rows)
-    return report
+        ),
+    )
 
 
-def _coop_condition_state(
-    amplitudes: list[complex] | None,
-    q1: float,
-    u: float,
-    v: float,
-    seed: int,
-) -> PureState:
-    """Build a state whose two excitation trios have equal magnitudes."""
+def _coop_quantum(
+    amplitudes: list[complex] | None, q1: float, u: float, v: float, seed: int
+) -> ScenarioReport:
+    # A state whose two excitation trios have equal magnitudes: given,
+    # or drawn from the weights with seeded phases.
     if amplitudes is not None:
-        if len(amplitudes) != 8:
-            raise ParamError("params.amplitudes: expected 8 entries")
         state = PureState(np.array(amplitudes))
         q = state.probabilities()
         if max(abs(q[3] - q[5]), abs(q[3] - q[6])) > 1e-9:
@@ -760,39 +601,15 @@ def _coop_condition_state(
             raise ParamError(
                 "params.amplitudes: |c2|^2, |c3|^2, |c5|^2 must be equal"
             )
-        return state
-    q8 = 1.0 - q1 - 3.0 * u - 3.0 * v
-    if q8 < -1e-9:
-        raise ParamError("params: q1 + 3*u + 3*v exceeds 1")
-    q8 = max(q8, 0.0)
-    rng = np.random.default_rng(seed)
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8))
-    mags = np.sqrt(np.array([q1, v, v, u, v, u, u, q8]))
-    return PureState(mags * phases)
-
-
-def _scenario_coop_quantum(params: dict | None) -> ScenarioReport:
-    merged = _merge_params(
-        params,
-        {"amplitudes": None, "q1": 0.125, "u": 0.125, "v": 0.125, "seed": 0},
-        "coop-quantum",
-    )
-    amplitudes = None
-    if merged["amplitudes"] is not None:
-        raw = merged["amplitudes"]
-        if not isinstance(raw, list):
-            raise ParamError("params.amplitudes: expected a list of 8 entries")
-        amplitudes = [
-            parse_complex(vb, f"params.amplitudes[{i}]") for i, vb in enumerate(raw)
-        ]
-    q1 = _weight(merged["q1"], "params.q1")
-    u = _weight(merged["u"], "params.u")
-    v = _weight(merged["v"], "params.v")
-    seed = merged["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ParamError("params.seed: expected a non-negative integer")
-
-    state = _coop_condition_state(amplitudes, q1, u, v, seed)
+    else:
+        q8 = 1.0 - q1 - 3.0 * u - 3.0 * v
+        if q8 < -1e-9:
+            raise ParamError("params: q1 + 3*u + 3*v exceeds 1")
+        q8 = max(q8, 0.0)
+        rng = np.random.default_rng(seed)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8))
+        mags = np.sqrt(np.array([q1, v, v, u, v, u, u, q8]))
+        state = PureState(mags * phases)
     rho = density_from_pure(state)
     m = extract_marginals(rho, MarginalConvention.PARITY)
     table = coop_game()
@@ -800,18 +617,7 @@ def _scenario_coop_quantum(params: dict | None) -> ScenarioReport:
 
     singles_spread = max(abs(m.lam - m.mu), abs(m.mu - m.nu), abs(m.lam - m.nu))
     payoff_magnitude = float(np.max(np.abs(payoffs)))
-
-    report = ScenarioReport(
-        scenario_id="coop-quantum",
-        inputs={
-            "amplitudes": [complex_pair(c) for c in amplitudes]
-            if amplitudes is not None
-            else None,
-            "q1": float(q1),
-            "u": float(u),
-            "v": float(v),
-            "seed": seed,
-        },
+    return ScenarioReport(
         marginals={"parity": m},
         bell=bell_slacks(m),
         payoffs=payoffs,
@@ -824,51 +630,102 @@ def _scenario_coop_quantum(params: dict | None) -> ScenarioReport:
         details={
             "singles_spread": float(singles_spread),
             "payoff_magnitude": payoff_magnitude,
-            "pattern": {"q1": float(q1), "u": float(u), "v": float(v)},
+            "pattern": {"q1": q1, "u": u, "v": v},
         },
-    )
-    if (
-        amplitudes is None
-        and abs(q1 - 0.125) < 1e-15
-        and abs(u - 0.125) < 1e-15
-        and abs(v - 0.125) < 1e-15
-    ):
-        rows = _reference_rows(
+        reference=_reference_rows(
             [
-                ("payoff_a", 0.0, float(payoffs[0])),
-                ("payoff_b", 0.0, float(payoffs[1])),
-                ("payoff_c", 0.0, float(payoffs[2])),
-                ("marginal_lambda", 0.5, m.lam),
-                ("marginal_mu", 0.5, m.mu),
-                ("marginal_nu", 0.5, m.nu),
+                *_rows(_PAYOFFS, 0.0, payoffs),
+                *_rows(_SINGLES, 0.5, (m.lam, m.mu, m.nu)),
                 ("singles_spread", 0.0, float(singles_spread)),
             ]
-        )
-        report.reference = rows
-        report.paper_deviation = _reference_deviation(rows)
-    return report
+        ),
+    )
 
+
+class _Scenario(NamedTuple):
+    """A body and its params: name -> (default, parse(value, path,
+    parsed so far)), in echo order; the body takes them by name."""
+
+    body: Callable[..., ScenarioReport]
+    params: dict[str, tuple[object, Callable]]
+
+
+_PD_PARAMS = (list(DEFAULT_PD_PARAMS.as_tuple()), _param(_pd_params))
+_RESOLUTION = (11, _param(_bounded_int, 2, MAX_RESOLUTION))
+_TOL = (DEFAULT_NE_TOL, _param(_finite, True))
+_HALF = ([ROOT_HALF, 0.0], _param(parse_complex))
+_THIRD = ([ROOT_THIRD, 0.0], _param(parse_complex))
+_EIGHTH = (0.125, _param(_finite, False))
 
 SCENARIOS = {
-    "pd-classical": _scenario_pd_classical,
-    "pd-ghz": _scenario_pd_ghz,
-    "ghz-bell": _scenario_ghz_bell,
-    "pd-product": _scenario_pd_product,
-    "pd-w": _scenario_pd_w,
-    "pd-continuum": _scenario_pd_continuum,
-    "coop-classical": _scenario_coop_classical,
-    "coop-quantum": _scenario_coop_quantum,
+    "pd-classical": _Scenario(
+        _pd_classical, {"pd_params": _PD_PARAMS, "resolution": _RESOLUTION, "tol": _TOL}
+    ),
+    "pd-ghz": _Scenario(
+        _pd_ghz, {"a": _HALF, "b": (None, _ghz_b), "pd_params": _PD_PARAMS}
+    ),
+    "ghz-bell": _Scenario(
+        _ghz_bell, {"a": _HALF, "grid": (101, _param(_bounded_int, 2, MAX_SCAN_GRID))}
+    ),
+    "pd-product": _Scenario(_pd_product, {"pd_params": _PD_PARAMS}),
+    "pd-w": _Scenario(
+        _pd_w, {"c2": _THIRD, "c3": _THIRD, "c5": _THIRD, "pd_params": _PD_PARAMS}
+    ),
+    "pd-continuum": _Scenario(
+        _pd_continuum, {"c4": _THIRD, "c6": _THIRD, "c7": _THIRD, "pd_params": _PD_PARAMS}
+    ),
+    "coop-classical": _Scenario(_coop_classical, {"resolution": _RESOLUTION, "tol": _TOL}),
+    "coop-quantum": _Scenario(
+        _coop_quantum,
+        {
+            "amplitudes": (None, _param(_amplitudes)),
+            "q1": _EIGHTH,
+            "u": _EIGHTH,
+            "v": _EIGHTH,
+            "seed": (0, _param(_seed)),
+        },
+    ),
 }
 
 SCENARIO_IDS = tuple(SCENARIOS)
 
 
+def _parse(params: dict, supplied: dict) -> dict:
+    """Each param's supplied value, or its default, parsed in spec order."""
+    parsed: dict = {}
+    for name, (default, parse) in params.items():
+        parsed[name] = parse(supplied.get(name, default), f"params.{name}", parsed)
+    return parsed
+
+
 def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport:
-    """Execute one registered scenario and return its report."""
+    """Execute one registered scenario and return its report.
+
+    Reference rows and paper_deviation stay only when the inputs echo
+    equals, exactly, the echo of the scenario's defaults.
+    """
     try:
-        fn = SCENARIOS[scenario_id]
+        spec = SCENARIOS[scenario_id]
     except KeyError:
         raise UnknownScenarioError(
             f"unknown scenario {scenario_id!r}; available: {list(SCENARIO_IDS)}"
         ) from None
-    return fn(params)
+    supplied = dict(params or {})
+    unknown = sorted(set(supplied) - set(spec.params))
+    if unknown:
+        raise ParamError(
+            f"params: unknown keys {unknown} for scenario {scenario_id!r}; "
+            f"allowed: {sorted(spec.params)}"
+        )
+    parsed = _parse(spec.params, supplied)
+    report = spec.body(**parsed)
+    report.scenario_id = scenario_id
+    report.inputs = _echo(parsed)
+    if report.inputs == _echo(_parse(spec.params, {})):
+        bad = [r["quantity"] for r in report.reference if r["abs_delta"] > REFERENCE_TOL]
+        mismatch = "computed values contradict reference claims: " + ", ".join(bad)
+        claims = (mismatch if bad else None, report.paper_deviation)
+        report.paper_deviation = "; ".join(c for c in claims if c) or None
+    else:
+        report.reference, report.paper_deviation = [], None
+    return report

@@ -1,12 +1,14 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
 import hashlib
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 import finegames.cli as cli
-from finegames import load_schema
+from finegames import SCENARIOS, load_schema, run_scenario
 from finegames.cli import main
 from finegames.equilibrium import MAX_RESOLUTION
 from finegames.scenarios import MAX_SCAN_GRID
@@ -379,3 +381,83 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "error: internal failure: RuntimeError: first line second line\n"
+
+
+def test_ne_grid_hit_bound_exits_2(tmp_path, capsys):
+    # Each player's payoff ignores their own choice: all 64^3 = 262,144
+    # lattice points pass the screen, more than a search certifies.
+    others = np.random.default_rng(5).normal(size=(3, 2, 2))
+    rows = [
+        [float(others[p][tuple(np.delete(bits, p))]) for p in range(3)]
+        for bits in itertools.product((0, 1), repeat=3)
+    ]
+    game = write(tmp_path, "blind.json", {"kind": "custom", "rows": rows})
+    code, out, err = run(capsys, "ne", "--game", game, "--mode", "grid", "--resolution", "64")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: lattice screen passes 262144 points, more than the 250000 "
+        "a search certifies; lower the resolution\n"
+    )
+
+
+# Junk for any param: non-finite, huge, negative, bool, string, null,
+# nested and wrong-length lists.
+FUZZ_JUNK = [
+    float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 10 ** 30, -1, -0.5, 0,
+    True, False, "x", "", None, {}, {"re": 1}, [], [[0.5, 0.0]], [[[1]]], [0.5],
+    [0.5, 0.5, 0.5], [0.1] * 5, [0.1] * 7, [0.1] * 9, [float("nan"), 0.0],
+]
+
+
+def fuzz_value(rng, name):
+    """Junk, or a draw near the param's valid range; valid lattices and
+    grids stay small (resolution <= 21, grid <= 1001)."""
+    if rng.random() < 0.4:
+        return FUZZ_JUNK[rng.integers(len(FUZZ_JUNK))]
+    if name == "resolution":
+        return int(rng.integers(-2, 22))
+    if name == "grid":
+        return int(rng.integers(-2, 1002))
+    if name == "tol":
+        return float(10 ** rng.uniform(-14, 3) * rng.choice([1, 1, -1]))
+    if name == "seed":
+        return int(rng.integers(-3, 2 ** 40))
+    if name in ("q1", "u", "v"):
+        return float(rng.uniform(-0.02, 0.25))
+    if name == "pd_params":
+        return (np.array([7, 9, 3, 0, 1, 5]) + rng.normal(0, 0.5, 6)).tolist()
+    # A phase turn of a unit-norm default (2**-0.5 for a and b, 3**-0.5
+    # for the excitation amplitudes), or a free pair.
+    r = 2 ** -0.5 if name in ("a", "b") else 3 ** -0.5
+    phases = rng.uniform(0, 2 * np.pi, 3)
+    turned = [[r * float(np.cos(p)), r * float(np.sin(p))] for p in phases]
+    free = [float(x) for x in rng.uniform(-1.2, 1.2, 2)]
+    if name == "amplitudes":
+        zero = [0.0, 0.0]
+        if rng.random() < 0.5:
+            return [zero, zero, zero, turned[0], zero, turned[1], turned[2], zero]
+        return [free] * int(rng.integers(0, 10))
+    return turned[0] if rng.random() < 0.5 else free if rng.random() < 0.8 else free[0]
+
+
+def test_scenario_params_fuzz(capsys):
+    rng = np.random.default_rng(20261018)
+    defaults = {sid: run_scenario(sid).inputs for sid in SCENARIOS}
+    codes = set()
+    for _ in range(400):
+        sid = str(rng.choice(list(SCENARIOS)))
+        names = [n for n in SCENARIOS[sid].params if rng.random() < 0.5]
+        params = {n: fuzz_value(rng, n) for n in names}
+        if rng.random() < 0.05:
+            params["bogus"] = 1
+        text = json.dumps(params)
+        code, out, err = run(capsys, "scenario", "--id", sid, "--params", text)
+        codes.add(code)
+        assert code in (0, 1, 2), (sid, text, err)
+        assert "Traceback" not in err, (sid, text)
+        if code == 2:
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: "), (sid, text)
+        else:
+            report = json.loads(out)
+            assert (report["inputs"] == defaults[sid]) == bool(report["reference"]), (sid, text)
+    assert codes == {0, 2}

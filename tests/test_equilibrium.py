@@ -140,6 +140,14 @@ def oracle_family(rng, resolution):
         yield own_choice_blind_table(rng)
 
 
+def test_lattice_hit_bound():
+    # All 64^3 = 262,144 points of an own-choice-blind lattice pass the
+    # screen; the search refuses before it builds a certificate.
+    table = own_choice_blind_table(np.random.default_rng(5))
+    with pytest.raises(ShapeError, match="passes 262144 points, more than the 250000"):
+        grid_ne_search(table, 64)
+
+
 def test_lattice_search_matches_outcome_form_oracle():
     rng = np.random.default_rng(20261018)
     searches = 0
