@@ -23,7 +23,7 @@ from .games import (
     coop_game,
     marginal_form_coefficients,
 )
-from .qstates import PLAYERS
+from .qstates import PLAYERS, _trusted
 
 DEFAULT_NE_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -130,8 +130,16 @@ def grid_ne_search(
         )
     hits = grid[np.argwhere(screen)]
     slack, is_ne, notes = _endpoint_audit(coeffs, hits, tol)
+    # Lattice points lie in [0, 1]; slacks are finite, as every payoff
+    # coefficient is bounded by MAX_PAYOFF. Nothing is left to check.
     return [
-        NeCertificate(StrategyTriple(*x), tuple(s), ok, note)
+        _trusted(
+            NeCertificate,
+            triple=_trusted(StrategyTriple, lam=x[0], mu=x[1], nu=x[2]),
+            player_slack=tuple(s),
+            is_ne=ok,
+            note=note,
+        )
         for x, s, ok, note in zip(hits.tolist(), slack.tolist(), is_ne.tolist(), notes)
     ]
 

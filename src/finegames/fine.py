@@ -27,8 +27,10 @@ from .measurement import (
     MarginalConvention,
     MarginalSet,
     _apply,
+    _marginal_set,
     marginal_values,
 )
+from .qstates import _freeze, _trusted
 
 # Outcome order of joint distributions, aligned with the basis order of
 # qstates: index bits (a, b, c), bit 0 = outcome +1.
@@ -163,7 +165,11 @@ def bell_slack_values(values) -> np.ndarray:
 def bell_slacks(m: MarginalSet) -> BellReport:
     """Bell report of one marginal set of either convention; the note
     records which one the values came from."""
-    return BellReport(tuple(bell_slack_values(m.values())), _note(m))
+    # Sums of seven values in [0, 1]: four finite reals by construction.
+    slack = tuple(bell_slack_values(m.values()).tolist())
+    return _trusted(
+        BellReport, slack=slack, convention_note=_note(m), satisfied=min(slack) >= -SLACK_TOL
+    )
 
 
 def xi_interval(m: MarginalSet) -> XiInterval:
@@ -207,11 +213,13 @@ def reconstruct_joint(
     if terms.min() < 0.0:
         # Zeroing terms within the floor adds their size to the total.
         clipped /= clipped.sum()
-    return JointDistribution(clipped)
+    # Finite, non-negative, and summing to 1 to rounding: the terms'
+    # MOBIUS column sums are (1, 0, ..., 0), and a rescale restores it.
+    return _trusted(JointDistribution, prob=_freeze(clipped))
 
 
 def marginals_from_joint(
     j: JointDistribution, convention: MarginalConvention
 ) -> MarginalSet:
     """Marginal probabilities of an explicit joint distribution."""
-    return MarginalSet(*marginal_values(j.prob, convention).tolist(), convention)
+    return _marginal_set(marginal_values(j.prob, convention), convention)

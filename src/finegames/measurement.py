@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RangeError, ShapeError
-from .qstates import BASIS_LABELS, PLAYERS, DensityMatrix
+from .qstates import BASIS_LABELS, PLAYERS, DensityMatrix, _trusted
 
 CLAMP_TOL = 1e-12
 # Negative-weight floor of weights_from_marginals and fine.reconstruct_joint.
@@ -231,18 +231,42 @@ def marginal_values(diagonals, convention: MarginalConvention) -> np.ndarray:
     s = d[..., None, :] * _INCIDENCE[convention]
     t = s[..., :4] + s[..., 4:]
     values = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])
-    bad = ~((values >= -CLAMP_TOL) & (values <= 1.0 + CLAMP_TOL))
-    if bad.any():
-        first = np.argwhere(bad)[0]
-        raise RangeError(
-            f"{MARGINAL_FIELDS[first[-1]]} = {float(values[tuple(first)])!r} outside [0, 1]"
-        )
-    return np.clip(values, 0.0, 1.0)
+    # One min/max test accepts a batch already in [0, 1], which clipping
+    # would leave as it is (NaN fails the test); the per-element mask is
+    # built only to name the first value beyond the tolerance.
+    lo, hi = values.min(initial=0.0), values.max(initial=0.0)
+    if not (lo >= 0.0 and hi <= 1.0):
+        if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):
+            bad = ~((values >= -CLAMP_TOL) & (values <= 1.0 + CLAMP_TOL))
+            first = np.argwhere(bad)[0]
+            raise RangeError(
+                f"{MARGINAL_FIELDS[first[-1]]} = {float(values[tuple(first)])!r} outside [0, 1]"
+            )
+        # np.clip, not np.maximum: it keeps a -0.0 as -0.0, as the reports do.
+        np.clip(values, 0.0, 1.0, out=values)
+    return values
+
+
+def _marginal_set(values: np.ndarray, convention: MarginalConvention) -> MarginalSet:
+    """MarginalSet of one row of marginal_values' output.
+
+    Those values are finite and already clamped into [0, 1], which is all
+    MarginalSet's per-field check does; only the Frechet check of a
+    conjunction set can still fire (a density accepted down to
+    EIGENVALUE_FLOOR, or a joint down to -SLACK_TOL, can break it by more
+    than CLAMP_TOL), so it alone runs again.
+    """
+    m = _trusted(
+        MarginalSet, **dict(zip(MARGINAL_FIELDS, values.tolist())), convention=convention
+    )
+    if convention is MarginalConvention.CONJUNCTION:
+        m._check_frechet()
+    return m
 
 
 def extract_marginals(rho: DensityMatrix, convention: MarginalConvention) -> MarginalSet:
     """All seven marginal probabilities of a state, as POVM traces."""
-    return MarginalSet(*marginal_values(rho.diagonal(), convention).tolist(), convention)
+    return _marginal_set(marginal_values(rho.diagonal(), convention), convention)
 
 
 def convert_marginals(m: MarginalSet, target: MarginalConvention) -> MarginalSet:
@@ -257,7 +281,8 @@ def convert_marginals(m: MarginalSet, target: MarginalConvention) -> MarginalSet
     if target is m.convention:
         return m
     values = marginal_values(weights_from_marginals(m).weights, target)
-    return MarginalSet(m.lam, m.mu, m.nu, *values[3:].tolist(), target)
+    values[:3] = m.values()[:3]
+    return _marginal_set(values, target)
 
 
 def _signed(m: MarginalSet) -> np.ndarray:

@@ -70,6 +70,7 @@ from .qstates import (
     w_state,
 )
 from .serialize import (
+    _dilemma_params,
     bell_to_dict,
     certificate_to_dict,
     complex_pair,
@@ -147,7 +148,7 @@ def _pd_params(value, path: str) -> PdParams:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParamError(f"{path}[{i}]: expected a number")
         values.append(float(v))
-    return PdParams(*values)
+    return _dilemma_params(values, path)
 
 
 def _bounded_int(value, path: str, minimum: int, maximum: int) -> int:

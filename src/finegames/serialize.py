@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ParamError
+from .errors import DilemmaViolation, ParamError, ShapeError
 from .fine import BellReport, JointDistribution, XiInterval
 from .games import PayoffTable, PdParams, StrategyTriple, coop_game, pd3
 from .measurement import MarginalConvention, MarginalSet, WeightInversion
@@ -99,6 +99,15 @@ def _number_list(value, length: int, path: str) -> list[float]:
     if not isinstance(value, list) or len(value) != length:
         raise ParamError(f"{path}: expected a list of {length} numbers")
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _dilemma_params(levels: list[float], path: str) -> PdParams:
+    """Dilemma levels already parsed as numbers; a level that is not
+    finite or breaks the dilemma is a ParamError naming the path."""
+    try:
+        return PdParams(*levels)
+    except (DilemmaViolation, ShapeError) as exc:
+        raise ParamError(f"{path}: {exc}") from None
 
 
 def parse_complex(value, path: str) -> complex:
@@ -203,7 +212,7 @@ def load_game(descriptor, path: str = "game") -> PayoffTable:
         _reject_unknown(d, path, ("kind", "params"))
         if "params" in d:
             params = _number_list(d["params"], 6, f"{path}.params")
-            return pd3(PdParams(*params))
+            return pd3(_dilemma_params(params, f"{path}.params"))
         return pd3()
     if kind == "coop":
         _reject_unknown(d, path, ("kind",))

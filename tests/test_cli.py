@@ -400,6 +400,19 @@ def test_ne_grid_hit_bound_exits_2(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ([1, 1, 1, 1, 1, 1], "dilemma condition failed: lone_defector > all_cooperate"),
+        ([7, 9, 3, 0, 1, float("nan")], "dilemma parameters must be finite"),
+    ],
+)
+def test_ne_dilemma_params_errors_name_their_path(tmp_path, capsys, levels, message):
+    game = write(tmp_path, "pd.json", {"kind": "pd3", "params": levels})
+    code, out, err = run(capsys, "ne", "--game", game, "--mode", "interior")
+    assert (code, out, err) == (2, "", f"error: game.params: {message}\n")
+
+
 # Junk for any param: non-finite, huge, negative, bool, string, null,
 # nested and wrong-length lists.
 FUZZ_JUNK = [

@@ -294,3 +294,26 @@ def test_marginal_values_clamp_and_range_check():
         marginal_values(batch, MarginalConvention.PARITY)
     with pytest.raises(ShapeError):
         marginal_values(np.zeros(7), MarginalConvention.PARITY)
+    diag[0] = np.nan
+    with pytest.raises(RangeError, match=r"^lam = nan outside \[0, 1\]$"):
+        marginal_values(diag, MarginalConvention.PARITY)
+    assert marginal_values(np.zeros((0, 8)), MarginalConvention.PARITY).shape == (0, 7)
+
+
+@pytest.mark.parametrize("convention", list(MarginalConvention))
+def test_marginal_values_accept_keeps_the_clipped_bits(convention):
+    # Rows in range, with -0.0 entries, and rows within CLAMP_TOL beyond
+    # it: the result equals np.clip of the summed traces, signs of zero
+    # included, whether or not the row needed clipping.
+    rng = np.random.default_rng(11)
+    diags = rng.dirichlet(np.ones(8), size=300) * (rng.random((300, 8)) < 0.6)
+    diags /= diags.sum(axis=1, keepdims=True)
+    diags[:100] = np.where(rng.random((100, 8)) < 0.5, -0.0, 0.0)
+    diags[0] = -0.0
+    diags[200:] += rng.choice([-1e-13, 0.0, 1e-13], size=(100, 8))
+    s = diags[..., None, :] * _INCIDENCE[convention]
+    t = s[..., :4] + s[..., 4:]
+    expected = np.clip((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3]), 0.0, 1.0)
+    for got in (marginal_values(diags, convention), [marginal_values(d, convention) for d in diags]):
+        got = np.asarray(got)
+        assert (got == expected).all() and (np.signbit(got) == np.signbit(expected)).all()

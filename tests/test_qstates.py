@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from finegames import (
@@ -24,6 +24,7 @@ from finegames import (
     validate_densities,
     w_state,
 )
+from finegames.qstates import EIGENVALUE_FLOOR, NORMALIZATION_TOL
 from conftest import random_pure_state
 
 ROOT_HALF = 2.0 ** -0.5
@@ -187,3 +188,90 @@ def test_product_state_always_valid(theta, phi):
     rho = density_from_pure(state)
     assert abs(np.trace(rho.matrix).real - 1.0) < 1e-9
     assert np.allclose(rho.matrix, rho.matrix.conj().T, atol=1e-12)
+
+
+def test_product_state_equals_kronecker_product():
+    rng = np.random.default_rng(8)
+    draws = [rng.uniform(0.0, (np.pi, 2 * np.pi, 2 * np.pi), (3, 3)).T for _ in range(200)]
+    draws.append(np.array([[0.0, np.pi, np.pi / 2], [0.0, np.pi, 0.0], [0.0, 0.0, np.pi]]))
+    for theta, phi, delta in draws:
+        factors = [
+            np.exp(1j * d)
+            * np.array([np.cos(t / 2.0), np.exp(1j * f) * np.sin(t / 2.0)], dtype=np.complex128)
+            for t, f, d in zip(theta, phi, delta)
+        ]
+        expected = np.kron(np.kron(factors[0], factors[1]), factors[2])
+        got = product_state(ProductStateAngles(theta, phi, delta)).amplitudes
+        for part in ("real", "imag"):
+            a, b = getattr(got, part), getattr(expected, part)
+            assert (a == b).all()
+            assert (np.signbit(a) == np.signbit(b)).all()
+
+
+# The trace of a density sums its diagonal in another order than the
+# state's norm check sums |c|^2 or the weights: on 10^6 draws within 6
+# ulp of 1 +- NORMALIZATION_TOL the two differed by at most 3 ulp, and
+# only there can the trace check read differently from the norm check.
+EDGE_BAND = 4 * np.spacing(1.0)
+edge_targets = st.builds(
+    lambda sign, ulps: 1.0 + sign * NORMALIZATION_TOL + ulps * np.spacing(1.0),
+    st.sampled_from((-1.0, 1.0)),
+    st.integers(-8, 8),
+)
+
+
+def assert_density_checks_hold(rho, total, eig_floor):
+    """validate_densities accepts rho, unless `total` (the norm or the
+    weight sum) sits within EDGE_BAND of the tolerance and the trace
+    lands just beyond it; its smallest eigenvalue is at least eig_floor."""
+    if abs(rho.trace().real - 1.0) > NORMALIZATION_TOL:
+        assert abs(abs(total - 1.0) - NORMALIZATION_TOL) <= EDGE_BAND
+        event("trace beyond the tolerance at its edge")
+        with pytest.raises(InvalidDensityError, match="^trace is "):
+            validate_densities(rho)
+    else:
+        validate_densities(rho)
+    assert np.linalg.eigvalsh(rho)[0] >= eig_floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    amps=st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        min_size=8,
+        max_size=8,
+    ),
+    target=edge_targets,
+)
+def test_norm_check_implies_pure_density_checks(amps, target):
+    z = np.array(amps, dtype=np.complex128)
+    size = float(np.sum(np.abs(z) ** 2))
+    assume(size > 1e-6)
+    try:
+        state = PureState(z * np.sqrt(target / size))
+    except NormalizationError:
+        assume(False)
+    norm = float(np.sum(np.abs(state.amplitudes) ** 2))
+    assert_density_checks_hold(density_from_pure(state).matrix, norm, EIGENVALUE_FLOOR / 1e4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    tiny=st.lists(st.sampled_from((None, -1e-12, 1e-12)), min_size=8, max_size=8),
+    target=edge_targets,
+)
+def test_weight_checks_imply_mixed_density_checks(base, tiny, target):
+    w = np.array(base)
+    assume(w.sum() > 0.1)
+    w /= w.sum()
+    for i, t in enumerate(tiny):
+        if t is not None:
+            w[i] = t
+    w[np.argmax(w)] += target - np.sum(w)
+    try:
+        state = DiagonalMixedState(w)
+    except (NormalizationError, RangeError):
+        assume(False)
+    total = float(np.sum(state.weights))
+    assert_density_checks_hold(density_from_mixed(state).matrix, total, EIGENVALUE_FLOOR / 50)

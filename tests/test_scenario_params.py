@@ -38,10 +38,10 @@ PARAM_ERRORS = {
         ('[7, 9, 3, 0, 1]', 'ParamError', 'params.pd_params: expected a list of 6 payoff levels'),
         ('[7, 9, 3, 0, 1, "x"]', 'ParamError', 'params.pd_params[5]: expected a number'),
         ('[7, 9, 3, 0, 1, true]', 'ParamError', 'params.pd_params[5]: expected a number'),
-        ('[7, 9, 3, 0, 1, NaN]', 'ShapeError', 'dilemma parameters must be finite'),
-        ('[7, 9, 3, 0, 1, -Infinity]', 'ShapeError', 'dilemma parameters must be finite'),
-        ('[1, 1, 1, 1, 1, 1]', 'DilemmaViolation', 'dilemma condition failed: lone_defector > all_cooperate'),
-        ('[7, 9, 3, 0, 1, -5]', 'DilemmaViolation', 'dilemma condition failed: duo_defector > duo_cooperator'),
+        ('[7, 9, 3, 0, 1, NaN]', 'ParamError', 'params.pd_params: dilemma parameters must be finite'),
+        ('[7, 9, 3, 0, 1, -Infinity]', 'ParamError', 'params.pd_params: dilemma parameters must be finite'),
+        ('[1, 1, 1, 1, 1, 1]', 'ParamError', 'params.pd_params: dilemma condition failed: lone_defector > all_cooperate'),
+        ('[7, 9, 3, 0, 1, -5]', 'ParamError', 'params.pd_params: dilemma condition failed: duo_defector > duo_cooperator'),
     ],
     "resolution": [
         ('"x"', 'ParamError', 'params.resolution: expected an integer'),
