@@ -15,7 +15,7 @@ Payoffs come in three equivalent forms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,9 @@ class PayoffTable:
     """Payoff entries, shape (8, 3): outcome row, player column."""
 
     entries: np.ndarray
+    # The payoff polynomial's coefficients, computed once (see
+    # _payoff_polynomial); read-only like the entries.
+    _polynomial: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.float64)
@@ -56,6 +59,9 @@ class PayoffTable:
             raise RangeError(f"a payoff table entry exceeds {MAX_PAYOFF:g} in magnitude")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+        polynomial = _apply(MOBIUS.T, entries.T).T
+        polynomial.flags.writeable = False
+        object.__setattr__(self, "_polynomial", polynomial)
 
 
 @dataclass(frozen=True)
@@ -205,9 +211,9 @@ def _payoff_polynomial(table: PayoffTable) -> np.ndarray:
     Row m multiplies the m-th monomial of (1, lam, mu, nu, lam mu,
     mu nu, lam nu, lam mu nu); columns are players. Outcome weights are
     MOBIUS @ (1, lam, ..., xi), so the payoffs weights @ t have the
-    coefficients MOBIUS.T @ t.
+    coefficients MOBIUS.T @ t, which the table computes on construction.
     """
-    return _apply(MOBIUS.T, table.entries.T).T
+    return table._polynomial
 
 
 def _polynomial_values(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:

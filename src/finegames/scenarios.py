@@ -28,7 +28,7 @@ from .equilibrium import (
     product_state_interior_solve,
     verify_ne_factorizable,
 )
-from .errors import ParamError, UnknownScenarioError
+from .errors import NormalizationError, ParamError, UnknownScenarioError
 from .fine import (
     BellReport,
     NoJointError,
@@ -195,6 +195,15 @@ def _ghz_b(value, path: str, parsed: dict) -> complex:
     return parse_complex(value, path)
 
 
+def _unit_state(build: Callable, path: str, *amplitudes) -> PureState:
+    """build(*amplitudes); amplitudes that do not normalize are a
+    ParamError at path (`params` when several params share the norm)."""
+    try:
+        return build(*amplitudes)
+    except NormalizationError as exc:
+        raise ParamError(f"{path}: {exc}") from None
+
+
 def _param(parse: Callable, *args) -> Callable:
     """A spec parser that reads its own value only."""
     return lambda value, path, parsed: parse(value, path, *args)
@@ -289,7 +298,7 @@ def _joint_or_terms(m: MarginalSet, out: dict, joint_key: str, terms_key: str):
 
 def _pd_ghz(a: complex, b: complex, pd_params: PdParams) -> ScenarioReport:
     table = pd3(pd_params)
-    state = ghz(a, b)
+    state = _unit_state(ghz, "params", a, b)
     rho = density_from_pure(state)
     m_parity = extract_marginals(rho, MarginalConvention.PARITY)
     m_conj = convert_marginals(m_parity, MarginalConvention.CONJUNCTION)
@@ -488,7 +497,8 @@ def _affine_family(
 def _pd_w(c2: complex, c3: complex, c5: complex, pd_params: PdParams) -> ScenarioReport:
     # p_ab = (lam + mu - nu) / 2 and cyclically, xi = 0.
     family = [[0, 0.5, 0.5, -0.5], [0, -0.5, 0.5, 0.5], [0, 0.5, -0.5, 0.5], [0, 0, 0, 0]]
-    return _affine_family(w_state(c2, c3, c5), pd_params, family, _w_analysis)
+    state = _unit_state(w_state, "params", c2, c3, c5)
+    return _affine_family(state, pd_params, family, _w_analysis)
 
 
 def _w_analysis(m, payoffs, matrix, const, own, singles_sum) -> tuple[list, list]:
@@ -518,7 +528,8 @@ def _pd_continuum(
 ) -> ScenarioReport:
     # p_ab = nu, p_bc = lam, p_ac = mu, xi = lam + mu + nu.
     family = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]]
-    return _affine_family(pd_state(c4, c6, c7), pd_params, family, _continuum_analysis)
+    state = _unit_state(pd_state, "params", c4, c6, c7)
+    return _affine_family(state, pd_params, family, _continuum_analysis)
 
 
 def _continuum_analysis(m, payoffs, matrix, const, own, singles_sum) -> tuple[list, list]:
@@ -592,7 +603,7 @@ def _coop_quantum(
     # A state whose two excitation trios have equal magnitudes: given,
     # or drawn from the weights with seeded phases.
     if amplitudes is not None:
-        state = PureState(np.array(amplitudes))
+        state = _unit_state(PureState, "params.amplitudes", np.array(amplitudes))
         q = state.probabilities()
         if max(abs(q[3] - q[5]), abs(q[3] - q[6])) > 1e-9:
             raise ParamError(
@@ -610,7 +621,7 @@ def _coop_quantum(
         rng = np.random.default_rng(seed)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8))
         mags = np.sqrt(np.array([q1, v, v, u, v, u, u, q8]))
-        state = PureState(mags * phases)
+        state = _unit_state(PureState, "params", mags * phases)
     rho = density_from_pure(state)
     m = extract_marginals(rho, MarginalConvention.PARITY)
     table = coop_game()

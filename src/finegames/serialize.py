@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 import numpy as np
 
@@ -37,7 +39,7 @@ GAME_KINDS = ("pd3", "coop", "custom")
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal rendering used everywhere on the wire."""
-    if not np.isfinite(x):
+    if not isfinite(x):
         raise ValueError(f"cannot render non-finite value {x!r}")
     return format(float(x), ".17g")
 
@@ -47,8 +49,53 @@ def render_json(value) -> str:
     return _render(value, 0) + "\n"
 
 
+def _pads(level: int) -> tuple[str, str, str, str, str]:
+    """The opening of a list and of a dict at a nesting level, each with
+    the newline and indent of its first item; the separator between
+    items; the closing of each."""
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    return ("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}")
+
+
+# Built once for the depths reports reach; a deeper container builds its own.
+_PAD_DEPTH = 32
+_PADS = tuple(_pads(level) for level in range(_PAD_DEPTH))
+
+
 def _render(value, level: int) -> str:
-    pad = "  " * level
+    # Exact types first, bool ahead of int, with format_float inlined;
+    # numpy scalars, arrays, tuples and subclasses (np.float64 is a
+    # float) take the isinstance chain after them.
+    t = type(value)
+    if t is float:
+        if isfinite(value):
+            return format(value, ".17g")
+        raise ValueError(f"cannot render non-finite value {value!r}")
+    if t is str:
+        return _quote(value)
+    if t is dict:
+        if not value:
+            return "{}"
+        _, opening, sep, _, closing = _PADS[level] if level < _PAD_DEPTH else _pads(level)
+        level += 1
+        # The items list is a temporary, freed once joined, so it is not
+        # alive while the joined text is copied into the result.
+        return (
+            opening
+            + sep.join([_quote(str(k)) + ": " + _render(v, level) for k, v in value.items()])
+            + closing
+        )
+    if t is list:
+        if not value:
+            return "[]"
+        opening, _, sep, closing, _ = _PADS[level] if level < _PAD_DEPTH else _pads(level)
+        level += 1
+        return opening + sep.join([_render(v, level) for v in value]) + closing
+    if t is bool:
+        return "true" if value else "false"
+    if t is int:
+        return str(value)
     if value is None:
         return "null"
     if isinstance(value, (bool, np.bool_)):
@@ -58,22 +105,11 @@ def _render(value, level: int) -> str:
     if isinstance(value, (float, np.floating)):
         return format_float(float(value))
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     if isinstance(value, (list, tuple, np.ndarray)):
-        items = [_render(v, level + 1) for v in value]
-        if not items:
-            return "[]"
-        body = ",\n".join("  " * (level + 1) + item for item in items)
-        return "[\n" + body + "\n" + pad + "]"
+        return _render(list(value), level)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
-        for key, val in value.items():
-            parts.append(
-                "  " * (level + 1) + json.dumps(str(key)) + ": " + _render(val, level + 1)
-            )
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        return _render(dict(value.items()), level)
     raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
@@ -344,52 +380,66 @@ def render_markdown(title: str, payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Exact types that markdown renders as scalars; _SCALAR_CLASSES decides
+# for every other type, subclasses and numpy scalars included.
+_SCALAR_TYPES = frozenset((float, str, bool, int, type(None)))
+_SCALAR_CLASSES = (bool, np.bool_, int, np.integer, float, np.floating, str)
+
+
 def _md_scalar(value) -> str:
+    t = type(value)
+    if t is float:
+        if isfinite(value):
+            return format(value, ".17g")
+        raise ValueError(f"cannot render non-finite value {value!r}")
+    if t is str:
+        return value
+    if t is bool:
+        return "true" if value else "false"
+    if t is int:
+        return str(value)
+    if value is None:
+        return "none"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return format_float(float(value))
-    if value is None:
-        return "none"
     return str(value)
 
 
 def _is_scalar(value) -> bool:
-    return value is None or isinstance(
-        value, (bool, np.bool_, int, np.integer, float, np.floating, str)
-    )
+    return type(value) in _SCALAR_TYPES or isinstance(value, _SCALAR_CLASSES)
 
 
 def _md_inline(value) -> str:
-    if _is_scalar(value):
+    # No container is a scalar, and _md_scalar renders every other
+    # non-container as str() does.
+    if type(value) in _SCALAR_TYPES:
         return _md_scalar(value)
     if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_md_inline(v) for v in value) + "]"
+        return "[" + ", ".join([_md_inline(v) for v in value]) + "]"
     if isinstance(value, dict):
-        return "{" + ", ".join(f"{k}: {_md_inline(v)}" for k, v in value.items()) + "}"
-    return str(value)
+        return "{" + ", ".join([f"{k}: {_md_inline(v)}" for k, v in value.items()]) + "}"
+    return _md_scalar(value)
 
 
 def _md_block(lines: list[str], payload, level: int):
     if isinstance(payload, dict):
-        scalars = {k: v for k, v in payload.items() if _is_scalar(v)}
-        for key, value in scalars.items():
-            lines.append(f"- {key}: {_md_scalar(value)}")
-        if scalars:
-            lines.append("")
+        nested = []
         for key, value in payload.items():
             if _is_scalar(value):
-                continue
+                lines.append(f"- {key}: {_md_scalar(value)}")
+            else:
+                nested.append((key, value))
+        if len(nested) < len(payload):
+            lines.append("")
+        for key, value in nested:
             lines.append(f"{'#' * level} {key}")
             lines.append("")
             _md_block(lines, value, min(level + 1, 6))
     elif isinstance(payload, (list, tuple)):
         if payload and all(isinstance(v, dict) for v in payload):
-            keys: list[str] = []
-            for item in payload:
-                for k in item:
-                    if k not in keys:
-                        keys.append(k)
+            keys = list(dict.fromkeys(k for item in payload for k in item))
             lines.append("| " + " | ".join(keys) + " |")
             lines.append("|" + "---|" * len(keys))
             for item in payload:

@@ -6,8 +6,11 @@ basis probabilities |c_i|^2, joint existence by a direct scan over the
 triple value instead of the interval arithmetic, and factorizable
 payoffs, equilibrium certificates and the lattice screen from the
 outcome form (product weights against the payoff table) instead of the
-payoff polynomial.
+payoff polynomial. The reference renderer at the end is the JSON and
+markdown rendering as first written, one isinstance chain per node.
 """
+
+import json
 
 import numpy as np
 
@@ -177,3 +180,121 @@ def lattice_screen(entries: np.ndarray, resolution: int, tol: float) -> list[tup
         own -= np.maximum(own[0], own[-1])
         mask &= cube >= -tol
     return [tuple(float(v) for v in grid[idx]) for idx in np.argwhere(mask)]
+
+
+# Reference renderer: serialize.py's format_float, render_json,
+# render_markdown and their helpers as they were before the renderers
+# moved to exact-type dispatch, kept verbatim (render_json and
+# render_markdown renamed). The library must match it byte for byte
+# and raise the same errors.
+
+
+def format_float(x: float) -> str:
+    """17-significant-digit decimal rendering used everywhere on the wire."""
+    if not np.isfinite(x):
+        raise ValueError(f"cannot render non-finite value {x!r}")
+    return format(float(x), ".17g")
+
+
+def reference_render_json(value) -> str:
+    """Deterministic pretty JSON with a trailing newline."""
+    return _render(value, 0) + "\n"
+
+
+def _render(value, level: int) -> str:
+    pad = "  " * level
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(float(value))
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        items = [_render(v, level + 1) for v in value]
+        if not items:
+            return "[]"
+        body = ",\n".join("  " * (level + 1) + item for item in items)
+        return "[\n" + body + "\n" + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = []
+        for key, val in value.items():
+            parts.append(
+                "  " * (level + 1) + json.dumps(str(key)) + ": " + _render(val, level + 1)
+            )
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    raise TypeError(f"cannot render {type(value).__name__} as JSON")
+
+
+def reference_render_markdown(title: str, payload: dict) -> str:
+    """Generic markdown rendering of a report dictionary."""
+    lines = [f"# {title}", ""]
+    _md_block(lines, payload, 2)
+    while lines and lines[-1] == "":
+        lines.pop()
+    return "\n".join(lines) + "\n"
+
+
+def _md_scalar(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return format_float(float(value))
+    if value is None:
+        return "none"
+    return str(value)
+
+
+def _is_scalar(value) -> bool:
+    return value is None or isinstance(
+        value, (bool, np.bool_, int, np.integer, float, np.floating, str)
+    )
+
+
+def _md_inline(value) -> str:
+    if _is_scalar(value):
+        return _md_scalar(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_md_inline(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k}: {_md_inline(v)}" for k, v in value.items()) + "}"
+    return str(value)
+
+
+def _md_block(lines: list[str], payload, level: int):
+    if isinstance(payload, dict):
+        scalars = {k: v for k, v in payload.items() if _is_scalar(v)}
+        for key, value in scalars.items():
+            lines.append(f"- {key}: {_md_scalar(value)}")
+        if scalars:
+            lines.append("")
+        for key, value in payload.items():
+            if _is_scalar(value):
+                continue
+            lines.append(f"{'#' * level} {key}")
+            lines.append("")
+            _md_block(lines, value, min(level + 1, 6))
+    elif isinstance(payload, (list, tuple)):
+        if payload and all(isinstance(v, dict) for v in payload):
+            keys: list[str] = []
+            for item in payload:
+                for k in item:
+                    if k not in keys:
+                        keys.append(k)
+            lines.append("| " + " | ".join(keys) + " |")
+            lines.append("|" + "---|" * len(keys))
+            for item in payload:
+                cells = [_md_inline(item.get(k)) for k in keys]
+                lines.append("| " + " | ".join(cells) + " |")
+            lines.append("")
+        else:
+            lines.append(_md_inline(list(payload)))
+            lines.append("")
+    else:
+        lines.append(_md_scalar(payload))
+        lines.append("")

@@ -336,6 +336,22 @@ def test_non_finite_state_weight_names_its_param(capsys, params, name):
     assert err == f"error: {name}: expected a finite non-negative number\n"
 
 
+@pytest.mark.parametrize(
+    "scenario_id, params, message",
+    [
+        ("pd-ghz", '{"a": 0.5, "b": 0.5}', "params: amplitude norm squared is 0.5"),
+        ("pd-w", '{"c2": [1, 0.5]}', "params: amplitude norm squared is 1.916"),
+        ("pd-continuum", '{"c7": 0}', "params: amplitude norm squared is 0.666"),
+        ("coop-quantum", '{"amplitudes": [0, 0, 0, 0, 0, 0, 0, 0]}',
+         "params.amplitudes: amplitude norm squared is 0.0,"),
+    ],
+)
+def test_amplitude_norm_errors_name_their_param(capsys, scenario_id, params, message):
+    code, out, err = run(capsys, "scenario", "--id", scenario_id, "--params", params)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 HUGE_GAME = {"kind": "custom", "rows": [[1.7e308, -1.7e308, 1.7e308]] * 8}
 
 

@@ -28,9 +28,11 @@ from finegames import (
     pd3,
     strategy_marginals,
 )
+import finegames.games as games
 from finegames.games import MAX_PAYOFF
+from finegames.measurement import MOBIUS, _apply
 from oracles import pd_payoffs_from_pure_state, strategy_weights
-from conftest import random_joint, random_pure_state
+from conftest import random_conjunction_set, random_joint, random_pure_state
 
 probability = st.floats(0.0, 1.0)
 
@@ -163,3 +165,27 @@ def test_strategy_triple_clamps_and_rejects():
     assert s.lam == 1.0
     with pytest.raises(RangeError):
         StrategyTriple(1.1, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "entries", [pd3().entries, coop_game().entries, np.arange(24.0).reshape(8, 3) / 7]
+)
+def test_payoff_polynomial_is_stored_once_read_only(entries, rng, monkeypatch):
+    table = PayoffTable(entries)
+    fresh = _apply(MOBIUS.T, table.entries.T).T
+    assert (table._polynomial == fresh).all()
+    assert not table._polynomial.flags.writeable
+    with pytest.raises(ValueError):
+        table._polynomial[0, 0] = 1.0
+    sets = [random_conjunction_set(rng) for _ in range(64)]
+    expected = [
+        np.array([m.xi, m.p_ab, m.p_bc, m.p_ac, m.lam, m.mu, m.nu, 1.0])
+        @ fresh[[7, 4, 5, 6, 1, 2, 3, 0]]
+        for m in sets
+    ]
+    calls = []
+    monkeypatch.setattr(games, "_apply", lambda *args: calls.append(args))
+    values = [payoff_marginal_form(table, m) for m in sets]
+    assert calls == []
+    for got, want in zip(values, expected):
+        assert got.tobytes() == want.tobytes()

@@ -95,7 +95,7 @@ PARAM_ERRORS = {
         ('[1e200, 0]', 'ParamError', 'params.b: expected components of modulus at most 1'),
         ('[0, -1e200]', 'ParamError', 'params.b: expected components of modulus at most 1'),
         ('1.5', 'ParamError', 'params.b: expected components of modulus at most 1'),
-        ('[1.0, 0.5]', 'NormalizationError', 'amplitude norm squared is 1.7500000000000004, not 1 within 1e-09'),
+        ('[1.0, 0.5]', 'ParamError', 'params: amplitude norm squared is 1.7500000000000004, not 1 within 1e-09'),
         ('[0.5, 0.5, 0.5]', 'ParamError', 'params.b: expected a number or an [re, im] pair'),
     ],
     "grid": [
@@ -123,7 +123,7 @@ PARAM_ERRORS = {
         ('[1e200, 0]', 'ParamError', 'params.c2: expected components of modulus at most 1'),
         ('[0, -1e200]', 'ParamError', 'params.c2: expected components of modulus at most 1'),
         ('1.5', 'ParamError', 'params.c2: expected components of modulus at most 1'),
-        ('[1.0, 0.5]', 'NormalizationError', 'amplitude norm squared is 1.9166666666666667, not 1 within 1e-09'),
+        ('[1.0, 0.5]', 'ParamError', 'params: amplitude norm squared is 1.9166666666666667, not 1 within 1e-09'),
         ('[0.5, 0.5, 0.5]', 'ParamError', 'params.c2: expected a number or an [re, im] pair'),
     ],
     "c3": [
@@ -139,7 +139,7 @@ PARAM_ERRORS = {
         ('[1e200, 0]', 'ParamError', 'params.c3: expected components of modulus at most 1'),
         ('[0, -1e200]', 'ParamError', 'params.c3: expected components of modulus at most 1'),
         ('1.5', 'ParamError', 'params.c3: expected components of modulus at most 1'),
-        ('[1.0, 0.5]', 'NormalizationError', 'amplitude norm squared is 1.9166666666666667, not 1 within 1e-09'),
+        ('[1.0, 0.5]', 'ParamError', 'params: amplitude norm squared is 1.9166666666666667, not 1 within 1e-09'),
         ('[0.5, 0.5, 0.5]', 'ParamError', 'params.c3: expected a number or an [re, im] pair'),
     ],
     "c5": [
@@ -155,7 +155,7 @@ PARAM_ERRORS = {
         ('[1e200, 0]', 'ParamError', 'params.c5: expected components of modulus at most 1'),
         ('[0, -1e200]', 'ParamError', 'params.c5: expected components of modulus at most 1'),
         ('1.5', 'ParamError', 'params.c5: expected components of modulus at most 1'),
-        ('[1.0, 0.5]', 'NormalizationError', 'amplitude norm squared is 1.916666666666667, not 1 within 1e-09'),
+        ('[1.0, 0.5]', 'ParamError', 'params: amplitude norm squared is 1.916666666666667, not 1 within 1e-09'),
         ('[0.5, 0.5, 0.5]', 'ParamError', 'params.c5: expected a number or an [re, im] pair'),
     ],
     "c4": [
@@ -171,7 +171,7 @@ PARAM_ERRORS = {
         ('[1e200, 0]', 'ParamError', 'params.c4: expected components of modulus at most 1'),
         ('[0, -1e200]', 'ParamError', 'params.c4: expected components of modulus at most 1'),
         ('1.5', 'ParamError', 'params.c4: expected components of modulus at most 1'),
-        ('[1.0, 0.5]', 'NormalizationError', 'amplitude norm squared is 1.916666666666667, not 1 within 1e-09'),
+        ('[1.0, 0.5]', 'ParamError', 'params: amplitude norm squared is 1.916666666666667, not 1 within 1e-09'),
         ('[0.5, 0.5, 0.5]', 'ParamError', 'params.c4: expected a number or an [re, im] pair'),
     ],
     "c6": [
@@ -187,7 +187,7 @@ PARAM_ERRORS = {
         ('[1e200, 0]', 'ParamError', 'params.c6: expected components of modulus at most 1'),
         ('[0, -1e200]', 'ParamError', 'params.c6: expected components of modulus at most 1'),
         ('1.5', 'ParamError', 'params.c6: expected components of modulus at most 1'),
-        ('[1.0, 0.5]', 'NormalizationError', 'amplitude norm squared is 1.9166666666666667, not 1 within 1e-09'),
+        ('[1.0, 0.5]', 'ParamError', 'params: amplitude norm squared is 1.9166666666666667, not 1 within 1e-09'),
         ('[0.5, 0.5, 0.5]', 'ParamError', 'params.c6: expected a number or an [re, im] pair'),
     ],
     "c7": [
@@ -203,7 +203,7 @@ PARAM_ERRORS = {
         ('[1e200, 0]', 'ParamError', 'params.c7: expected components of modulus at most 1'),
         ('[0, -1e200]', 'ParamError', 'params.c7: expected components of modulus at most 1'),
         ('1.5', 'ParamError', 'params.c7: expected components of modulus at most 1'),
-        ('[1.0, 0.5]', 'NormalizationError', 'amplitude norm squared is 1.9166666666666667, not 1 within 1e-09'),
+        ('[1.0, 0.5]', 'ParamError', 'params: amplitude norm squared is 1.9166666666666667, not 1 within 1e-09'),
         ('[0.5, 0.5, 0.5]', 'ParamError', 'params.c7: expected a number or an [re, im] pair'),
     ],
     "amplitudes": [
@@ -216,7 +216,7 @@ PARAM_ERRORS = {
         ('[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], "x"]', 'ParamError', 'params.amplitudes[7]: expected a number or an [re, im] pair'),
         ('[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [NaN, 0]]', 'ParamError', 'params.amplitudes[7]: expected components of modulus at most 1'),
         ('[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [2, 0]]', 'ParamError', 'params.amplitudes[7]: expected components of modulus at most 1'),
-        ('[[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]', 'NormalizationError', 'amplitude norm squared is 0.0, not 1 within 1e-09'),
+        ('[[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]', 'ParamError', 'params.amplitudes: amplitude norm squared is 0.0, not 1 within 1e-09'),
         ('[[0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]', 'ParamError', 'params.amplitudes: |c2|^2, |c3|^2, |c5|^2 must be equal'),
         ('[[0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [0, 0]]', 'ParamError', 'params.amplitudes: |c4|^2, |c6|^2, |c7|^2 must be equal'),
     ],
@@ -287,10 +287,10 @@ COMBINED_ERRORS = [
      "params: q1 + 3*u + 3*v exceeds 1"),
     ("coop-quantum", '{"u": 0.1, "v": 0.3}', "ParamError",
      "params: q1 + 3*u + 3*v exceeds 1"),
-    ("pd-ghz", '{"a": [1.0, 0.5], "b": [0, 0]}', "NormalizationError",
-     "amplitude norm squared is 1.2500000000000002, not 1 within 1e-09"),
-    ("pd-ghz", '{"a": 0.5, "b": 0.5}', "NormalizationError",
-     "amplitude norm squared is 0.5, not 1 within 1e-09"),
+    ("pd-ghz", '{"a": [1.0, 0.5], "b": [0, 0]}', "ParamError",
+     "params: amplitude norm squared is 1.2500000000000002, not 1 within 1e-09"),
+    ("pd-ghz", '{"a": 0.5, "b": 0.5}', "ParamError",
+     "params: amplitude norm squared is 0.5, not 1 within 1e-09"),
 ]
 
 
