@@ -20,6 +20,7 @@ from .games import (
     StrategyTriple,
     _payoff_polynomial,
     _polynomial_values,
+    _slope_plane,
     coop_game,
     marginal_form_coefficients,
 )
@@ -29,8 +30,9 @@ DEFAULT_NE_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 ROOT_ZERO_TOL = 1e-13
 # Largest lattice resolution. It bounds the screen's one boolean cube of
-# resolution^3 bytes: a search at 290 peaks at 69 MB ru_maxrss (30 MB of
-# it the import).
+# resolution^3 bytes: a search at 290 peaks at 56 MB ru_maxrss (30 MB of
+# it the import) and takes about 35 ms on a generic table, 0.4 s where a
+# slope vanishes along a line (2-vCPU VM, numpy 2.4).
 MAX_RESOLUTION = 290
 # Most screen hits a search certifies. Each hit becomes a certificate: an
 # own-choice-blind table makes 226,981 at resolution 61 (5 s, +200 MB).
@@ -128,7 +130,10 @@ def grid_ne_search(
             f"lattice screen passes {count} points, more than the "
             f"{_MAX_LATTICE_HITS} a search certifies; lower the resolution"
         )
-    hits = grid[np.argwhere(screen)]
+    # The hits in argwhere's C order, read at a fraction of its cost on
+    # a sparse cube.
+    index = np.unravel_index(np.flatnonzero(screen), screen.shape)
+    hits = grid[np.stack(index, axis=-1)]
     slack, is_ne, notes = _endpoint_audit(coeffs, hits, tol)
     # Lattice points lie in [0, 1]; slacks are finite, as every payoff
     # coefficient is bounded by MAX_PAYOFF. Nothing is left to check.
@@ -144,22 +149,49 @@ def grid_ne_search(
     ]
 
 
+def _slice_passes(x: float, g: np.ndarray, tol: float) -> np.ndarray:
+    """Where a player at own value x with slopes g gains at most tol
+    from either endpoint: the gains _endpoint_audit takes."""
+    return (-x * g <= tol) & ((1.0 - x) * g <= tol)
+
+
 def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
     """Boolean cube of lattice points where no player gains more than tol.
 
-    Player p's slope does not depend on x_p, so one plane of slopes over
-    the opponents' values serves every slice of p's axis. Each slice
+    Player p's slope g does not depend on x_p, so one plane of slopes
+    over the opponents' values serves every slice of p's axis. The two
+    endpoint slices are tested on the whole plane. An interior value x
+    lies at least 1/(n - 1) from both endpoints, so a point with slope
+    g gains at least |g| / (n - 1) by moving to one of them, and it can
+    pass only inside the band |g| <= 2 (n - 1) max(tol, tiny). The
+    factor 2 covers the rounding of the grid values and the products.
+    The floor at the smallest normal float keeps subnormal slopes,
+    whose products can round to 0 and so pass at tol = 0. Interior
+    slices are cleared outside the band's bounding box and tested
+    inside it; on most tables the box is empty. Every tested point
     takes the gains as _endpoint_audit does, so the screen and the
-    certificates agree on every point.
+    certificates agree.
     """
     n = grid.size
-    pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+    bound = 2.0 * (n - 1) * max(tol, np.finfo(float).tiny)
     mask = np.ones((n, n, n), dtype=bool)
     for p in range(3):
-        g = _polynomial_values(coeffs, np.insert(pairs, p, 0.0, axis=-1))[1][..., p]
+        g = _slope_plane(coeffs, p, grid[:, None], grid[None, :])
         slices = np.moveaxis(mask, p, 0)
-        for i, x in enumerate(grid):
-            slices[i] &= (-x * g <= tol) & ((1.0 - x) * g <= tol)
+        for i in (0, -1):
+            slices[i] &= _slice_passes(grid[i], g, tol)
+        band = np.abs(g) <= bound
+        rows = np.flatnonzero(band.any(axis=1))
+        if not rows.size:
+            slices[1:-1] = False
+            continue
+        cols = np.flatnonzero(band.any(axis=0))
+        r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+        slices[1:-1, :r0] = slices[1:-1, r1:] = False
+        slices[1:-1, r0:r1, :c0] = slices[1:-1, r0:r1, c1:] = False
+        box = g[r0:r1, c0:c1]
+        for i in range(1, n - 1):
+            slices[i, r0:r1, c0:c1] &= _slice_passes(grid[i], box, tol)
     return mask
 
 

@@ -233,6 +233,17 @@ def _polynomial_values(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
     return rest + x * slope, slope
 
 
+def _slope_plane(coeffs: np.ndarray, p: int, xq: np.ndarray, xr: np.ndarray) -> np.ndarray:
+    """Player p's own-probability slopes over broadcast opponent values.
+
+    xq and xr are the values of p's opponents q < r. Each entry is
+    _polynomial_values' slope of p, summed in the same order, so it
+    carries the same bits.
+    """
+    pq, pr, own = (coeffs[rows[p], p] for rows in _SLOPE_ROWS)
+    return coeffs[7, p] * xq * xr + pq * xq + pr * xr + own
+
+
 def marginal_form_coefficients(table: PayoffTable) -> np.ndarray:
     """Affine coefficients of the payoffs in the seven marginals.
 

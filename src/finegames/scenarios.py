@@ -28,7 +28,7 @@ from .equilibrium import (
     product_state_interior_solve,
     verify_ne_factorizable,
 )
-from .errors import NormalizationError, ParamError, UnknownScenarioError
+from .errors import ParamError, UnknownScenarioError
 from .fine import (
     BellReport,
     NoJointError,
@@ -71,6 +71,7 @@ from .qstates import (
 )
 from .serialize import (
     _dilemma_params,
+    _unit_state,
     bell_to_dict,
     certificate_to_dict,
     complex_pair,
@@ -193,15 +194,6 @@ def _ghz_b(value, path: str, parsed: dict) -> complex:
     if value is None:
         return complementary_amplitude(parsed["a"], "params.a")
     return parse_complex(value, path)
-
-
-def _unit_state(build: Callable, path: str, *amplitudes) -> PureState:
-    """build(*amplitudes); amplitudes that do not normalize are a
-    ParamError at path (`params` when several params share the norm)."""
-    try:
-        return build(*amplitudes)
-    except NormalizationError as exc:
-        raise ParamError(f"{path}: {exc}") from None
 
 
 def _param(parse: Callable, *args) -> Callable:

@@ -11,10 +11,11 @@ import json
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
+from typing import Callable
 
 import numpy as np
 
-from .errors import DilemmaViolation, ParamError, ShapeError
+from .errors import DilemmaViolation, NormalizationError, ParamError, ShapeError
 from .fine import BellReport, JointDistribution, XiInterval
 from .games import PayoffTable, PdParams, StrategyTriple, coop_game, pd3
 from .measurement import MarginalConvention, MarginalSet, WeightInversion
@@ -172,6 +173,16 @@ def complementary_amplitude(a: complex, path: str) -> complex:
     return complex(max(rest, 0.0) ** 0.5, 0.0)
 
 
+def _unit_state(build: Callable, path: str, *values):
+    """build(*values); amplitudes or weights that do not normalize are
+    a ParamError at path (the parent path, such as `params` or `state`,
+    when several values share the norm)."""
+    try:
+        return build(*values)
+    except NormalizationError as exc:
+        raise ParamError(f"{path}: {exc}") from None
+
+
 def complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -194,11 +205,11 @@ def load_state(descriptor, path: str = "state"):
         amps = [
             parse_complex(v, f"{path}.amplitudes[{i}]") for i, v in enumerate(raw)
         ]
-        return PureState(np.array(amps))
+        return _unit_state(PureState, f"{path}.amplitudes", np.array(amps))
     if kind == "mixed":
         _reject_unknown(d, path, ("kind", "weights"))
         weights = _number_list(d.get("weights"), 8, f"{path}.weights")
-        return DiagonalMixedState(np.array(weights))
+        return _unit_state(DiagonalMixedState, f"{path}.weights", np.array(weights))
     if kind == "product":
         _reject_unknown(d, path, ("kind", "theta", "phi", "delta"))
         theta = _number_list(d.get("theta"), 3, f"{path}.theta")
@@ -214,16 +225,20 @@ def load_state(descriptor, path: str = "state"):
             b = parse_complex(d["b"], f"{path}.b")
         else:
             b = complementary_amplitude(a, f"{path}.a")
-        return ghz(a, b)
+        return _unit_state(ghz, path, a, b)
     if kind == "w":
         _reject_unknown(d, path, ("kind", "c2", "c3", "c5"))
-        return w_state(
+        return _unit_state(
+            w_state,
+            path,
             parse_complex(d.get("c2"), f"{path}.c2"),
             parse_complex(d.get("c3"), f"{path}.c3"),
             parse_complex(d.get("c5"), f"{path}.c5"),
         )
     _reject_unknown(d, path, ("kind", "c4", "c6", "c7"))
-    return pd_state(
+    return _unit_state(
+        pd_state,
+        path,
         parse_complex(d.get("c4"), f"{path}.c4"),
         parse_complex(d.get("c6"), f"{path}.c6"),
         parse_complex(d.get("c7"), f"{path}.c7"),

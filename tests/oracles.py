@@ -6,8 +6,10 @@ basis probabilities |c_i|^2, joint existence by a direct scan over the
 triple value instead of the interval arithmetic, and factorizable
 payoffs, equilibrium certificates and the lattice screen from the
 outcome form (product weights against the payoff table) instead of the
-payoff polynomial. The reference renderer at the end is the JSON and
-markdown rendering as first written, one isinstance chain per node.
+payoff polynomial. The reference screen is the lattice screen as first
+written, every slice tested on the whole plane, and the reference
+renderer at the end is the JSON and markdown rendering as first
+written, one isinstance chain per node.
 """
 
 import json
@@ -15,6 +17,7 @@ import json
 import numpy as np
 
 from finegames import PLAYERS, MarginalConvention, MarginalSet, PureState, StrategyTriple
+from finegames.games import _polynomial_values
 
 ORACLE_TOL = 1e-9
 
@@ -180,6 +183,31 @@ def lattice_screen(entries: np.ndarray, resolution: int, tol: float) -> list[tup
         own -= np.maximum(own[0], own[-1])
         mask &= cube >= -tol
     return [tuple(float(v) for v in grid[idx]) for idx in np.argwhere(mask)]
+
+
+# Reference screen: equilibrium.py's _lattice_screen as it was before
+# the slope band, kept verbatim (renamed). Every interior slice is
+# tested on the whole plane of a full _polynomial_values evaluation;
+# the library's cube must equal it bit for bit.
+
+
+def reference_lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
+    """Boolean cube of lattice points where no player gains more than tol.
+
+    Player p's slope does not depend on x_p, so one plane of slopes over
+    the opponents' values serves every slice of p's axis. Each slice
+    takes the gains as _endpoint_audit does, so the screen and the
+    certificates agree on every point.
+    """
+    n = grid.size
+    pairs = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1)
+    mask = np.ones((n, n, n), dtype=bool)
+    for p in range(3):
+        g = _polynomial_values(coeffs, np.insert(pairs, p, 0.0, axis=-1))[1][..., p]
+        slices = np.moveaxis(mask, p, 0)
+        for i, x in enumerate(grid):
+            slices[i] &= (-x * g <= tol) & ((1.0 - x) * g <= tol)
+    return mask
 
 
 # Reference renderer: serialize.py's format_float, render_json,

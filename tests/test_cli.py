@@ -3,10 +3,15 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finegames
 import finegames.cli as cli
 from finegames import SCENARIOS, load_schema, run_scenario
 from finegames.cli import main
@@ -350,6 +355,39 @@ def test_amplitude_norm_errors_name_their_param(capsys, scenario_id, params, mes
     code, out, err = run(capsys, "scenario", "--id", scenario_id, "--params", params)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ({"kind": "ghz", "a": 0.5, "b": 0.5}, "state: amplitude norm squared is 0.5"),
+        ({"kind": "w", "c2": 1, "c3": 0.5, "c5": 0}, "state: amplitude norm squared is 1.25"),
+        ({"kind": "pd", "c4": 1, "c6": 1, "c7": 0}, "state: amplitude norm squared is 2.0"),
+        ({"kind": "pure", "amplitudes": [0] * 8},
+         "state.amplitudes: amplitude norm squared is 0.0"),
+        ({"kind": "mixed", "weights": [0.5] + [0] * 7},
+         "state.weights: mixture weights sum to 0.5"),
+    ],
+)
+def test_state_norm_errors_name_their_path(tmp_path, capsys, state, message):
+    path = write(tmp_path, "s.json", state)
+    code, out, err = run(capsys, "marginals", "--convention", "parity", "--state", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}, not 1 within 1e-09\n"
+
+
+def test_package_runs_as_a_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(finegames.__file__).parents[1])}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "scenario", "--id", "pd-ghz"],
+            capture_output=True, env=env, timeout=60,
+        )
+        for module in ("finegames", "finegames.cli")
+    ]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout != b""
+    assert runs[0].stderr == runs[1].stderr == b""
 
 
 HUGE_GAME = {"kind": "custom", "rows": [[1.7e308, -1.7e308, 1.7e308]] * 8}

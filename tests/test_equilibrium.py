@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,8 +32,10 @@ from finegames import (
     verify_ne_factorizable,
     zero_sum_2x2_value,
 )
-from finegames.games import MAX_PAYOFF
-from oracles import endpoint_certificates, lattice_screen
+import finegames.equilibrium as equilibrium
+from finegames.equilibrium import DEFAULT_NE_TOL, MAX_RESOLUTION, _lattice_screen
+from finegames.games import MAX_PAYOFF, _payoff_polynomial
+from oracles import endpoint_certificates, lattice_screen, reference_lattice_screen
 
 probability = st.floats(0.0, 1.0)
 level = st.floats(-10.0, 10.0, allow_subnormal=False)
@@ -163,6 +166,107 @@ def test_lattice_search_matches_outcome_form_oracle():
             assert np.max(np.abs(got - slacks), initial=0.0) <= 1e-14
             searches += 1
     assert searches >= 400
+
+
+SCREEN_TOLS = (0.0, 1e-300, 1e-9, 0.5, 3.0, -1e-9)
+SCREEN_RESOLUTIONS = (2, 3, 5, 11, 61, 101)
+
+
+def own_slope_table(slopes) -> PayoffTable:
+    """Player p earns slopes[p] by cooperating, whatever the others do,
+    so each slope plane is the constant slopes[p]."""
+    cooperates = 1 - np.array(list(itertools.product((0, 1), repeat=3)))
+    return PayoffTable(cooperates * np.asarray(slopes, dtype=float))
+
+
+def screen_tables(rng, tol, resolution):
+    """Seeded tables for the screen property: a perturbed dilemma, a
+    normal table, a small-integer table full of ties, an own-choice-
+    blind table, a tiny-payoff table (band over the whole plane at
+    most tolerances), and constant slopes at the band's edge: one float
+    past (n - 1) tol, where rounding still lets interior points pass at
+    resolutions 11 and 61, exactly at 2 (n - 1) tol, and subnormal."""
+    levels = np.array(DEFAULT_PD_PARAMS.as_tuple())
+    yield pd3(PdParams(*(levels + rng.uniform(-0.2, 0.2, 6))))
+    yield PayoffTable(rng.normal(size=(8, 3)))
+    yield PayoffTable(rng.integers(-2, 3, size=(8, 3)).astype(float))
+    yield own_choice_blind_table(rng)
+    yield PayoffTable(1e-12 * rng.normal(size=(8, 3)))
+    edge = (resolution - 1) * max(tol, np.finfo(float).tiny)
+    past = np.nextafter(edge, np.inf)
+    yield own_slope_table((past, -past, np.nextafter(past, np.inf)))
+    yield own_slope_table((2.0 * edge, -2.0 * edge, -edge))
+    yield own_slope_table((5e-324, -1e-310, np.finfo(float).tiny))
+
+
+def test_lattice_screen_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    cases = 0
+    for resolution in SCREEN_RESOLUTIONS:
+        grid = np.linspace(0.0, 1.0, resolution)
+        for tol in SCREEN_TOLS:
+            for table in screen_tables(rng, tol, resolution):
+                coeffs = _payoff_polynomial(table)
+                got = _lattice_screen(coeffs, grid, tol)
+                want = reference_lattice_screen(coeffs, grid, tol)
+                assert np.array_equal(got, want), (resolution, tol, table.entries)
+                cases += 1
+    assert cases == 8 * len(SCREEN_TOLS) * len(SCREEN_RESOLUTIONS)
+
+
+def test_lattice_screen_memory_peak_within_reference():
+    # Every slope of an own-choice-blind table is 0, so the band covers
+    # every interior slice: the screen's worst case.
+    coeffs = _payoff_polynomial(own_choice_blind_table(np.random.default_rng(5)))
+    grid = np.linspace(0.0, 1.0, MAX_RESOLUTION)
+    peaks = []
+    for screen in (_lattice_screen, reference_lattice_screen):
+        tracemalloc.start()
+        try:
+            cube = screen(coeffs, grid, DEFAULT_NE_TOL)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert cube.all()
+        del cube
+    assert peaks[0] <= peaks[1]
+
+
+def test_grid_search_reads_hits_from_the_flat_cube(monkeypatch):
+    ndims = []
+    nonzero = np.nonzero
+
+    def flat_nonzero(a):
+        ndims.append(np.ndim(a))
+        return nonzero(a)
+
+    def no_argwhere(a):
+        raise AssertionError("grid_ne_search called np.argwhere")
+
+    monkeypatch.setattr(np, "nonzero", flat_nonzero)
+    monkeypatch.setattr(np, "argwhere", no_argwhere)
+    found = grid_ne_search(coop_game(), 11)
+    monkeypatch.undo()
+    assert [c.triple.as_tuple() for c in found] == [
+        (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.0, 1.0, 1.0)
+    ]
+    assert ndims and set(ndims) == {1}
+
+
+def test_pd3_screen_tests_no_interior_slice(monkeypatch):
+    # No slope of the dilemma comes near 0, so the band is empty and
+    # only the two endpoint slices of each player are tested.
+    tested = []
+    passes = equilibrium._slice_passes
+
+    def counted(x, g, tol):
+        tested.append(float(x))
+        return passes(x, g, tol)
+
+    monkeypatch.setattr(equilibrium, "_slice_passes", counted)
+    found = grid_ne_search(pd3(), MAX_RESOLUTION)
+    assert [c.triple.as_tuple() for c in found] == [(0.0, 0.0, 0.0)]
+    assert sorted(tested) == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
 
 
 def test_verify_matches_outcome_form_oracle(rng):

@@ -278,19 +278,29 @@ def test_weight_scan_grid_bound():
 
 
 def test_lattice_resolution_bound(monkeypatch):
-    # A full search at the largest resolution takes about half a second
-    # and a 24 MB boolean cube; a stand-in screen records that the bound
-    # let it in.
+    # The real screen runs at the largest resolution: one 24 MB boolean
+    # cube, about 35 ms for pd3 and 0.4 s for the odd-man-out game,
+    # whose slopes vanish along lines. The wrapper records that the
+    # bound let each search in.
     seen = []
+    screen = equilibrium._lattice_screen
 
-    def screen(coeffs, grid, tol):
+    def recorded(coeffs, grid, tol):
         seen.append(len(grid))
-        return np.zeros((1, 1, 1), dtype=bool)
+        return screen(coeffs, grid, tol)
 
-    monkeypatch.setattr(equilibrium, "_lattice_screen", screen)
-    assert grid_ne_search(pd3(), MAX_RESOLUTION) == []
-    for scenario_id in ("pd-classical", "coop-classical"):
-        run_scenario(scenario_id, {"resolution": MAX_RESOLUTION})
+    monkeypatch.setattr(equilibrium, "_lattice_screen", recorded)
+    found = grid_ne_search(pd3(), MAX_RESOLUTION)
+    assert [c.triple.as_tuple() for c in found] == [(0.0, 0.0, 0.0)]
+    lattices = {
+        scenario_id: run_scenario(scenario_id, {"resolution": MAX_RESOLUTION})
+        .details["lattice_equilibria"]
+        for scenario_id in ("pd-classical", "coop-classical")
+    }
+    assert [c["triple"] for c in lattices["pd-classical"]] == [[0.0, 0.0, 0.0]]
+    assert [c["triple"] for c in lattices["coop-classical"]] == [
+        [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
+    ]
     assert seen == [MAX_RESOLUTION] * 3
     with pytest.raises(ShapeError, match="at most"):
         grid_ne_search(pd3(), MAX_RESOLUTION + 1)
