@@ -134,8 +134,21 @@ def _xi_bounds(m: MarginalSet) -> tuple[float, float]:
     return lower, upper
 
 
+_NOTES = {c: f"evaluated on {c.value}-convention values" for c in MarginalConvention}
+
+
 def _note(m: MarginalSet) -> str:
-    return f"evaluated on {m.convention.value}-convention values"
+    return _NOTES[m.convention]
+
+
+def _slack_terms(lam, mu, nu, p_ab, p_bc, p_ac) -> tuple:
+    """The four slacks, RHS minus LHS, of Python floats or of columns."""
+    return (
+        1.0 + p_ab + p_ac + p_bc - (lam + mu + nu),
+        lam + p_bc - (p_ab + p_ac),
+        mu + p_ac - (p_ab + p_bc),
+        nu + p_ab - (p_ac + p_bc),
+    )
 
 
 def bell_slack_values(values) -> np.ndarray:
@@ -151,22 +164,15 @@ def bell_slack_values(values) -> np.ndarray:
         raise ShapeError(f"marginal values must have shape (..., 7), got {v.shape}")
     # .T reverses every axis, so the field axis leads here and the
     # closing .T puts the slack axis last again.
-    lam, mu, nu, p_ab, p_bc, p_ac, _ = v.T
-    return np.array(
-        [
-            1.0 + p_ab + p_ac + p_bc - (lam + mu + nu),
-            lam + p_bc - (p_ab + p_ac),
-            mu + p_ac - (p_ab + p_bc),
-            nu + p_ab - (p_ac + p_bc),
-        ]
-    ).T
+    return np.array(_slack_terms(*v.T[:6])).T
 
 
 def bell_slacks(m: MarginalSet) -> BellReport:
     """Bell report of one marginal set of either convention; the note
     records which one the values came from."""
     # Sums of seven values in [0, 1]: four finite reals by construction.
-    slack = tuple(bell_slack_values(m.values()).tolist())
+    # Python floats round each operation as float64 columns do.
+    slack = _slack_terms(m.lam, m.mu, m.nu, m.p_ab, m.p_bc, m.p_ac)
     return _trusted(
         BellReport, slack=slack, convention_note=_note(m), satisfied=min(slack) >= -SLACK_TOL
     )
@@ -206,11 +212,14 @@ def reconstruct_joint(
         use_lower = rule is XiRule.LOWER and not empty
         xi = interval.lower if use_lower else interval.midpoint()
     terms = _condition_terms(m, xi)
-    violated = tuple(int(i) for i in np.nonzero(terms < -SLACK_TOL)[0])
-    if violated or empty:
+    # The terms are finite, as the seven values are, so their minimum
+    # tells whether any lies below the floor.
+    low = terms.min()
+    if low < -SLACK_TOL or empty:
+        violated = tuple((terms < -SLACK_TOL).nonzero()[0].tolist())
         raise NoJointError(violated, bell_slacks(m))
     clipped = np.maximum(terms, 0.0)
-    if terms.min() < 0.0:
+    if low < 0.0:
         # Zeroing terms within the floor adds their size to the total.
         clipped /= clipped.sum()
     # Finite, non-negative, and summing to 1 to rounding: the terms'

@@ -38,6 +38,8 @@ MARGINAL_COEFF_ORDER = ("xi", "p_ab", "p_bc", "p_ac", "lam", "mu", "nu", "const"
 _Q, _R, _PLAYER = [1, 0, 0], [2, 2, 1], [0, 1, 2]
 _SLOPE_ROWS = ([4, 4, 6], [6, 5, 5], [1, 2, 3])
 _REST_ROWS = ([5, 6, 4], [2, 1, 1], [3, 3, 2])
+# The polynomial's rows in MARGINAL_COEFF_ORDER.
+_MARGINAL_ROWS = np.array([7, 4, 5, 6, 1, 2, 3, 0])
 
 
 @dataclass(frozen=True)
@@ -252,7 +254,7 @@ def marginal_form_coefficients(table: PayoffTable) -> np.ndarray:
     They are the payoff polynomial's coefficients, each monomial read
     as the conjunction marginal it equals under independence.
     """
-    return _payoff_polynomial(table)[[7, 4, 5, 6, 1, 2, 3, 0]]
+    return _payoff_polynomial(table).take(_MARGINAL_ROWS, axis=0)
 
 
 def payoff_marginal_values(

@@ -78,7 +78,7 @@ def _apply(matrix: np.ndarray, x) -> np.ndarray:
     layout: pairwise when both operands are C-ordered, else left to
     right (as for MOBIUS.T applied to a payoff table's columns).
     """
-    return (np.asarray(x, dtype=np.float64)[..., None, :] * matrix).sum(-1)
+    return np.add.reduce(np.asarray(x, dtype=np.float64)[..., None, :] * matrix, axis=-1)
 
 
 class Correlations(NamedTuple):
@@ -229,12 +229,15 @@ def marginal_values(diagonals, convention: MarginalConvention) -> np.ndarray:
     if d.shape[-1:] != (8,):
         raise ShapeError(f"diagonals must have shape (..., 8), got {d.shape}")
     s = d[..., None, :] * _INCIDENCE[convention]
-    t = s[..., :4] + s[..., 4:]
-    values = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])
+    t = s[..., :4]
+    t += s[..., 4:]
+    values = t[..., 0] + t[..., 1]
+    values += t[..., 2] + t[..., 3]
     # One min/max test accepts a batch already in [0, 1], which clipping
     # would leave as it is (NaN fails the test); the per-element mask is
     # built only to name the first value beyond the tolerance.
-    lo, hi = values.min(initial=0.0), values.max(initial=0.0)
+    lo = np.minimum.reduce(values, axis=None, initial=0.0)
+    hi = np.maximum.reduce(values, axis=None, initial=0.0)
     if not (lo >= 0.0 and hi <= 1.0):
         if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):
             bad = ~((values >= -CLAMP_TOL) & (values <= 1.0 + CLAMP_TOL))
@@ -328,6 +331,6 @@ def weights_from_marginals(m: MarginalSet) -> WeightInversion:
         # `@` on input values here only: the helper's summation order would
         # move pd-product's reported parity inversion by an ulp.
         weights = (WALSH @ _signed(m)) / 8.0
-    negative = tuple(int(i) for i in np.nonzero(weights < -SLACK_TOL)[0])
+    negative = tuple((weights < -SLACK_TOL).nonzero()[0].tolist())
     weights.flags.writeable = False
     return WeightInversion(weights, negative)

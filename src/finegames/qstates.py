@@ -34,7 +34,7 @@ def _as_complex_vector(values, length: int, what: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128)
     if arr.shape != (length,):
         raise ShapeError(f"{what} must have shape ({length},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ShapeError(f"{what} contains non-finite entries")
     return arr
 
@@ -43,7 +43,7 @@ def _as_real_vector(values, length: int, what: str) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     if arr.shape != (length,):
         raise ShapeError(f"{what} must have shape ({length},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ShapeError(f"{what} contains non-finite entries")
     return arr
 
@@ -59,10 +59,16 @@ def _trusted(cls, **fields):
     Skips `__post_init__`: only for library code whose values already
     passed every check that constructor would make, in the form it
     would store them. Public constructors keep all their checks.
+
+    The classes built here are frozen dataclasses without `__slots__`
+    whose fields are plain instance attributes: no field name is a data
+    descriptor on the class. For such a name, `object.__setattr__` (the
+    frozen `__setattr__` bypassed, as the generated `__init__` does)
+    stores the value in the instance `__dict__` and does nothing else,
+    so one `update` of that dict leaves the object in the same state.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -88,7 +94,7 @@ class PureState:
 
     def __post_init__(self):
         amps = _as_complex_vector(self.amplitudes, 8, "amplitudes")
-        norm = float(np.sum(np.abs(amps) ** 2))
+        norm = float((np.abs(amps) ** 2).sum())
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise _norm_error(norm)
         object.__setattr__(self, "amplitudes", _freeze(amps))
@@ -106,9 +112,11 @@ class DiagonalMixedState:
 
     def __post_init__(self):
         w = _as_real_vector(self.weights, 8, "weights")
-        if np.any(w < -1e-12) or np.any(w > 1 + 1e-12):
+        # Eight finite weights: their extremes decide the range.
+        listed = w.tolist()
+        if min(listed) < -1e-12 or max(listed) > 1 + 1e-12:
             raise RangeError("mixture weights must lie in [0, 1]")
-        total = float(np.sum(w))
+        total = float(w.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NormalizationError(
                 f"mixture weights sum to {total!r}, not 1 within {NORMALIZATION_TOL}"
@@ -135,10 +143,13 @@ class ProductStateAngles:
         phi = _as_real_vector(self.phi, 3, "phi")
         delta = _as_real_vector(self.delta, 3, "delta")
         slack = 1e-12
-        if np.any(theta < -slack) or np.any(theta > np.pi + slack):
+        # Three finite angles each: their extremes decide the ranges.
+        listed = theta.tolist()
+        if min(listed) < -slack or max(listed) > np.pi + slack:
             raise RangeError("theta angles must lie in [0, pi]")
         for name, arr in (("phi", phi), ("delta", delta)):
-            if np.any(arr < -slack) or np.any(arr >= 2 * np.pi + slack):
+            listed = arr.tolist()
+            if min(listed) < -slack or max(listed) >= 2 * np.pi + slack:
                 raise RangeError(f"{name} angles must lie in [0, 2*pi)")
         object.__setattr__(self, "theta", _freeze(theta))
         object.__setattr__(self, "phi", _freeze(phi))
@@ -201,7 +212,8 @@ def density_from_pure(state: PureState) -> DensityMatrix:
     # where the norm sums |c|^2: of 10^6 norms drawn within 6 ulp of
     # 1 +- NORMALIZATION_TOL, 32,250 read differently under the two
     # checks, the sums at most 3 ulp (7e-16) apart. Only that band moves.
-    return _trusted(DensityMatrix, matrix=_freeze(np.outer(amps, amps.conj())))
+    # The broadcast takes np.outer's products, entry (i, j) = c_i conj(c_j).
+    return _trusted(DensityMatrix, matrix=_freeze(amps[:, None] * amps.conj()))
 
 
 def density_from_mixed(state: DiagonalMixedState) -> DensityMatrix:
@@ -221,17 +233,12 @@ def product_state(angles: ProductStateAngles) -> PureState:
     e^{i phi} sin(theta/2) |1>); the three factors combine by Kronecker
     product in player order A, B, C.
     """
-    factors = []
-    for theta, phi, delta in zip(angles.theta, angles.phi, angles.delta):
-        phase = np.exp(1j * delta)
-        factors.append(
-            phase
-            * np.array(
-                [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)],
-                dtype=np.complex128,
-            )
-        )
-    f0, f1, f2 = factors
+    half = angles.theta / 2.0
+    phase = np.exp(1j * angles.delta)
+    # Row k holds qubit k's coefficients of |0> and |1>.
+    f0, f1, f2 = np.array(
+        (phase * np.cos(half), phase * (np.exp(1j * angles.phi) * np.sin(half)))
+    ).T
     amps = np.multiply.outer(np.multiply.outer(f0, f1), f2).ravel()
     return PureState(amps)
 

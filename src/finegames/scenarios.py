@@ -89,7 +89,7 @@ from .serialize import (
 REFERENCE_TOL = 1e-9
 
 # Largest ghz-bell weight grid. The scan holds (grid, 8) amplitudes, no
-# densities: a run at this bound peaks at 134 MB ru_maxrss (30 MB of it
+# densities: a run at this bound peaks at 111 MB ru_maxrss (30 MB of it
 # the import), most of the rest marginal_values' (grid, 7, 8) products.
 MAX_SCAN_GRID = 100_001
 

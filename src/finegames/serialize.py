@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DilemmaViolation, NormalizationError, ParamError, ShapeError
+from .errors import DilemmaViolation, NormalizationError, ParamError, RangeError, ShapeError
 from .fine import BellReport, JointDistribution, XiInterval
 from .games import PayoffTable, PdParams, StrategyTriple, coop_game, pd3
 from .measurement import MarginalConvention, MarginalSet, WeightInversion
@@ -121,9 +121,14 @@ def _ensure_dict(value, path: str) -> dict:
 
 
 def _reject_unknown(d: dict, path: str, allowed: tuple[str, ...]):
-    unknown = sorted(set(d) - set(allowed))
+    unknown = d.keys() - allowed
     if unknown:
-        raise ParamError(f"{path}: unknown keys {unknown}")
+        raise ParamError(f"{path}: unknown keys {sorted(unknown)}")
+
+
+# The exact types of parsed JSON numbers. A bool (an int subclass) is
+# not one; subclasses of int and float take the checked path.
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _number(value, path: str) -> float:
@@ -135,6 +140,9 @@ def _number(value, path: str) -> float:
 def _number_list(value, length: int, path: str) -> list[float]:
     if not isinstance(value, list) or len(value) != length:
         raise ParamError(f"{path}: expected a list of {length} numbers")
+    if {type(v) for v in value} <= _JSON_NUMBERS:
+        return [float(v) for v in value]
+    # Checked entry by entry, the first rejected one named by its path.
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
@@ -145,6 +153,31 @@ def _dilemma_params(levels: list[float], path: str) -> PdParams:
         return PdParams(*levels)
     except (DilemmaViolation, ShapeError) as exc:
         raise ParamError(f"{path}: {exc}") from None
+
+
+def _plain_complex(value) -> complex | None:
+    """A JSON number, or a list of two, with components of modulus at
+    most 1 + NORMALIZATION_TOL, as the complex parse_complex makes of
+    it; None for any other value, which parse_complex then checks."""
+    t = type(value)
+    if t in _JSON_NUMBERS:
+        re, im = float(value), 0.0
+    elif t is list and len(value) == 2 and {type(value[0]), type(value[1])} <= _JSON_NUMBERS:
+        re, im = float(value[0]), float(value[1])
+    else:
+        return None
+    bound = 1.0 + NORMALIZATION_TOL
+    if -bound <= re <= bound and -bound <= im <= bound:
+        return complex(re, im)
+    return None
+
+
+def _complex_field(d: dict, key: str, path: str, default=None) -> complex:
+    """parse_complex of d[key] (or the default), the path `path.key`
+    formatted only for a value outside the plain case."""
+    value = d.get(key, default)
+    z = _plain_complex(value)
+    return parse_complex(value, f"{path}.{key}") if z is None else z
 
 
 def parse_complex(value, path: str) -> complex:
@@ -174,12 +207,12 @@ def complementary_amplitude(a: complex, path: str) -> complex:
 
 
 def _unit_state(build: Callable, path: str, *values):
-    """build(*values); amplitudes or weights that do not normalize are
-    a ParamError at path (the parent path, such as `params` or `state`,
-    when several values share the norm)."""
+    """build(*values); amplitudes or weights that do not normalize, or
+    leave their range, are a ParamError at path (the parent path, such
+    as `params` or `state`, when several values share the norm)."""
     try:
         return build(*values)
-    except NormalizationError as exc:
+    except (NormalizationError, RangeError) as exc:
         raise ParamError(f"{path}: {exc}") from None
 
 
@@ -202,47 +235,38 @@ def load_state(descriptor, path: str = "state"):
         raw = d.get("amplitudes")
         if not isinstance(raw, list) or len(raw) != 8:
             raise ParamError(f"{path}.amplitudes: expected a list of 8 entries")
-        amps = [
-            parse_complex(v, f"{path}.amplitudes[{i}]") for i, v in enumerate(raw)
-        ]
-        return _unit_state(PureState, f"{path}.amplitudes", np.array(amps))
+        amps = [_plain_complex(v) for v in raw]
+        if None in amps:
+            # Checked entry by entry, the first rejected one named by its path.
+            amps = [parse_complex(v, f"{path}.amplitudes[{i}]") for i, v in enumerate(raw)]
+        return _unit_state(PureState, f"{path}.amplitudes", amps)
     if kind == "mixed":
         _reject_unknown(d, path, ("kind", "weights"))
         weights = _number_list(d.get("weights"), 8, f"{path}.weights")
-        return _unit_state(DiagonalMixedState, f"{path}.weights", np.array(weights))
+        return _unit_state(DiagonalMixedState, f"{path}.weights", weights)
     if kind == "product":
         _reject_unknown(d, path, ("kind", "theta", "phi", "delta"))
         theta = _number_list(d.get("theta"), 3, f"{path}.theta")
         phi = _number_list(d.get("phi", [0.0, 0.0, 0.0]), 3, f"{path}.phi")
         delta = _number_list(d.get("delta", [0.0, 0.0, 0.0]), 3, f"{path}.delta")
-        return product_state(
-            ProductStateAngles(np.array(theta), np.array(phi), np.array(delta))
-        )
+        try:
+            angles = ProductStateAngles(theta, phi, delta)
+        except RangeError as exc:
+            # Each range message opens with the name of the field it rejects.
+            raise ParamError(f"{path}.{str(exc).split(' ', 1)[0]}: {exc}") from None
+        return product_state(angles)
     if kind == "ghz":
         _reject_unknown(d, path, ("kind", "a", "b"))
-        a = parse_complex(d.get("a", [2.0 ** -0.5, 0.0]), f"{path}.a")
+        a = _complex_field(d, "a", path, [2.0 ** -0.5, 0.0])
         if "b" in d:
-            b = parse_complex(d["b"], f"{path}.b")
+            b = _complex_field(d, "b", path)
         else:
             b = complementary_amplitude(a, f"{path}.a")
         return _unit_state(ghz, path, a, b)
-    if kind == "w":
-        _reject_unknown(d, path, ("kind", "c2", "c3", "c5"))
-        return _unit_state(
-            w_state,
-            path,
-            parse_complex(d.get("c2"), f"{path}.c2"),
-            parse_complex(d.get("c3"), f"{path}.c3"),
-            parse_complex(d.get("c5"), f"{path}.c5"),
-        )
-    _reject_unknown(d, path, ("kind", "c4", "c6", "c7"))
-    return _unit_state(
-        pd_state,
-        path,
-        parse_complex(d.get("c4"), f"{path}.c4"),
-        parse_complex(d.get("c6"), f"{path}.c6"),
-        parse_complex(d.get("c7"), f"{path}.c7"),
-    )
+    keys = ("c2", "c3", "c5") if kind == "w" else ("c4", "c6", "c7")
+    _reject_unknown(d, path, ("kind", *keys))
+    build = w_state if kind == "w" else pd_state
+    return _unit_state(build, path, *[_complex_field(d, k, path) for k in keys])
 
 
 def state_density(state) -> DensityMatrix:

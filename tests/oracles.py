@@ -7,7 +7,8 @@ triple value instead of the interval arithmetic, and factorizable
 payoffs, equilibrium certificates and the lattice screen from the
 outcome form (product weights against the payoff table) instead of the
 payoff polynomial. The reference screen is the lattice screen as first
-written, every slice tested on the whole plane, and the reference
+written, every slice tested on the whole plane, the reference sum is
+marginal_values' trace sum as first written, and the reference
 renderer at the end is the JSON and markdown rendering as first
 written, one isinstance chain per node.
 """
@@ -208,6 +209,20 @@ def reference_lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -
         for i, x in enumerate(grid):
             slices[i] &= (-x * g <= tol) & ((1.0 - x) * g <= tol)
     return mask
+
+
+# Reference sum: the trace sum of measurement.marginal_values as it was
+# before it summed in place, kept verbatim. Its values must equal the
+# library's bit for bit, at a higher allocation peak.
+
+
+def reference_marginal_sums(d: np.ndarray, incidence: np.ndarray) -> np.ndarray:
+    """Unclamped POVM traces ((d0+d4)+(d1+d5)) + ((d2+d6)+(d3+d7)) of
+    each diagonal of a (..., 8) batch against the (7, 8) incidence rows."""
+    s = d[..., None, :] * incidence
+    t = s[..., :4] + s[..., 4:]
+    values = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])
+    return values
 
 
 # Reference renderer: serialize.py's format_float, render_json,

@@ -367,13 +367,22 @@ def test_amplitude_norm_errors_name_their_param(capsys, scenario_id, params, mes
          "state.amplitudes: amplitude norm squared is 0.0"),
         ({"kind": "mixed", "weights": [0.5] + [0] * 7},
          "state.weights: mixture weights sum to 0.5"),
+        ({"kind": "mixed", "weights": [1.5, -0.5, 0, 0, 0, 0, 0, 0]},
+         "state.weights: mixture weights must lie in [0, 1]"),
+        ({"kind": "product", "theta": [4, 0, 0]}, "state.theta: theta angles must lie in [0, pi]"),
+        ({"kind": "product", "theta": [0, 0, 0], "phi": [0, 7, 0]},
+         "state.phi: phi angles must lie in [0, 2*pi)"),
+        ({"kind": "product", "theta": [0, 0, 0], "delta": [0, 0, -0.5]},
+         "state.delta: delta angles must lie in [0, 2*pi)"),
     ],
 )
 def test_state_norm_errors_name_their_path(tmp_path, capsys, state, message):
     path = write(tmp_path, "s.json", state)
     code, out, err = run(capsys, "marginals", "--convention", "parity", "--state", path)
     assert (code, out) == (2, "")
-    assert err == f"error: {message}, not 1 within 1e-09\n"
+    # A norm or a sum is reported with the tolerance it missed.
+    tail = "" if "must lie in" in message else ", not 1 within 1e-09"
+    assert err == f"error: {message}{tail}\n"
 
 
 def test_package_runs_as_a_module():

@@ -1,5 +1,7 @@
 """POVM construction, marginal extraction, and convention conversion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +30,7 @@ from finegames import (
     StrategyTriple,
 )
 from finegames.measurement import _INCIDENCE, MOBIUS, WALSH, ZETA, _apply
-from oracles import pure_state_marginals, strategy_weights
+from oracles import pure_state_marginals, reference_marginal_sums, strategy_weights
 from conftest import random_joint, random_pure_state
 
 CONVENTIONS = (MarginalConvention.CONJUNCTION, MarginalConvention.PARITY)
@@ -317,3 +319,22 @@ def test_marginal_values_accept_keeps_the_clipped_bits(convention):
     for got in (marginal_values(diags, convention), [marginal_values(d, convention) for d in diags]):
         got = np.asarray(got)
         assert (got == expected).all() and (np.signbit(got) == np.signbit(expected)).all()
+
+
+def _traced(build):
+    """build()'s result and the peak bytes numpy and Python allocate in it."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_marginal_values_sum_in_place(convention):
+    diagonals = np.random.default_rng(11).dirichlet(np.ones(8), size=20_001)
+    old, old_peak = _traced(lambda: reference_marginal_sums(diagonals, _INCIDENCE[convention]))
+    new, new_peak = _traced(lambda: marginal_values(diagonals, convention))
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    assert new_peak <= 0.75 * old_peak

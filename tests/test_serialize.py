@@ -1,7 +1,9 @@
 """Wire formats: loaders, deterministic JSON, markdown."""
 
+import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from finegames import (
     render_markdown,
     state_density,
 )
-from finegames.serialize import format_float, parse_complex
+from finegames.serialize import _plain_complex, format_float, parse_complex
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -63,6 +65,28 @@ def test_parse_complex_accepts_number_and_pair():
         parse_complex([1.0], "z")
 
 
+@pytest.mark.parametrize(
+    "value",
+    [0, 1, -1, 0.5, -0.0, 1 + 1e-9, -1 - 1e-9, [0, 1], [-0.0, -0.0], [0.6, -0.8],
+     [1 + 1e-9, -1 - 1e-9], [5e-324, 1e-300], np.float64(0.5), [np.float64(0.5), 0.0],
+     True, [0.5, False], "0.5", None, [0.5], [0.5, 0.0, 0.0], (0.5, 0.0), [[0.5], 0.0],
+     1 + 2e-9, [0.0, -1 - 2e-9], float("nan"), [float("inf"), 0.0]],
+)
+def test_plain_amplitudes_read_as_parse_complex_reads_them(value):
+    # The loader reads plain JSON amplitudes without their path and
+    # hands every other value, with its path, to parse_complex.
+    plain = _plain_complex(value)
+    try:
+        checked = parse_complex(value, "z")
+    except ParamError:
+        assert plain is None
+        return
+    if plain is not None:
+        assert repr(plain) == repr(checked)  # signs of zeros included
+    else:  # numpy scalars take the checked path and are accepted there
+        assert any(type(v) is np.float64 for v in (value if isinstance(value, list) else [value]))
+
+
 def test_load_state_pure_and_mixed():
     amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
     state = load_state({"kind": "pure", "amplitudes": amps})
@@ -85,6 +109,75 @@ def test_load_state_rejects_unknown_fields():
         load_state({"kind": "nonsense"})
     with pytest.raises(ParamError):
         load_state({"kind": "pure", "amplitudes": [[1.0, 0.0]] * 4})
+
+
+# Bad stand-ins for one number, for one complex amplitude and for one
+# component of an [re, im] pair.
+BAD_NUMBERS = ["0.5", True, None, [0.5]]
+BAD_AMPLITUDES = BAD_NUMBERS[:3] + [[[0.5, 0.0]], [0.5], [0.5, 0.0, 0.0], 1.5, -1 - 2e-9]
+BAD_COMPONENTS = BAD_NUMBERS + [[0.5, 0.0], 1 + 2e-9, -1.5]
+
+VALID_STATES = {
+    "pure": {"kind": "pure", "amplitudes": [[0.5, 0.0]] * 4 + [0.0] * 4},
+    "mixed": {"kind": "mixed", "weights": [0.125] * 8},
+    "product": {"kind": "product", "theta": [0.5] * 3, "phi": [0.5] * 3, "delta": [0.5] * 3},
+    "ghz": {"kind": "ghz", "a": [0.6, 0.0], "b": [0.0, 0.8]},
+    "w": {"kind": "w", "c2": [0.6, 0.0], "c3": [0.0, 0.8], "c5": 0.0},
+    "pd": {"kind": "pd", "c4": [0.6, 0.0], "c6": [0.0, 0.8], "c7": 0.0},
+}
+
+
+def _amplitude_slots(desc):
+    """(container, key) of every complex amplitude of a descriptor."""
+    if desc["kind"] == "pure":
+        return [(desc["amplitudes"], i) for i in range(8)]
+    return [(desc, k) for k in desc if k != "kind"]
+
+
+def _wrong_lists(valid, key):
+    for wrong in (valid[key][:-1], valid[key] + [0.0], 0.5, None):
+        yield {**copy.deepcopy(valid), key: wrong}
+
+
+def bad_state_descriptors():
+    """Valid descriptors of every kind with one number, amplitude, pair
+    component or list broken in turn, then a few whole-descriptor faults."""
+    for kind, valid in VALID_STATES.items():
+        if kind in ("mixed", "product"):
+            for key in (k for k in valid if k != "kind"):
+                for i in range(len(valid[key])):
+                    for bad in BAD_NUMBERS:
+                        desc = copy.deepcopy(valid)
+                        desc[key][i] = bad
+                        yield desc
+                yield from _wrong_lists(valid, key)
+            continue
+        for n in range(len(_amplitude_slots(valid))):
+            pairs = [[bad, 0.0] for bad in BAD_COMPONENTS] + [[0.0, bad] for bad in BAD_COMPONENTS]
+            for bad in BAD_AMPLITUDES + pairs:
+                desc = copy.deepcopy(valid)
+                container, key = _amplitude_slots(desc)[n]
+                container[key] = bad
+                yield desc
+        if kind == "pure":
+            yield from _wrong_lists(valid, "amplitudes")
+    yield {"kind": "ghz", "a": [1.0, 0.5]}
+    yield {"kind": "w", "c2": 0.6, "c3": 0.8}
+    yield {"kind": "pd", "c4": 0.6, "c6": 0.8, "c8": 0.0}
+    yield {"kind": "quark"}
+    yield ["kind", "pure"]
+
+
+def test_load_state_messages_match_the_pinned_ones():
+    # Captured from the loader before it formatted entry paths only for
+    # the entry it rejects; every message must stay as it was.
+    pinned = json.loads((Path(__file__).parent / "loader_messages.json").read_text())
+    messages = []
+    for desc in bad_state_descriptors():
+        with pytest.raises(ParamError) as info:
+            load_state(desc)
+        messages.append(str(info.value))
+    assert messages == pinned
 
 
 def test_load_game_variants():

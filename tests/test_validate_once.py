@@ -7,10 +7,14 @@ import collections
 import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+import finegames.equilibrium as equilibrium
+import finegames.fine as fine
+import finegames.measurement as measurement
 import finegames.qstates as qstates
 from finegames import (
     BellReport,
@@ -65,6 +69,10 @@ def assert_same(a, b):
         assert len(a) == len(b)
         for x, y in zip(a, b):
             assert_same(x, y)
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            assert_same(a[key], b[key])
     elif isinstance(a, float):
         assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
     else:
@@ -251,23 +259,30 @@ def check_calls(monkeypatch):
     return counts
 
 
-def test_pipeline_runs_no_second_check(check_calls):
-    table, blind = pd3(), blind_table(4)
-    descriptors = state_descriptors(5, per_kind=2)
+def run_state_pipeline(table, descriptors):
+    """Every state through both readings, existence and payoffs, as the
+    state-sweep benchmark runs them; returns the last joint and set."""
     for desc in descriptors:
         rho = state_density(load_state(desc))
         m_conj, m_par = extract_marginals(rho, CONJ), extract_marginals(rho, PAR)
         bell_slacks(m_conj), bell_slacks(m_par)
         xi_interval(m_conj)
         joint = reconstruct_joint(m_conj)
-        try:
-            reconstruct_joint(m_par, XiRule.MIDPOINT)
-        except NoJointError:
-            pass
+        for rule in (XiRule.GIVEN, XiRule.MIDPOINT):
+            try:
+                reconstruct_joint(m_par, rule)
+            except NoJointError:
+                pass
         marginals_from_joint(joint, PAR)
         convert_marginals(m_par, CONJ)
         weights_from_marginals(m_par)
         payoff_marginal_form(table, m_par)
+    return joint, m_par
+
+
+def test_pipeline_runs_no_second_check(check_calls):
+    table, blind = pd3(), blind_table(4)
+    joint, m_par = run_state_pipeline(table, state_descriptors(5, per_kind=2))
     assert len(grid_ne_search(blind, 5)) == 125
     grid_ne_search(table, 11)
     assert check_calls == {}
@@ -279,6 +294,74 @@ def test_pipeline_runs_no_second_check(check_calls):
     NeCertificate(StrategyTriple(0, 0, 0), (0.0,) * 3, True, "n")
     assert set(check_calls) == {f"{o.__name__}.{n}" for o, n in WATCHED}
     assert set(check_calls.values()) == {1}
+
+
+# numpy's module-level wrappers: each costs a Python-level dispatch that
+# the matching ndarray method or broadcast does without.
+NUMPY_WRAPPERS = ("any", "all", "sum", "nonzero", "outer")
+
+
+def test_state_pipeline_calls_no_numpy_wrapper(monkeypatch):
+    table, descriptors = pd3(), state_descriptors(5, per_kind=2)
+    counts = collections.Counter()
+
+    def counted(name, inner):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in NUMPY_WRAPPERS:
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    run_state_pipeline(table, descriptors)
+    assert counts == {}
+    # The counters see a call made through the module.
+    np.sum(np.ones(2))
+    assert counts == {"sum": 1}
+
+
+@pytest.fixture
+def trusted_objects(monkeypatch):
+    """Records every object the library builds through _trusted."""
+    built = []
+    original = qstates._trusted
+
+    def recording(cls, **fields):
+        obj = original(cls, **fields)
+        built.append(obj)
+        return obj
+
+    for module in (qstates, measurement, fine, equilibrium):
+        monkeypatch.setattr(module, "_trusted", recording)
+    return built
+
+
+def outcome_of(op):
+    """What op() returns, or the type of what it raises."""
+    try:
+        return op()
+    except (TypeError, ValueError) as err:
+        return type(err)
+
+
+def test_trusted_objects_behave_as_public_ones(trusted_objects):
+    run_state_pipeline(pd3(), state_descriptors(5, per_kind=2))
+    grid_ne_search(blind_table(4), 3)
+    kinds = {type(obj) for obj in trusted_objects}
+    assert kinds == {DensityMatrix, MarginalSet, BellReport, JointDistribution,
+                     NeCertificate, StrategyTriple}
+    for cls in kinds:
+        # One __dict__.update stands for per-field setattr only without slots.
+        assert not hasattr(cls, "__slots__")
+    for obj in trusted_objects:
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
+        public, again = type(obj)(**fields), type(obj)(**fields)
+        assert outcome_of(lambda: obj == public) == outcome_of(lambda: again == public)
+        assert outcome_of(lambda: hash(obj)) == outcome_of(lambda: hash(public))
+        assert repr(obj) == repr(public)
+        assert_same(dataclasses.asdict(obj), dataclasses.asdict(public))
+        # Unpickled arrays come back writeable, the public ones' too.
+        assert_same(pickle.loads(pickle.dumps(obj)), pickle.loads(pickle.dumps(public)))
 
 
 def _nan_diagonal():
