@@ -16,7 +16,16 @@ class InvalidDensityError(FinegamesError, ValueError):
 
 
 class RangeError(FinegamesError, ValueError):
-    """A probability-like value left its admissible range."""
+    """A probability-like value left its admissible range.
+
+    `field` names the argument holding the value when a constructor
+    checks several (None otherwise), so a caller can place the error
+    without reading its message.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ConventionError(FinegamesError, ValueError):

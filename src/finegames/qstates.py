@@ -146,11 +146,11 @@ class ProductStateAngles:
         # Three finite angles each: their extremes decide the ranges.
         listed = theta.tolist()
         if min(listed) < -slack or max(listed) > np.pi + slack:
-            raise RangeError("theta angles must lie in [0, pi]")
+            raise RangeError("theta angles must lie in [0, pi]", "theta")
         for name, arr in (("phi", phi), ("delta", delta)):
             listed = arr.tolist()
             if min(listed) < -slack or max(listed) >= 2 * np.pi + slack:
-                raise RangeError(f"{name} angles must lie in [0, 2*pi)")
+                raise RangeError(f"{name} angles must lie in [0, 2*pi)", name)
         object.__setattr__(self, "theta", _freeze(theta))
         object.__setattr__(self, "phi", _freeze(phi))
         object.__setattr__(self, "delta", _freeze(delta))

@@ -183,7 +183,7 @@ def _amplitudes(value, path: str) -> list[complex] | None:
         return None
     if not isinstance(value, list):
         raise ParamError(f"{path}: expected a list of 8 entries")
-    amplitudes = [parse_complex(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    amplitudes = [parse_complex(v, path, i) for i, v in enumerate(value)]
     if len(amplitudes) != 8:
         raise ParamError(f"{path}: expected 8 entries")
     return amplitudes

@@ -126,24 +126,24 @@ def _reject_unknown(d: dict, path: str, allowed: tuple[str, ...]):
         raise ParamError(f"{path}: unknown keys {sorted(unknown)}")
 
 
-# The exact types of parsed JSON numbers. A bool (an int subclass) is
-# not one; subclasses of int and float take the checked path.
-_JSON_NUMBERS = frozenset((int, float))
+def _field_path(path: str, at) -> str:
+    """path extended by each step of at: an index as [i], a key as .key.
+    Only an error needs it, so the accept path never formats one."""
+    for step in at:
+        path = f"{path}[{step}]" if isinstance(step, int) else f"{path}.{step}"
+    return path
 
 
-def _number(value, path: str) -> float:
+def _number(value, path: str, *at) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParamError(f"{path}: expected a number")
+        raise ParamError(f"{_field_path(path, at)}: expected a number")
     return float(value)
 
 
 def _number_list(value, length: int, path: str) -> list[float]:
     if not isinstance(value, list) or len(value) != length:
         raise ParamError(f"{path}: expected a list of {length} numbers")
-    if {type(v) for v in value} <= _JSON_NUMBERS:
-        return [float(v) for v in value]
-    # Checked entry by entry, the first rejected one named by its path.
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return [_number(v, path, i) for i, v in enumerate(value)]
 
 
 def _dilemma_params(levels: list[float], path: str) -> PdParams:
@@ -155,46 +155,22 @@ def _dilemma_params(levels: list[float], path: str) -> PdParams:
         raise ParamError(f"{path}: {exc}") from None
 
 
-def _plain_complex(value) -> complex | None:
-    """A JSON number, or a list of two, with components of modulus at
-    most 1 + NORMALIZATION_TOL, as the complex parse_complex makes of
-    it; None for any other value, which parse_complex then checks."""
-    t = type(value)
-    if t in _JSON_NUMBERS:
-        re, im = float(value), 0.0
-    elif t is list and len(value) == 2 and {type(value[0]), type(value[1])} <= _JSON_NUMBERS:
-        re, im = float(value[0]), float(value[1])
-    else:
-        return None
-    bound = 1.0 + NORMALIZATION_TOL
-    if -bound <= re <= bound and -bound <= im <= bound:
-        return complex(re, im)
-    return None
-
-
-def _complex_field(d: dict, key: str, path: str, default=None) -> complex:
-    """parse_complex of d[key] (or the default), the path `path.key`
-    formatted only for a value outside the plain case."""
-    value = d.get(key, default)
-    z = _plain_complex(value)
-    return parse_complex(value, f"{path}.{key}") if z is None else z
-
-
-def parse_complex(value, path: str) -> complex:
+def parse_complex(value, path: str, *at) -> complex:
     """Accept a state amplitude as a plain number or an [re, im] pair.
 
-    A component above 1 in modulus is rejected: no unit vector has one,
+    Errors name path extended by the index or key steps of at. A
+    component above 1 in modulus is rejected: no unit vector has one,
     and its square could overflow.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         z = complex(float(value), 0.0)
     elif isinstance(value, list) and len(value) == 2:
-        z = complex(_number(value[0], f"{path}[0]"), _number(value[1], f"{path}[1]"))
+        z = complex(_number(value[0], path, *at, 0), _number(value[1], path, *at, 1))
     else:
-        raise ParamError(f"{path}: expected a number or an [re, im] pair")
+        raise ParamError(f"{_field_path(path, at)}: expected a number or an [re, im] pair")
     bound = 1.0 + NORMALIZATION_TOL
-    if not (abs(z.real) <= bound and abs(z.imag) <= bound):
-        raise ParamError(f"{path}: expected components of modulus at most 1")
+    if not (-bound <= z.real <= bound and -bound <= z.imag <= bound):
+        raise ParamError(f"{_field_path(path, at)}: expected components of modulus at most 1")
     return z
 
 
@@ -209,11 +185,15 @@ def complementary_amplitude(a: complex, path: str) -> complex:
 def _unit_state(build: Callable, path: str, *values):
     """build(*values); amplitudes or weights that do not normalize, or
     leave their range, are a ParamError at path (the parent path, such
-    as `params` or `state`, when several values share the norm)."""
+    as `params` or `state`, when several values share the norm), below
+    it at the field a RangeError names."""
     try:
         return build(*values)
-    except (NormalizationError, RangeError) as exc:
+    except NormalizationError as exc:
         raise ParamError(f"{path}: {exc}") from None
+    except RangeError as exc:
+        where = path if exc.field is None else f"{path}.{exc.field}"
+        raise ParamError(f"{where}: {exc}") from None
 
 
 def complex_pair(z: complex) -> list[float]:
@@ -235,11 +215,9 @@ def load_state(descriptor, path: str = "state"):
         raw = d.get("amplitudes")
         if not isinstance(raw, list) or len(raw) != 8:
             raise ParamError(f"{path}.amplitudes: expected a list of 8 entries")
-        amps = [_plain_complex(v) for v in raw]
-        if None in amps:
-            # Checked entry by entry, the first rejected one named by its path.
-            amps = [parse_complex(v, f"{path}.amplitudes[{i}]") for i, v in enumerate(raw)]
-        return _unit_state(PureState, f"{path}.amplitudes", amps)
+        where = f"{path}.amplitudes"
+        amps = [parse_complex(v, where, i) for i, v in enumerate(raw)]
+        return _unit_state(PureState, where, amps)
     if kind == "mixed":
         _reject_unknown(d, path, ("kind", "weights"))
         weights = _number_list(d.get("weights"), 8, f"{path}.weights")
@@ -249,24 +227,19 @@ def load_state(descriptor, path: str = "state"):
         theta = _number_list(d.get("theta"), 3, f"{path}.theta")
         phi = _number_list(d.get("phi", [0.0, 0.0, 0.0]), 3, f"{path}.phi")
         delta = _number_list(d.get("delta", [0.0, 0.0, 0.0]), 3, f"{path}.delta")
-        try:
-            angles = ProductStateAngles(theta, phi, delta)
-        except RangeError as exc:
-            # Each range message opens with the name of the field it rejects.
-            raise ParamError(f"{path}.{str(exc).split(' ', 1)[0]}: {exc}") from None
-        return product_state(angles)
+        return product_state(_unit_state(ProductStateAngles, path, theta, phi, delta))
     if kind == "ghz":
         _reject_unknown(d, path, ("kind", "a", "b"))
-        a = _complex_field(d, "a", path, [2.0 ** -0.5, 0.0])
+        a = parse_complex(d.get("a", [2.0 ** -0.5, 0.0]), path, "a")
         if "b" in d:
-            b = _complex_field(d, "b", path)
+            b = parse_complex(d["b"], path, "b")
         else:
             b = complementary_amplitude(a, f"{path}.a")
         return _unit_state(ghz, path, a, b)
     keys = ("c2", "c3", "c5") if kind == "w" else ("c4", "c6", "c7")
     _reject_unknown(d, path, ("kind", *keys))
     build = w_state if kind == "w" else pd_state
-    return _unit_state(build, path, *[_complex_field(d, k, path) for k in keys])
+    return _unit_state(build, path, *[parse_complex(d.get(k), path, k) for k in keys])
 
 
 def state_density(state) -> DensityMatrix:
@@ -320,7 +293,7 @@ def load_marginals(descriptor, path: str = "marginals") -> MarginalSet:
     for key in MARGINAL_KEYS:
         if key not in d:
             raise ParamError(f"{path}.{key}: missing")
-        values.append(_number(d[key], f"{path}.{key}"))
+        values.append(_number(d[key], path, key))
     return MarginalSet(*values, convention)
 
 
