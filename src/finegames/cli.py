@@ -25,6 +25,8 @@ import math
 import sys
 
 from .equilibrium import (
+    DEFAULT_NE_TOL,
+    DEFAULT_RESOLUTION,
     grid_ne_search,
     parity_product_gradient,
     product_state_interior_solve,
@@ -149,7 +151,7 @@ def cmd_fine(args: argparse.Namespace) -> int:
 
 def cmd_ne(args: argparse.Namespace) -> int:
     table = load_game(_read_json(args.game, "--game"))
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol if args.tol is not None else DEFAULT_NE_TOL
     if not 0 < tol < math.inf:
         raise ParamError("--tol: must be a finite positive number")
 
@@ -161,7 +163,7 @@ def cmd_ne(args: argparse.Namespace) -> int:
         return 0 if cert.is_ne else 1
 
     if args.mode == "grid":
-        resolution = args.resolution if args.resolution is not None else 11
+        resolution = args.resolution if args.resolution is not None else DEFAULT_RESOLUTION
         found = grid_ne_search(table, resolution, tol)
         payload = {
             "resolution": resolution,

@@ -18,6 +18,7 @@ from .errors import ShapeError
 from .games import (
     PayoffTable,
     StrategyTriple,
+    _SLOPE_ROWS,
     _payoff_polynomial,
     _polynomial_values,
     _slope_plane,
@@ -27,12 +28,13 @@ from .games import (
 from .qstates import PLAYERS, _trusted
 
 DEFAULT_NE_TOL = 1e-9
+DEFAULT_RESOLUTION = 11
 SYMMETRY_TOL = 1e-12
 ROOT_ZERO_TOL = 1e-13
 # Largest lattice resolution. It bounds the screen's one boolean cube of
 # resolution^3 bytes: a search at 290 peaks at 56 MB ru_maxrss (30 MB of
-# it the import) and takes about 35 ms on a generic table, 0.4 s where a
-# slope vanishes along a line (2-vCPU VM, numpy 2.4).
+# it the import) and takes about 12 ms on pd3, 40 ms on coop_game and
+# 0.3 s where the slope band covers the plane (2-vCPU VM, numpy 2.4).
 MAX_RESOLUTION = 290
 # Most screen hits a search certifies. Each hit becomes a certificate: an
 # own-choice-blind table makes 226,981 at resolution 61 (5 s, +200 MB).
@@ -109,7 +111,7 @@ def verify_ne_factorizable(
 
 
 def grid_ne_search(
-    table: PayoffTable, resolution: int = 11, tol: float = DEFAULT_NE_TOL
+    table: PayoffTable, resolution: int = DEFAULT_RESOLUTION, tol: float = DEFAULT_NE_TOL
 ) -> list[NeCertificate]:
     """All equilibria on the uniform strategy lattice.
 
@@ -167,31 +169,34 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> np.ndar
     factor 2 covers the rounding of the grid values and the products.
     The floor at the smallest normal float keeps subnormal slopes,
     whose products can round to 0 and so pass at tol = 0. Interior
-    slices are cleared outside the band's bounding box and tested
-    inside it; on most tables the box is empty. Every tested point
-    takes the gains as _endpoint_audit does, so the screen and the
-    certificates agree.
+    slices are cleared outside the band, then tested in one call per
+    block of rows with band points, between its first and last band
+    columns. A block is 2^16 // n^2 rows (at least one), which bounds a
+    call's temporaries; from n = 257 on it is one row, whose band is one
+    run (g is affine along a row), so the test covers exactly the band.
+    Every tested point takes the gains as _endpoint_audit does, so the
+    screen and the certificates agree.
     """
     n = grid.size
     bound = 2.0 * (n - 1) * max(tol, np.finfo(float).tiny)
     mask = np.ones((n, n, n), dtype=bool)
+    inner, step = grid[1:-1, None, None], max(1, 2**16 // n**2)
     for p in range(3):
         g = _slope_plane(coeffs, p, grid[:, None], grid[None, :])
         slices = np.moveaxis(mask, p, 0)
         for i in (0, -1):
             slices[i] &= _slice_passes(grid[i], g, tol)
         band = np.abs(g) <= bound
-        rows = np.flatnonzero(band.any(axis=1))
-        if not rows.size:
+        if not band.any():
             slices[1:-1] = False
             continue
-        cols = np.flatnonzero(band.any(axis=0))
-        r0, r1, c0, c1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-        slices[1:-1, :r0] = slices[1:-1, r1:] = False
-        slices[1:-1, r0:r1, :c0] = slices[1:-1, r0:r1, c1:] = False
-        box = g[r0:r1, c0:c1]
-        for i in range(1, n - 1):
-            slices[i, r0:r1, c0:c1] &= _slice_passes(grid[i], box, tol)
+        slices[1:-1] &= band
+        for r in range(0, n, step):
+            rows = slice(r, r + step)
+            cols = np.flatnonzero(band[rows].any(axis=0))
+            if cols.size:
+                cols = slice(cols[0], cols[-1] + 1)
+                slices[1:-1, rows, cols] &= _slice_passes(inner, g[rows, cols], tol)
     return mask
 
 
@@ -230,6 +235,14 @@ def _require_player_symmetric(table: PayoffTable):
         )
 
 
+def _diagonal_slope(table: PayoffTable) -> tuple[float, float, float]:
+    """Player A's own slope with both opponents at one value t, as the
+    coefficients (C7, C[pq] + C[pr], C[p]) of a quadratic in t."""
+    c = _payoff_polynomial(table)[:, 0].tolist()
+    pq, pr, own = (c[rows[0]] for rows in _SLOPE_ROWS)
+    return c[7], pq + pr, own
+
+
 def product_state_interior_solve(table: PayoffTable) -> StrategyTriple | None:
     """Symmetric stationary point of the parity product-state game.
 
@@ -240,12 +253,10 @@ def product_state_interior_solve(table: PayoffTable) -> StrategyTriple | None:
     identically (stationary everywhere, no isolated point).
     """
     _require_player_symmetric(table)
-    coeffs = marginal_form_coefficients(table)[:, 0]
-    c_xi, c_pab, c_pbc, c_pac, c_lam = coeffs[:5]
-    del c_pbc  # the BC pair does not involve player A's own probability
-    if max(abs(c_xi), abs(c_pab + c_pac), abs(c_lam)) <= 1e-12:
+    quadratic = _diagonal_slope(table)
+    if max(abs(c) for c in quadratic) <= 1e-12:
         return None
-    u = _smallest_root(c_xi, c_pab + c_pac, c_lam, -1.0, 1.0)
+    u = _smallest_root(*quadratic, -1.0, 1.0)
     if u is None:
         return None
     r = (u + 1.0) / 2.0
@@ -283,13 +294,12 @@ def zero_sum_2x2_value(
     c, d = float(m[1, 0]), float(m[1, 1])
     if a == b == c == d:
         return a, (0.5, 0.5), (0.5, 0.5)
-    row_mins = m.min(axis=1)
-    col_maxs = m.max(axis=0)
-    maximin = float(row_mins.max())
-    minimax = float(col_maxs.min())
+    # On ties min and max take the later operand, as numpy's reductions
+    # do, so a zero value keeps its sign; the indices take the first.
+    row_mins, col_maxs = (min(b, a), min(d, c)), (max(c, a), max(d, b))
+    maximin, minimax = max(row_mins[1], row_mins[0]), min(col_maxs[1], col_maxs[0])
     if abs(maximin - minimax) <= 1e-12:
-        r = int(np.argmax(row_mins))
-        k = int(np.argmin(col_maxs))
+        r, k = row_mins.index(maximin), col_maxs.index(minimax)
         row_mix = (1.0, 0.0) if r == 0 else (0.0, 1.0)
         col_mix = (1.0, 0.0) if k == 0 else (0.0, 1.0)
         return maximin, row_mix, col_mix
@@ -322,24 +332,21 @@ class CoalitionReduction:
     odd_mix: tuple[float, float]
 
 
-def _eliminate_weakly_dominated_rows(mat: np.ndarray) -> list[int]:
-    keep = list(range(mat.shape[0]))
-    changed = True
-    while changed:
-        changed = False
-        for r in list(keep):
-            for r2 in keep:
-                if r2 == r:
-                    continue
-                if np.all(mat[r2] >= mat[r] - 1e-12) and np.any(
-                    mat[r2] > mat[r] + 1e-12
-                ):
-                    keep.remove(r)
-                    changed = True
-                    break
-            if changed:
+def _eliminate_weakly_dominated_rows(rows: list[list[float]]) -> list[int]:
+    """Rows left after removing, one at a time, the first kept row that
+    another kept row weakly dominates (no row beats itself by 1e-12)."""
+    keep = list(range(len(rows)))
+    while True:
+        for r in keep:
+            a0, a1 = rows[r]
+            if any(
+                b0 >= a0 - 1e-12 and b1 >= a1 - 1e-12 and (b0 > a0 + 1e-12 or b1 > a1 + 1e-12)
+                for b0, b1 in (rows[s] for s in keep)
+            ):
+                keep.remove(r)
                 break
-    return keep
+        else:
+            return keep
 
 
 def coalition_reduction(table: PayoffTable, odd_player: str) -> CoalitionReduction:
@@ -353,21 +360,13 @@ def coalition_reduction(table: PayoffTable, odd_player: str) -> CoalitionReducti
     if odd_player not in PLAYERS:
         raise ShapeError(f"odd_player must be one of {PLAYERS}, got {odd_player!r}")
     members = tuple(p for p in PLAYERS if p != odd_player)
-    rows = []
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            row = []
-            for o in (0, 1):
-                bits = {members[0]: s1, members[1]: s2, odd_player: o}
-                idx = bits["A"] * 4 + bits["B"] * 2 + bits["C"]
-                pay = table.entries[idx]
-                row.append(
-                    float(pay[PLAYERS.index(members[0])])
-                    + float(pay[PLAYERS.index(members[1])])
-                )
-            rows.append(row)
-    full = np.array(rows)
-    kept = _eliminate_weakly_dominated_rows(full)
+    odd = PLAYERS.index(odd_player)
+    # Table rows are the bits (A, B, C) in C order: with the odd axis last
+    # the members' choices are the rows. a + b keeps -0.0, sum() does not.
+    pair = np.delete(table.entries, odd, axis=1)
+    pooled = (pair[:, 0] + pair[:, 1]).reshape(2, 2, 2)
+    full = np.moveaxis(pooled, odd, -1).reshape(4, 2)
+    kept = _eliminate_weakly_dominated_rows(full.tolist())
     if len(kept) != 2:
         raise ShapeError(
             f"coalition matrix reduced to {len(kept)} rows, expected 2"
@@ -420,12 +419,11 @@ def coop_best_response_solve(
     """
     if table is None:
         table = coop_game()
-    coeffs = marginal_form_coefficients(table)
-    c_xi, c_pab, _, c_pac, c_lam = (float(v) for v in coeffs[:5, 0])
-    c_star = _smallest_root(c_xi, c_pab + c_pac, c_lam, 0.0, 1.0)
+    c_star = _smallest_root(*_diagonal_slope(table), 0.0, 1.0)
     if c_star is None:
         raise ValueError("first player's stationarity has no root in [0, 1]")
 
+    coeffs = marginal_form_coefficients(table)
     b_xi, b_pab, b_pbc, b_pac, _, b_mu, b_nu = (float(v) for v in coeffs[:7, 1])
     g0 = 2.0 * b_pbc * c_star + b_mu + b_nu
     g1 = g0 + 2.0 * b_xi * c_star + b_pab + b_pac

@@ -10,14 +10,15 @@ exactly when a computed value contradicts a reference claim.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from sys import float_info
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .equilibrium import (
     DEFAULT_NE_TOL,
+    DEFAULT_RESOLUTION,
     MAX_RESOLUTION,
     NeCertificate,
     coalition_analysis,
@@ -71,6 +72,7 @@ from .qstates import (
 )
 from .serialize import (
     _dilemma_params,
+    _number,
     _unit_state,
     bell_to_dict,
     certificate_to_dict,
@@ -144,12 +146,7 @@ class ScenarioReport:
 def _pd_params(value, path: str) -> PdParams:
     if not isinstance(value, (list, tuple)) or len(value) != 6:
         raise ParamError(f"{path}: expected a list of 6 payoff levels")
-    values = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ParamError(f"{path}[{i}]: expected a number")
-        values.append(float(v))
-    return _dilemma_params(values, path)
+    return _dilemma_params([_number(v, path, i) for i, v in enumerate(value)], path)
 
 
 def _bounded_int(value, path: str, minimum: int, maximum: int) -> int:
@@ -171,7 +168,8 @@ def _finite(value, path: str, positive: bool) -> float:
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
-        or not (0 < value < math.inf if positive else 0 <= value < math.inf)
+        or not (0 < value if positive else 0 <= value)
+        or value > float_info.max  # inf, or an integer too large for a float
     ):
         sign = "positive" if positive else "non-negative"
         raise ParamError(f"{path}: expected a finite {sign} number")
@@ -655,7 +653,7 @@ class _Scenario(NamedTuple):
 
 
 _PD_PARAMS = (list(DEFAULT_PD_PARAMS.as_tuple()), _param(_pd_params))
-_RESOLUTION = (11, _param(_bounded_int, 2, MAX_RESOLUTION))
+_RESOLUTION = (DEFAULT_RESOLUTION, _param(_bounded_int, 2, MAX_RESOLUTION))
 _TOL = (DEFAULT_NE_TOL, _param(_finite, True))
 _HALF = ([ROOT_HALF, 0.0], _param(parse_complex))
 _THIRD = ([ROOT_THIRD, 0.0], _param(parse_complex))

@@ -137,13 +137,26 @@ def _field_path(path: str, at) -> str:
 def _number(value, path: str, *at) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParamError(f"{_field_path(path, at)}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ParamError(f"{_field_path(path, at)}: integer too large for a float") from None
 
 
 def _number_list(value, length: int, path: str) -> list[float]:
     if not isinstance(value, list) or len(value) != length:
         raise ParamError(f"{path}: expected a list of {length} numbers")
     return [_number(v, path, i) for i, v in enumerate(value)]
+
+
+def _finite_list(value, length: int, path: str) -> list[float]:
+    """_number_list of finite numbers, for constructors whose own
+    non-finite error names no path."""
+    numbers = _number_list(value, length, path)
+    for i, x in enumerate(numbers):
+        if not isfinite(x):
+            raise ParamError(f"{path}[{i}]: expected a finite number")
+    return numbers
 
 
 def _dilemma_params(levels: list[float], path: str) -> PdParams:
@@ -163,7 +176,7 @@ def parse_complex(value, path: str, *at) -> complex:
     and its square could overflow.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        z = complex(float(value), 0.0)
+        z = complex(_number(value, path, *at), 0.0)
     elif isinstance(value, list) and len(value) == 2:
         z = complex(_number(value[0], path, *at, 0), _number(value[1], path, *at, 1))
     else:
@@ -220,13 +233,13 @@ def load_state(descriptor, path: str = "state"):
         return _unit_state(PureState, where, amps)
     if kind == "mixed":
         _reject_unknown(d, path, ("kind", "weights"))
-        weights = _number_list(d.get("weights"), 8, f"{path}.weights")
+        weights = _finite_list(d.get("weights"), 8, f"{path}.weights")
         return _unit_state(DiagonalMixedState, f"{path}.weights", weights)
     if kind == "product":
         _reject_unknown(d, path, ("kind", "theta", "phi", "delta"))
-        theta = _number_list(d.get("theta"), 3, f"{path}.theta")
-        phi = _number_list(d.get("phi", [0.0, 0.0, 0.0]), 3, f"{path}.phi")
-        delta = _number_list(d.get("delta", [0.0, 0.0, 0.0]), 3, f"{path}.delta")
+        theta = _finite_list(d.get("theta"), 3, f"{path}.theta")
+        phi = _finite_list(d.get("phi", [0.0, 0.0, 0.0]), 3, f"{path}.phi")
+        delta = _finite_list(d.get("delta", [0.0, 0.0, 0.0]), 3, f"{path}.delta")
         return product_state(_unit_state(ProductStateAngles, path, theta, phi, delta))
     if kind == "ghz":
         _reject_unknown(d, path, ("kind", "a", "b"))

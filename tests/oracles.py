@@ -7,17 +7,25 @@ triple value instead of the interval arithmetic, and factorizable
 payoffs, equilibrium certificates and the lattice screen from the
 outcome form (product weights against the payoff table) instead of the
 payoff polynomial. The reference screen is the lattice screen as first
-written, every slice tested on the whole plane, the reference sum is
-marginal_values' trace sum as first written, and the reference
-renderer at the end is the JSON and markdown rendering as first
-written, one isinstance chain per node.
+written, every slice tested on the whole plane, the reference
+coalition reduction is the pooled matrix, its row elimination and the
+2x2 solve as first written, the reference sum is marginal_values' trace
+sum as first written, and the reference renderer at the end is the JSON
+and markdown rendering as first written, one isinstance chain per node.
 """
 
 import json
 
 import numpy as np
 
-from finegames import PLAYERS, MarginalConvention, MarginalSet, PureState, StrategyTriple
+from finegames import (
+    PLAYERS,
+    MarginalConvention,
+    MarginalSet,
+    PureState,
+    ShapeError,
+    StrategyTriple,
+)
 from finegames.games import _polynomial_values
 
 ORACLE_TOL = 1e-9
@@ -209,6 +217,103 @@ def reference_lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -
         for i, x in enumerate(grid):
             slices[i] &= (-x * g <= tol) & ((1.0 - x) * g <= tol)
     return mask
+
+
+# Reference coalition reduction: equilibrium.py's coalition_reduction
+# (a triple loop over dicts of bits), its weakly dominated row
+# elimination (a changed flag and a double break) and zero_sum_2x2_value
+# (numpy reductions) as they were before they moved to the table's axes
+# and plain floats, kept verbatim (renamed; the reduction returns its
+# fields as a dict). The library must equal them with == and raise the
+# same errors.
+
+
+def reference_zero_sum_2x2_value(matrix):
+    """Value and optimal mixes of a 2x2 zero-sum game (row maximizes).
+
+    Flat games return the uniform mix, saddle points return pure
+    strategies (first index on ties), and everything else uses the
+    interior closed form.
+    """
+    m = np.array(matrix, dtype=np.float64)
+    if m.shape != (2, 2):
+        raise ShapeError(f"matrix must be 2x2, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ShapeError("matrix contains non-finite entries")
+    a, b = float(m[0, 0]), float(m[0, 1])
+    c, d = float(m[1, 0]), float(m[1, 1])
+    if a == b == c == d:
+        return a, (0.5, 0.5), (0.5, 0.5)
+    row_mins = m.min(axis=1)
+    col_maxs = m.max(axis=0)
+    maximin = float(row_mins.max())
+    minimax = float(col_maxs.min())
+    if abs(maximin - minimax) <= 1e-12:
+        r = int(np.argmax(row_mins))
+        k = int(np.argmin(col_maxs))
+        row_mix = (1.0, 0.0) if r == 0 else (0.0, 1.0)
+        col_mix = (1.0, 0.0) if k == 0 else (0.0, 1.0)
+        return maximin, row_mix, col_mix
+    denom = a - b - c + d
+    value = (a * d - b * c) / denom
+    p = (d - c) / denom
+    q = (d - b) / denom
+    return float(value), (float(p), float(1.0 - p)), (float(q), float(1.0 - q))
+
+
+def reference_eliminate_weakly_dominated_rows(mat: np.ndarray) -> list[int]:
+    keep = list(range(mat.shape[0]))
+    changed = True
+    while changed:
+        changed = False
+        for r in list(keep):
+            for r2 in keep:
+                if r2 == r:
+                    continue
+                if np.all(mat[r2] >= mat[r] - 1e-12) and np.any(
+                    mat[r2] > mat[r] + 1e-12
+                ):
+                    keep.remove(r)
+                    changed = True
+                    break
+            if changed:
+                break
+    return keep
+
+
+def reference_coalition_reduction(entries: np.ndarray, odd_player: str) -> dict:
+    """The fields of coalition_reduction(PayoffTable(entries), odd_player)."""
+    members = tuple(p for p in PLAYERS if p != odd_player)
+    rows = []
+    for s1 in (0, 1):
+        for s2 in (0, 1):
+            row = []
+            for o in (0, 1):
+                bits = {members[0]: s1, members[1]: s2, odd_player: o}
+                idx = bits["A"] * 4 + bits["B"] * 2 + bits["C"]
+                pay = entries[idx]
+                row.append(
+                    float(pay[PLAYERS.index(members[0])])
+                    + float(pay[PLAYERS.index(members[1])])
+                )
+            rows.append(row)
+    full = np.array(rows)
+    kept = reference_eliminate_weakly_dominated_rows(full)
+    if len(kept) != 2:
+        raise ShapeError(
+            f"coalition matrix reduced to {len(kept)} rows, expected 2"
+        )
+    reduced = full[kept]
+    value, member_mix, odd_mix = reference_zero_sum_2x2_value(reduced)
+    return {
+        "members": members,
+        "full_matrix": full,
+        "kept_rows": (kept[0], kept[1]),
+        "reduced": reduced,
+        "value": value,
+        "member_mix": member_mix,
+        "odd_mix": odd_mix,
+    }
 
 
 # Reference sum: the trace sum of measurement.marginal_values as it was

@@ -537,3 +537,57 @@ def test_scenario_params_fuzz(capsys):
             report = json.loads(out)
             assert (report["inputs"] == defaults[sid]) == bool(report["reference"]), (sid, text)
     assert codes == {0, 2}
+
+
+# A JSON integer too large for a float; a JSON 1e400 reads as inf.
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"kind": "ghz", "a": %s}' % HUGE, "state.a: integer too large for a float"),
+        ('{"kind": "w", "c2": [0, -%s], "c3": 0, "c5": 0}' % HUGE,
+         "state.c2[1]: integer too large for a float"),
+        ('{"kind": "mixed", "weights": [0, 0, 0, 0, 0, 0, 0, %s]}' % HUGE,
+         "state.weights[7]: integer too large for a float"),
+        ('{"kind": "mixed", "weights": [1e400, 0, 0, 0, 0, 0, 0, 0]}',
+         "state.weights[0]: expected a finite number"),
+        ('{"kind": "product", "theta": [0, -1e400, 0]}', "state.theta[1]: expected a finite number"),
+        ('{"kind": "product", "theta": [0, 0, 0], "phi": [0, 0, 1e400]}',
+         "state.phi[2]: expected a finite number"),
+        ('{"kind": "product", "theta": [0, 0, 0], "delta": [%s, 0, 0]}' % HUGE,
+         "state.delta[0]: integer too large for a float"),
+    ],
+)
+def test_huge_and_non_finite_state_numbers_name_their_path(tmp_path, capsys, text, message):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "marginals", "--convention", "parity", "--state", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scenario", "--id", "pd-ghz", "--params", '{"a": %s}' % HUGE),
+         "params.a: integer too large for a float"),
+        (("scenario", "--id", "pd-classical", "--params", '{"pd_params": [7, 9, 3, 0, 1, %s]}' % HUGE),
+         "params.pd_params[5]: integer too large for a float"),
+        (("scenario", "--id", "pd-classical", "--params", '{"tol": %s}' % HUGE),
+         "params.tol: expected a finite positive number"),
+        (("scenario", "--id", "coop-quantum", "--params", '{"v": %s}' % HUGE),
+         "params.v: expected a finite non-negative number"),
+        (("ne", "--mode", "interior", "--game", '{"kind": "pd3", "params": [7, 9, 3, 0, 1, %s]}' % HUGE),
+         "game.params[5]: integer too large for a float"),
+        (("fine", "--marginals", '{"convention": "parity", "lambda": %s}' % HUGE),
+         "marginals.lambda: integer too large for a float"),
+    ],
+)
+def test_huge_integer_params_exit_2(tmp_path, capsys, argv, message):
+    if argv[0] != "scenario":
+        path = tmp_path / "input.json"
+        path.write_text(argv[-1])
+        argv = argv[:-1] + (str(path),)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from finegames import (
     DEFAULT_PD_PARAMS,
     MarginalConvention,
+    PLAYERS,
     PayoffTable,
     PdParams,
     ShapeError,
@@ -34,8 +35,15 @@ from finegames import (
 )
 import finegames.equilibrium as equilibrium
 from finegames.equilibrium import DEFAULT_NE_TOL, MAX_RESOLUTION, _lattice_screen
-from finegames.games import MAX_PAYOFF, _payoff_polynomial
-from oracles import endpoint_certificates, lattice_screen, reference_lattice_screen
+from finegames.games import MAX_PAYOFF, _payoff_polynomial, _slope_plane
+from oracles import (
+    endpoint_certificates,
+    lattice_screen,
+    reference_coalition_reduction,
+    reference_eliminate_weakly_dominated_rows,
+    reference_lattice_screen,
+    reference_zero_sum_2x2_value,
+)
 
 probability = st.floats(0.0, 1.0)
 level = st.floats(-10.0, 10.0, allow_subnormal=False)
@@ -182,15 +190,18 @@ def own_slope_table(slopes) -> PayoffTable:
 def screen_tables(rng, tol, resolution):
     """Seeded tables for the screen property: a perturbed dilemma, a
     normal table, a small-integer table full of ties, an own-choice-
-    blind table, a tiny-payoff table (band over the whole plane at
-    most tolerances), and constant slopes at the band's edge: one float
-    past (n - 1) tol, where rounding still lets interior points pass at
-    resolutions 11 and 61, exactly at 2 (n - 1) tol, and subnormal."""
+    blind table, a scaled odd-man-out game (each slope vanishes along a
+    line of the plane, so the band is a thin strip), a tiny-payoff
+    table (band over the whole plane at most tolerances), and constant
+    slopes at the band's edge: one float past (n - 1) tol, where
+    rounding still lets interior points pass at resolutions 11 and 61,
+    exactly at 2 (n - 1) tol, and subnormal."""
     levels = np.array(DEFAULT_PD_PARAMS.as_tuple())
     yield pd3(PdParams(*(levels + rng.uniform(-0.2, 0.2, 6))))
     yield PayoffTable(rng.normal(size=(8, 3)))
     yield PayoffTable(rng.integers(-2, 3, size=(8, 3)).astype(float))
     yield own_choice_blind_table(rng)
+    yield PayoffTable(rng.uniform(0.5, 2.0) * coop_game().entries)
     yield PayoffTable(1e-12 * rng.normal(size=(8, 3)))
     edge = (resolution - 1) * max(tol, np.finfo(float).tiny)
     past = np.nextafter(edge, np.inf)
@@ -211,7 +222,7 @@ def test_lattice_screen_matches_reference_bit_for_bit():
                 want = reference_lattice_screen(coeffs, grid, tol)
                 assert np.array_equal(got, want), (resolution, tol, table.entries)
                 cases += 1
-    assert cases == 8 * len(SCREEN_TOLS) * len(SCREEN_RESOLUTIONS)
+    assert cases == 9 * len(SCREEN_TOLS) * len(SCREEN_RESOLUTIONS)
 
 
 def test_lattice_screen_memory_peak_within_reference():
@@ -267,6 +278,41 @@ def test_pd3_screen_tests_no_interior_slice(monkeypatch):
     found = grid_ne_search(pd3(), MAX_RESOLUTION)
     assert [c.triple.as_tuple() for c in found] == [(0.0, 0.0, 0.0)]
     assert sorted(tested) == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
+
+def test_interior_slices_are_tested_on_the_band_only(monkeypatch):
+    # Each slope of the odd-man-out game vanishes along a line, so each
+    # band is a thin strip of the plane. At MAX_RESOLUTION a block is one
+    # row of the plane, whose band is one run of columns: the calls test
+    # every interior slice on exactly the band's points, in C order,
+    # while the endpoint slices take the whole plane. The cube is the
+    # reference's, bit for bit.
+    calls = []
+    passes = equilibrium._slice_passes
+
+    def recorded(x, g, tol):
+        calls.append((np.array(x), g.copy()))
+        return passes(x, g, tol)
+
+    monkeypatch.setattr(equilibrium, "_slice_passes", recorded)
+    n = MAX_RESOLUTION
+    grid = np.linspace(0.0, 1.0, n)
+    coeffs = _payoff_polynomial(coop_game())
+    cube = _lattice_screen(coeffs, grid, DEFAULT_NE_TOL)
+    monkeypatch.undo()
+    assert np.array_equal(cube, reference_lattice_screen(coeffs, grid, DEFAULT_NE_TOL))
+    # Each player's calls open with its two endpoint slices (a scalar x).
+    starts = [k for k, (x, _) in enumerate(calls) if x.ndim == 0][::2]
+    assert starts[0] == 0 and len(starts) == 3
+    for p, (start, stop) in enumerate(zip(starts, starts[1:] + [len(calls)])):
+        plane = _slope_plane(coeffs, p, grid[:, None], grid[None, :])
+        band = np.abs(plane) <= 2.0 * (n - 1) * DEFAULT_NE_TOL
+        assert 0 < np.count_nonzero(band) <= n
+        (x0, g0), (x1, g1), *interior = calls[start:stop]
+        assert (float(x0), float(x1)) == (0.0, 1.0)
+        assert np.array_equal(g0, plane) and np.array_equal(g1, plane)
+        assert all(np.array_equal(x, grid[1:-1, None, None]) for x, _ in interior)
+        assert np.array_equal(np.concatenate([g.ravel() for _, g in interior]), plane[band])
 
 
 def test_verify_matches_outcome_form_oracle(rng):
@@ -405,6 +451,72 @@ def test_zero_sum_flat():
     value, row, col = zero_sum_2x2_value([[1.0, 1.0], [1.0, 1.0]])
     assert value == 1.0
     assert row == (0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "matrix, value, row, col",
+    [
+        ([[1.0, 3.0], [1.0, 2.0]], 1.0, (1.0, 0.0), (1.0, 0.0)),  # equal row minima
+        ([[2.0, 2.0], [0.0, 1.0]], 2.0, (1.0, 0.0), (1.0, 0.0)),  # equal column maxima
+        ([[0.0, 1.0], [2.0, 2.0]], 2.0, (0.0, 1.0), (1.0, 0.0)),  # both at the later row
+        ([[0.0, -0.0], [-1.0, -1.0]], -0.0, (1.0, 0.0), (1.0, 0.0)),  # zeros of both signs
+        ([[-0.0, 0.0], [-1.0, -1.0]], 0.0, (1.0, 0.0), (1.0, 0.0)),
+    ],
+)
+def test_zero_sum_saddle_ties_take_the_first_index(matrix, value, row, col):
+    got = zero_sum_2x2_value(matrix)
+    assert got == reference_zero_sum_2x2_value(matrix) == (value, row, col)
+    assert math.copysign(1.0, got[0]) == math.copysign(1.0, value)
+
+
+def zero_sum_tables(rng):
+    """Seeded zero-sum tables: small integers, full of ties, dominated
+    rows and matrices that do not reduce to 2 rows, and normal draws.
+    The derived column, minus the others' sum, moves among players.
+    The negated odd-man-out game pools zeros of one sign."""
+    yield coop_game()
+    yield PayoffTable(-coop_game().entries)
+    for _ in range(150):
+        for free in (rng.integers(-2, 3, size=(8, 2)).astype(float), rng.normal(size=(8, 2))):
+            entries = np.column_stack([free, -free.sum(axis=1)])
+            yield PayoffTable(entries[:, rng.permutation(3)])
+
+
+def test_coalition_reduction_matches_reference(rng):
+    solved = raised = 0
+    for table in zero_sum_tables(rng):
+        for odd in PLAYERS:
+            try:
+                want = reference_coalition_reduction(table.entries, odd)
+            except ShapeError as err:
+                with pytest.raises(ShapeError) as info:
+                    coalition_reduction(table, odd)
+                assert str(info.value) == str(err)
+                raised += 1
+                continue
+            got = coalition_reduction(table, odd)
+            assert (got.odd_player, got.members) == (odd, want["members"])
+            for name in ("full_matrix", "reduced"):
+                signs = np.signbit(getattr(got, name)), np.signbit(want[name])
+                assert np.array_equal(getattr(got, name), want[name]), (name, table.entries)
+                assert np.array_equal(*signs), (name, table.entries)
+            for name in ("kept_rows", "value", "member_mix", "odd_mix"):
+                assert getattr(got, name) == want[name], (name, table.entries)
+            assert math.copysign(1.0, got.value) == math.copysign(1.0, want["value"])
+            solved += 1
+    assert solved >= 400 and raised >= 400
+
+
+def test_elimination_removes_the_first_dominated_row_first(rng):
+    # Within the 1e-12 tolerance dominance is not transitive: B beats A
+    # and C beats B, but C does not beat A. Removing A first, then B,
+    # leaves C and D; removing B first would keep A too.
+    rows = [[0.0, 0.0], [-0.8e-12, 1.0], [-1.6e-12, 2.0], [5.0, -5.0]]
+    assert equilibrium._eliminate_weakly_dominated_rows(rows) == [2, 3]
+    for _ in range(2000):
+        mat = rng.integers(-1, 2, size=(4, 2)) + 0.6e-12 * rng.integers(-3, 4, size=(4, 2))
+        want = reference_eliminate_weakly_dominated_rows(mat)
+        assert equilibrium._eliminate_weakly_dominated_rows(mat.tolist()) == want, mat
 
 
 def test_coop_pair_reduction():
