@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .equilibrium import (
@@ -36,8 +35,9 @@ from .errors import FinegamesError, ParamError
 from .fine import NoJointError, XiRule, bell_slacks, reconstruct_joint, xi_interval
 from .games import StrategyTriple
 from .measurement import MarginalConvention, extract_marginals, weights_from_marginals
-from .scenarios import SCENARIO_IDS, run_scenario
+from .scenarios import SCENARIO_IDS, _finite, run_scenario
 from .serialize import (
+    _checked,
     bell_to_dict,
     certificate_to_dict,
     interval_to_dict,
@@ -53,9 +53,6 @@ from .serialize import (
     state_density,
     triple_to_list,
 )
-
-XI_RULES = {"given": XiRule.GIVEN, "mid": XiRule.MIDPOINT, "lower": XiRule.LOWER}
-
 
 def _read_json(path: str, what: str):
     try:
@@ -90,7 +87,7 @@ def _parse_triple(raw: str) -> StrategyTriple:
         values = [float(p) for p in parts]
     except ValueError:
         raise ParamError('--triple: expected "lam,mu,nu" with numeric entries') from None
-    return StrategyTriple(*values)
+    return _checked(StrategyTriple, "--triple", *values)
 
 
 def _emit(payload: dict, args: argparse.Namespace, title: str):
@@ -135,7 +132,7 @@ def cmd_fine(args: argparse.Namespace) -> int:
     else:
         payload["xi_interval"] = None
     try:
-        joint = reconstruct_joint(m, XI_RULES[args.xi])
+        joint = reconstruct_joint(m, XiRule(args.xi))
     except NoJointError as err:
         payload["joint"] = None
         payload["violated_terms"] = list(err.violated_terms)
@@ -151,9 +148,7 @@ def cmd_fine(args: argparse.Namespace) -> int:
 
 def cmd_ne(args: argparse.Namespace) -> int:
     table = load_game(_read_json(args.game, "--game"))
-    tol = args.tol if args.tol is not None else DEFAULT_NE_TOL
-    if not 0 < tol < math.inf:
-        raise ParamError("--tol: must be a finite positive number")
+    tol = DEFAULT_NE_TOL if args.tol is None else _finite(args.tol, "--tol", True)
 
     if args.mode == "verify":
         if args.triple is None:
@@ -245,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marginals", required=True, help="JSON marginal set file")
     p.add_argument(
         "--xi",
-        choices=tuple(XI_RULES),
+        choices=tuple(r.value for r in XiRule),
         default="given",
         help="triple-probability rule for the reconstruction (default given)",
     )

@@ -18,12 +18,12 @@ from .errors import ShapeError
 from .games import (
     PayoffTable,
     StrategyTriple,
+    _REST_ROWS,
     _SLOPE_ROWS,
     _payoff_polynomial,
     _polynomial_values,
     _slope_plane,
     coop_game,
-    marginal_form_coefficients,
 )
 from .qstates import PLAYERS, _trusted
 
@@ -413,9 +413,9 @@ def coop_best_response_solve(
     First finds the common opponent probability c* that makes the first
     player's own-probability derivative vanish, then the first-player
     probability l* at which the second player is stationary against
-    (l*, c*, c*). Both derivatives are polynomials in the marginal-form
-    coefficients: a quadratic in c for the first player, and, along
-    the diagonal mu = nu, an affine function of l for the second.
+    (l*, c*, c*). Both derivatives read the payoff polynomial's rows: a
+    quadratic in c for the first player, and, along the diagonal
+    mu = nu, an affine function of l for the second.
     """
     if table is None:
         table = coop_game()
@@ -423,10 +423,11 @@ def coop_best_response_solve(
     if c_star is None:
         raise ValueError("first player's stationarity has no root in [0, 1]")
 
-    coeffs = marginal_form_coefficients(table)
-    b_xi, b_pab, b_pbc, b_pac, _, b_mu, b_nu = (float(v) for v in coeffs[:7, 1])
-    g0 = 2.0 * b_pbc * c_star + b_mu + b_nu
-    g1 = g0 + 2.0 * b_xi * c_star + b_pab + b_pac
+    c = _payoff_polynomial(table)[:, 1].tolist()
+    pq, pr, own = (c[rows[1]] for rows in _SLOPE_ROWS)
+    qr, _, r = (c[rows[1]] for rows in _REST_ROWS)
+    g0 = 2.0 * pr * c_star + own + r
+    g1 = g0 + 2.0 * c[7] * c_star + pq + qr
     if abs(g0 - g1) < 1e-15:
         if abs(g0) < 1e-12:
             return 0.5, float(c_star)

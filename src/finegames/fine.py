@@ -137,10 +137,6 @@ def _xi_bounds(m: MarginalSet) -> tuple[float, float]:
 _NOTES = {c: f"evaluated on {c.value}-convention values" for c in MarginalConvention}
 
 
-def _note(m: MarginalSet) -> str:
-    return _NOTES[m.convention]
-
-
 def _slack_terms(lam, mu, nu, p_ab, p_bc, p_ac) -> tuple:
     """The four slacks, RHS minus LHS, of Python floats or of columns."""
     return (
@@ -174,7 +170,8 @@ def bell_slacks(m: MarginalSet) -> BellReport:
     # Python floats round each operation as float64 columns do.
     slack = _slack_terms(m.lam, m.mu, m.nu, m.p_ab, m.p_bc, m.p_ac)
     return _trusted(
-        BellReport, slack=slack, convention_note=_note(m), satisfied=min(slack) >= -SLACK_TOL
+        BellReport, slack=slack, convention_note=_NOTES[m.convention],
+        satisfied=min(slack) >= -SLACK_TOL,
     )
 
 

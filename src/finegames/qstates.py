@@ -30,17 +30,8 @@ def basis_bit(index: int, player: str) -> int:
     return (index >> shift) & 1
 
 
-def _as_complex_vector(values, length: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if arr.shape != (length,):
-        raise ShapeError(f"{what} must have shape ({length},), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ShapeError(f"{what} contains non-finite entries")
-    return arr
-
-
-def _as_real_vector(values, length: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+def _as_vector(values, length: int, what: str, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     if arr.shape != (length,):
         raise ShapeError(f"{what} must have shape ({length},), got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -93,7 +84,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_complex_vector(self.amplitudes, 8, "amplitudes")
+        amps = _as_vector(self.amplitudes, 8, "amplitudes", np.complex128)
         norm = float((np.abs(amps) ** 2).sum())
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise _norm_error(norm)
@@ -111,7 +102,7 @@ class DiagonalMixedState:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _as_real_vector(self.weights, 8, "weights")
+        w = _as_vector(self.weights, 8, "weights", np.float64)
         # Eight finite weights: their extremes decide the range.
         listed = w.tolist()
         if min(listed) < -1e-12 or max(listed) > 1 + 1e-12:
@@ -139,9 +130,9 @@ class ProductStateAngles:
     delta: np.ndarray
 
     def __post_init__(self):
-        theta = _as_real_vector(self.theta, 3, "theta")
-        phi = _as_real_vector(self.phi, 3, "phi")
-        delta = _as_real_vector(self.delta, 3, "delta")
+        theta = _as_vector(self.theta, 3, "theta", np.float64)
+        phi = _as_vector(self.phi, 3, "phi", np.float64)
+        delta = _as_vector(self.delta, 3, "delta", np.float64)
         slack = 1e-12
         # Three finite angles each: their extremes decide the ranges.
         listed = theta.tolist()
@@ -243,27 +234,24 @@ def product_state(angles: ProductStateAngles) -> PureState:
     return PureState(amps)
 
 
+def _on_basis(indices: tuple[int, ...], values: tuple[complex, ...]) -> PureState:
+    """The PureState with values at the basis indices and zeros elsewhere."""
+    amps = np.zeros(8, dtype=np.complex128)
+    for i, c in zip(indices, values):
+        amps[i] = c
+    return PureState(amps)
+
+
 def ghz(a: complex, b: complex) -> PureState:
     """Superposition a|000> + b|111> (PureState checks its norm)."""
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = a
-    amps[7] = b
-    return PureState(amps)
+    return _on_basis((0, 7), (a, b))
 
 
 def w_state(c2: complex, c3: complex, c5: complex) -> PureState:
     """Superposition of the single-excitation states |001>, |010>, |100>."""
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[1] = c2
-    amps[2] = c3
-    amps[4] = c5
-    return PureState(amps)
+    return _on_basis((1, 2, 4), (c2, c3, c5))
 
 
 def pd_state(c4: complex, c6: complex, c7: complex) -> PureState:
     """Superposition of the double-excitation states |011>, |101>, |110>."""
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[3] = c4
-    amps[5] = c6
-    amps[6] = c7
-    return PureState(amps)
+    return _on_basis((3, 5, 6), (c4, c6, c7))

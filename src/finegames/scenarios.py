@@ -71,9 +71,8 @@ from .qstates import (
     w_state,
 )
 from .serialize import (
-    _dilemma_params,
+    _checked,
     _number,
-    _unit_state,
     bell_to_dict,
     certificate_to_dict,
     complex_pair,
@@ -146,7 +145,7 @@ class ScenarioReport:
 def _pd_params(value, path: str) -> PdParams:
     if not isinstance(value, (list, tuple)) or len(value) != 6:
         raise ParamError(f"{path}: expected a list of 6 payoff levels")
-    return _dilemma_params([_number(v, path, i) for i, v in enumerate(value)], path)
+    return _checked(PdParams, path, *[_number(v, path, i) for i, v in enumerate(value)])
 
 
 def _bounded_int(value, path: str, minimum: int, maximum: int) -> int:
@@ -288,7 +287,7 @@ def _joint_or_terms(m: MarginalSet, out: dict, joint_key: str, terms_key: str):
 
 def _pd_ghz(a: complex, b: complex, pd_params: PdParams) -> ScenarioReport:
     table = pd3(pd_params)
-    state = _unit_state(ghz, "params", a, b)
+    state = _checked(ghz, "params", a, b)
     rho = density_from_pure(state)
     m_parity = extract_marginals(rho, MarginalConvention.PARITY)
     m_conj = convert_marginals(m_parity, MarginalConvention.CONJUNCTION)
@@ -487,7 +486,7 @@ def _affine_family(
 def _pd_w(c2: complex, c3: complex, c5: complex, pd_params: PdParams) -> ScenarioReport:
     # p_ab = (lam + mu - nu) / 2 and cyclically, xi = 0.
     family = [[0, 0.5, 0.5, -0.5], [0, -0.5, 0.5, 0.5], [0, 0.5, -0.5, 0.5], [0, 0, 0, 0]]
-    state = _unit_state(w_state, "params", c2, c3, c5)
+    state = _checked(w_state, "params", c2, c3, c5)
     return _affine_family(state, pd_params, family, _w_analysis)
 
 
@@ -518,7 +517,7 @@ def _pd_continuum(
 ) -> ScenarioReport:
     # p_ab = nu, p_bc = lam, p_ac = mu, xi = lam + mu + nu.
     family = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]]
-    state = _unit_state(pd_state, "params", c4, c6, c7)
+    state = _checked(pd_state, "params", c4, c6, c7)
     return _affine_family(state, pd_params, family, _continuum_analysis)
 
 
@@ -593,7 +592,7 @@ def _coop_quantum(
     # A state whose two excitation trios have equal magnitudes: given,
     # or drawn from the weights with seeded phases.
     if amplitudes is not None:
-        state = _unit_state(PureState, "params.amplitudes", np.array(amplitudes))
+        state = _checked(PureState, "params.amplitudes", np.array(amplitudes))
         q = state.probabilities()
         if max(abs(q[3] - q[5]), abs(q[3] - q[6])) > 1e-9:
             raise ParamError(
@@ -611,7 +610,7 @@ def _coop_quantum(
         rng = np.random.default_rng(seed)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8))
         mags = np.sqrt(np.array([q1, v, v, u, v, u, u, q8]))
-        state = _unit_state(PureState, "params", mags * phases)
+        state = _checked(PureState, "params", mags * phases)
     rho = density_from_pure(state)
     m = extract_marginals(rho, MarginalConvention.PARITY)
     table = coop_game()

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DilemmaViolation, NormalizationError, ParamError, RangeError, ShapeError
+from .errors import FinegamesError, ParamError, RangeError
 from .fine import BellReport, JointDistribution, XiInterval
 from .games import PayoffTable, PdParams, StrategyTriple, coop_game, pd3
 from .measurement import MarginalConvention, MarginalSet, WeightInversion
@@ -143,6 +143,14 @@ def _number(value, path: str, *at) -> float:
         raise ParamError(f"{_field_path(path, at)}: integer too large for a float") from None
 
 
+def _finite_number(value, path: str, *at) -> float:
+    """_number that is finite, for one value as _finite_list is for a list."""
+    x = _number(value, path, *at)
+    if not isfinite(x):
+        raise ParamError(f"{_field_path(path, at)}: expected a finite number")
+    return x
+
+
 def _number_list(value, length: int, path: str) -> list[float]:
     if not isinstance(value, list) or len(value) != length:
         raise ParamError(f"{path}: expected a list of {length} numbers")
@@ -157,15 +165,6 @@ def _finite_list(value, length: int, path: str) -> list[float]:
         if not isfinite(x):
             raise ParamError(f"{path}[{i}]: expected a finite number")
     return numbers
-
-
-def _dilemma_params(levels: list[float], path: str) -> PdParams:
-    """Dilemma levels already parsed as numbers; a level that is not
-    finite or breaks the dilemma is a ParamError naming the path."""
-    try:
-        return PdParams(*levels)
-    except (DilemmaViolation, ShapeError) as exc:
-        raise ParamError(f"{path}: {exc}") from None
 
 
 def parse_complex(value, path: str, *at) -> complex:
@@ -195,18 +194,20 @@ def complementary_amplitude(a: complex, path: str) -> complex:
     return complex(max(rest, 0.0) ** 0.5, 0.0)
 
 
-def _unit_state(build: Callable, path: str, *values):
-    """build(*values); amplitudes or weights that do not normalize, or
-    leave their range, are a ParamError at path (the parent path, such
-    as `params` or `state`, when several values share the norm), below
-    it at the field a RangeError names."""
+def _checked(build: Callable, path: str, *values):
+    """build(*values) on values from outside the program. A constructor
+    error is a ParamError at path (the parent path, such as `params` or
+    `state`, when several values share a check), below it at the field
+    a RangeError names."""
     try:
         return build(*values)
-    except NormalizationError as exc:
-        raise ParamError(f"{path}: {exc}") from None
+    except ParamError:
+        raise
     except RangeError as exc:
         where = path if exc.field is None else f"{path}.{exc.field}"
         raise ParamError(f"{where}: {exc}") from None
+    except FinegamesError as exc:
+        raise ParamError(f"{path}: {exc}") from None
 
 
 def complex_pair(z: complex) -> list[float]:
@@ -230,17 +231,17 @@ def load_state(descriptor, path: str = "state"):
             raise ParamError(f"{path}.amplitudes: expected a list of 8 entries")
         where = f"{path}.amplitudes"
         amps = [parse_complex(v, where, i) for i, v in enumerate(raw)]
-        return _unit_state(PureState, where, amps)
+        return _checked(PureState, where, amps)
     if kind == "mixed":
         _reject_unknown(d, path, ("kind", "weights"))
         weights = _finite_list(d.get("weights"), 8, f"{path}.weights")
-        return _unit_state(DiagonalMixedState, f"{path}.weights", weights)
+        return _checked(DiagonalMixedState, f"{path}.weights", weights)
     if kind == "product":
         _reject_unknown(d, path, ("kind", "theta", "phi", "delta"))
         theta = _finite_list(d.get("theta"), 3, f"{path}.theta")
         phi = _finite_list(d.get("phi", [0.0, 0.0, 0.0]), 3, f"{path}.phi")
         delta = _finite_list(d.get("delta", [0.0, 0.0, 0.0]), 3, f"{path}.delta")
-        return product_state(_unit_state(ProductStateAngles, path, theta, phi, delta))
+        return product_state(_checked(ProductStateAngles, path, theta, phi, delta))
     if kind == "ghz":
         _reject_unknown(d, path, ("kind", "a", "b"))
         a = parse_complex(d.get("a", [2.0 ** -0.5, 0.0]), path, "a")
@@ -248,11 +249,11 @@ def load_state(descriptor, path: str = "state"):
             b = parse_complex(d["b"], path, "b")
         else:
             b = complementary_amplitude(a, f"{path}.a")
-        return _unit_state(ghz, path, a, b)
+        return _checked(ghz, path, a, b)
     keys = ("c2", "c3", "c5") if kind == "w" else ("c4", "c6", "c7")
     _reject_unknown(d, path, ("kind", *keys))
     build = w_state if kind == "w" else pd_state
-    return _unit_state(build, path, *[parse_complex(d.get(k), path, k) for k in keys])
+    return _checked(build, path, *[parse_complex(d.get(k), path, k) for k in keys])
 
 
 def state_density(state) -> DensityMatrix:
@@ -272,8 +273,8 @@ def load_game(descriptor, path: str = "game") -> PayoffTable:
     if kind == "pd3":
         _reject_unknown(d, path, ("kind", "params"))
         if "params" in d:
-            params = _number_list(d["params"], 6, f"{path}.params")
-            return pd3(_dilemma_params(params, f"{path}.params"))
+            where = f"{path}.params"
+            return pd3(_checked(PdParams, where, *_number_list(d["params"], 6, where)))
         return pd3()
     if kind == "coop":
         _reject_unknown(d, path, ("kind",))
@@ -282,7 +283,7 @@ def load_game(descriptor, path: str = "game") -> PayoffTable:
     rows = d.get("rows")
     if not isinstance(rows, list) or len(rows) != 8:
         raise ParamError(f"{path}.rows: expected 8 rows of 3 numbers")
-    entries = [_number_list(r, 3, f"{path}.rows[{i}]") for i, r in enumerate(rows)]
+    entries = [_finite_list(r, 3, f"{path}.rows[{i}]") for i, r in enumerate(rows)]
     return PayoffTable(np.array(entries))
 
 
@@ -306,8 +307,8 @@ def load_marginals(descriptor, path: str = "marginals") -> MarginalSet:
     for key in MARGINAL_KEYS:
         if key not in d:
             raise ParamError(f"{path}.{key}: missing")
-        values.append(_number(d[key], path, key))
-    return MarginalSet(*values, convention)
+        values.append(_finite_number(d[key], path, key))
+    return _checked(MarginalSet, path, *values, convention)
 
 
 def marginals_to_dict(m: MarginalSet) -> dict:

@@ -9,9 +9,11 @@ outcome form (product weights against the payoff table) instead of the
 payoff polynomial. The reference screen is the lattice screen as first
 written, every slice tested on the whole plane, the reference
 coalition reduction is the pooled matrix, its row elimination and the
-2x2 solve as first written, the reference sum is marginal_values' trace
-sum as first written, and the reference renderer at the end is the JSON
-and markdown rendering as first written, one isinstance chain per node.
+2x2 solve as first written, the reference best response reads the
+odd-man-out game's coefficients by marginal name, the reference sum is
+marginal_values' trace sum as first written, and the reference renderer
+at the end is the JSON and markdown rendering as first written, one
+isinstance chain per node.
 """
 
 import json
@@ -22,10 +24,13 @@ from finegames import (
     PLAYERS,
     MarginalConvention,
     MarginalSet,
+    PayoffTable,
     PureState,
     ShapeError,
     StrategyTriple,
+    marginal_form_coefficients,
 )
+from finegames.equilibrium import _smallest_root
 from finegames.games import _polynomial_values
 
 ORACLE_TOL = 1e-9
@@ -314,6 +319,31 @@ def reference_coalition_reduction(entries: np.ndarray, odd_player: str) -> dict:
         "member_mix": member_mix,
         "odd_mix": odd_mix,
     }
+
+
+# Reference best response: coop_best_response_solve as it was when it
+# read both players' coefficients by marginal name, kept verbatim
+# (renamed). The library must equal it with == and raise the same errors.
+
+
+def reference_coop_best_response_solve(table: PayoffTable) -> tuple[float, float]:
+    coeffs = marginal_form_coefficients(table)
+    c_xi, c_pab, _, c_pac, c_lam = (float(v) for v in coeffs[:5, 0])
+    c_star = _smallest_root(c_xi, c_pab + c_pac, c_lam, 0.0, 1.0)
+    if c_star is None:
+        raise ValueError("first player's stationarity has no root in [0, 1]")
+
+    b_xi, b_pab, b_pbc, b_pac, _, b_mu, b_nu = (float(v) for v in coeffs[:7, 1])
+    g0 = 2.0 * b_pbc * c_star + b_mu + b_nu
+    g1 = g0 + 2.0 * b_xi * c_star + b_pab + b_pac
+    if abs(g0 - g1) < 1e-15:
+        if abs(g0) < 1e-12:
+            return 0.5, float(c_star)
+        raise ValueError("second player's stationarity has no solution")
+    l_star = g0 / (g0 - g1)
+    if l_star < -1e-9 or l_star > 1.0 + 1e-9:
+        raise ValueError("second player's stationary point lies outside [0, 1]")
+    return float(min(max(l_star, 0.0), 1.0)), float(c_star)
 
 
 # Reference sum: the trace sum of measurement.marginal_values as it was

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes."""
 
+import copy
 import hashlib
 import itertools
 import json
@@ -13,10 +14,18 @@ import pytest
 
 import finegames
 import finegames.cli as cli
-from finegames import SCENARIOS, load_schema, run_scenario
+from finegames import (
+    SCENARIOS,
+    JointDistribution,
+    MarginalConvention,
+    load_schema,
+    marginals_from_joint,
+    run_scenario,
+)
 from finegames.cli import main
 from finegames.equilibrium import MAX_RESOLUTION
 from finegames.scenarios import MAX_SCAN_GRID
+from finegames.serialize import MARGINAL_KEYS, STATE_KINDS, marginals_to_dict
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -539,6 +548,102 @@ def test_scenario_params_fuzz(capsys):
     assert codes == {0, 2}
 
 
+def spoil(rng, value):
+    """value with one entry, at a random depth, replaced by junk."""
+    if not isinstance(value, (dict, list)) or not value or rng.random() < 0.25:
+        return copy.deepcopy(FUZZ_JUNK[rng.integers(len(FUZZ_JUNK))])
+    keys = list(value) if isinstance(value, dict) else range(len(value))
+    key = keys[rng.integers(len(keys))]
+    value[key] = spoil(rng, value[key])
+    return value
+
+
+def fuzz_state(rng) -> dict:
+    """A state descriptor of a random kind: unit norm, weights and angles
+    in range, or just off them."""
+    kind = str(rng.choice(STATE_KINDS))
+    jitter = float(rng.choice([0.0, 0.0, 1e-10, 1e-3]))
+    if kind == "mixed":
+        return {"kind": kind, "weights": (rng.dirichlet(np.ones(8)) + jitter).tolist()}
+    if kind == "product":
+        tops = {"theta": np.pi, "phi": 2 * np.pi, "delta": 2 * np.pi}
+        angles = {k: rng.uniform(-jitter, top, 3).tolist() for k, top in tops.items()}
+        return {"kind": kind, **angles}
+    keys = {"ghz": ["a", "b"], "w": ["c2", "c3", "c5"], "pd": ["c4", "c6", "c7"]}.get(kind)
+    n = 8 if keys is None else len(keys)
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    pairs = [[float(c.real), float(c.imag)] for c in z / np.linalg.norm(z) * (1 + jitter)]
+    if keys is None:
+        return {"kind": kind, "amplitudes": pairs}
+    return {"kind": kind, **dict(zip(keys, pairs))}
+
+
+def fuzz_game(rng) -> dict:
+    kind = str(rng.choice(["pd3", "pd3", "coop", "custom"]))
+    if kind == "custom":
+        return {"kind": kind, "rows": rng.normal(size=(8, 3)).tolist()}
+    if kind == "pd3" and rng.random() < 0.5:
+        levels = np.array([7, 9, 3, 0, 1, 5]) + rng.normal(0, 0.5, 6)
+        return {"kind": kind, "params": levels.tolist()}
+    return {"kind": kind}
+
+
+def fuzz_marginals(rng) -> dict:
+    """The marginals of a random joint, one value sometimes moved off."""
+    joint = JointDistribution(rng.dirichlet(np.ones(8)))
+    desc = marginals_to_dict(marginals_from_joint(joint, rng.choice(list(MarginalConvention))))
+    if rng.random() < 0.5:
+        desc[str(rng.choice(MARGINAL_KEYS))] += float(rng.normal(0, 0.05))
+    return desc
+
+
+def test_file_subcommands_fuzz(tmp_path, capsys):
+    rng = np.random.default_rng(20261019)
+    path = tmp_path / "input.json"
+    codes = set()
+    for _ in range(600):
+        command = str(rng.choice(["marginals", "fine", "invert-marginals", "ne"]))
+        if command == "marginals":
+            desc = fuzz_state(rng)
+            convention = str(rng.choice(["parity", "conjunction"]))
+            argv = ["--state", str(path), "--convention", convention]
+        elif command == "ne":
+            desc = fuzz_game(rng)
+            mode = str(rng.choice(["verify", "grid", "interior"]))
+            argv = ["--game", str(path), "--mode", mode]
+            if mode == "verify":
+                triple = ",".join(f"{x:.3g}" for x in rng.uniform(0, 1, 3))
+                junk = ["0,0,0", "1,1,1", "2,0,0", "0,-1e-9,0", "nan,0,0", "x", "1,2"]
+                argv.append("--triple=" + str(rng.choice([triple] * 3 + junk)))
+            if mode == "grid":
+                argv.append(f"--resolution={rng.integers(-2, 22)}")
+            if rng.random() < 0.3:
+                tol = 10 ** rng.uniform(-14, 3) * rng.choice([1, 1, -1])
+                argv.append("--tol=" + str(rng.choice([str(tol), "0", "nan", "inf"])))
+        else:
+            desc = fuzz_marginals(rng)
+            argv = ["--marginals", str(path)]
+            if command == "fine":
+                argv += ["--xi", str(rng.choice(["given", "mid", "lower"]))]
+        if rng.random() < 0.1:
+            desc.pop(str(rng.choice(list(desc))))
+        if rng.random() < 0.05:
+            desc["bogus"] = 1
+        if rng.random() < 0.4:
+            desc = spoil(rng, desc)
+        text = json.dumps(desc)
+        path.write_text(text)
+        code, out, err = run(capsys, command, *argv)
+        codes.add(code)
+        assert code in (0, 1, 2), (command, argv, text, err)
+        assert "Traceback" not in err, (command, argv, text)
+        if code == 2:
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: "), (argv, text)
+        else:
+            json.loads(out)
+    assert codes == {0, 1, 2}
+
+
 # A JSON integer too large for a float; a JSON 1e400 reads as inf.
 HUGE = "1" + "0" * 400
 
@@ -582,6 +687,19 @@ def test_huge_and_non_finite_state_numbers_name_their_path(tmp_path, capsys, tex
          "game.params[5]: integer too large for a float"),
         (("fine", "--marginals", '{"convention": "parity", "lambda": %s}' % HUGE),
          "marginals.lambda: integer too large for a float"),
+        (("fine", "--marginals", '{"convention": "parity", "lambda": 1e400}'),
+         "marginals.lambda: expected a finite number"),
+        (("fine", "--marginals", '{"convention": "parity", "lambda": 0.5, "mu": NaN}'),
+         "marginals.mu: expected a finite number"),
+        (("fine", "--marginals", json.dumps({**CONJUNCTION_GHZ, "lambda": 0.4, "p_ab": 0.45})),
+         "marginals: p_ab = 0.45 exceeds min of its singles 0.4"),
+        (("ne", "--mode", "grid", "--game",
+          '{"kind": "custom", "rows": [[1e400, 0, 0]%s]}' % (", [0, 0, 0]" * 7)),
+         "game.rows[0][0]: expected a finite number"),
+        (("ne", "--mode", "verify", "--triple", "2,0,0", "--game", '{"kind": "pd3"}'),
+         "--triple: strategy lam = 2.0 outside [0, 1]"),
+        (("ne", "--mode", "grid", "--tol", "0", "--game", '{"kind": "pd3"}'),
+         "--tol: expected a finite positive number"),
     ],
 )
 def test_huge_integer_params_exit_2(tmp_path, capsys, argv, message):

@@ -40,6 +40,7 @@ from oracles import (
     endpoint_certificates,
     lattice_screen,
     reference_coalition_reduction,
+    reference_coop_best_response_solve,
     reference_eliminate_weakly_dominated_rows,
     reference_lattice_screen,
     reference_zero_sum_2x2_value,
@@ -577,6 +578,31 @@ def test_coop_best_response_zeroes_payoff_derivatives(rng):
         diagonal = factorizable_gradient(table, s)[1] + at_nu[1] - at_nu[0]
         assert diagonal == pytest.approx(0.0, abs=1e-12)
     assert solved >= 30
+
+
+def _outcome(solve, table):
+    try:
+        return solve(table)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_coop_best_response_matches_by_name_reference(rng):
+    # The 300 normal tables of the derivative test (same seed), then
+    # small-integer tables, whose ties reach the flat and no-solution
+    # branches, and tables with signed zeros.
+    tables = [PayoffTable(rng.normal(size=(8, 3))) for _ in range(300)]
+    tables += [PayoffTable(rng.integers(-2, 3, size=(8, 3))) for _ in range(300)]
+    tables += [coop_game(), PayoffTable(np.zeros((8, 3))), PayoffTable(-np.zeros((8, 3)))]
+    kinds = set()
+    for table in tables:
+        got = _outcome(coop_best_response_solve, table)
+        want = _outcome(reference_coop_best_response_solve, table)
+        assert got == want
+        if isinstance(got, tuple):
+            assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+        kinds.add(got if isinstance(got, str) else "solved")
+    assert len(kinds) == 4
 
 
 def test_coop_midpoint_is_weak_equilibrium():
