@@ -118,7 +118,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 def cmd_marginals(args: argparse.Namespace) -> int:
     state = load_state(_read_json(args.state, "--state"))
     convention = parse_convention(args.convention)
-    m = extract_marginals(state_density(state), convention)
+    m = _checked(extract_marginals, "state", state_density(state), convention)
     _emit(marginals_to_dict(m), args, "marginals")
     return 0
 
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--triple", help='strategy triple "lam,mu,nu" for verify')
     p.add_argument("--resolution", type=int, help="lattice points per axis for grid")
-    p.add_argument("--tol", type=float, help="equilibrium tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, help=f"equilibrium tolerance (default {DEFAULT_NE_TOL:g})")
     add_output(p)
     p.set_defaults(func=cmd_ne)
 

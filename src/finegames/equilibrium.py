@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DEFAULT_NE_TOL, FLAT_SLOPE_TOL, ROOT_ZERO_TOL, ZERO_TOL, ShapeError, holds
 from .games import (
     PayoffTable,
     StrategyTriple,
@@ -27,10 +27,7 @@ from .games import (
 )
 from .qstates import PLAYERS, _trusted
 
-DEFAULT_NE_TOL = 1e-9
 DEFAULT_RESOLUTION = 11
-SYMMETRY_TOL = 1e-12
-ROOT_ZERO_TOL = 1e-13
 # Largest lattice resolution. It bounds the screen's one boolean cube of
 # resolution^3 bytes: a search at 290 peaks at 56 MB ru_maxrss (30 MB of
 # it the import) and takes about 12 ms on pd3, 40 ms on coop_game and
@@ -79,8 +76,8 @@ def _endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> tuple:
     slope = _polynomial_values(coeffs, x)[1]
     gains = np.stack([-x * slope, (1.0 - x) * slope], axis=-1)
     slack = 0.0 - gains.max(axis=-1)
-    is_ne = slack.min(axis=-1) >= -tol
-    neutral = ((x[..., None] != (0.0, 1.0)) & (gains >= -tol)).any(axis=-1)
+    is_ne = holds(slack.min(axis=-1), tol)
+    neutral = ((x[..., None] != (0.0, 1.0)) & holds(gains, tol)).any(axis=-1)
     notes = []
     rows = zip(gains.reshape(-1, 6).tolist(), is_ne.tolist(), neutral.tolist())
     for row_gains, ok, flat in rows:
@@ -229,7 +226,7 @@ def _require_player_symmetric(table: PayoffTable):
         np.max(np.abs(t[..., 1] - np.transpose(t[..., 0], (1, 0, 2)))),
         np.max(np.abs(t[..., 2] - np.transpose(t[..., 0], (2, 1, 0)))),
     )
-    if float(max(defects)) > SYMMETRY_TOL:
+    if float(max(defects)) > ZERO_TOL:
         raise ShapeError(
             "interior solve needs a player-exchange symmetric payoff table"
         )
@@ -254,7 +251,7 @@ def product_state_interior_solve(table: PayoffTable) -> StrategyTriple | None:
     """
     _require_player_symmetric(table)
     quadratic = _diagonal_slope(table)
-    if max(abs(c) for c in quadratic) <= 1e-12:
+    if max(abs(c) for c in quadratic) <= ZERO_TOL:
         return None
     u = _smallest_root(*quadratic, -1.0, 1.0)
     if u is None:
@@ -298,7 +295,7 @@ def zero_sum_2x2_value(
     # do, so a zero value keeps its sign; the indices take the first.
     row_mins, col_maxs = (min(b, a), min(d, c)), (max(c, a), max(d, b))
     maximin, minimax = max(row_mins[1], row_mins[0]), min(col_maxs[1], col_maxs[0])
-    if abs(maximin - minimax) <= 1e-12:
+    if abs(maximin - minimax) <= ZERO_TOL:
         r, k = row_mins.index(maximin), col_maxs.index(minimax)
         row_mix = (1.0, 0.0) if r == 0 else (0.0, 1.0)
         col_mix = (1.0, 0.0) if k == 0 else (0.0, 1.0)
@@ -334,13 +331,15 @@ class CoalitionReduction:
 
 def _eliminate_weakly_dominated_rows(rows: list[list[float]]) -> list[int]:
     """Rows left after removing, one at a time, the first kept row that
-    another kept row weakly dominates (no row beats itself by 1e-12)."""
+    another kept row weakly dominates (no row beats itself by ZERO_TOL)."""
     keep = list(range(len(rows)))
     while True:
         for r in keep:
             a0, a1 = rows[r]
             if any(
-                b0 >= a0 - 1e-12 and b1 >= a1 - 1e-12 and (b0 > a0 + 1e-12 or b1 > a1 + 1e-12)
+                b0 >= a0 - ZERO_TOL
+                and b1 >= a1 - ZERO_TOL
+                and (b0 > a0 + ZERO_TOL or b1 > a1 + ZERO_TOL)
                 for b0, b1 in (rows[s] for s in keep)
             ):
                 keep.remove(r)
@@ -394,7 +393,7 @@ def coalition_analysis(table: PayoffTable) -> list[CoalitionValue]:
     construction. Order: singletons A, B, C, then pairs AB, BC, AC.
     """
     sums = np.abs(table.entries.sum(axis=1))
-    if float(sums.max()) > 1e-12:
+    if float(sums.max()) > ZERO_TOL:
         raise ShapeError("coalition analysis needs zero-sum payoff rows")
     reductions = {odd: coalition_reduction(table, odd) for odd in PLAYERS}
     values = [
@@ -428,11 +427,11 @@ def coop_best_response_solve(
     qr, _, r = (c[rows[1]] for rows in _REST_ROWS)
     g0 = 2.0 * pr * c_star + own + r
     g1 = g0 + 2.0 * c[7] * c_star + pq + qr
-    if abs(g0 - g1) < 1e-15:
-        if abs(g0) < 1e-12:
+    if abs(g0 - g1) < FLAT_SLOPE_TOL:
+        if abs(g0) < ZERO_TOL:
             return 0.5, float(c_star)
         raise ValueError("second player's stationarity has no solution")
     l_star = g0 / (g0 - g1)
-    if l_star < -1e-9 or l_star > 1.0 + 1e-9:
+    if l_star < -DEFAULT_NE_TOL or l_star > 1.0 + DEFAULT_NE_TOL:
         raise ValueError("second player's stationary point lies outside [0, 1]")
     return float(min(max(l_star, 0.0), 1.0)), float(c_star)

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConventionError, NoJointError, RangeError, ShapeError
+from .errors import SLACK_TOL, ConventionError, NoJointError, RangeError, ShapeError, holds
 from .measurement import (
     MOBIUS,
-    SLACK_TOL,
     MarginalConvention,
     MarginalSet,
     _apply,
@@ -64,7 +63,7 @@ class BellReport:
         if len(slack) != 4 or not all(np.isfinite(slack)):
             raise ShapeError("slack must be four finite reals")
         object.__setattr__(self, "slack", slack)
-        object.__setattr__(self, "satisfied", min(slack) >= -SLACK_TOL)
+        object.__setattr__(self, "satisfied", holds(min(slack)))
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,9 @@ class JointDistribution:
             raise ShapeError(f"joint distribution must have 8 entries, got {p.shape}")
         if not np.all(np.isfinite(p)):
             raise RangeError("joint distribution contains non-finite entries")
-        if float(np.min(p)) < -SLACK_TOL:
-            raise RangeError(
-                f"joint distribution has negative entries: min {float(np.min(p))!r}"
-            )
+        low = float(np.min(p))
+        if not holds(low):
+            raise RangeError(f"joint distribution has negative entries: min {low!r}")
         total = float(np.sum(p))
         if abs(total - 1.0) > SLACK_TOL:
             raise RangeError(f"joint distribution sums to {total!r}, not 1")
@@ -170,8 +168,7 @@ def bell_slacks(m: MarginalSet) -> BellReport:
     # Python floats round each operation as float64 columns do.
     slack = _slack_terms(m.lam, m.mu, m.nu, m.p_ab, m.p_bc, m.p_ac)
     return _trusted(
-        BellReport, slack=slack, convention_note=_NOTES[m.convention],
-        satisfied=min(slack) >= -SLACK_TOL,
+        BellReport, slack=slack, convention_note=_NOTES[m.convention], satisfied=holds(min(slack))
     )
 
 
@@ -212,8 +209,8 @@ def reconstruct_joint(
     # The terms are finite, as the seven values are, so their minimum
     # tells whether any lies below the floor.
     low = terms.min()
-    if low < -SLACK_TOL or empty:
-        violated = tuple((terms < -SLACK_TOL).nonzero()[0].tolist())
+    if not holds(low) or empty:
+        violated = tuple((~holds(terms)).nonzero()[0].tolist())
         raise NoJointError(violated, bell_slacks(m))
     clipped = np.maximum(terms, 0.0)
     if low < 0.0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DilemmaViolation, RangeError, ShapeError
+from .errors import DilemmaViolation, RangeError, ShapeError, clamp_unit
 from .fine import JointDistribution
 from .measurement import MOBIUS, MarginalConvention, MarginalSet, _apply, convert_marginals
 
@@ -76,10 +76,8 @@ class StrategyTriple:
 
     def __post_init__(self):
         for name in ("lam", "mu", "nu"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value < -1e-12 or value > 1.0 + 1e-12:
-                raise RangeError(f"strategy {name} = {value!r} outside [0, 1]")
-            object.__setattr__(self, name, min(max(value, 0.0), 1.0))
+            value = clamp_unit(float(getattr(self, name)), f"strategy {name}")
+            object.__setattr__(self, name, value)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.lam, self.mu, self.nu)

@@ -23,12 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import RangeError, ShapeError
+from .errors import EIGENVALUE_FLOOR, ZERO_TOL, RangeError, ShapeError, clamp_unit, holds
 from .qstates import BASIS_LABELS, PLAYERS, DensityMatrix, _trusted
-
-CLAMP_TOL = 1e-12
-# Negative-weight floor of weights_from_marginals and fine.reconstruct_joint.
-SLACK_TOL = 1e-12
 
 MARGINAL_FIELDS = ("lam", "mu", "nu", "p_ab", "p_bc", "p_ac", "xi")
 
@@ -93,12 +89,6 @@ class Correlations(NamedTuple):
     e_abc: float
 
 
-def _clamp_unit(value: float, what: str) -> float:
-    if value < -CLAMP_TOL or value > 1.0 + CLAMP_TOL:
-        raise RangeError(f"{what} = {value!r} outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
-
-
 @dataclass(frozen=True)
 class MarginalSet:
     """Seven marginal probabilities plus their reading convention.
@@ -123,7 +113,7 @@ class MarginalSet:
             value = float(getattr(self, name))
             if not np.isfinite(value):
                 raise RangeError(f"{name} is not finite")
-            object.__setattr__(self, name, _clamp_unit(value, name))
+            object.__setattr__(self, name, clamp_unit(value, name))
         if self.convention is MarginalConvention.CONJUNCTION:
             self._check_frechet()
 
@@ -136,15 +126,15 @@ class MarginalSet:
             ("p_ac", self.p_ac, self.lam, self.nu),
         )
         for name, pair, s1, s2 in bounds:
-            if pair > min(s1, s2) + CLAMP_TOL:
+            if pair > min(s1, s2) + ZERO_TOL:
                 raise RangeError(
                     f"{name} = {pair!r} exceeds min of its singles {min(s1, s2)!r}"
                 )
-            if pair < s1 + s2 - 1.0 - CLAMP_TOL:
+            if pair < s1 + s2 - 1.0 - ZERO_TOL:
                 raise RangeError(
                     f"{name} = {pair!r} below singles overlap bound {s1 + s2 - 1.0!r}"
                 )
-        if self.xi > min(self.p_ab, self.p_bc, self.p_ac) + CLAMP_TOL:
+        if self.xi > min(self.p_ab, self.p_bc, self.p_ac) + ZERO_TOL:
             raise RangeError(
                 f"xi = {self.xi!r} exceeds smallest pair probability"
             )
@@ -168,10 +158,10 @@ class PovmElement:
         mat = np.array(self.matrix, dtype=np.complex128)
         if mat.shape != (8, 8):
             raise ShapeError(f"POVM element must be 8x8, got {mat.shape}")
-        if float(np.max(np.abs(mat - mat.conj().T))) > CLAMP_TOL:
+        if float(np.max(np.abs(mat - mat.conj().T))) > ZERO_TOL:
             raise ShapeError("POVM element must be hermitian")
         eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < -1e-10 or eigs[-1] > 1.0 + 1e-10:
+        if eigs[0] < EIGENVALUE_FLOOR or eigs[-1] > 1.0 - EIGENVALUE_FLOOR:
             raise ShapeError("POVM element eigenvalues must lie in [0, 1]")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -222,7 +212,7 @@ def marginal_values(diagonals, convention: MarginalConvention) -> np.ndarray:
     result has shape (..., 7) in MarginalSet field order. Each value is
     tr(P rho) of the matching POVM element, summed in np.trace's order
     ((d0+d4)+(d1+d5)) + ((d2+d6)+(d3+d7)) so that it is bit-identical
-    to the trace. Values within CLAMP_TOL of [0, 1] are clamped into it;
+    to the trace. Values within ZERO_TOL of [0, 1] are clamped into it;
     any other value raises RangeError naming the first such marginal.
     """
     d = np.asarray(diagonals, dtype=np.float64)
@@ -239,12 +229,10 @@ def marginal_values(diagonals, convention: MarginalConvention) -> np.ndarray:
     lo = np.minimum.reduce(values, axis=None, initial=0.0)
     hi = np.maximum.reduce(values, axis=None, initial=0.0)
     if not (lo >= 0.0 and hi <= 1.0):
-        if not (lo >= -CLAMP_TOL and hi <= 1.0 + CLAMP_TOL):
-            bad = ~((values >= -CLAMP_TOL) & (values <= 1.0 + CLAMP_TOL))
+        if not (lo >= -ZERO_TOL and hi <= 1.0 + ZERO_TOL):
+            bad = ~((values >= -ZERO_TOL) & (values <= 1.0 + ZERO_TOL))
             first = np.argwhere(bad)[0]
-            raise RangeError(
-                f"{MARGINAL_FIELDS[first[-1]]} = {float(values[tuple(first)])!r} outside [0, 1]"
-            )
+            clamp_unit(float(values[tuple(first)]), MARGINAL_FIELDS[first[-1]])  # raises
         # np.clip, not np.maximum: it keeps a -0.0 as -0.0, as the reports do.
         np.clip(values, 0.0, 1.0, out=values)
     return values
@@ -257,7 +245,7 @@ def _marginal_set(values: np.ndarray, convention: MarginalConvention) -> Margina
     MarginalSet's per-field check does; only the Frechet check of a
     conjunction set can still fire (a density accepted down to
     EIGENVALUE_FLOOR, or a joint down to -SLACK_TOL, can break it by more
-    than CLAMP_TOL), so it alone runs again.
+    than ZERO_TOL), so it alone runs again.
     """
     m = _trusted(
         MarginalSet, **dict(zip(MARGINAL_FIELDS, values.tolist())), convention=convention
@@ -331,6 +319,6 @@ def weights_from_marginals(m: MarginalSet) -> WeightInversion:
         # `@` on input values here only: the helper's summation order would
         # move pd-product's reported parity inversion by an ulp.
         weights = (WALSH @ _signed(m)) / 8.0
-    negative = tuple((weights < -SLACK_TOL).nonzero()[0].tolist())
+    negative = tuple((~holds(weights)).nonzero()[0].tolist())
     weights.flags.writeable = False
     return WeightInversion(weights, negative)

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDensityError, NormalizationError, RangeError, ShapeError
-
-NORMALIZATION_TOL = 1e-9
-HERMITICITY_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
+from .errors import (
+    EIGENVALUE_FLOOR, NORMALIZATION_TOL, ZERO_TOL,
+    InvalidDensityError, NormalizationError, RangeError, ShapeError,
+)
 
 BASIS_LABELS = ("000", "001", "010", "011", "100", "101", "110", "111")
 
@@ -105,7 +104,7 @@ class DiagonalMixedState:
         w = _as_vector(self.weights, 8, "weights", np.float64)
         # Eight finite weights: their extremes decide the range.
         listed = w.tolist()
-        if min(listed) < -1e-12 or max(listed) > 1 + 1e-12:
+        if min(listed) < -ZERO_TOL or max(listed) > 1 + ZERO_TOL:
             raise RangeError("mixture weights must lie in [0, 1]")
         total = float(w.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
@@ -133,14 +132,13 @@ class ProductStateAngles:
         theta = _as_vector(self.theta, 3, "theta", np.float64)
         phi = _as_vector(self.phi, 3, "phi", np.float64)
         delta = _as_vector(self.delta, 3, "delta", np.float64)
-        slack = 1e-12
         # Three finite angles each: their extremes decide the ranges.
         listed = theta.tolist()
-        if min(listed) < -slack or max(listed) > np.pi + slack:
+        if min(listed) < -ZERO_TOL or max(listed) > np.pi + ZERO_TOL:
             raise RangeError("theta angles must lie in [0, pi]", "theta")
         for name, arr in (("phi", phi), ("delta", delta)):
             listed = arr.tolist()
-            if min(listed) < -slack or max(listed) >= 2 * np.pi + slack:
+            if min(listed) < -ZERO_TOL or max(listed) >= 2 * np.pi + ZERO_TOL:
                 raise RangeError(f"{name} angles must lie in [0, 2*pi)", name)
         object.__setattr__(self, "theta", _freeze(theta))
         object.__setattr__(self, "phi", _freeze(phi))
@@ -161,7 +159,7 @@ def validate_densities(rho) -> np.ndarray:
     defect = rho.conj().swapaxes(-1, -2)
     defect -= rho
     herm_defect = float(np.abs(defect).max(initial=0.0))
-    if herm_defect > HERMITICITY_TOL:
+    if herm_defect > ZERO_TOL:
         raise InvalidDensityError(f"matrix is not hermitian: max defect {herm_defect!r}")
     traces = rho.trace(axis1=-2, axis2=-1)
     bad = abs(traces - 1.0) > NORMALIZATION_TOL
@@ -209,7 +207,7 @@ def density_from_pure(state: PureState) -> DensityMatrix:
 
 def density_from_mixed(state: DiagonalMixedState) -> DensityMatrix:
     """Diagonal density matrix of a basis-state mixture."""
-    # The weights are its eigenvalues, at least -1e-12 and far above
+    # The weights are its eigenvalues, at least -ZERO_TOL and far above
     # EIGENVALUE_FLOOR, and a diagonal is hermitian. Its trace sums them
     # in another order than the weight check: of 10^6 sums drawn within
     # 6 ulp of the tolerance, 17,028 read differently, at most 2 ulp apart.

@@ -29,7 +29,7 @@ from .equilibrium import (
     product_state_interior_solve,
     verify_ne_factorizable,
 )
-from .errors import ParamError, UnknownScenarioError
+from .errors import NORMALIZATION_TOL, REFERENCE_TOL, ParamError, UnknownScenarioError, holds
 from .fine import (
     BellReport,
     NoJointError,
@@ -51,7 +51,6 @@ from .games import (
     strategy_marginals,
 )
 from .measurement import (
-    SLACK_TOL,
     MarginalConvention,
     MarginalSet,
     convert_marginals,
@@ -86,8 +85,6 @@ from .serialize import (
     parse_complex,
     structural_note,
 )
-
-REFERENCE_TOL = 1e-9
 
 # Largest ghz-bell weight grid. The scan holds (grid, 8) amplitudes, no
 # densities: a run at this bound peaks at 111 MB ru_maxrss (30 MB of it
@@ -289,8 +286,8 @@ def _pd_ghz(a: complex, b: complex, pd_params: PdParams) -> ScenarioReport:
     table = pd3(pd_params)
     state = _checked(ghz, "params", a, b)
     rho = density_from_pure(state)
-    m_parity = extract_marginals(rho, MarginalConvention.PARITY)
-    m_conj = convert_marginals(m_parity, MarginalConvention.CONJUNCTION)
+    m_parity = _checked(extract_marginals, "params", rho, MarginalConvention.PARITY)
+    m_conj = _checked(convert_marginals, "params", m_parity, MarginalConvention.CONJUNCTION)
     payoffs = payoff_marginal_form(table, m_parity)
     bell_parity = bell_slacks(m_parity)
 
@@ -322,9 +319,8 @@ def _pd_ghz(a: complex, b: complex, pd_params: PdParams) -> ScenarioReport:
 
 
 def _ghz_bell(a: complex, grid: int) -> ScenarioReport:
-    b = complementary_amplitude(a, "params.a")
-    state = ghz(a, b)
-    m = extract_marginals(density_from_pure(state), MarginalConvention.PARITY)
+    rho = density_from_pure(ghz(a, complementary_amplitude(a, "params.a")))
+    m = _checked(extract_marginals, "params.a", rho, MarginalConvention.PARITY)
     bell = bell_slacks(m)
 
     # The weight scan as one batch. Amplitudes use pow like
@@ -334,7 +330,7 @@ def _ghz_bell(a: complex, grid: int) -> ScenarioReport:
     # hermitian (float products commute), its trace is the norm squared
     # and its eigenvalues are (norm squared, 0, ..., 0): the norm check
     # is validate_densities' trace check, and eigvalsh's error on such a
-    # matrix, about 1e-16, stays far above its -1e-10 eigenvalue floor.
+    # matrix, about 1e-16, stays far above its EIGENVALUE_FLOOR.
     xs = np.linspace(0.0, 1.0, grid)
     amps = np.zeros((grid, 8), dtype=np.complex128)
     amps[:, 0] = [float(x) ** 0.5 for x in xs]
@@ -342,7 +338,7 @@ def _ghz_bell(a: complex, grid: int) -> ScenarioReport:
     diagonals = (amps * amps.conj()).real
     _require_unit_norms(diagonals.sum(axis=-1))
     values = marginal_values(diagonals, MarginalConvention.PARITY)
-    satisfied = bell_slack_values(values).min(axis=-1) >= -SLACK_TOL
+    satisfied = holds(bell_slack_values(values).min(axis=-1))
     satisfied_points = xs[satisfied].tolist()
 
     return ScenarioReport(
@@ -396,13 +392,11 @@ def _pd_product(pd_params: PdParams) -> ScenarioReport:
     inversion = weights_from_marginals(m)
     gradient = parity_product_gradient(table, solution)
 
-    flat_slack = tuple(
-        -abs(float(g)) * max(t, 1.0 - t) for g in gradient
-    )
+    flat_slack = tuple(-abs(float(g)) * max(t, 1.0 - t) for g in gradient)
     cert = NeCertificate(
         solution,
         flat_slack,
-        min(flat_slack) >= -DEFAULT_NE_TOL,
+        holds(min(flat_slack), DEFAULT_NE_TOL),
         "symmetric stationary point of the parity product-state game: payoffs "
         "are flat in each player's own probability",
     )
@@ -462,7 +456,7 @@ def _affine_family(
     """
     table = pd3(pd_params)
     rho = density_from_pure(state)
-    m = extract_marginals(rho, MarginalConvention.PARITY)
+    m = _checked(extract_marginals, "params", rho, MarginalConvention.PARITY)
     payoffs = payoff_marginal_form(table, m)
     reduced = _payoff_polynomial(table).T @ np.vstack((np.eye(4), family))
     matrix, const = reduced[:, 1:], reduced[:, 0]
@@ -522,10 +516,11 @@ def _pd_continuum(
 
 
 def _continuum_analysis(m, payoffs, matrix, const, own, singles_sum) -> tuple[list, list]:
-    flat = max(abs(g) for g in own) <= DEFAULT_NE_TOL
+    slack = tuple(-abs(g) for g in own)
+    flat = holds(min(slack), DEFAULT_NE_TOL)
     cert = NeCertificate(
         StrategyTriple(m.lam, m.mu, m.nu),
-        tuple(-abs(g) for g in own),
+        slack,
         flat,
         "family payoffs are independent of each player's own single probability, "
         "so every state with lambda + mu + nu = 1 is a weak equilibrium "
@@ -591,28 +586,28 @@ def _coop_quantum(
 ) -> ScenarioReport:
     # A state whose two excitation trios have equal magnitudes: given,
     # or drawn from the weights with seeded phases.
+    path = "params" if amplitudes is None else "params.amplitudes"
     if amplitudes is not None:
-        state = _checked(PureState, "params.amplitudes", np.array(amplitudes))
+        state = _checked(PureState, path, np.array(amplitudes))
         q = state.probabilities()
-        if max(abs(q[3] - q[5]), abs(q[3] - q[6])) > 1e-9:
+        if max(abs(q[3] - q[5]), abs(q[3] - q[6])) > NORMALIZATION_TOL:
             raise ParamError(
                 "params.amplitudes: |c4|^2, |c6|^2, |c7|^2 must be equal"
             )
-        if max(abs(q[1] - q[2]), abs(q[1] - q[4])) > 1e-9:
+        if max(abs(q[1] - q[2]), abs(q[1] - q[4])) > NORMALIZATION_TOL:
             raise ParamError(
                 "params.amplitudes: |c2|^2, |c3|^2, |c5|^2 must be equal"
             )
     else:
         q8 = 1.0 - q1 - 3.0 * u - 3.0 * v
-        if q8 < -1e-9:
+        if q8 < -NORMALIZATION_TOL:
             raise ParamError("params: q1 + 3*u + 3*v exceeds 1")
         q8 = max(q8, 0.0)
         rng = np.random.default_rng(seed)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8))
         mags = np.sqrt(np.array([q1, v, v, u, v, u, u, q8]))
-        state = _checked(PureState, "params", mags * phases)
-    rho = density_from_pure(state)
-    m = extract_marginals(rho, MarginalConvention.PARITY)
+        state = _checked(PureState, path, mags * phases)
+    m = _checked(extract_marginals, path, density_from_pure(state), MarginalConvention.PARITY)
     table = coop_game()
     payoffs = payoff_marginal_form(table, m)
 

@@ -15,13 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FinegamesError, ParamError, RangeError
+from .errors import NORMALIZATION_TOL, FinegamesError, ParamError, RangeError
 from .fine import BellReport, JointDistribution, XiInterval
 from .games import PayoffTable, PdParams, StrategyTriple, coop_game, pd3
 from .measurement import MarginalConvention, MarginalSet, WeightInversion
 from .equilibrium import CoalitionReduction, CoalitionValue, NeCertificate
 from .qstates import (
-    NORMALIZATION_TOL,
     DiagonalMixedState,
     ProductStateAngles,
     PureState,
@@ -189,7 +188,7 @@ def parse_complex(value, path: str, *at) -> complex:
 def complementary_amplitude(a: complex, path: str) -> complex:
     """b = sqrt(1 - |a|^2), completing a|000> + b|111> to unit norm."""
     rest = 1.0 - abs(a) ** 2
-    if rest < -1e-9:
+    if rest < -NORMALIZATION_TOL:
         raise ParamError(f"{path}: |a|^2 exceeds 1")
     return complex(max(rest, 0.0) ** 0.5, 0.0)
 

@@ -6,10 +6,12 @@ basis probabilities |c_i|^2, joint existence by a direct scan over the
 triple value instead of the interval arithmetic, and factorizable
 payoffs, equilibrium certificates and the lattice screen from the
 outcome form (product weights against the payoff table) instead of the
-payoff polynomial. The reference screen is the lattice screen as first
-written, every slice tested on the whole plane, the reference
-coalition reduction is the pooled matrix, its row elimination and the
-2x2 solve as first written, the reference best response reads the
+payoff polynomial. The exact Bell slacks are sums of outcome weights
+in rational arithmetic instead of float sums of marginals. The
+reference screen is the lattice screen as first written, every slice
+tested on the whole plane, the reference coalition reduction is the
+pooled matrix, its row elimination and the 2x2 solve as first
+written, the reference best response reads the
 odd-man-out game's coefficients by marginal name, the reference sum is
 marginal_values' trace sum as first written, and the reference renderer
 at the end is the JSON and markdown rendering as first written, one
@@ -17,6 +19,7 @@ isinstance chain per node.
 """
 
 import json
+from fractions import Fraction
 
 import numpy as np
 
@@ -127,6 +130,28 @@ def joint_exists_oracle(m: MarginalSet, grid_n: int = 1000) -> bool:
         else:
             hi = right
     return bool(worst_term(np.array([0.5 * (lo + hi)]))[0] >= -ORACLE_TOL)
+
+
+def exact_bell_slacks(m: MarginalSet) -> tuple[Fraction, ...]:
+    """The four Bell slacks of a set's values, in bell_slacks' order, as
+    exact rationals (every float is one).
+
+    Each slack is the sum of the inclusion-exclusion weights of two
+    complementary outcomes, in which xi cancels: (+++) and (---), then
+    (+--) and (-++), (+-+) and (-+-), (++-) and (--+).
+    """
+    lam, mu, nu, p_ab, p_bc, p_ac, xi = map(Fraction, m.values())
+    w = (
+        xi,
+        p_ab - xi,
+        p_ac - xi,
+        lam - p_ab - p_ac + xi,
+        p_bc - xi,
+        mu - p_ab - p_bc + xi,
+        nu - p_ac - p_bc + xi,
+        1 - lam - mu - nu + p_ab + p_ac + p_bc - xi,
+    )
+    return (w[0] + w[7], w[3] + w[4], w[2] + w[5], w[1] + w[6])
 
 
 def strategy_weights(s: StrategyTriple) -> np.ndarray:

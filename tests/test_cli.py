@@ -358,6 +358,17 @@ def test_non_finite_state_weight_names_its_param(capsys, params, name):
         ("pd-continuum", '{"c7": 0}', "params: amplitude norm squared is 0.666"),
         ("coop-quantum", '{"amplitudes": [0, 0, 0, 0, 0, 0, 0, 0]}',
          "params.amplitudes: amplitude norm squared is 0.0,"),
+        # Norms within NORMALIZATION_TOL whose marginals leave [0, 1]
+        # by more than ZERO_TOL: the marginal error names the state too.
+        ("coop-quantum", '{"q1": 0.9999999999012, "u": 1e-10, "v": 0}',
+         "params: lam = 1.0000000000011997 outside [0, 1]"),
+        ("coop-quantum", '{"amplitudes": [0.9999999999506, 0, 0, 1e-05, 0, 1e-05, 1e-05, 0]}',
+         "params.amplitudes: lam = 1.0000000000012 outside [0, 1]"),
+        ("ghz-bell", '{"a": [1.0000000002, 0]}', "params.a: lam = 1.0000000004 outside [0, 1]"),
+        ("pd-ghz", '{"a": 0.7071067812572582, "b": 0.7071067812572582}',
+         "params: p_ab = 1.0000000002 outside [0, 1]"),
+        ("pd-continuum", '{"c4": 0.5773502692473608, "c6": 0.5773502692473608, '
+         '"c7": 0.5773502692473608}', "params: xi = 1.0000000002 outside [0, 1]"),
     ],
 )
 def test_amplitude_norm_errors_name_their_param(capsys, scenario_id, params, message):
@@ -392,6 +403,28 @@ def test_state_norm_errors_name_their_path(tmp_path, capsys, state, message):
     # A norm or a sum is reported with the tolerance it missed.
     tail = "" if "must lie in" in message else ", not 1 within 1e-09"
     assert err == f"error: {message}{tail}\n"
+
+
+# States accepted within NORMALIZATION_TOL (norm squared 1 + 2e-10 or
+# 1 + 4e-10) whose marginals fail the range or Frechet check.
+@pytest.mark.parametrize(
+    "state, convention, message",
+    [
+        ({"kind": "ghz", "a": 0.7071067812572582, "b": 0.7071067812572582}, "parity",
+         "p_ab = 1.0000000002 outside [0, 1]"),
+        ({"kind": "pd", "c4": 0.5773502692473608, "c6": 0.5773502692473608,
+          "c7": 0.5773502692473608}, "parity", "xi = 1.0000000002 outside [0, 1]"),
+        ({"kind": "w", "c2": 0.5773502692473608, "c3": 0.5773502692473608,
+          "c5": 0.5773502692473608}, "conjunction",
+         "p_ab = 0.3333333334 below singles overlap bound 0.33333333359999995"),
+        ({"kind": "mixed", "weights": [0.5000000004, 0.5, 0, 0, 0, 0, 0, 0]}, "conjunction",
+         "lam = 1.0000000004 outside [0, 1]"),
+    ],
+)
+def test_derived_marginal_errors_name_their_path(tmp_path, capsys, state, convention, message):
+    path = write(tmp_path, "s.json", state)
+    code, out, err = run(capsys, "marginals", "--convention", convention, "--state", path)
+    assert (code, out, err) == (2, "", f"error: state: {message}\n")
 
 
 def test_package_runs_as_a_module():

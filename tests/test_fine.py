@@ -1,5 +1,8 @@
 """Joint-distribution existence: slacks, intervals, reconstruction."""
 
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,8 @@ from finegames import (
     xi_interval,
     StrategyTriple,
 )
-from oracles import joint_exists_oracle, strategy_weights
+from finegames.errors import SLACK_TOL
+from oracles import exact_bell_slacks, joint_exists_oracle, strategy_weights
 from conftest import conjunction_set_of_joint, random_conjunction_set, random_joint
 
 GHZ_PARITY = MarginalSet(
@@ -211,3 +215,66 @@ def test_reconstruction_verdict_matches_inversion_on_boundary_sets():
             assert joint.prob.min() >= 0.0
             outcomes["joint"] += 1
     assert min(outcomes.values()) > 500
+
+
+def _near(rng) -> Fraction:
+    """A signed offset 10^U(-17, -11), exact."""
+    return Fraction(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17, -11))
+
+
+def floor_sets(seed: int, count: int):
+    """Free conjunction sets moved to the verdict floor. The smallest
+    exact Bell slack goes to -SLACK_TOL plus a _near offset, and the
+    largest gives up the difference: raising single k by d raises slack
+    k + 1 and lowers the singles-sum slack by d. xi is the exact
+    midpoint of the new xi window plus another _near offset. Each value
+    is rounded once to a float; draws that break the Frechet bounds are
+    skipped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = random_conjunction_set(rng)
+        slack = exact_bell_slacks(m)
+        low, high = slack.index(min(slack)), slack.index(max(slack))
+        shift = -Fraction(SLACK_TOL) + _near(rng) - slack[low]
+        lam, mu, nu, p_ab, p_bc, p_ac, _ = map(Fraction, m.values())
+        singles = [lam, mu, nu]
+        if low:
+            singles[low - 1] += shift
+        if high:
+            singles[high - 1] -= shift
+        lam, mu, nu = singles
+        lower = max(0, p_ab + p_ac - lam, p_ab + p_bc - mu, p_ac + p_bc - nu)
+        upper = min(p_ab, p_bc, p_ac, 1 - lam - mu - nu + p_ab + p_bc + p_ac)
+        xi = (lower + upper) / 2 + _near(rng)
+        values = (*singles, p_ab, p_bc, p_ac, xi)
+        try:
+            yield MarginalSet(*map(float, values), MarginalConvention.CONJUNCTION)
+        except RangeError:
+            continue
+
+
+def test_verdicts_match_the_exact_sign_at_the_floor():
+    # Outside a 1e-15 band around the floor the Bell verdict and the xi
+    # window agree with the exact sign of the smallest slack; inside it
+    # the two float sums may round to opposite sides. Reconstruction
+    # and inversion compute the same terms and agree on every set.
+    floor, band = -Fraction(SLACK_TOL), Fraction(1e-15)
+    seen = Counter()
+    for m in floor_sets(seed=11, count=6000):
+        try:
+            reconstruct_joint(m)
+        except NoJointError:
+            built = False
+        else:
+            built = True
+        assert built == weights_from_marginals(m).feasible
+        seen["joint" if built else "none"] += 1
+        margin = min(exact_bell_slacks(m)) - floor
+        assert abs(margin) < Fraction(1e-11) + band  # the draw sits at the floor
+        if abs(margin) <= band:
+            seen["band"] += 1
+            continue
+        assert bell_slacks(m).satisfied == (margin > 0)
+        assert (not xi_interval(m).is_empty) == (margin > 0)
+        seen["holds" if margin > 0 else "fails"] += 1
+    assert min(seen.values()) > 400, seen

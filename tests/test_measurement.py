@@ -304,7 +304,7 @@ def test_marginal_values_clamp_and_range_check():
 
 @pytest.mark.parametrize("convention", list(MarginalConvention))
 def test_marginal_values_accept_keeps_the_clipped_bits(convention):
-    # Rows in range, with -0.0 entries, and rows within CLAMP_TOL beyond
+    # Rows in range, with -0.0 entries, and rows within ZERO_TOL beyond
     # it: the result equals np.clip of the summed traces, signs of zero
     # included, whether or not the row needed clipping.
     rng = np.random.default_rng(11)

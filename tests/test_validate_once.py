@@ -218,7 +218,7 @@ def test_trusted_certificates_equal_public_ones(table, resolution):
 
 def test_frechet_check_still_guards_library_built_sets():
     # Values that pass marginal_values' range check can still break a
-    # Frechet bound by more than CLAMP_TOL: a density accepted with
+    # Frechet bound by more than ZERO_TOL: a density accepted with
     # diagonal entries down to EIGENVALUE_FLOOR, a joint with entries
     # down to -SLACK_TOL, or a parity set with no joint behind it.
     rho = DensityMatrix(np.diag([0.3, 0.2, -5e-11, 0.2, 0.1, 0.1, 0.05, 0.05 + 5e-11]))
