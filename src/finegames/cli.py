@@ -26,6 +26,7 @@ import sys
 from .equilibrium import (
     DEFAULT_NE_TOL,
     DEFAULT_RESOLUTION,
+    MAX_RESOLUTION,
     grid_ne_search,
     parity_product_gradient,
     product_state_interior_solve,
@@ -35,9 +36,11 @@ from .errors import FinegamesError, ParamError
 from .fine import NoJointError, XiRule, bell_slacks, reconstruct_joint, xi_interval
 from .games import StrategyTriple
 from .measurement import MarginalConvention, extract_marginals, weights_from_marginals
-from .scenarios import SCENARIO_IDS, _finite, run_scenario
+from .scenarios import SCENARIO_IDS, run_scenario
 from .serialize import (
+    _bounded_int,
     _checked,
+    _finite,
     bell_to_dict,
     certificate_to_dict,
     interval_to_dict,
@@ -96,8 +99,11 @@ def _emit(payload: dict, args: argparse.Namespace, title: str):
     else:
         text = render_json(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ParamError(f"--out: cannot write {args.out!r}: {err}") from None
     else:
         sys.stdout.write(text)
 
@@ -148,7 +154,7 @@ def cmd_fine(args: argparse.Namespace) -> int:
 
 def cmd_ne(args: argparse.Namespace) -> int:
     table = load_game(_read_json(args.game, "--game"))
-    tol = DEFAULT_NE_TOL if args.tol is None else _finite(args.tol, "--tol", True)
+    tol = _finite(args.tol, "--tol", True)
 
     if args.mode == "verify":
         if args.triple is None:
@@ -158,7 +164,7 @@ def cmd_ne(args: argparse.Namespace) -> int:
         return 0 if cert.is_ne else 1
 
     if args.mode == "grid":
-        resolution = args.resolution if args.resolution is not None else DEFAULT_RESOLUTION
+        resolution = _bounded_int(args.resolution, "--resolution", 2, MAX_RESOLUTION)
         found = grid_ne_search(table, resolution, tol)
         payload = {
             "resolution": resolution,
@@ -195,8 +201,16 @@ def cmd_invert(args: argparse.Namespace) -> int:
     return 0 if inversion.feasible else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage faults are ParamErrors, one line
+    each; its subparsers are built from the same class."""
+
+    def error(self, message: str):
+        raise ParamError(" ".join(message.split()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finegames",
         description="three-player quantum games and joint-distribution existence",
     )
@@ -253,8 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", required=True, choices=("verify", "grid", "interior")
     )
     p.add_argument("--triple", help='strategy triple "lam,mu,nu" for verify')
-    p.add_argument("--resolution", type=int, help="lattice points per axis for grid")
-    p.add_argument("--tol", type=float, help=f"equilibrium tolerance (default {DEFAULT_NE_TOL:g})")
+    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
+                   help=f"lattice points per axis for grid (default {DEFAULT_RESOLUTION})")
+    p.add_argument("--tol", type=float, default=DEFAULT_NE_TOL,
+                   help=f"equilibrium tolerance (default {DEFAULT_NE_TOL:g})")
     add_output(p)
     p.set_defaults(func=cmd_ne)
 
@@ -269,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except FinegamesError as err:
         print(f"error: {err}", file=sys.stderr)

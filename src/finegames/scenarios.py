@@ -11,7 +11,6 @@ exactly when a computed value contradicts a reference claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from sys import float_info
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,8 +69,12 @@ from .qstates import (
     w_state,
 )
 from .serialize import (
+    _amplitudes,
+    _bounded_int,
     _checked,
-    _number,
+    _finite,
+    _pd_params,
+    _seed,
     bell_to_dict,
     certificate_to_dict,
     complex_pair,
@@ -137,50 +140,6 @@ class ScenarioReport:
             "reference": self.reference,
             "paper_deviation": self.paper_deviation,
         }
-
-
-def _pd_params(value, path: str) -> PdParams:
-    if not isinstance(value, (list, tuple)) or len(value) != 6:
-        raise ParamError(f"{path}: expected a list of 6 payoff levels")
-    return _checked(PdParams, path, *[_number(v, path, i) for i, v in enumerate(value)])
-
-
-def _bounded_int(value, path: str, minimum: int, maximum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParamError(f"{path}: expected an integer")
-    if not minimum <= value <= maximum:
-        raise ParamError(f"{path}: must be between {minimum} and {maximum}")
-    return value
-
-
-def _seed(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ParamError(f"{path}: expected a non-negative integer")
-    return value
-
-
-def _finite(value, path: str, positive: bool) -> float:
-    """A finite number, above zero if positive, else at least zero."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not (0 < value if positive else 0 <= value)
-        or value > float_info.max  # inf, or an integer too large for a float
-    ):
-        sign = "positive" if positive else "non-negative"
-        raise ParamError(f"{path}: expected a finite {sign} number")
-    return float(value)
-
-
-def _amplitudes(value, path: str) -> list[complex] | None:
-    if value is None:
-        return None
-    if not isinstance(value, list):
-        raise ParamError(f"{path}: expected a list of 8 entries")
-    amplitudes = [parse_complex(v, path, i) for i, v in enumerate(value)]
-    if len(amplitudes) != 8:
-        raise ParamError(f"{path}: expected 8 entries")
-    return amplitudes
 
 
 def _ghz_b(value, path: str, parsed: dict) -> complex:
@@ -674,7 +633,8 @@ SCENARIOS = {
     "coop-quantum": _Scenario(
         _coop_quantum,
         {
-            "amplitudes": (None, _param(_amplitudes)),
+            # null draws the state from the weights q1, u, v.
+            "amplitudes": (None, lambda v, path, _: None if v is None else _amplitudes(v, path)),
             "q1": _EIGHTH,
             "u": _EIGHTH,
             "v": _EIGHTH,

@@ -11,6 +11,7 @@ import json
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
+from sys import float_info
 from typing import Callable
 
 import numpy as np
@@ -150,20 +151,39 @@ def _finite_number(value, path: str, *at) -> float:
     return x
 
 
-def _number_list(value, length: int, path: str) -> list[float]:
+def _finite_list(value, length: int, path: str) -> list[float]:
+    """A list of `length` finite numbers, for constructors whose own
+    non-finite error names no path."""
     if not isinstance(value, list) or len(value) != length:
         raise ParamError(f"{path}: expected a list of {length} numbers")
-    return [_number(v, path, i) for i, v in enumerate(value)]
+    return [_finite_number(v, path, i) for i, v in enumerate(value)]
 
 
-def _finite_list(value, length: int, path: str) -> list[float]:
-    """_number_list of finite numbers, for constructors whose own
-    non-finite error names no path."""
-    numbers = _number_list(value, length, path)
-    for i, x in enumerate(numbers):
-        if not isfinite(x):
-            raise ParamError(f"{path}[{i}]: expected a finite number")
-    return numbers
+def _finite(value, path: str, positive: bool) -> float:
+    """A finite number, above zero if positive, else at least zero."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (0 < value if positive else 0 <= value)
+        or value > float_info.max  # inf, or an integer too large for a float
+    ):
+        sign = "positive" if positive else "non-negative"
+        raise ParamError(f"{path}: expected a finite {sign} number")
+    return float(value)
+
+
+def _bounded_int(value, path: str, minimum: int, maximum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParamError(f"{path}: expected an integer")
+    if not minimum <= value <= maximum:
+        raise ParamError(f"{path}: must be between {minimum} and {maximum}")
+    return value
+
+
+def _seed(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParamError(f"{path}: expected a non-negative integer")
+    return value
 
 
 def parse_complex(value, path: str, *at) -> complex:
@@ -193,6 +213,13 @@ def complementary_amplitude(a: complex, path: str) -> complex:
     return complex(max(rest, 0.0) ** 0.5, 0.0)
 
 
+def _amplitudes(value, path: str) -> list[complex]:
+    """Eight state amplitudes, the length checked before the entries."""
+    if not isinstance(value, list) or len(value) != 8:
+        raise ParamError(f"{path}: expected a list of 8 entries")
+    return [parse_complex(v, path, i) for i, v in enumerate(value)]
+
+
 def _checked(build: Callable, path: str, *values):
     """build(*values) on values from outside the program. A constructor
     error is a ParamError at path (the parent path, such as `params` or
@@ -207,6 +234,13 @@ def _checked(build: Callable, path: str, *values):
         raise ParamError(f"{where}: {exc}") from None
     except FinegamesError as exc:
         raise ParamError(f"{path}: {exc}") from None
+
+
+def _pd_params(value, path: str) -> PdParams:
+    """Six dilemma levels; a non-finite one is PdParams' error, at path."""
+    if not isinstance(value, (list, tuple)) or len(value) != 6:
+        raise ParamError(f"{path}: expected a list of 6 payoff levels")
+    return _checked(PdParams, path, *[_number(v, path, i) for i, v in enumerate(value)])
 
 
 def complex_pair(z: complex) -> list[float]:
@@ -225,12 +259,8 @@ def load_state(descriptor, path: str = "state"):
         raise ParamError(f"{path}.kind: expected one of {list(STATE_KINDS)}")
     if kind == "pure":
         _reject_unknown(d, path, ("kind", "amplitudes"))
-        raw = d.get("amplitudes")
-        if not isinstance(raw, list) or len(raw) != 8:
-            raise ParamError(f"{path}.amplitudes: expected a list of 8 entries")
         where = f"{path}.amplitudes"
-        amps = [parse_complex(v, where, i) for i, v in enumerate(raw)]
-        return _checked(PureState, where, amps)
+        return _checked(PureState, where, _amplitudes(d.get("amplitudes"), where))
     if kind == "mixed":
         _reject_unknown(d, path, ("kind", "weights"))
         weights = _finite_list(d.get("weights"), 8, f"{path}.weights")
@@ -271,10 +301,7 @@ def load_game(descriptor, path: str = "game") -> PayoffTable:
         raise ParamError(f"{path}.kind: expected one of {list(GAME_KINDS)}")
     if kind == "pd3":
         _reject_unknown(d, path, ("kind", "params"))
-        if "params" in d:
-            where = f"{path}.params"
-            return pd3(_checked(PdParams, where, *_number_list(d["params"], 6, where)))
-        return pd3()
+        return pd3(_pd_params(d["params"], f"{path}.params")) if "params" in d else pd3()
     if kind == "coop":
         _reject_unknown(d, path, ("kind",))
         return coop_game()
@@ -283,7 +310,7 @@ def load_game(descriptor, path: str = "game") -> PayoffTable:
     if not isinstance(rows, list) or len(rows) != 8:
         raise ParamError(f"{path}.rows: expected 8 rows of 3 numbers")
     entries = [_finite_list(r, 3, f"{path}.rows[{i}]") for i, r in enumerate(rows)]
-    return PayoffTable(np.array(entries))
+    return _checked(PayoffTable, f"{path}.rows", np.array(entries))
 
 
 def parse_convention(value, path: str = "convention") -> MarginalConvention:
@@ -311,16 +338,7 @@ def load_marginals(descriptor, path: str = "marginals") -> MarginalSet:
 
 
 def marginals_to_dict(m: MarginalSet) -> dict:
-    return {
-        "convention": m.convention.value,
-        "lambda": m.lam,
-        "mu": m.mu,
-        "nu": m.nu,
-        "p_ab": m.p_ab,
-        "p_bc": m.p_bc,
-        "p_ac": m.p_ac,
-        "xi": m.xi,
-    }
+    return {"convention": m.convention.value, **dict(zip(MARGINAL_KEYS, m.values()))}
 
 
 def bell_to_dict(report: BellReport) -> dict:

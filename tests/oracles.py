@@ -7,7 +7,9 @@ triple value instead of the interval arithmetic, and factorizable
 payoffs, equilibrium certificates and the lattice screen from the
 outcome form (product weights against the payoff table) instead of the
 payoff polynomial. The exact Bell slacks are sums of outcome weights
-in rational arithmetic instead of float sums of marginals. The
+in rational arithmetic instead of float sums of marginals, and the
+rows of Fine's theorem are the elimination of xi from MOBIUS's
+inclusion-exclusion rows instead of hand-written bounds. The
 reference screen is the lattice screen as first written, every slice
 tested on the whole plane, the reference coalition reduction is the
 pooled matrix, its row elimination and the 2x2 solve as first
@@ -35,6 +37,7 @@ from finegames import (
 )
 from finegames.equilibrium import _smallest_root
 from finegames.games import _polynomial_values
+from finegames.measurement import MOBIUS
 
 ORACLE_TOL = 1e-9
 
@@ -152,6 +155,25 @@ def exact_bell_slacks(m: MarginalSet) -> tuple[Fraction, ...]:
         1 - lam - mu - nu + p_ab + p_ac + p_bc - xi,
     )
     return (w[0] + w[7], w[3] + w[4], w[2] + w[5], w[1] + w[6])
+
+
+def xi_elimination() -> tuple[tuple[int, ...], tuple[int, ...], dict]:
+    """Fine's theorem as the Fourier-Motzkin elimination of xi.
+
+    Each MOBIUS row is one outcome weight, linear in (1, lam, mu, nu,
+    p_ab, p_bc, p_ac, xi) with a xi coefficient of +1 or -1. Row i with
+    +xi reads xi >= L_i, row j with -xi reads xi <= U_j, so some xi
+    makes every weight non-negative exactly when each U_j - L_i, the
+    sum of rows i and j, is. Returns the +xi rows, the -xi rows and
+    each sum as an integer vector over (1, lam, ..., p_ac), keyed (i, j).
+    """
+    rows = MOBIUS.astype(int)
+    assert (rows == MOBIUS).all()
+    plus = tuple(np.flatnonzero(rows[:, 7] == 1).tolist())
+    minus = tuple(np.flatnonzero(rows[:, 7] == -1).tolist())
+    assert sorted(plus + minus) == list(range(8))
+    sums = {(i, j): tuple((rows[i, :7] + rows[j, :7]).tolist()) for i in plus for j in minus}
+    return plus, minus, sums
 
 
 def strategy_weights(s: StrategyTriple) -> np.ndarray:

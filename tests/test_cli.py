@@ -289,6 +289,16 @@ def test_md_output_to_file(tmp_path, capsys):
     assert out_path.read_text().startswith("# marginals")
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", ""], ids=["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    # A path under a missing directory, and a directory.
+    out_path = str(tmp_path / target)
+    code, out, err = run(capsys, "scenario", "--id", "pd-ghz", "--out", out_path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --out: cannot write {out_path!r}: ")
+    assert err.count("\n") == 1
+
+
 # Conjunction marginals of the joint [.2, .1, .1, .1, .2, .1, .2, 0] with
 # 5e-11 added to lambda: term 7 of the reconstruction and weight 7 of the
 # inversion both come out near -5e-11, below the shared 1e-12 floor.
@@ -452,7 +462,7 @@ def test_payoff_beyond_bound_exits_2(tmp_path, capsys, mode):
     code, out, err = run(capsys, "ne", "--game", game, "--mode", *mode)
     assert code == 2
     assert out == ""
-    assert err == "error: a payoff table entry exceeds 1e+150 in magnitude\n"
+    assert err == "error: game.rows: a payoff table entry exceeds 1e+150 in magnitude\n"
 
 
 # Conjunction values near the boundary: terms 3 and 5 of the
@@ -742,3 +752,116 @@ def test_huge_integer_params_exit_2(tmp_path, capsys, argv, message):
         argv = argv[:-1] + (str(path),)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "file_argv, descriptor, params_argv, paths, message",
+    [
+        (("ne", "--mode", "interior", "--game"), {"kind": "pd3", "params": [7, 9]},
+         ("scenario", "--id", "pd-classical", "--params", '{"pd_params": [7, 9]}'),
+         ("game.params", "params.pd_params"), "expected a list of 6 payoff levels"),
+        (("marginals", "--convention", "parity", "--state"), {"kind": "pure", "amplitudes": [1]},
+         ("scenario", "--id", "coop-quantum", "--params", '{"amplitudes": [1]}'),
+         ("state.amplitudes", "params.amplitudes"), "expected a list of 8 entries"),
+        (("ne", "--mode", "grid", "--resolution", "1", "--game"), {"kind": "pd3"},
+         ("scenario", "--id", "pd-classical", "--resolution", "1"),
+         ("--resolution", "params.resolution"), f"must be between 2 and {MAX_RESOLUTION}"),
+    ],
+    ids=["pd3-levels", "amplitudes", "resolution"],
+)
+def test_one_fault_reads_the_same_through_both_channels(
+    tmp_path, capsys, file_argv, descriptor, params_argv, paths, message
+):
+    # A descriptor file (or an ne flag) and a scenario param carry the
+    # same value to the same reader, which names only a different path.
+    from_file = run(capsys, *file_argv, write(tmp_path, "input.json", descriptor))
+    from_params = run(capsys, *params_argv)
+    for (code, out, err), path in zip((from_file, from_params), paths):
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+
+def run_catching_exit(capsys, argv):
+    """run, with an argparse exit read as its exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ne", "-h"]])
+def test_help_still_exits_0(capsys, argv):
+    code, out, err = run_catching_exit(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: finegames")
+
+
+def test_random_argv_fuzz(tmp_path, capsys):
+    """Seeded random argv: subcommands, flags of the right or a wrong
+    subcommand, files and junk values. Lattices stay at resolution 21 or
+    below, and no token reaches --help."""
+    rng = np.random.default_rng(20261020)
+    missing = str(tmp_path / "missing.json")
+    state = write(tmp_path, "state.json", GHZ_STATE)
+    game = write(tmp_path, "game.json", PD_GAME)
+    marginals = write(tmp_path, "marginals.json", CONJUNCTION_GHZ)
+    parity = write(tmp_path, "parity.json", PARITY_GHZ)
+    junk_file = write(tmp_path, "junk.json", [1, 2])
+    params = write(tmp_path, "params.json", {"resolution": 5})
+    values = {
+        "--id": list(SCENARIOS) + ["pd", ""],
+        "--params": ["@" + params, '{"resolution": 3}', '{"seed": 1}', "{", "[]", "@" + missing],
+        "--tol": ["1e-9", "3", "0", "-1", "nan", "x", ""],
+        "--resolution": ["1", "2", "5", "21", "-3", "1.5", "x"],
+        "--seed": ["0", "7", "-1", "1.5"],
+        "--out": [str(tmp_path / "out.json"), str(tmp_path), str(tmp_path / "no" / "out.json")],
+        "--format": ["json", "md", "xml"],
+        "--state": [state, junk_file, game, missing],
+        "--convention": ["parity", "conjunction", "both"],
+        "--marginals": [marginals, parity, junk_file, state, missing],
+        "--xi": ["given", "mid", "lower", "upper"],
+        "--game": [game, junk_file, marginals, missing],
+        "--mode": ["verify", "grid", "interior", "exact"],
+        "--triple": ["0,0,0", "1,1,1", "0.5,2,0", "x", "1,2"],
+    }
+    output = ["--out", "--format"]
+    commands = {
+        "scenario": (["--id"], ["--params", "--tol", "--resolution", "--seed", *output]),
+        "marginals": (["--state", "--convention"], output),
+        "fine": (["--marginals"], ["--xi", *output]),
+        "ne": (["--game", "--mode"], ["--triple", "--resolution", "--tol", *output]),
+        "invert-marginals": (["--marginals"], output),
+    }
+    junk = ["", "x", "-1", "--bogus", "-x", "--", "--tol=", "a\nb", "@", "--mode=grid"]
+
+    def pick(options):
+        return str(options[rng.integers(len(options))])
+
+    codes = set()
+    for _ in range(400):
+        command = pick(list(commands) + ["bogus"])
+        required, optional = commands.get(command, ([], list(values)))
+        argv = [command] if rng.random() < 0.95 else []
+        flags = required if rng.random() < 0.7 else []
+        flags = flags + [
+            pick(optional + required) if rng.random() < 0.8 else pick(list(values))
+            for _ in range(rng.integers(0, 4))
+        ]
+        for flag in flags:
+            draw = rng.random()
+            if draw < 0.8:
+                argv += [flag, pick(values[flag])]
+            elif draw < 0.9:
+                argv.append(f"{flag}={pick(values[flag])}")
+            else:
+                argv.append(flag)
+            if rng.random() < 0.05:
+                argv.append(pick(junk))
+        code, out, err = run_catching_exit(capsys, argv)
+        codes.add(code)
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err, argv
+        if code == 2:
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+    assert codes == {0, 1, 2}

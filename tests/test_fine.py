@@ -23,7 +23,10 @@ from finegames import (
     StrategyTriple,
 )
 from finegames.errors import SLACK_TOL
-from oracles import exact_bell_slacks, joint_exists_oracle, strategy_weights
+from finegames.fine import _slack_terms, _xi_bounds
+from finegames.measurement import MARGINAL_FIELDS, MOBIUS, ZETA
+from finegames.qstates import _trusted
+from oracles import exact_bell_slacks, joint_exists_oracle, strategy_weights, xi_elimination
 from conftest import conjunction_set_of_joint, random_conjunction_set, random_joint
 
 GHZ_PARITY = MarginalSet(
@@ -278,3 +281,95 @@ def test_verdicts_match_the_exact_sign_at_the_floor():
         assert (not xi_interval(m).is_empty) == (margin > 0)
         seen["holds" if margin > 0 else "fails"] += 1
     assert min(seen.values()) > 400, seen
+
+
+# The (i, j) sums of xi_elimination that are bell_slacks' four rows, in
+# its order; each pairs complementary outcomes, as exact_bell_slacks does.
+BELL_PAIRS = [(0, 7), (3, 4), (5, 2), (6, 1)]
+# MarginalSet._check_frechet's boxes: (pair, single, single) as columns
+# of (1, lam, mu, nu, p_ab, p_bc, p_ac).
+FRECHET_BOXES = [(4, 1, 2), (5, 2, 3), (6, 1, 3)]
+
+
+def _unit(*terms) -> tuple[int, ...]:
+    """The integer row sum of (sign, column) terms over the 7 columns."""
+    row = [0] * 7
+    for sign, column in terms:
+        row[column] += sign
+    return tuple(row)
+
+
+FRECHET_ROWS = [
+    row
+    for pair, s1, s2 in FRECHET_BOXES
+    for row in (
+        _unit((1, s1), (-1, pair)),  # pair <= each single
+        _unit((1, s2), (-1, pair)),
+        _unit((1, 0), (1, pair), (-1, s1), (-1, s2)),  # pair >= s1 + s2 - 1
+    )
+]
+
+
+def _dyadic_set(values) -> MarginalSet:
+    """A conjunction set of the values as given, unchecked."""
+    fields = dict(zip(MARGINAL_FIELDS, values))
+    return _trusted(MarginalSet, **fields, convention=MarginalConvention.CONJUNCTION)
+
+
+def test_fine_theorem_is_the_xi_elimination_of_mobius():
+    plus, minus, sums = xi_elimination()
+    assert (plus, minus) == ((0, 3, 5, 6), (1, 2, 4, 7))
+    # _slack_terms' coefficient rows, read at zero and at each unit
+    # vector of (lam, ..., p_ac): every sum there is exact.
+    zero = _slack_terms(*[0.0] * 6)
+    at_unit = [_slack_terms(*np.eye(6)[k].tolist()) for k in range(6)]
+    bell_rows = [(zero[r], *(col[r] - zero[r] for col in at_unit)) for r in range(4)]
+    assert bell_rows == [sums[pair] for pair in BELL_PAIRS]
+    # The other twelve: p >= 0 for each pair value, and the nine boxes.
+    rest = sorted(row for key, row in sums.items() if key not in BELL_PAIRS)
+    nonnegative = [_unit((1, pair)) for pair, _, _ in FRECHET_BOXES]
+    assert rest == sorted(nonnegative + FRECHET_ROWS)
+
+
+def test_xi_bounds_are_the_eliminated_rows_on_dyadic_sets():
+    # Values k/64: every sum below is exact, so `==` compares verdicts
+    # and bounds, not rounding.
+    plus, minus, _ = xi_elimination()
+    rng = np.random.default_rng(20261021)
+    for _ in range(2000):
+        values = (rng.integers(0, 65, 7) / 64).tolist()
+        x = np.array([1.0, *values[:6]])
+        lower = max(-float(MOBIUS[i, :7] @ x) for i in plus)
+        upper = min(float(MOBIUS[j, :7] @ x) for j in minus)
+        assert _xi_bounds(_dyadic_set(values)) == (lower, upper), values
+
+
+def test_frechet_check_rejects_exactly_on_the_eliminated_rows():
+    # Joints of weights k/64 give exact conjunction values that pass
+    # every check; moving one value by 1/64 within [0, 1] must make
+    # MarginalSet reject the set exactly when a box row or xi <= min
+    # pair goes negative.
+    rng = np.random.default_rng(20261022)
+    verdicts = Counter()
+    for _ in range(300):
+        weights = rng.multinomial(64, rng.dirichlet(np.ones(8))) / 64
+        base = (ZETA @ weights)[1:].tolist()
+        MarginalSet(*base, MarginalConvention.CONJUNCTION)
+        for k in range(7):
+            for step in (-1 / 64, 1 / 64):
+                values = list(base)
+                values[k] += step
+                if not 0.0 <= values[k] <= 1.0:
+                    continue
+                x = (1.0, *values[:6])
+                expected = any(
+                    sum(c * v for c, v in zip(row, x)) < 0 for row in FRECHET_ROWS
+                ) or values[6] > min(values[3:6])
+                try:
+                    MarginalSet(*values, MarginalConvention.CONJUNCTION)
+                    rejected = False
+                except RangeError:
+                    rejected = True
+                assert rejected == expected, (values, k, step)
+                verdicts[rejected] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100

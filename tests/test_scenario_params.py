@@ -211,8 +211,8 @@ PARAM_ERRORS = {
         ('true', 'ParamError', 'params.amplitudes: expected a list of 8 entries'),
         ('7', 'ParamError', 'params.amplitudes: expected a list of 8 entries'),
         ('{"re": 1}', 'ParamError', 'params.amplitudes: expected a list of 8 entries'),
-        ('[[1, 0]]', 'ParamError', 'params.amplitudes: expected 8 entries'),
-        ('[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]', 'ParamError', 'params.amplitudes: expected 8 entries'),
+        ('[[1, 0]]', 'ParamError', 'params.amplitudes: expected a list of 8 entries'),
+        ('[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]', 'ParamError', 'params.amplitudes: expected a list of 8 entries'),
         ('[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], "x"]', 'ParamError', 'params.amplitudes[7]: expected a number or an [re, im] pair'),
         ('[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [NaN, 0]]', 'ParamError', 'params.amplitudes[7]: expected components of modulus at most 1'),
         ('[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [2, 0]]', 'ParamError', 'params.amplitudes[7]: expected components of modulus at most 1'),
