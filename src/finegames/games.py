@@ -26,6 +26,7 @@ from .measurement import MOBIUS, MarginalConvention, MarginalSet, _apply, conver
 # Largest payoff magnitude a table accepts: sums of a few entries and
 # the squares the equilibrium solvers take of them stay finite.
 MAX_PAYOFF = 1e150
+_TOO_LARGE = f"a payoff table entry exceeds {MAX_PAYOFF:g} in magnitude"
 
 # Column order of marginal_form_coefficients.
 MARGINAL_COEFF_ORDER = ("xi", "p_ab", "p_bc", "p_ac", "lam", "mu", "nu", "const")
@@ -58,7 +59,7 @@ class PayoffTable:
         if not np.all(np.isfinite(entries)):
             raise ShapeError("payoff table contains non-finite entries")
         if np.max(np.abs(entries)) > MAX_PAYOFF:
-            raise RangeError(f"a payoff table entry exceeds {MAX_PAYOFF:g} in magnitude")
+            raise RangeError(_TOO_LARGE)
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
         polynomial = _apply(MOBIUS.T, entries.T).T
@@ -107,6 +108,9 @@ class PdParams:
         values = self.as_tuple()
         if not all(np.isfinite(values)):
             raise ShapeError("dilemma parameters must be finite")
+        # pd3's entries are the levels themselves: the table's own bound.
+        if max(map(abs, values)) > MAX_PAYOFF:
+            raise RangeError(_TOO_LARGE)
         ac, ld, dc, lc, ad, dd = (
             self.all_cooperate,
             self.lone_defector,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EIGENVALUE_FLOOR, ZERO_TOL, RangeError, ShapeError, clamp_unit, holds
-from .qstates import BASIS_LABELS, PLAYERS, DensityMatrix, _trusted
+from .qstates import PLAYERS, DensityMatrix, _trusted
 
 MARGINAL_FIELDS = ("lam", "mu", "nu", "p_ab", "p_bc", "p_ac", "xi")
 
@@ -300,9 +300,6 @@ class WeightInversion:
     @property
     def feasible(self) -> bool:
         return not self.negative_indices
-
-    def negative_labels(self) -> tuple[str, ...]:
-        return tuple(BASIS_LABELS[i] for i in self.negative_indices)
 
 
 def weights_from_marginals(m: MarginalSet) -> WeightInversion:

@@ -62,20 +62,6 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _require_unit_norms(norms: np.ndarray) -> None:
-    """Reject a batch of amplitude vectors, given by their norms
-    squared, unless each is within NORMALIZATION_TOL of 1."""
-    off = abs(norms - 1.0) > NORMALIZATION_TOL
-    if off.any():
-        raise _norm_error(float(norms[off][0]))
-
-
-def _norm_error(norm: float) -> NormalizationError:
-    return NormalizationError(
-        f"amplitude norm squared is {norm!r}, not 1 within {NORMALIZATION_TOL}"
-    )
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over the eight basis states."""
@@ -86,7 +72,9 @@ class PureState:
         amps = _as_vector(self.amplitudes, 8, "amplitudes", np.complex128)
         norm = float((np.abs(amps) ** 2).sum())
         if abs(norm - 1.0) > NORMALIZATION_TOL:
-            raise _norm_error(norm)
+            raise NormalizationError(
+                f"amplitude norm squared is {norm!r}, not 1 within {NORMALIZATION_TOL}"
+            )
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def probabilities(self) -> np.ndarray:

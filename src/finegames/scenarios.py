@@ -61,7 +61,6 @@ from .qstates import (
     BASIS_LABELS,
     ProductStateAngles,
     PureState,
-    _require_unit_norms,
     density_from_pure,
     ghz,
     pd_state,
@@ -89,9 +88,10 @@ from .serialize import (
     structural_note,
 )
 
-# Largest ghz-bell weight grid. The scan holds (grid, 8) amplitudes, no
-# densities: a run at this bound peaks at 111 MB ru_maxrss (30 MB of it
-# the import), most of the rest marginal_values' (grid, 7, 8) products.
+# Largest ghz-bell weight grid. The scan holds (grid, 8) diagonals, no
+# amplitudes or densities: a run at this bound peaks at 90 MB ru_maxrss
+# (30 MB of it the import), most of the rest marginal_values' (grid, 7, 8)
+# products.
 MAX_SCAN_GRID = 100_001
 
 ROOT_HALF = 2.0 ** -0.5
@@ -282,20 +282,12 @@ def _ghz_bell(a: complex, grid: int) -> ScenarioReport:
     m = _checked(extract_marginals, "params.a", rho, MarginalConvention.PARITY)
     bell = bell_slacks(m)
 
-    # The weight scan as one batch. Amplitudes use pow like
-    # complementary_amplitude: np.sqrt rounds a few grid points apart.
-    # Each row's squared moduli are the diagonal of its rank-one density
-    # |psi><psi|, the same elementwise product. That density is exactly
-    # hermitian (float products commute), its trace is the norm squared
-    # and its eigenvalues are (norm squared, 0, ..., 0): the norm check
-    # is validate_densities' trace check, and eigvalsh's error on such a
-    # matrix, about 1e-16, stays far above its EIGENVALUE_FLOOR.
+    # The weight scan as one batch. Every POVM here is diagonal, so the
+    # state of weight x enters only through (x, 0, ..., 0, 1 - x).
     xs = np.linspace(0.0, 1.0, grid)
-    amps = np.zeros((grid, 8), dtype=np.complex128)
-    amps[:, 0] = [float(x) ** 0.5 for x in xs]
-    amps[:, 7] = [(1.0 - float(x)) ** 0.5 for x in xs]
-    diagonals = (amps * amps.conj()).real
-    _require_unit_norms(diagonals.sum(axis=-1))
+    diagonals = np.zeros((grid, 8))
+    diagonals[:, 0] = xs
+    diagonals[:, 7] = 1.0 - xs
     values = marginal_values(diagonals, MarginalConvention.PARITY)
     satisfied = holds(bell_slack_values(values).min(axis=-1))
     satisfied_points = xs[satisfied].tolist()

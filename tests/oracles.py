@@ -9,7 +9,9 @@ outcome form (product weights against the payoff table) instead of the
 payoff polynomial. The exact Bell slacks are sums of outcome weights
 in rational arithmetic instead of float sums of marginals, and the
 rows of Fine's theorem are the elimination of xi from MOBIUS's
-inclusion-exclusion rows instead of hand-written bounds. The
+inclusion-exclusion rows instead of hand-written bounds, and the
+literal parity read is an integer matrix built from the bit rules
+instead of MOBIUS applied to the parity incidence rows. The
 reference screen is the lattice screen as first written, every slice
 tested on the whole plane, the reference coalition reduction is the
 pooled matrix, its row elimination and the 2x2 solve as first
@@ -22,6 +24,7 @@ isinstance chain per node.
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -174,6 +177,35 @@ def xi_elimination() -> tuple[tuple[int, ...], tuple[int, ...], dict]:
     assert sorted(plus + minus) == list(range(8))
     sums = {(i, j): tuple((rows[i, :7] + rows[j, :7]).tolist()) for i in plus for j in minus}
     return plus, minus, sums
+
+
+def _literal_read() -> np.ndarray:
+    """The literal parity read as one integer 8x8 map, from the bit rules.
+
+    Entry (j, i) is outcome j's inclusion-exclusion weight when the
+    parity values of basis outcome i are read as conjunction values.
+    With K the players that cooperate (bit 0) at j and D those that
+    defect, it is the sum over the subsets T of D of (-1)^|T| times the
+    parity value of K + T at i: 1 when the bits of K + T at i have an
+    even sum, else 0.
+    """
+    bits = [[(i >> (2 - p)) & 1 for p in range(3)] for i in range(8)]
+    literal = np.zeros((8, 8))
+    for j in range(8):
+        coop = [p for p in range(3) if not bits[j][p]]
+        defect = [p for p in range(3) if bits[j][p]]
+        for size in range(len(defect) + 1):
+            for t in combinations(defect, size):
+                for i in range(8):
+                    even = sum(bits[i][p] for p in (*coop, *t)) % 2 == 0
+                    literal[j, i] += (-1) ** size * even
+    return literal
+
+
+# Outcome weights d -> the quasi-weights that the parity values of d
+# imply when read as conjunction values, as every quantum scenario
+# scores them.
+LITERAL = _literal_read()
 
 
 def strategy_weights(s: StrategyTriple) -> np.ndarray:

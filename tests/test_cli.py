@@ -760,6 +760,11 @@ def test_huge_integer_params_exit_2(tmp_path, capsys, argv, message):
         (("ne", "--mode", "interior", "--game"), {"kind": "pd3", "params": [7, 9]},
          ("scenario", "--id", "pd-classical", "--params", '{"pd_params": [7, 9]}'),
          ("game.params", "params.pd_params"), "expected a list of 6 payoff levels"),
+        (("ne", "--mode", "interior", "--game"),
+         {"kind": "pd3", "params": [7e150, 9e150, 3e150, 0, 1e150, 5e150]},
+         ("scenario", "--id", "pd-product", "--params",
+          '{"pd_params": [7e150, 9e150, 3e150, 0, 1e150, 5e150]}'),
+         ("game.params", "params.pd_params"), "a payoff table entry exceeds 1e+150 in magnitude"),
         (("marginals", "--convention", "parity", "--state"), {"kind": "pure", "amplitudes": [1]},
          ("scenario", "--id", "coop-quantum", "--params", '{"amplitudes": [1]}'),
          ("state.amplitudes", "params.amplitudes"), "expected a list of 8 entries"),
@@ -767,7 +772,7 @@ def test_huge_integer_params_exit_2(tmp_path, capsys, argv, message):
          ("scenario", "--id", "pd-classical", "--resolution", "1"),
          ("--resolution", "params.resolution"), f"must be between 2 and {MAX_RESOLUTION}"),
     ],
-    ids=["pd3-levels", "amplitudes", "resolution"],
+    ids=["pd3-levels", "pd3-beyond-max-payoff", "amplitudes", "resolution"],
 )
 def test_one_fault_reads_the_same_through_both_channels(
     tmp_path, capsys, file_argv, descriptor, params_argv, paths, message

@@ -37,6 +37,7 @@ import finegames.equilibrium as equilibrium
 from finegames.equilibrium import DEFAULT_NE_TOL, MAX_RESOLUTION, _lattice_screen
 from finegames.games import MAX_PAYOFF, _payoff_polynomial, _slope_plane
 from oracles import (
+    LITERAL,
     endpoint_certificates,
     lattice_screen,
     reference_coalition_reduction,
@@ -628,3 +629,17 @@ def test_tables_at_the_payoff_bound_raise_no_warning():
             solution = product_state_interior_solve(table)
             if solution is not None:
                 parity_product_gradient(table, solution)
+
+
+def test_parity_product_gradient_is_the_literal_tables_gradient():
+    # The parity product-state game is the factorizable game of the
+    # table LITERAL.T @ entries.
+    rng = np.random.default_rng(20261023)
+    worst = 0.0
+    for _ in range(500):
+        table = PayoffTable(rng.normal(size=(8, 3)))
+        s = StrategyTriple(*rng.uniform(0.0, 1.0, 3))
+        literal = PayoffTable(LITERAL.T @ table.entries)
+        gap = parity_product_gradient(table, s) - factorizable_gradient(literal, s)
+        worst = max(worst, float(np.abs(gap).max()))
+    assert worst <= 1e-13, worst

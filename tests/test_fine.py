@@ -16,6 +16,7 @@ from finegames import (
     XiRule,
     bell_slack_values,
     bell_slacks,
+    marginal_values,
     marginals_from_joint,
     reconstruct_joint,
     weights_from_marginals,
@@ -24,9 +25,11 @@ from finegames import (
 )
 from finegames.errors import SLACK_TOL
 from finegames.fine import _slack_terms, _xi_bounds
-from finegames.measurement import MARGINAL_FIELDS, MOBIUS, ZETA
+from finegames.measurement import _INCIDENCE, MARGINAL_FIELDS, MOBIUS, ZETA
 from finegames.qstates import _trusted
-from oracles import exact_bell_slacks, joint_exists_oracle, strategy_weights, xi_elimination
+from oracles import (
+    LITERAL, exact_bell_slacks, joint_exists_oracle, strategy_weights, xi_elimination,
+)
 from conftest import conjunction_set_of_joint, random_conjunction_set, random_joint
 
 GHZ_PARITY = MarginalSet(
@@ -329,6 +332,19 @@ def test_fine_theorem_is_the_xi_elimination_of_mobius():
     rest = sorted(row for key, row in sums.items() if key not in BELL_PAIRS)
     nonnegative = [_unit((1, pair)) for pair, _, _ in FRECHET_BOXES]
     assert rest == sorted(nonnegative + FRECHET_ROWS)
+
+
+def test_literal_read_is_mobius_over_the_parity_rows():
+    rows = np.vstack([np.ones(8), _INCIDENCE[MarginalConvention.PARITY]])
+    assert np.array_equal(LITERAL, MOBIUS @ rows)
+
+
+def test_parity_bell_slacks_are_literal_row_pairs():
+    # On unit diagonals every value and slack is a small integer, so
+    # the comparison is exact.
+    slacks = bell_slack_values(marginal_values(np.eye(8), MarginalConvention.PARITY))
+    pair_sums = np.array([LITERAL[i] + LITERAL[j] for i, j in BELL_PAIRS])
+    assert np.array_equal(slacks, pair_sums.T)
 
 
 def test_xi_bounds_are_the_eliminated_rows_on_dyadic_sets():

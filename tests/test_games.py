@@ -11,6 +11,7 @@ from finegames import (
     JointDistribution,
     MARGINAL_COEFF_ORDER,
     MarginalConvention,
+    MarginalSet,
     PayoffTable,
     PdParams,
     RangeError,
@@ -21,6 +22,7 @@ from finegames import (
     extract_marginals,
     ghz,
     marginal_form_coefficients,
+    marginal_values,
     marginals_from_joint,
     payoff_factorizable,
     payoff_marginal_form,
@@ -31,7 +33,7 @@ from finegames import (
 import finegames.games as games
 from finegames.games import MAX_PAYOFF
 from finegames.measurement import MOBIUS, _apply
-from oracles import pd_payoffs_from_pure_state, strategy_weights
+from oracles import LITERAL, pd_payoffs_from_pure_state, strategy_weights
 from conftest import random_conjunction_set, random_joint, random_pure_state
 
 probability = st.floats(0.0, 1.0)
@@ -158,6 +160,20 @@ def test_closed_form_state_payoffs_match_marginal_form(rng):
         closed = pd_payoffs_from_pure_state(state)
         m = extract_marginals(density_from_pure(state), MarginalConvention.PARITY)
         assert closed == pytest.approx(payoff_marginal_form(table, m), abs=1e-12)
+
+
+def test_literal_parity_payoff_is_the_literal_weights_against_the_table():
+    # The conjunction form applied to parity values of a diagonal d
+    # scores the table against LITERAL @ d.
+    diagonals = np.random.default_rng(20261022).dirichlet(np.ones(8), size=2000)
+    values = marginal_values(diagonals, MarginalConvention.PARITY)
+    worst = 0.0
+    for table in (pd3(), coop_game()):
+        literal = (diagonals @ LITERAL.T) @ table.entries
+        for row, expected in zip(values, literal):
+            got = payoff_marginal_form(table, MarginalSet(*row, MarginalConvention.PARITY))
+            worst = max(worst, float(np.abs(got - expected).max()))
+    assert worst <= 1e-13, worst
 
 
 def test_strategy_triple_clamps_and_rejects():

@@ -261,11 +261,13 @@ def per_point_weight_scan(grid_n: int) -> list[float]:
     return points
 
 
-@pytest.mark.parametrize("grid_n", [101, 10001])
+@pytest.mark.parametrize("grid_n", [2, 3, 101, 10001])
 def test_batched_weight_scan_matches_per_point_loop(grid_n):
     report = run_scenario("ghz-bell", {"grid": grid_n})
     scan = report.details["weight_scan"]
     assert scan["satisfied_points"] == per_point_weight_scan(grid_n)
+    # On the segment the second parity Bell slack is x - 1: exactly {1}.
+    assert scan["satisfied_points"] == [1.0]
     if grid_n == 10001:
         assert sha256(render_json(report.to_dict())) == GHZ_BELL_10001_SHA256
 
