@@ -65,46 +65,50 @@ def factorizable_gradient(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
     return _polynomial_values(_payoff_polynomial(table), s.as_tuple())[1]
 
 
-def _endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> tuple:
-    """Slacks, verdicts and notes of an (n, 3) batch of strategy triples.
+def _endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> list[NeCertificate]:
+    """Certificates of an (n, 3) batch of strategy triples.
 
     With own slope g, moving player p to 0 gains -x_p g and moving to 1
     gains (1 - x_p) g; the slack is minus the larger gain. The triple is
     an equilibrium when no move gains more than tol, and a move to an
     endpoint other than x_p is payoff-neutral when it loses at most tol.
+    The triples lie in [0, 1] and every payoff coefficient is bounded by
+    MAX_PAYOFF, so the slacks are finite: nothing is left to check.
     """
     slope = _polynomial_values(coeffs, x)[1]
     gains = np.stack([-x * slope, (1.0 - x) * slope], axis=-1)
     slack = 0.0 - gains.max(axis=-1)
     is_ne = holds(slack.min(axis=-1), tol)
     neutral = ((x[..., None] != (0.0, 1.0)) & holds(gains, tol)).any(axis=-1)
-    notes = []
-    rows = zip(gains.reshape(-1, 6).tolist(), is_ne.tolist(), neutral.tolist())
-    for row_gains, ok, flat in rows:
+    certs = []
+    rows = zip(x.tolist(), slack.tolist(), gains.reshape(-1, 6).tolist(),
+               is_ne.tolist(), neutral.tolist())
+    for (lam, mu, nu), row_slack, row_gains, ok, flat in rows:
         if not ok:
             worst = row_gains.index(max(row_gains))  # first of A0, A1, B0, ...
-            notes.append(
+            note = (
                 f"not an equilibrium: player {PLAYERS[worst // 2]} gains "
                 f"{row_gains[worst]:g} by moving to {worst % 2:g}"
             )
         elif any(flat):
-            notes.append(
+            note = (
                 "weak equilibrium: payoff-neutral deviations for "
                 + ", ".join(player for player, f in zip(PLAYERS, flat) if f)
             )
         else:
-            notes.append("strict equilibrium: every unilateral deviation loses")
-    return slack, is_ne, notes
+            note = "strict equilibrium: every unilateral deviation loses"
+        triple = _trusted(StrategyTriple, lam=lam, mu=mu, nu=nu)
+        certs.append(_trusted(
+            NeCertificate, triple=triple, player_slack=tuple(row_slack), is_ne=ok, note=note
+        ))
+    return certs
 
 
 def verify_ne_factorizable(
     table: PayoffTable, s: StrategyTriple, tol: float = DEFAULT_NE_TOL
 ) -> NeCertificate:
     """Check a strategy triple for Nash equilibrium by endpoint audit."""
-    slack, is_ne, notes = _endpoint_audit(
-        _payoff_polynomial(table), np.array([s.as_tuple()]), tol
-    )
-    return NeCertificate(s, tuple(slack[0]), bool(is_ne[0]), notes[0])
+    return _endpoint_audit(_payoff_polynomial(table), np.array([s.as_tuple()]), tol)[0]
 
 
 def grid_ne_search(
@@ -132,20 +136,7 @@ def grid_ne_search(
     # The hits in argwhere's C order, read at a fraction of its cost on
     # a sparse cube.
     index = np.unravel_index(np.flatnonzero(screen), screen.shape)
-    hits = grid[np.stack(index, axis=-1)]
-    slack, is_ne, notes = _endpoint_audit(coeffs, hits, tol)
-    # Lattice points lie in [0, 1]; slacks are finite, as every payoff
-    # coefficient is bounded by MAX_PAYOFF. Nothing is left to check.
-    return [
-        _trusted(
-            NeCertificate,
-            triple=_trusted(StrategyTriple, lam=x[0], mu=x[1], nu=x[2]),
-            player_slack=tuple(s),
-            is_ne=ok,
-            note=note,
-        )
-        for x, s, ok, note in zip(hits.tolist(), slack.tolist(), is_ne.tolist(), notes)
-    ]
+    return _endpoint_audit(coeffs, grid[np.stack(index, axis=-1)], tol)
 
 
 def _slice_passes(x: float, g: np.ndarray, tol: float) -> np.ndarray:

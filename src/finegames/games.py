@@ -111,14 +111,7 @@ class PdParams:
         # pd3's entries are the levels themselves: the table's own bound.
         if max(map(abs, values)) > MAX_PAYOFF:
             raise RangeError(_TOO_LARGE)
-        ac, ld, dc, lc, ad, dd = (
-            self.all_cooperate,
-            self.lone_defector,
-            self.duo_cooperator,
-            self.lone_cooperator,
-            self.all_defect,
-            self.duo_defector,
-        )
+        ac, ld, dc, lc, ad, dd = values
         conditions = (
             ("lone_defector > all_cooperate", ld > ac),
             ("all_defect > lone_cooperator", ad > lc),
@@ -271,8 +264,8 @@ def payoff_marginal_values(
 ) -> np.ndarray:
     """Marginal-form payoffs from raw values (no range validation).
 
-    Useful for evaluating the affine form off the probability simplex,
-    e.g. when extracting reduced coefficients of a state family.
+    Evaluates the affine form anywhere, off the probability simplex too;
+    payoff_marginal_form feeds it a checked marginal set.
     """
     coeffs = marginal_form_coefficients(table)
     vec = np.array([xi, p_ab, p_bc, p_ac, lam, mu, nu, 1.0])

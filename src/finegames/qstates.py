@@ -233,11 +233,15 @@ def ghz(a: complex, b: complex) -> PureState:
     return _on_basis((0, 7), (a, b))
 
 
+_W_SUPPORT = (1, 2, 4)
+_PD_SUPPORT = (3, 5, 6)
+
+
 def w_state(c2: complex, c3: complex, c5: complex) -> PureState:
     """Superposition of the single-excitation states |001>, |010>, |100>."""
-    return _on_basis((1, 2, 4), (c2, c3, c5))
+    return _on_basis(_W_SUPPORT, (c2, c3, c5))
 
 
 def pd_state(c4: complex, c6: complex, c7: complex) -> PureState:
     """Superposition of the double-excitation states |011>, |101>, |110>."""
-    return _on_basis((3, 5, 6), (c4, c6, c7))
+    return _on_basis(_PD_SUPPORT, (c4, c6, c7))

@@ -11,6 +11,7 @@ exactly when a computed value contradicts a reference claim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -58,6 +59,9 @@ from .measurement import (
     weights_from_marginals,
 )
 from .qstates import (
+    _PD_SUPPORT,
+    _W_SUPPORT,
+    _freeze,
     BASIS_LABELS,
     ProductStateAngles,
     PureState,
@@ -393,23 +397,35 @@ def _pd_product(pd_params: PdParams) -> ScenarioReport:
     )
 
 
+@lru_cache(maxsize=None)
+def _family_map(support: tuple[int, ...]) -> np.ndarray:
+    """Read-only (4, 4) map from (1, lam, mu, nu) to (p_ab, p_bc, p_ac,
+    xi) on the states supported on three basis states (see _affine_family)."""
+    rows = marginal_values(np.eye(8)[list(support)], MarginalConvention.PARITY).T
+    return _freeze(np.hstack((np.zeros((4, 1)), rows[3:] @ np.linalg.inv(rows[:3]))))
+
+
 def _affine_family(
-    state: PureState, pd_params: PdParams, family: list, analysis: Callable
+    state: PureState, pd_params: PdParams, support: tuple, analysis: Callable
 ) -> ScenarioReport:
     """A state family whose pairs and triple are affine in the singles.
 
-    `family` (4, 4) gives the family's (p_ab, p_bc, p_ac, xi) as affine
-    functions of (1, lam, mu, nu). Read into the monomial slots of the
-    payoff polynomial, it restricts the marginal form to the family:
-    matrix[player][var] and const are the payoffs' coefficients over
-    the free (lam, mu, nu). `analysis(m, payoffs, matrix, const, own,
-    singles_sum)` returns the family's findings and reference entries.
+    Every parity marginal of a diagonal is linear in its weights. On the
+    W support |001>, |010>, |100> the singles read the three weights
+    through [[1, 1, 0], [1, 0, 1], [0, 1, 1]] (determinant -2), and on
+    the double-excitation support |011>, |101>, |110> through the
+    identity: the singles fix the weights, and so the pairs and the
+    triple, with no constant term. Read into the monomial slots of the
+    payoff polynomial, that map restricts the marginal form to the
+    family: matrix[player][var] and const are the payoffs' coefficients
+    over the free (lam, mu, nu). `analysis(m, payoffs, matrix, const,
+    own, singles_sum)` returns the family's findings and reference entries.
     """
     table = pd3(pd_params)
     rho = density_from_pure(state)
     m = _checked(extract_marginals, "params", rho, MarginalConvention.PARITY)
     payoffs = payoff_marginal_form(table, m)
-    reduced = _payoff_polynomial(table).T @ np.vstack((np.eye(4), family))
+    reduced = _payoff_polynomial(table).T @ np.vstack((np.eye(4), _family_map(support)))
     matrix, const = reduced[:, 1:], reduced[:, 0]
     own = [float(matrix[p, p]) for p in range(3)]
     singles_sum = m.lam + m.mu + m.nu
@@ -429,10 +445,8 @@ def _affine_family(
 
 
 def _pd_w(c2: complex, c3: complex, c5: complex, pd_params: PdParams) -> ScenarioReport:
-    # p_ab = (lam + mu - nu) / 2 and cyclically, xi = 0.
-    family = [[0, 0.5, 0.5, -0.5], [0, -0.5, 0.5, 0.5], [0, 0.5, -0.5, 0.5], [0, 0, 0, 0]]
     state = _checked(w_state, "params", c2, c3, c5)
-    return _affine_family(state, pd_params, family, _w_analysis)
+    return _affine_family(state, pd_params, _W_SUPPORT, _w_analysis)
 
 
 def _w_analysis(m, payoffs, matrix, const, own, singles_sum) -> tuple[list, list]:
@@ -460,10 +474,8 @@ def _w_analysis(m, payoffs, matrix, const, own, singles_sum) -> tuple[list, list
 def _pd_continuum(
     c4: complex, c6: complex, c7: complex, pd_params: PdParams
 ) -> ScenarioReport:
-    # p_ab = nu, p_bc = lam, p_ac = mu, xi = lam + mu + nu.
-    family = [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]]
     state = _checked(pd_state, "params", c4, c6, c7)
-    return _affine_family(state, pd_params, family, _continuum_analysis)
+    return _affine_family(state, pd_params, _PD_SUPPORT, _continuum_analysis)
 
 
 def _continuum_analysis(m, payoffs, matrix, const, own, singles_sum) -> tuple[list, list]:
@@ -541,14 +553,10 @@ def _coop_quantum(
     if amplitudes is not None:
         state = _checked(PureState, path, np.array(amplitudes))
         q = state.probabilities()
-        if max(abs(q[3] - q[5]), abs(q[3] - q[6])) > NORMALIZATION_TOL:
-            raise ParamError(
-                "params.amplitudes: |c4|^2, |c6|^2, |c7|^2 must be equal"
-            )
-        if max(abs(q[1] - q[2]), abs(q[1] - q[4])) > NORMALIZATION_TOL:
-            raise ParamError(
-                "params.amplitudes: |c2|^2, |c3|^2, |c5|^2 must be equal"
-            )
+        for s0, s1, s2 in (_PD_SUPPORT, _W_SUPPORT):
+            if max(abs(q[s0] - q[s1]), abs(q[s0] - q[s2])) > NORMALIZATION_TOL:
+                trio = ", ".join(f"|c{i + 1}|^2" for i in (s0, s1, s2))
+                raise ParamError(f"params.amplitudes: {trio} must be equal")
     else:
         q8 = 1.0 - q1 - 3.0 * u - 3.0 * v
         if q8 < -NORMALIZATION_TOL:

@@ -352,6 +352,21 @@ def test_out_of_domain_inputs_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scenario", "--id", "pd-w", "--params", "[1]"), "--params: expected a JSON object"),
+        (("ne", "--mode", "verify", "--triple", "a,b,c"),
+         '--triple: expected "lam,mu,nu" with numeric entries'),
+    ],
+)
+def test_malformed_params_and_triple_exit_2(tmp_path, capsys, argv, message):
+    if argv[0] == "ne":
+        argv += ("--game", write(tmp_path, "game.json", PD_GAME))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "params, name", [('{"q1": NaN}', "params.q1"), ('{"u": Infinity}', "params.u")]
 )
 def test_non_finite_state_weight_names_its_param(capsys, params, name):

@@ -455,6 +455,15 @@ def test_zero_sum_flat():
     assert row == (0.5, 0.5)
 
 
+def test_zero_sum_and_coalition_inputs_are_checked():
+    with pytest.raises(ShapeError, match=r"^matrix must be 2x2, got \(2, 3\)$"):
+        zero_sum_2x2_value([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    with pytest.raises(ShapeError, match="^matrix contains non-finite entries$"):
+        zero_sum_2x2_value([[1.0, math.inf], [0.0, 1.0]])
+    with pytest.raises(ShapeError, match=r"^odd_player must be one of \('A', 'B', 'C'\), got 'D'"):
+        coalition_reduction(coop_game(), "D")
+
+
 @pytest.mark.parametrize(
     "matrix, value, row, col",
     [

@@ -13,6 +13,7 @@ from finegames import (
     MarginalSet,
     NoJointError,
     RangeError,
+    ShapeError,
     XiRule,
     bell_slack_values,
     bell_slacks,
@@ -169,6 +170,12 @@ def test_bell_slack_values_batch_matches_bell_slacks(rng):
     grid = bell_slack_values(np.array([m.values() for m in sets]).reshape(5, 10, 7))
     assert np.array_equal(grid.reshape(50, 4), batch)
     assert bell_slack_values(GHZ_PARITY.values()).tolist() == [2.5, -0.5, -0.5, -0.5]
+
+
+def test_bell_slack_values_need_seven_values():
+    message = r"^marginal values must have shape \(\.\.\., 7\), got \(2, 8\)$"
+    with pytest.raises(ShapeError, match=message):
+        bell_slack_values(np.zeros((2, 8)))
 
 
 def test_reconstruction_equals_inversion_on_conjunction_sets(rng):

@@ -29,7 +29,7 @@ from finegames import (
     JointDistribution,
     StrategyTriple,
 )
-from finegames.measurement import _INCIDENCE, MOBIUS, WALSH, ZETA, _apply
+from finegames.measurement import _INCIDENCE, MOBIUS, WALSH, ZETA, PovmElement, _apply
 from oracles import pure_state_marginals, reference_marginal_sums, strategy_weights
 from conftest import random_joint, random_pure_state
 
@@ -55,6 +55,22 @@ def test_povm_elements_are_diagonal_projectors():
         assert set(np.diag(m).real) <= {0.0, 1.0}
     diag = np.diag(single_povm("A")[0].matrix).real
     assert [int(v) for v in diag] == [1 - basis_bit(i, "A") for i in range(8)]
+
+
+def test_povm_elements_and_names_are_checked():
+    with pytest.raises(ShapeError, match=r"^POVM element must be 8x8, got \(4, 4\)$"):
+        PovmElement(np.eye(4))
+    skew = np.eye(8, dtype=complex)
+    skew[0, 1] = 1j
+    with pytest.raises(ShapeError, match="^POVM element must be hermitian$"):
+        PovmElement(skew)
+    for diagonal in ([-0.5] + [0.0] * 7, [1.5] + [0.0] * 7):
+        with pytest.raises(ShapeError, match=r"^POVM element eigenvalues must lie in \[0, 1\]$"):
+            PovmElement(np.diag(diagonal))
+    with pytest.raises(ShapeError, match="^player must be 'A', 'B' or 'C', got 'D'$"):
+        single_povm("D")
+    with pytest.raises(ShapeError, match=r"^pair must be one of \('AB', 'BC', 'AC'\), got 'AD'"):
+        pair_povm("AD", MarginalConvention.PARITY)
 
 
 def test_parity_pair_povm_selects_equal_bits():

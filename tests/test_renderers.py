@@ -136,6 +136,22 @@ def test_unrenderable_values_match_the_reference(value):
         assert_renders_like_reference(payload)
 
 
+class Label(str):
+    pass
+
+
+class Record(dict):
+    pass
+
+
+def test_str_and_dict_subclasses_render_like_the_reference():
+    label, record = Label('say "hi"\n'), Record(a=1.5, b=Label("x"), c=Record(d=[Label("y")]))
+    for payload in (label, record, [label, record], {"x": record, "y": [record, label]}):
+        assert_renders_like_reference(payload)
+    assert render_json({"k": label}) == render_json({"k": str(label)})
+    assert render_json(record) == render_json({"a": 1.5, "b": "x", "c": {"d": ["y"]}})
+
+
 def test_deep_nesting_renders_like_the_reference():
     tree = 0.5
     for level in range(150):

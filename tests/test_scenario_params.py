@@ -219,6 +219,7 @@ PARAM_ERRORS = {
         ('[[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]', 'ParamError', 'params.amplitudes: amplitude norm squared is 0.0, not 1 within 1e-09'),
         ('[[0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]', 'ParamError', 'params.amplitudes: |c2|^2, |c3|^2, |c5|^2 must be equal'),
         ('[[0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [0, 0]]', 'ParamError', 'params.amplitudes: |c4|^2, |c6|^2, |c7|^2 must be equal'),
+        ('[[0, 0], [0.6, 0], [0, 0], [0.8, 0], [0, 0], [0, 0], [0, 0], [0, 0]]', 'ParamError', 'params.amplitudes: |c4|^2, |c6|^2, |c7|^2 must be equal'),
     ],
     "q1": [
         ('"x"', 'ParamError', 'params.q1: expected a finite non-negative number'),

@@ -24,7 +24,8 @@ from finegames import (
 )
 import finegames.equilibrium as equilibrium
 from finegames.equilibrium import MAX_RESOLUTION
-from finegames.scenarios import MAX_SCAN_GRID
+from finegames.qstates import _PD_SUPPORT, _W_SUPPORT, pd_state, w_state
+from finegames.scenarios import MAX_SCAN_GRID, _family_map
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -141,6 +142,35 @@ def test_pd_continuum_report():
     cert = report.ne_findings[0]
     assert cert.is_ne
     assert "continuum" in cert.note
+
+
+# The families' (p_ab, p_bc, p_ac, xi) over (1, lam, mu, nu) as once
+# typed by hand: on the W support p_ab = (lam + mu - nu) / 2 and
+# cyclically, xi = 0; on the double-excitation support p_ab = nu,
+# p_bc = lam, p_ac = mu, xi = lam + mu + nu.
+TYPED_FAMILIES = {
+    "w": (_W_SUPPORT, w_state,
+          [[0, 0.5, 0.5, -0.5], [0, -0.5, 0.5, 0.5], [0, 0.5, -0.5, 0.5], [0, 0, 0, 0]]),
+    "pd": (_PD_SUPPORT, pd_state,
+           [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]]),
+}
+
+
+@pytest.mark.parametrize("support, make, typed", TYPED_FAMILIES.values(),
+                         ids=list(TYPED_FAMILIES))
+def test_family_maps_derive_from_the_support(support, make, typed):
+    family, typed = _family_map(support), np.array(typed, dtype=float)
+    assert np.array_equal(family, typed)
+    assert np.array_equal(np.signbit(family), np.signbit(typed))
+    rng = np.random.default_rng(18)
+    worst = 0.0
+    for _ in range(500):
+        amps = rng.normal(size=3) + 1j * rng.normal(size=3)
+        rho = density_from_pure(make(*(amps / np.linalg.norm(amps))))
+        m = extract_marginals(rho, MarginalConvention.PARITY)
+        predicted = family @ (1.0, m.lam, m.mu, m.nu)
+        worst = max(worst, float(np.abs(predicted - (m.p_ab, m.p_bc, m.p_ac, m.xi)).max()))
+    assert worst <= 1e-15
 
 
 def test_coop_classical_report():

@@ -71,6 +71,8 @@ def test_load_state_pure_and_mixed():
     assert state.probabilities()[0] == pytest.approx(1.0)
     mixed = load_state({"kind": "mixed", "weights": [0.125] * 8})
     assert np.allclose(state_density(mixed).diagonal(), 0.125)
+    with pytest.raises(ParamError, match="^state: expected a PureState or DiagonalMixedState$"):
+        state_density(object())
 
 
 def test_load_state_ghz_defaults_complete_the_norm():
