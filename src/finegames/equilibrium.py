@@ -18,8 +18,7 @@ from .errors import DEFAULT_NE_TOL, FLAT_SLOPE_TOL, ROOT_ZERO_TOL, ZERO_TOL, Sha
 from .games import (
     PayoffTable,
     StrategyTriple,
-    _REST_ROWS,
-    _SLOPE_ROWS,
+    _VIEW,
     _payoff_polynomial,
     _polynomial_values,
     _slope_plane,
@@ -226,9 +225,8 @@ def _require_player_symmetric(table: PayoffTable):
 def _diagonal_slope(table: PayoffTable) -> tuple[float, float, float]:
     """Player A's own slope with both opponents at one value t, as the
     coefficients (C7, C[pq] + C[pr], C[p]) of a quadratic in t."""
-    c = _payoff_polynomial(table)[:, 0].tolist()
-    pq, pr, own = (c[rows[0]] for rows in _SLOPE_ROWS)
-    return c[7], pq + pr, own
+    own, pq, pr, c7 = _payoff_polynomial(table)[_VIEW[4:, 0], 0].tolist()
+    return c7, pq + pr, own
 
 
 def product_state_interior_solve(table: PayoffTable) -> StrategyTriple | None:
@@ -413,11 +411,9 @@ def coop_best_response_solve(
     if c_star is None:
         raise ValueError("first player's stationarity has no root in [0, 1]")
 
-    c = _payoff_polynomial(table)[:, 1].tolist()
-    pq, pr, own = (c[rows[1]] for rows in _SLOPE_ROWS)
-    qr, _, r = (c[rows[1]] for rows in _REST_ROWS)
+    _, _, r, qr, own, pq, pr, c7 = _payoff_polynomial(table)[_VIEW[:, 1], 1].tolist()
     g0 = 2.0 * pr * c_star + own + r
-    g1 = g0 + 2.0 * c[7] * c_star + pq + qr
+    g1 = g0 + 2.0 * c7 * c_star + pq + qr
     if abs(g0 - g1) < FLAT_SLOPE_TOL:
         if abs(g0) < ZERO_TOL:
             return 0.5, float(c_star)

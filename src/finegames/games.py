@@ -31,14 +31,16 @@ _TOO_LARGE = f"a payoff table entry exceeds {MAX_PAYOFF:g} in magnitude"
 # Column order of marginal_form_coefficients.
 MARGINAL_COEFF_ORDER = ("xi", "p_ab", "p_bc", "p_ac", "lam", "mu", "nu", "const")
 
-# Rows C[.] of the payoff polynomial for player p = A, B, C with
-# opponents q < r: p's payoff is REST + x_p * SLOPE, where
-#   SLOPE = C7 x_q x_r + C[pq] x_q + C[pr] x_r + C[p] and
-#   REST = C[qr] x_q x_r + C[q] x_q + C[r] x_r + C0 (C[pq]: row of x_p x_q),
-# each summed left to right: the order the parity gradient always used.
-_Q, _R, _PLAYER = [1, 0, 0], [2, 2, 1], [0, 1, 2]
-_SLOPE_ROWS = ([4, 4, 6], [6, 5, 5], [1, 2, 3])
-_REST_ROWS = ([5, 6, 4], [2, 1, 1], [3, 3, 2])
+# Player p's view of the payoff polynomial, with opponents q = _Q[p] <
+# r = _R[p]: p's payoff is REST + x_p * SLOPE, each bilinear in (x_q, x_r).
+# Column p lists the polynomial rows of REST's monomials (1, x_q, x_r,
+# x_q x_r), then of SLOPE's (x_p, x_p x_q, x_p x_r, x_p x_q x_r).
+_Q, _R = [1, 0, 0], [2, 2, 1]
+_VIEW = np.array([
+    [0, 2, 3, 5, 1, 4, 6, 7],  # A: q, r = B, C
+    [0, 1, 3, 6, 2, 4, 5, 7],  # B: q, r = A, C
+    [0, 1, 2, 4, 3, 6, 5, 7],  # C: q, r = A, B
+]).T
 # The polynomial's rows in MARGINAL_COEFF_ORDER.
 _MARGINAL_ROWS = np.array([7, 4, 5, 6, 1, 2, 3, 0])
 
@@ -213,6 +215,13 @@ def _payoff_polynomial(table: PayoffTable) -> np.ndarray:
     return table._polynomial
 
 
+def _bilinear(c, xq, xr):
+    """c[0] + c[1] x_q + c[2] x_r + c[3] x_q x_r, summed from the x_q x_r
+    term down: payoffs, slopes and slope planes all take it, so they
+    carry the same bits."""
+    return c[3] * xq * xr + c[1] * xq + c[2] * xr + c[0]
+
+
 def _polynomial_values(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
     """Payoffs (A, B, C) and own-probability slopes at a (..., 3) batch.
 
@@ -223,22 +232,16 @@ def _polynomial_values(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=np.float64)
     xq, xr = x[..., _Q], x[..., _R]
-    pq, pr, own = (coeffs[rows, _PLAYER] for rows in _SLOPE_ROWS)
-    qr, q, r = (coeffs[rows, _PLAYER] for rows in _REST_ROWS)
-    slope = coeffs[7] * xq * xr + pq * xq + pr * xr + own
-    rest = qr * xq * xr + q * xq + r * xr + coeffs[0]
-    return rest + x * slope, slope
+    c = coeffs[_VIEW, (0, 1, 2)]
+    slope = _bilinear(c[4:], xq, xr)
+    return _bilinear(c[:4], xq, xr) + x * slope, slope
 
 
 def _slope_plane(coeffs: np.ndarray, p: int, xq: np.ndarray, xr: np.ndarray) -> np.ndarray:
-    """Player p's own-probability slopes over broadcast opponent values.
-
-    xq and xr are the values of p's opponents q < r. Each entry is
-    _polynomial_values' slope of p, summed in the same order, so it
-    carries the same bits.
-    """
-    pq, pr, own = (coeffs[rows[p], p] for rows in _SLOPE_ROWS)
-    return coeffs[7, p] * xq * xr + pq * xq + pr * xr + own
+    """Player p's own-probability slopes over broadcast opponent values
+    xq and xr of p's opponents q < r: p's column of _polynomial_values'
+    slope."""
+    return _bilinear(coeffs[_VIEW[4:, p], p], xq, xr)
 
 
 def marginal_form_coefficients(table: PayoffTable) -> np.ndarray:

@@ -336,7 +336,7 @@ def _pd_product(pd_params: PdParams) -> ScenarioReport:
         )
 
     t = solution.lam
-    theta = 2.0 * float(np.arccos(min(max(t, 0.0), 1.0) ** 0.5))
+    theta = 2.0 * float(np.arccos(t ** 0.5))
     angles = ProductStateAngles(
         np.array([theta] * 3), np.zeros(3), np.zeros(3)
     )

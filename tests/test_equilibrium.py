@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from finegames import (
 )
 import finegames.equilibrium as equilibrium
 from finegames.equilibrium import DEFAULT_NE_TOL, MAX_RESOLUTION, _lattice_screen
-from finegames.games import MAX_PAYOFF, _payoff_polynomial, _slope_plane
+from finegames.games import MAX_PAYOFF, _payoff_polynomial, _polynomial_values, _slope_plane
 from oracles import (
     LITERAL,
     endpoint_certificates,
@@ -315,6 +316,101 @@ def test_interior_slices_are_tested_on_the_band_only(monkeypatch):
         assert np.array_equal(g0, plane) and np.array_equal(g1, plane)
         assert all(np.array_equal(x, grid[1:-1, None, None]) for x, _ in interior)
         assert np.array_equal(np.concatenate([g.ravel() for _, g in interior]), plane[band])
+
+
+OPPONENTS = ((1, 2), (0, 2), (0, 1))
+
+
+def own_choice_blocks(entries, p):
+    """Player p's payoffs indexed [own choice, q's choice, r's choice],
+    q < r p's opponents; choice 0 cooperates."""
+    return np.moveaxis(np.asarray(entries).reshape(2, 2, 2, 3)[..., p], p, 0)
+
+
+def exact_own_slope(entries, p, xq, xr):
+    """E[payoff_p | p cooperates] - E[payoff_p | p defects] against
+    independent opponents cooperating with probabilities xq and xr, in
+    Fraction from the table rows."""
+    own = own_choice_blocks([[Fraction(v) for v in row] for row in entries], p)
+    wq, wr = (Fraction(xq), 1 - Fraction(xq)), (Fraction(xr), 1 - Fraction(xr))
+    return sum(
+        wq[a] * wr[b] * (own[0, a, b] - own[1, a, b]) for a in (0, 1) for b in (0, 1)
+    )
+
+
+def test_slopes_and_gains_replay_exactly_on_dyadic_lattices():
+    # At resolution n = m + 1 with m a power of two every grid value is
+    # i / m, and on small-integer tables no float step rounds. So m^2
+    # times each own slope is the integer plane W D_p W^T, where W holds
+    # the opponents' (cooperate, defect) weights (i, m - i) and D_p is
+    # p's payoff when cooperating minus when defecting, and m^3 times
+    # each endpoint gain is an integer too: every float must equal it.
+    rng = np.random.default_rng(20261019)
+    tables = [pd3(), coop_game()] + [
+        PayoffTable(rng.integers(-3, 4, size=(8, 3)).astype(float)) for _ in range(12)
+    ]
+    for n in (3, 5, 9):
+        m, i = n - 1, np.arange(n)
+        grid = np.linspace(0.0, 1.0, n)
+        assert np.array_equal(m * grid, i)
+        weights = np.stack([i, m - i], axis=-1)
+        index = np.stack(np.meshgrid(i, i, i, indexing="ij"), axis=-1).reshape(-1, 3)
+        points = grid[index]
+        for table in tables:
+            coeffs = _payoff_polynomial(table)
+            slope = _polynomial_values(coeffs, points)[1]
+            certs = equilibrium._endpoint_audit(coeffs, points, DEFAULT_NE_TOL)
+            slack = np.array([c.player_slack for c in certs])
+            best = np.zeros(len(points), dtype=np.int64)
+            for p, (q, r) in enumerate(OPPONENTS):
+                own = own_choice_blocks(table.entries.astype(np.int64), p)
+                plane = weights @ (own[0] - own[1]) @ weights.T
+                got = _slope_plane(coeffs, p, grid[:, None], grid[None, :])
+                assert np.array_equal(m**2 * got, plane)
+                g = plane[index[:, q], index[:, r]]
+                assert np.array_equal(m**2 * slope[:, p], g)
+                x, k = points[:, p], index[:, p]
+                to0, to1 = -k * g, (m - k) * g
+                assert np.array_equal(m**3 * (-x * slope[:, p]), to0)
+                assert np.array_equal(m**3 * ((1.0 - x) * slope[:, p]), to1)
+                assert np.array_equal(m**3 * slack[:, p], -np.maximum(to0, to1))
+                best = np.maximum(best, np.maximum(to0, to1))
+                if p == 0:
+                    a, b, c = map(Fraction, equilibrium._diagonal_slope(table))
+                    for t in range(n):
+                        assert a * t * t + b * t * m + c * m * m == int(plane[t, t])
+            # Gains are multiples of 1/m^3, far above the tolerance.
+            assert [cert.is_ne for cert in certs] == (best <= 0).tolist()
+
+
+def test_slopes_and_gains_stay_within_rounding_of_exact():
+    # On normal tables at uniform triples every float slope, plane value,
+    # diagonal quadratic, endpoint gain and slack lies within
+    # 2^-51 sum|entries| of its exact value on the same floats.
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        entries = rng.normal(size=(8, 3))
+        x = rng.uniform(size=3)
+        table = PayoffTable(entries)
+        coeffs = _payoff_polynomial(table)
+        slope = _polynomial_values(coeffs, x)[1]
+        cert = verify_ne_factorizable(table, StrategyTriple(*x))
+        bound = Fraction(2.0**-51 * np.abs(entries).sum())
+        for p, (q, r) in enumerate(OPPONENTS):
+            g = exact_own_slope(entries, p, x[q], x[r])
+            xp = Fraction(x[p])
+            pairs = [
+                (slope[p], g),
+                (_slope_plane(coeffs, p, x[q], x[r]), g),
+                (-x[p] * slope[p], -xp * g),
+                ((1.0 - x[p]) * slope[p], (1 - xp) * g),
+                (cert.player_slack[p], -max(-xp * g, (1 - xp) * g)),
+            ]
+            for got, exact in pairs:
+                assert abs(Fraction(float(got)) - exact) <= bound
+        a, b, c = map(Fraction, equilibrium._diagonal_slope(table))
+        t = Fraction(x[0])
+        assert abs(a * t * t + b * t + c - exact_own_slope(entries, 0, x[0], x[0])) <= bound
 
 
 def test_verify_matches_outcome_form_oracle(rng):
