@@ -41,20 +41,14 @@ from .serialize import (
     _bounded_int,
     _checked,
     _finite,
-    bell_to_dict,
-    certificate_to_dict,
-    interval_to_dict,
-    inversion_to_dict,
-    joint_to_dict,
     load_game,
     load_marginals,
     load_state,
-    marginals_to_dict,
     parse_convention,
     render_json,
     render_markdown,
     state_density,
-    triple_to_list,
+    to_wire,
 )
 
 def _read_json(path: str, what: str):
@@ -93,7 +87,10 @@ def _parse_triple(raw: str) -> StrategyTriple:
     return _checked(StrategyTriple, "--triple", *values)
 
 
-def _emit(payload: dict, args: argparse.Namespace, title: str):
+def _emit(payload, args: argparse.Namespace, title: str):
+    """Write payload, a library object or a dict holding some, in its
+    wire form."""
+    payload = to_wire(payload)
     if args.format == "md":
         text = render_markdown(title, payload)
     else:
@@ -110,12 +107,9 @@ def _emit(payload: dict, args: argparse.Namespace, title: str):
 
 def cmd_scenario(args: argparse.Namespace) -> int:
     params = _parse_params(args.params) or {}
-    if args.tol is not None:
-        params["tol"] = args.tol
-    if args.resolution is not None:
-        params["resolution"] = args.resolution
-    if args.seed is not None:
-        params["seed"] = args.seed
+    for name in ("tol", "resolution", "seed"):
+        if getattr(args, name) is not None:
+            params[name] = getattr(args, name)
     report = run_scenario(args.id, params or None)
     _emit(report.to_dict(), args, f"scenario {args.id}")
     return 0
@@ -125,31 +119,23 @@ def cmd_marginals(args: argparse.Namespace) -> int:
     state = load_state(_read_json(args.state, "--state"))
     convention = parse_convention(args.convention)
     m = _checked(extract_marginals, "state", state_density(state), convention)
-    _emit(marginals_to_dict(m), args, "marginals")
+    _emit(m, args, "marginals")
     return 0
 
 
 def cmd_fine(args: argparse.Namespace) -> int:
     m = load_marginals(_read_json(args.marginals, "--marginals"))
-    bell = bell_slacks(m)
-    payload: dict = {"bell": bell_to_dict(bell)}
-    if m.convention is MarginalConvention.CONJUNCTION:
-        payload["xi_interval"] = interval_to_dict(xi_interval(m))
-    else:
-        payload["xi_interval"] = None
+    payload = {
+        "bell": bell_slacks(m),
+        "xi_interval": xi_interval(m) if m.convention is MarginalConvention.CONJUNCTION else None,
+    }
     try:
-        joint = reconstruct_joint(m, XiRule(args.xi))
+        joint, violated = reconstruct_joint(m, XiRule(args.xi)), []
     except NoJointError as err:
-        payload["joint"] = None
-        payload["violated_terms"] = list(err.violated_terms)
-        payload["exists"] = False
-        _emit(payload, args, "joint existence")
-        return 1
-    payload["joint"] = joint_to_dict(joint)
-    payload["violated_terms"] = []
-    payload["exists"] = True
+        joint, violated = None, list(err.violated_terms)
+    payload.update(joint=joint, violated_terms=violated, exists=joint is not None)
     _emit(payload, args, "joint existence")
-    return 0
+    return 0 if joint is not None else 1
 
 
 def cmd_ne(args: argparse.Namespace) -> int:
@@ -160,7 +146,7 @@ def cmd_ne(args: argparse.Namespace) -> int:
         if args.triple is None:
             raise ParamError("--triple is required with --mode verify")
         cert = verify_ne_factorizable(table, _parse_triple(args.triple), tol)
-        _emit(certificate_to_dict(cert), args, "equilibrium check")
+        _emit(cert, args, "equilibrium check")
         return 0 if cert.is_ne else 1
 
     if args.mode == "grid":
@@ -169,35 +155,24 @@ def cmd_ne(args: argparse.Namespace) -> int:
         payload = {
             "resolution": resolution,
             "count": len(found),
-            "equilibria": [certificate_to_dict(c) for c in found],
+            "equilibria": found,
         }
         _emit(payload, args, "lattice equilibria")
         return 0
 
     solution = product_state_interior_solve(table)
     if solution is None:
-        _emit(
-            {
-                "triple": None,
-                "note": "no isolated symmetric stationary point in [0, 1]",
-            },
-            args,
-            "interior stationary point",
-        )
-        return 1
-    gradient = parity_product_gradient(table, solution)
-    payload = {
-        "triple": triple_to_list(solution),
-        "own_gradient": [float(g) for g in gradient],
-    }
+        payload = {"triple": None, "note": "no isolated symmetric stationary point in [0, 1]"}
+    else:
+        payload = {"triple": solution, "own_gradient": parity_product_gradient(table, solution)}
     _emit(payload, args, "interior stationary point")
-    return 0
+    return 0 if solution is not None else 1
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
     m = load_marginals(_read_json(args.marginals, "--marginals"))
     inversion = weights_from_marginals(m)
-    _emit(inversion_to_dict(inversion), args, "weight inversion")
+    _emit(inversion, args, "weight inversion")
     return 0 if inversion.feasible else 1
 
 

@@ -78,18 +78,10 @@ from .serialize import (
     _finite,
     _pd_params,
     _seed,
-    bell_to_dict,
-    certificate_to_dict,
-    complex_pair,
-    coalition_reduction_to_dict,
-    coalition_values_to_list,
     complementary_amplitude,
-    interval_to_dict,
-    inversion_to_dict,
-    joint_to_dict,
-    marginals_to_dict,
     parse_complex,
     structural_note,
+    to_wire,
 )
 
 # Largest ghz-bell weight grid. The scan holds (grid, 8) diagonals, no
@@ -107,8 +99,9 @@ class ScenarioReport:
 
     A scenario body fills the analysis, its candidate reference rows
     and any claim of its own in paper_deviation; run_scenario sets
-    scenario_id and inputs and keeps rows and claim only for the
-    default inputs.
+    scenario_id and inputs, writes inputs and details in their wire
+    form (serialize.to_wire), and keeps rows and claim only for the
+    default inputs. to_dict writes the remaining fields.
     """
 
     scenario_id: str = ""
@@ -122,24 +115,16 @@ class ScenarioReport:
     paper_deviation: str | None = None
 
     def to_dict(self) -> dict:
-        payoffs = self.payoffs
-        if isinstance(payoffs, np.ndarray):
-            payoffs = [float(p) for p in payoffs]
-        findings = []
-        for item in self.ne_findings:
-            if isinstance(item, NeCertificate):
-                findings.append(certificate_to_dict(item))
-            elif isinstance(item, str):
-                findings.append(structural_note(item))
-            else:
-                findings.append(item)
         return {
             "scenario_id": self.scenario_id,
             "inputs": self.inputs,
-            "marginals": {k: marginals_to_dict(v) for k, v in self.marginals.items()},
-            "bell": bell_to_dict(self.bell) if self.bell is not None else None,
-            "payoffs": payoffs,
-            "ne_findings": findings,
+            "marginals": to_wire(self.marginals),
+            "bell": to_wire(self.bell),
+            "payoffs": to_wire(self.payoffs),
+            "ne_findings": [
+                structural_note(f) if isinstance(f, str) else to_wire(f)
+                for f in self.ne_findings
+            ],
             "details": self.details,
             "reference": self.reference,
             "paper_deviation": self.paper_deviation,
@@ -156,19 +141,6 @@ def _ghz_b(value, path: str, parsed: dict) -> complex:
 def _param(parse: Callable, *args) -> Callable:
     """A spec parser that reads its own value only."""
     return lambda value, path, parsed: parse(value, path, *args)
-
-
-def _echo(value):
-    """JSON form of parsed inputs: complex as [re, im], levels as a list."""
-    if isinstance(value, dict):
-        return {k: _echo(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_echo(v) for v in value]
-    if isinstance(value, complex):
-        return complex_pair(value)
-    if isinstance(value, PdParams):
-        return list(value.as_tuple())
-    return value
 
 
 def _reference_rows(entries: list[tuple[str, float, float]]) -> list[dict]:
@@ -217,9 +189,9 @@ def _pd_classical(pd_params: PdParams, resolution: int, tol: float) -> ScenarioR
         payoffs=payoffs,
         ne_findings=list(equilibria),
         details={
-            "lattice_equilibria": [certificate_to_dict(c) for c in equilibria],
-            "all_defect": certificate_to_dict(cert_defect),
-            "all_cooperate_rejected": certificate_to_dict(cert_coop),
+            "lattice_equilibria": equilibria,
+            "all_defect": cert_defect,
+            "all_cooperate_rejected": cert_coop,
             "all_cooperate_best_deviation_gain": float(coop_gain),
         },
         reference=_reference_rows(
@@ -239,7 +211,7 @@ def _joint_or_terms(m: MarginalSet, out: dict, joint_key: str, terms_key: str):
     """Store the GIVEN-rule joint under joint_key, or None and the
     violated terms under terms_key."""
     try:
-        out[joint_key] = joint_to_dict(reconstruct_joint(m, XiRule.GIVEN))
+        out[joint_key] = reconstruct_joint(m, XiRule.GIVEN)
     except NoJointError as err:
         out[joint_key] = None
         out[terms_key] = list(err.violated_terms)
@@ -255,8 +227,8 @@ def _pd_ghz(a: complex, b: complex, pd_params: PdParams) -> ScenarioReport:
     bell_parity = bell_slacks(m_parity)
 
     conj = {
-        "bell": bell_to_dict(bell_slacks(m_conj)),
-        "xi_interval": interval_to_dict(xi_interval(m_conj)),
+        "bell": bell_slacks(m_conj),
+        "xi_interval": xi_interval(m_conj),
     }
     details: dict = {"conjunction_reading": conj}
     _joint_or_terms(m_parity, details, "parity_as_literal_joint", "parity_violated_terms")
@@ -373,8 +345,8 @@ def _pd_product(pd_params: PdParams) -> ScenarioReport:
         details={
             "stationary_point": [t, t, t],
             "theta": theta,
-            "own_gradient": [float(g) for g in gradient],
-            "inversion": inversion_to_dict(inversion),
+            "own_gradient": gradient,
+            "inversion": inversion,
             "inversion_sign_pattern": dict(zip(BASIS_LABELS, sign_pattern)),
         },
         reference=_reference_rows(
@@ -436,8 +408,8 @@ def _affine_family(
         payoffs=payoffs,
         ne_findings=findings,
         details={
-            "reduced_coefficients": [[float(v) for v in row] for row in matrix],
-            "reduced_constants": [float(v) for v in const],
+            "reduced_coefficients": matrix,
+            "reduced_constants": const,
             "singles_sum": float(singles_sum),
         },
         reference=_reference_rows(entries),
@@ -519,10 +491,10 @@ def _coop_classical(resolution: int, tol: float) -> ScenarioReport:
         payoffs=payoffs,
         ne_findings=[cert] + list(equilibria),
         details={
-            "coalition_values": coalition_values_to_list(values),
-            "pair_reduction_bc": coalition_reduction_to_dict(reduction),
+            "coalition_values": values,
+            "pair_reduction_bc": reduction,
             "best_response": [float(l_star), float(c_star)],
-            "lattice_equilibria": [certificate_to_dict(c) for c in equilibria],
+            "lattice_equilibria": equilibria,
         },
         reference=_reference_rows(
             [
@@ -676,8 +648,9 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport
     parsed = _parse(spec.params, supplied)
     report = spec.body(**parsed)
     report.scenario_id = scenario_id
-    report.inputs = _echo(parsed)
-    if report.inputs == _echo(_parse(spec.params, {})):
+    report.inputs = to_wire(parsed)
+    report.details = to_wire(report.details)
+    if report.inputs == to_wire(_parse(spec.params, {})):
         bad = [r["quantity"] for r in report.reference if r["abs_delta"] > REFERENCE_TOL]
         mismatch = "computed values contradict reference claims: " + ", ".join(bad)
         claims = (mismatch if bad else None, report.paper_deviation)

@@ -387,12 +387,6 @@ def structural_note(text: str) -> dict:
     return {"kind": "note", "text": text}
 
 
-def coalition_values_to_list(values: list[CoalitionValue]) -> list[dict]:
-    return [
-        {"members": list(v.members), "value": v.value} for v in values
-    ]
-
-
 def coalition_reduction_to_dict(red: CoalitionReduction) -> dict:
     return {
         "odd_player": red.odd_player,
@@ -404,6 +398,38 @@ def coalition_reduction_to_dict(red: CoalitionReduction) -> dict:
         "member_mix": list(red.member_mix),
         "odd_mix": list(red.odd_mix),
     }
+
+
+# The one JSON form of each library type, the same in every report and
+# CLI payload: to_wire looks up a value's exact type here.
+_WRITERS: dict[type, Callable] = {
+    MarginalSet: marginals_to_dict,
+    BellReport: bell_to_dict,
+    XiInterval: interval_to_dict,
+    JointDistribution: joint_to_dict,
+    WeightInversion: inversion_to_dict,
+    NeCertificate: certificate_to_dict,
+    CoalitionReduction: coalition_reduction_to_dict,
+    StrategyTriple: triple_to_list,
+    CoalitionValue: lambda v: {"members": list(v.members), "value": v.value},
+    PdParams: lambda p: list(p.as_tuple()),
+    complex: complex_pair,
+    np.ndarray: np.ndarray.tolist,
+}
+
+
+def to_wire(value):
+    """value with each library object in it replaced by its JSON form.
+
+    Dicts and lists are walked item by item; any other value without a
+    writer, tuples included, is returned unchanged."""
+    t = type(value)
+    if t is dict:
+        return {k: to_wire(v) for k, v in value.items()}
+    if t is list:
+        return [to_wire(v) for v in value]
+    writer = _WRITERS.get(t)
+    return value if writer is None else writer(value)
 
 
 def load_schema(name: str) -> dict:

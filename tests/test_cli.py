@@ -196,6 +196,66 @@ def test_ne_outputs_match_pinned_digests(tmp_path, capsys, kind, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+PURE_STATE = {"kind": "pure", "amplitudes": [0.6, 0, 0, [0.0, 0.48], 0, 0, -0.64, 0]}
+# test_fine_xi_rules' set: its xi lies inside the window, off both ends.
+RELAXED = dict(CONJUNCTION_GHZ, p_ab=0.25, p_bc=0.25, p_ac=0.25, xi=0.2)
+
+# sha256 of the JSON and the markdown output of every other subcommand
+# payload, with its exit code; (argv, input flag, file content).
+CLI_OUTPUT_SHA256 = {
+    "marginals-conjunction": (
+        ("marginals", "--convention", "conjunction"), "--state", PURE_STATE, 0,
+        "a60dc454e71070fda60360ba3976d8c8e992023771526f46d26635903ede7bc9",
+        "8658efd65891dd68f959c6ae0f8212c826a0334d9b9475b3120e3c2e020be6d5"),
+    "marginals-parity": (
+        ("marginals", "--convention", "parity"), "--state", PURE_STATE, 0,
+        "d8c6f91e9fd38775f5270e08933f3f281f82dbc7d22378f6048ed682838b7734",
+        "8be4ab4c32ef7cec79498f6890c35a112b6ddfd54c6d5064c569c0c038416236"),
+    "fine-conjunction-ghz": (
+        ("fine",), "--marginals", CONJUNCTION_GHZ, 0,
+        "53eece601a734d7f614272a197357e409dba12b8871f537c3fddd92219e45bc6",
+        "0ac3267b31f017f13ba9c12945dead972d7b9ee142907bb1269975a6415c3c74"),
+    "fine-relaxed-given": (
+        ("fine", "--xi", "given"), "--marginals", RELAXED, 0,
+        "de8f148bb2c4f945762139927a481a1697acbf9c61941740c89f3b42999304af",
+        "0ffeb2ae38df1287965127f4f56abf2fe92e1a97154307d2c98c0db924209617"),
+    "fine-relaxed-mid": (
+        ("fine", "--xi", "mid"), "--marginals", RELAXED, 0,
+        "178a00f5d27514d4cf0b4eb3fbf47ee3547589dd583057c4a8e5f1050991904d",
+        "35b7eaba872d79d81aee25f6b2f5502364927c3631b29f7eefec76b5bf545446"),
+    "fine-relaxed-lower": (
+        ("fine", "--xi", "lower"), "--marginals", RELAXED, 0,
+        "2c5c8a63234b3746a187b5dd2bf521f60196f862a554180949c8ae0a84c64e4a",
+        "442aec76833ba7311f997f1a322f94895bdd912a9717ed7e74eb77586121dbb6"),
+    "fine-parity-ghz": (
+        ("fine",), "--marginals", PARITY_GHZ, 1,
+        "36d8c0f4ac2397be8bdac23f87130019f08f72c276a14f5263d94cb3550af1ff",
+        "26ff757bb1345664554ee73a534677e8fab29b295b7681d4d07ce7ba09594cec"),
+    "invert-parity-ghz": (
+        ("invert-marginals",), "--marginals", PARITY_GHZ, 0,
+        "c9c0ba080bfc15319116f9966cdaf1c10c6001526f241f7060f897270b9fda76",
+        "651fd313a0e22d374ea64775b55b0a6e452c1f4ff26c883b2301b75018ddf661"),
+    "invert-anticorrelated": (
+        ("invert-marginals",), "--marginals", ANTICORRELATED, 1,
+        "22df7768489a62d33dbc05e5a061c8bb535f1d0489dc4e5337623286f110678e",
+        "3a285c853ac51890dfdee43eb3c4508e0afac4ab260c65b5f123e6024a995017"),
+    "ne-interior-flat": (
+        ("ne", "--mode", "interior"), "--game", FLAT_GAME, 1,
+        "489ec86767b89db1337734fe5fd4b2d7e9307ed8a424366c7591c21e409ef0fe",
+        "82c9fe6577ec0ba29db91fe97a1e4378fe312b2b350db711932839bac791d337"),
+}
+
+
+@pytest.mark.parametrize("case", CLI_OUTPUT_SHA256)
+def test_cli_outputs_match_pinned_digests(tmp_path, capsys, case):
+    argv, flag, content, exit_code, *digests = CLI_OUTPUT_SHA256[case]
+    path = write(tmp_path, "input.json", content)
+    for fmt, digest in zip(("json", "md"), digests):
+        code, out, err = run(capsys, *argv, flag, path, "--format", fmt)
+        assert (code, err) == (exit_code, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
 def test_ne_verify_requires_triple(tmp_path, capsys):
     game = write(tmp_path, "game.json", PD_GAME)
     code, _, err = run(capsys, "ne", "--game", game, "--mode", "verify")
