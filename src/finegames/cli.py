@@ -160,7 +160,7 @@ def cmd_ne(args: argparse.Namespace) -> int:
         _emit(payload, args, "lattice equilibria")
         return 0
 
-    solution = product_state_interior_solve(table)
+    solution = _checked(product_state_interior_solve, "game", table)
     if solution is None:
         payload = {"triple": None, "note": "no isolated symmetric stationary point in [0, 1]"}
     else:
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--convention",
         required=True,
-        choices=("conjunction", "parity"),
+        choices=tuple(c.value for c in MarginalConvention),
         help="pair/triple marginal reading",
     )
     add_output(p)

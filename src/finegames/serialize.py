@@ -314,11 +314,10 @@ def load_game(descriptor, path: str = "game") -> PayoffTable:
 
 
 def parse_convention(value, path: str = "convention") -> MarginalConvention:
-    if value == "parity":
-        return MarginalConvention.PARITY
-    if value == "conjunction":
-        return MarginalConvention.CONJUNCTION
-    raise ParamError(f"{path}: expected 'parity' or 'conjunction'")
+    try:
+        return MarginalConvention(value)
+    except ValueError:
+        raise ParamError(f"{path}: expected 'parity' or 'conjunction'") from None
 
 
 MARGINAL_KEYS = ("lambda", "mu", "nu", "p_ab", "p_bc", "p_ac", "xi")

@@ -603,6 +603,13 @@ def test_ne_dilemma_params_errors_name_their_path(tmp_path, capsys, levels, mess
     assert (code, out, err) == (2, "", f"error: game.params: {message}\n")
 
 
+def test_ne_interior_asymmetric_table_names_its_path(tmp_path, capsys):
+    game = write(tmp_path, "game.json", {"kind": "custom", "rows": [[1, 2, 3]] + [[0, 0, 0]] * 7})
+    code, out, err = run(capsys, "ne", "--game", game, "--mode", "interior")
+    assert (code, out) == (2, "")
+    assert err == "error: game: interior solve needs a player-exchange symmetric payoff table\n"
+
+
 # Junk for any param: non-finite, huge, negative, bool, string, null,
 # nested and wrong-length lists.
 FUZZ_JUNK = [

@@ -500,6 +500,14 @@ def test_asymmetric_table_is_rejected():
         product_state_interior_solve(PayoffTable(entries))
 
 
+def test_asymmetric_table_message_names_no_path():
+    # The CLI puts the `game` path in front of this text.
+    table = PayoffTable(np.random.default_rng(3).normal(size=(8, 3)))
+    message = "^interior solve needs a player-exchange symmetric payoff table$"
+    with pytest.raises(ShapeError, match=message):
+        product_state_interior_solve(table)
+
+
 @settings(max_examples=60, deadline=None)
 @given(lam=probability, mu=probability, nu=probability)
 def test_parity_gradient_matches_central_differences(lam, mu, nu):

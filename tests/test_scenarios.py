@@ -21,6 +21,7 @@ from finegames import (
     render_markdown,
     run_scenario,
     SCENARIO_IDS,
+    SCENARIOS,
 )
 import finegames.equilibrium as equilibrium
 from finegames.equilibrium import MAX_RESOLUTION
@@ -354,3 +355,50 @@ def test_lattice_resolution_bound(monkeypatch):
 def test_out_of_domain_params_raise_param_error(scenario_id, params):
     with pytest.raises(ParamError):
         run_scenario(scenario_id, params)
+
+
+def seeded_params(scenario_id: str, rng) -> dict:
+    """A valid param set off the defaults for each param the scenario takes."""
+    def unit_triple():
+        z = rng.normal(size=3) + 1j * rng.normal(size=3)
+        return [[float(c.real), float(c.imag)] for c in z / np.linalg.norm(z)]
+
+    a = rng.uniform(0.1, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    q1, u, v, q8 = rng.dirichlet(np.ones(4)) / (1.0, 3.0, 3.0, 1.0)
+    mags = np.sqrt([q1, v, v, u, v, u, u, max(1.0 - q1 - 3.0 * u - 3.0 * v, 0.0)])
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 8))
+    draws = {
+        "pd_params": [float(x) for x in (7, 9, 3, 0, 1, 5) + rng.uniform(-0.25, 0.25, 6)],
+        "resolution": int(rng.integers(2, 12)),
+        "tol": float(10.0 ** rng.uniform(-12, -3)),
+        "a": [float(a.real), float(a.imag)],
+        "grid": int(rng.integers(2, 300)),
+        **dict(zip(("c2", "c3", "c5"), unit_triple())),
+        **dict(zip(("c4", "c6", "c7"), unit_triple())),
+        "q1": float(q1), "u": float(u), "v": float(v),
+        "seed": int(rng.integers(0, 1000)),
+    }
+    params = {k: v for k, v in draws.items() if k in SCENARIOS[scenario_id].params}
+    if scenario_id == "coop-quantum" and rng.random() < 0.5:
+        params = {"amplitudes": [[float(z.real), float(z.imag)] for z in mags * phases]}
+    return params
+
+
+def assert_plain(value, where: str):
+    # np.float64 is a float; no library object, array, tuple or complex.
+    assert value is None or isinstance(value, (dict, list, str, bool, int, float)), where
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert_plain(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            assert_plain(item, f"{where}[{i}]")
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+def test_inputs_and_details_hold_plain_values(scenario_id):
+    rng = np.random.default_rng(SCENARIO_IDS.index(scenario_id))
+    for params in [None] + [seeded_params(scenario_id, rng) for _ in range(4)]:
+        report = run_scenario(scenario_id, params)
+        assert_plain(report.inputs, "inputs")
+        assert_plain(report.details, "details")

@@ -11,17 +11,54 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from finegames import (
+    DEFAULT_PD_PARAMS,
+    BellReport,
+    CoalitionReduction,
+    CoalitionValue,
+    JointDistribution,
     MarginalConvention,
+    MarginalSet,
+    NeCertificate,
     ParamError,
+    PdParams,
+    StrategyTriple,
+    WeightInversion,
+    XiInterval,
+    XiRule,
+    bell_slacks,
+    coalition_analysis,
+    coalition_reduction,
+    coop_game,
+    density_from_pure,
+    extract_marginals,
+    ghz,
     load_game,
     load_marginals,
     load_schema,
     load_state,
+    pd3,
+    reconstruct_joint,
     render_json,
     render_markdown,
     state_density,
+    verify_ne_factorizable,
+    weights_from_marginals,
+    xi_interval,
 )
-from finegames.serialize import format_float, parse_complex
+from finegames.serialize import (
+    _WRITERS,
+    bell_to_dict,
+    certificate_to_dict,
+    coalition_reduction_to_dict,
+    complex_pair,
+    format_float,
+    interval_to_dict,
+    inversion_to_dict,
+    joint_to_dict,
+    marginals_to_dict,
+    parse_complex,
+    to_wire,
+)
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -223,3 +260,38 @@ def test_render_markdown_structure():
     assert text.startswith("# demo\n")
     assert "- alpha: 1.5" in text
     assert "## inner" in text
+
+
+def test_to_wire_writes_each_library_type_with_its_converter():
+    m = extract_marginals(density_from_pure(ghz(0.6, 0.8)), MarginalConvention.CONJUNCTION)
+    cert = verify_ne_factorizable(pd3(), StrategyTriple(0.0, 0.0, 0.0))
+    value = coalition_analysis(coop_game())[3]
+    reduction = coalition_reduction(coop_game(), "A")
+    expected = {
+        MarginalSet: (m, marginals_to_dict(m)),
+        BellReport: (bell_slacks(m), bell_to_dict(bell_slacks(m))),
+        XiInterval: (xi_interval(m), interval_to_dict(xi_interval(m))),
+        JointDistribution: (
+            reconstruct_joint(m, XiRule.GIVEN),
+            joint_to_dict(reconstruct_joint(m, XiRule.GIVEN)),
+        ),
+        WeightInversion: (weights_from_marginals(m), inversion_to_dict(weights_from_marginals(m))),
+        NeCertificate: (cert, certificate_to_dict(cert)),
+        CoalitionReduction: (reduction, coalition_reduction_to_dict(reduction)),
+        StrategyTriple: (StrategyTriple(0.25, 0.5, 1.0), [0.25, 0.5, 1.0]),
+        CoalitionValue: (value, {"members": list(value.members), "value": value.value}),
+        PdParams: (DEFAULT_PD_PARAMS, [7.0, 9.0, 3.0, 0.0, 1.0, 5.0]),
+        complex: (complex(0.5, -0.25), complex_pair(complex(0.5, -0.25))),
+        np.ndarray: (np.array([[1.0, 2.0], [3.0, 4.5]]), [[1.0, 2.0], [3.0, 4.5]]),
+    }
+    assert set(expected) == set(_WRITERS)
+    for kind, (obj, form) in expected.items():
+        assert type(obj) is kind
+        assert to_wire(obj) == form, kind.__name__
+
+
+def test_to_wire_passes_other_values_and_walks_containers():
+    for value in ((complex(0.0, 1.0), 0.5), 0.25, None, "text", MarginalConvention.PARITY):
+        assert to_wire(value) is value
+    nested = {"a": [complex(1.0, 0.0), {"b": StrategyTriple(0.0, 0.5, 1.0)}], "c": [[]]}
+    assert to_wire(nested) == {"a": [[1.0, 0.0], {"b": [0.0, 0.5, 1.0]}], "c": [[]]}
