@@ -27,14 +27,26 @@ from .games import (
 from .qstates import PLAYERS, _trusted
 
 DEFAULT_RESOLUTION = 11
-# Largest lattice resolution. It bounds the screen's one boolean cube of
-# resolution^3 bytes: a search at 290 peaks at 56 MB ru_maxrss (30 MB of
-# it the import) and takes about 12 ms on pd3, 40 ms on coop_game and
-# 0.3 s where the slope band covers the plane (2-vCPU VM, numpy 2.4).
+# Largest lattice resolution. It bounds the screen's boolean cube, which
+# is resolution^3 bytes when every player's slope band has a point: a
+# search at 290 then peaks at 56 MB ru_maxrss (30 MB of it the import)
+# and takes about 21 ms on coop_game and 0.2 s where a band covers the
+# plane. On pd3, whose bands are empty, the cube is 2x2x2: 1.6 ms and
+# 33 MB (2-vCPU VM, numpy 2.4).
 MAX_RESOLUTION = 290
 # Most screen hits a search certifies. Each hit becomes a certificate: an
 # own-choice-blind table makes 226,981 at resolution 61 (5 s, +200 MB).
 _MAX_LATTICE_HITS = 250_000
+
+
+# An equilibrium's note, indexed by its payoff-neutral players as the
+# bits A = 4, B = 2, C = 1.
+_EQUILIBRIUM_NOTES = tuple(
+    "weak equilibrium: payoff-neutral deviations for "
+    + ", ".join(player for player, bit in zip(PLAYERS, (4, 2, 1)) if k & bit)
+    if k else "strict equilibrium: every unilateral deviation loses"
+    for k in range(8)
+)
 
 
 @dataclass(frozen=True)
@@ -78,24 +90,19 @@ def _endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> list[NeCer
     gains = np.stack([-x * slope, (1.0 - x) * slope], axis=-1)
     slack = 0.0 - gains.max(axis=-1)
     is_ne = holds(slack.min(axis=-1), tol)
-    neutral = ((x[..., None] != (0.0, 1.0)) & holds(gains, tol)).any(axis=-1)
+    neutral = ((x[..., None] != (0.0, 1.0)) & holds(gains, tol)).any(axis=-1) @ (4, 2, 1)
     certs = []
     rows = zip(x.tolist(), slack.tolist(), gains.reshape(-1, 6).tolist(),
                is_ne.tolist(), neutral.tolist())
-    for (lam, mu, nu), row_slack, row_gains, ok, flat in rows:
+    for (lam, mu, nu), row_slack, row_gains, ok, bits in rows:
         if not ok:
             worst = row_gains.index(max(row_gains))  # first of A0, A1, B0, ...
             note = (
                 f"not an equilibrium: player {PLAYERS[worst // 2]} gains "
                 f"{row_gains[worst]:g} by moving to {worst % 2:g}"
             )
-        elif any(flat):
-            note = (
-                "weak equilibrium: payoff-neutral deviations for "
-                + ", ".join(player for player, f in zip(PLAYERS, flat) if f)
-            )
         else:
-            note = "strict equilibrium: every unilateral deviation loses"
+            note = _EQUILIBRIUM_NOTES[bits]
         triple = _trusted(StrategyTriple, lam=lam, mu=mu, nu=nu)
         certs.append(_trusted(
             NeCertificate, triple=triple, player_slack=tuple(row_slack), is_ne=ok, note=note
@@ -115,9 +122,9 @@ def grid_ne_search(
 ) -> list[NeCertificate]:
     """All equilibria on the uniform strategy lattice.
 
-    Screens the resolution^3 lattice with the endpoint-gain condition
-    and certifies every hit in one batched audit. Results are sorted
-    lexicographically by (lam, mu, nu).
+    Screens the lattice with the endpoint-gain condition, on the axis
+    values that can pass, and certifies every hit in one batched audit.
+    Results are sorted lexicographically by (lam, mu, nu).
     """
     if resolution < 2:
         raise ShapeError("resolution must be at least 2 to include both endpoints")
@@ -125,7 +132,7 @@ def grid_ne_search(
         raise ShapeError(f"resolution must be at most {MAX_RESOLUTION}")
     grid = np.linspace(0.0, 1.0, resolution)
     coeffs = _payoff_polynomial(table)
-    screen = _lattice_screen(coeffs, grid, tol)
+    screen, axes = _lattice_screen(coeffs, grid, tol)
     count = int(np.count_nonzero(screen))
     if count > _MAX_LATTICE_HITS:
         raise ShapeError(
@@ -133,9 +140,10 @@ def grid_ne_search(
             f"{_MAX_LATTICE_HITS} a search certifies; lower the resolution"
         )
     # The hits in argwhere's C order, read at a fraction of its cost on
-    # a sparse cube.
+    # a sparse cube. Each axis ascends, so this order is lexicographic.
     index = np.unravel_index(np.flatnonzero(screen), screen.shape)
-    return _endpoint_audit(coeffs, grid[np.stack(index, axis=-1)], tol)
+    points = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+    return _endpoint_audit(coeffs, points, tol)
 
 
 def _slice_passes(x: float, g: np.ndarray, tol: float) -> np.ndarray:
@@ -144,47 +152,51 @@ def _slice_passes(x: float, g: np.ndarray, tol: float) -> np.ndarray:
     return (-x * g <= tol) & ((1.0 - x) * g <= tol)
 
 
-def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> np.ndarray:
-    """Boolean cube of lattice points where no player gains more than tol.
+def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[np.ndarray, list]:
+    """Boolean cube where no player gains more than tol, and its axes.
 
     Player p's slope g does not depend on x_p, so one plane of slopes
-    over the opponents' values serves every slice of p's axis. The two
-    endpoint slices are tested on the whole plane. An interior value x
-    lies at least 1/(n - 1) from both endpoints, so a point with slope
-    g gains at least |g| / (n - 1) by moving to one of them, and it can
-    pass only inside the band |g| <= 2 (n - 1) max(tol, tiny). The
-    factor 2 covers the rounding of the grid values and the products.
-    The floor at the smallest normal float keeps subnormal slopes,
-    whose products can round to 0 and so pass at tol = 0. Interior
-    slices are cleared outside the band, then tested in one call per
-    block of rows with band points, between its first and last band
-    columns. A block is 2^16 // n^2 rows (at least one), which bounds a
-    call's temporaries; from n = 257 on it is one row, whose band is one
-    run (g is affine along a row), so the test covers exactly the band.
-    Every tested point takes the gains as _endpoint_audit does, so the
-    screen and the certificates agree.
+    over the opponents' values serves every slice of p's axis. An
+    interior x lies at least 1/(n - 1) from both endpoints, so it can
+    pass only inside the band |g| <= 2 (n - 1) max(tol, tiny): the
+    factor 2 covers rounding, and the floor keeps subnormal slopes,
+    whose products can round to 0. A player with an empty band keeps
+    only the axis values 0 and 1, so the cube is n^3 only when every
+    band has a point. Each plane is read at the opponents' axis values;
+    the endpoint slices take all of it. Interior slices are cleared
+    outside the band, then tested in one call per block of 2^16 // n^2
+    rows (at least one, to bound the temporaries) between the block's
+    first and last band columns. From n = 257 on a block is one row,
+    whose band is one run (g is affine along it), so the test covers
+    exactly the band. Each point takes the gains as _endpoint_audit
+    does, so the cube is the full lattice's screen read at the axes,
+    and the full screen fails off them.
     """
     n = grid.size
     bound = 2.0 * (n - 1) * max(tol, np.finfo(float).tiny)
-    mask = np.ones((n, n, n), dtype=bool)
+    planes = [_slope_plane(coeffs, p, grid[:, None], grid[None, :]) for p in range(3)]
+    bands = [np.abs(g) <= bound for g in planes]
+    whole = [band.any() for band in bands]
+    axes = [slice(None) if w else slice(None, None, n - 1) for w in whole]
+    values = [grid[axis] for axis in axes]
+    mask = np.ones([v.size for v in values], dtype=bool)
     inner, step = grid[1:-1, None, None], max(1, 2**16 // n**2)
     for p in range(3):
-        g = _slope_plane(coeffs, p, grid[:, None], grid[None, :])
-        slices = np.moveaxis(mask, p, 0)
+        q, r = (k for k in range(3) if k != p)
+        g, band = planes[p][axes[q], axes[r]], bands[p][axes[q], axes[r]]
+        slices = mask.transpose(p, q, r)
         for i in (0, -1):
             slices[i] &= _slice_passes(grid[i], g, tol)
-        band = np.abs(g) <= bound
-        if not band.any():
-            slices[1:-1] = False
+        if not whole[p]:
             continue
         slices[1:-1] &= band
-        for r in range(0, n, step):
-            rows = slice(r, r + step)
+        for row in range(0, band.shape[0], step):
+            rows = slice(row, row + step)
             cols = np.flatnonzero(band[rows].any(axis=0))
             if cols.size:
                 cols = slice(cols[0], cols[-1] + 1)
                 slices[1:-1, rows, cols] &= _slice_passes(inner, g[rows, cols], tol)
-    return mask
+    return mask, values
 
 
 def _smallest_root(a: float, b: float, c: float, lo: float, hi: float) -> float | None:

@@ -213,6 +213,20 @@ def screen_tables(rng, tol, resolution):
     yield own_slope_table((5e-324, -1e-310, np.finfo(float).tiny))
 
 
+def expand_screen(screen, grid) -> np.ndarray:
+    """The n^3 cube of a _lattice_screen result: its sub-cube placed at
+    its axis values, each the whole grid or its two endpoints, and False
+    everywhere else."""
+    cube, axes = screen
+    index = [np.searchsorted(grid, axis) for axis in axes]
+    for axis, i in zip(axes, index):
+        assert axis.size in (2, grid.size) and np.array_equal(grid[i], axis)
+        assert i[0] == 0 and i[-1] == grid.size - 1
+    full = np.zeros((grid.size,) * 3, dtype=bool)
+    full[np.ix_(*index)] = cube
+    return full
+
+
 def test_lattice_screen_matches_reference_bit_for_bit():
     rng = np.random.default_rng(20261018)
     cases = 0
@@ -221,7 +235,7 @@ def test_lattice_screen_matches_reference_bit_for_bit():
         for tol in SCREEN_TOLS:
             for table in screen_tables(rng, tol, resolution):
                 coeffs = _payoff_polynomial(table)
-                got = _lattice_screen(coeffs, grid, tol)
+                got = expand_screen(_lattice_screen(coeffs, grid, tol), grid)
                 want = reference_lattice_screen(coeffs, grid, tol)
                 assert np.array_equal(got, want), (resolution, tol, table.entries)
                 cases += 1
@@ -241,9 +255,49 @@ def test_lattice_screen_memory_peak_within_reference():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        if screen is _lattice_screen:
+            assert cube[0].shape == (MAX_RESOLUTION,) * 3
+            cube = expand_screen(cube, grid)
         assert cube.all()
         del cube
     assert peaks[0] <= peaks[1]
+
+
+def test_screen_axes_keep_only_the_endpoints_of_an_empty_band():
+    # No slope of the dilemma comes near 0, so each axis keeps 0 and 1.
+    # Each odd-man-out slope vanishes along a line through the lattice,
+    # so each axis is whole. Constant slopes (0, -1, 1) leave a band for
+    # A alone.
+    cases = (
+        (pd3(), (False, False, False)),
+        (coop_game(), (True, True, True)),
+        (own_slope_table((0.0, -1.0, 1.0)), (True, False, False)),
+    )
+    for resolution in (2, 3, 11, 61):
+        grid = np.linspace(0.0, 1.0, resolution)
+        for table, whole in cases:
+            coeffs = _payoff_polynomial(table)
+            cube, axes = _lattice_screen(coeffs, grid, DEFAULT_NE_TOL)
+            for axis, w in zip(axes, whole):
+                assert np.array_equal(axis, grid if w else grid[[0, -1]])
+            assert cube.shape == tuple(axis.size for axis in axes)
+            want = reference_lattice_screen(coeffs, grid, DEFAULT_NE_TOL)
+            assert np.array_equal(expand_screen((cube, axes), grid), want)
+
+
+def test_screen_of_empty_bands_builds_no_full_cube():
+    # The dilemma's bands are all empty, so at MAX_RESOLUTION the screen
+    # holds three slope planes and a 2x2x2 cube, far below one n^3 cube.
+    coeffs = _payoff_polynomial(pd3())
+    grid = np.linspace(0.0, 1.0, MAX_RESOLUTION)
+    tracemalloc.start()
+    try:
+        cube, _ = _lattice_screen(coeffs, grid, DEFAULT_NE_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cube.shape == (2, 2, 2)
+    assert peak < MAX_RESOLUTION**3 / 4
 
 
 def test_grid_search_reads_hits_from_the_flat_cube(monkeypatch):
@@ -265,6 +319,28 @@ def test_grid_search_reads_hits_from_the_flat_cube(monkeypatch):
         (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.0, 1.0, 1.0)
     ]
     assert ndims and set(ndims) == {1}
+
+
+def test_every_equilibrium_note():
+    # With constant slopes 0 or -1, (0, 0, 0) is an equilibrium whose
+    # payoff-neutral deviations are exactly the zero-slope players'.
+    notes = {
+        (-1.0, -1.0, -1.0): "strict equilibrium: every unilateral deviation loses",
+        (-1.0, -1.0, 0.0): "weak equilibrium: payoff-neutral deviations for C",
+        (-1.0, 0.0, -1.0): "weak equilibrium: payoff-neutral deviations for B",
+        (-1.0, 0.0, 0.0): "weak equilibrium: payoff-neutral deviations for B, C",
+        (0.0, -1.0, -1.0): "weak equilibrium: payoff-neutral deviations for A",
+        (0.0, -1.0, 0.0): "weak equilibrium: payoff-neutral deviations for A, C",
+        (0.0, 0.0, -1.0): "weak equilibrium: payoff-neutral deviations for A, B",
+        (0.0, 0.0, 0.0): "weak equilibrium: payoff-neutral deviations for A, B, C",
+    }
+    origin = StrategyTriple(0.0, 0.0, 0.0)
+    for slopes, note in notes.items():
+        cert = verify_ne_factorizable(own_slope_table(slopes), origin)
+        assert cert.is_ne and cert.note == note, slopes
+    cert = verify_ne_factorizable(own_slope_table((1.0, -1.0, -1.0)), origin)
+    assert not cert.is_ne
+    assert cert.note == "not an equilibrium: player A gains 1 by moving to 1"
 
 
 def test_pd3_screen_tests_no_interior_slice(monkeypatch):
@@ -301,7 +377,7 @@ def test_interior_slices_are_tested_on_the_band_only(monkeypatch):
     n = MAX_RESOLUTION
     grid = np.linspace(0.0, 1.0, n)
     coeffs = _payoff_polynomial(coop_game())
-    cube = _lattice_screen(coeffs, grid, DEFAULT_NE_TOL)
+    cube = expand_screen(_lattice_screen(coeffs, grid, DEFAULT_NE_TOL), grid)
     monkeypatch.undo()
     assert np.array_equal(cube, reference_lattice_screen(coeffs, grid, DEFAULT_NE_TOL))
     # Each player's calls open with its two endpoint slices (a scalar x).
