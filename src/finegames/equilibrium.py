@@ -18,6 +18,8 @@ from .errors import DEFAULT_NE_TOL, FLAT_SLOPE_TOL, ROOT_ZERO_TOL, ZERO_TOL, Sha
 from .games import (
     PayoffTable,
     StrategyTriple,
+    _Q,
+    _R,
     _VIEW,
     _payoff_polynomial,
     _polynomial_values,
@@ -182,7 +184,7 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
     mask = np.ones([v.size for v in values], dtype=bool)
     inner, step = grid[1:-1, None, None], max(1, 2**16 // n**2)
     for p in range(3):
-        q, r = (k for k in range(3) if k != p)
+        q, r = _Q[p], _R[p]
         g, band = planes[p][axes[q], axes[r]], bands[p][axes[q], axes[r]]
         slices = mask.transpose(p, q, r)
         for i in (0, -1):
@@ -397,12 +399,9 @@ def coalition_analysis(table: PayoffTable) -> list[CoalitionValue]:
     if float(sums.max()) > ZERO_TOL:
         raise ShapeError("coalition analysis needs zero-sum payoff rows")
     reductions = {odd: coalition_reduction(table, odd) for odd in PLAYERS}
-    values = [
-        CoalitionValue((player,), -reductions[player].value) for player in PLAYERS
-    ]
-    for odd, pair in (("C", ("A", "B")), ("A", ("B", "C")), ("B", ("A", "C"))):
-        values.append(CoalitionValue(pair, reductions[odd].value))
-    return values
+    singles = [CoalitionValue((p,), -reductions[p].value) for p in PLAYERS]
+    pairs = [CoalitionValue(reductions[odd].members, reductions[odd].value) for odd in "CAB"]
+    return singles + pairs
 
 
 def coop_best_response_solve(

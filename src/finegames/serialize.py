@@ -227,8 +227,6 @@ def _checked(build: Callable, path: str, *values):
     a RangeError names."""
     try:
         return build(*values)
-    except ParamError:
-        raise
     except RangeError as exc:
         where = path if exc.field is None else f"{path}.{exc.field}"
         raise ParamError(f"{where}: {exc}") from None

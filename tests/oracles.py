@@ -17,7 +17,9 @@ tested on the whole plane, the reference coalition reduction is the
 pooled matrix, its row elimination and the 2x2 solve as first
 written, the reference best response reads the
 odd-man-out game's coefficients by marginal name, the reference sum is
-marginal_values' trace sum as first written, and the reference renderer
+marginal_values' trace sum as first written, the reference weight
+scan is ghz-bell's scan as one (grid, 8) batch of diagonals instead of
+the slacks' two affine ends, and the reference renderer
 at the end is the JSON and markdown rendering as first written, one
 isinstance chain per node.
 """
@@ -36,9 +38,12 @@ from finegames import (
     PureState,
     ShapeError,
     StrategyTriple,
+    bell_slack_values,
     marginal_form_coefficients,
+    marginal_values,
 )
 from finegames.equilibrium import _smallest_root
+from finegames.errors import holds
 from finegames.games import _polynomial_values
 from finegames.measurement import MOBIUS
 
@@ -437,6 +442,24 @@ def reference_marginal_sums(d: np.ndarray, incidence: np.ndarray) -> np.ndarray:
     t = s[..., :4] + s[..., 4:]
     values = (t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3])
     return values
+
+
+# Reference weight scan: scenarios._ghz_bell's scan as it was before it
+# read the segment at its two ends, kept verbatim. Its satisfied points
+# must equal the scenario's on every grid.
+
+
+def reference_weight_scan(grid: int) -> list[float]:
+    """Weights x on the grid whose state x|000><000| + (1 - x)|111><111|
+    satisfies the four parity Bell inequalities, from one (grid, 8)
+    batch of diagonals (x, 0, ..., 0, 1 - x)."""
+    xs = np.linspace(0.0, 1.0, grid)
+    diagonals = np.zeros((grid, 8))
+    diagonals[:, 0] = xs
+    diagonals[:, 7] = 1.0 - xs
+    values = marginal_values(diagonals, MarginalConvention.PARITY)
+    satisfied = holds(bell_slack_values(values).min(axis=-1))
+    return xs[satisfied].tolist()
 
 
 # Reference renderer: serialize.py's format_float, render_json,

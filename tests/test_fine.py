@@ -20,12 +20,14 @@ from finegames import (
     marginal_values,
     marginals_from_joint,
     reconstruct_joint,
+    run_scenario,
     weights_from_marginals,
     xi_interval,
     StrategyTriple,
+    SCENARIO_IDS,
 )
-from finegames.errors import SLACK_TOL
-from finegames.fine import _slack_terms, _xi_bounds
+from finegames.errors import SLACK_TOL, holds
+from finegames.fine import _condition_terms, _slack_terms, _xi_bounds
 from finegames.measurement import _INCIDENCE, MARGINAL_FIELDS, MOBIUS, ZETA
 from finegames.qstates import _trusted
 from oracles import (
@@ -293,6 +295,92 @@ def test_verdicts_match_the_exact_sign_at_the_floor():
     assert min(seen.values()) > 400, seen
 
 
+def term_floor_sets(seed: int, count: int):
+    """Conjunction sets, free and of joints in turn, whose xi is moved
+    so that one MOBIUS term, drawn at random, sits exactly at -SLACK_TOL
+    plus a _near offset; xi is then rounded once to a float. Draws that
+    break the Frechet bounds are skipped."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        m = random_conjunction_set(rng) if n % 2 else conjunction_set_of_joint(rng)
+        row = MOBIUS[rng.integers(8)].astype(int).tolist()
+        rest = sum(c * Fraction(v) for c, v in zip(row, (1.0, *m.values()[:6])))
+        xi = (-Fraction(SLACK_TOL) + _near(rng) - rest) / row[7]
+        try:
+            yield MarginalSet(*m.values()[:6], float(xi), MarginalConvention.CONJUNCTION)
+        except RangeError:
+            continue
+
+
+def exact_terms_and_bounds(m: MarginalSet):
+    """m's eight MOBIUS terms at its own xi, and the xi window's two
+    ends from the eliminated rows, in exact rationals."""
+    plus, minus, _ = xi_elimination()
+    rows = MOBIUS.astype(int).tolist()
+    x = (1, *map(Fraction, m.values()))
+    terms = [sum(c * v for c, v in zip(row, x)) for row in rows]
+    lower = max(-sum(c * v for c, v in zip(rows[i][:7], x)) for i in plus)
+    upper = min(sum(c * v for c, v in zip(rows[j][:7], x)) for j in minus)
+    return terms, lower, upper
+
+
+def _default_conjunction_sets():
+    return [
+        m
+        for scenario_id in SCENARIO_IDS
+        for m in run_scenario(scenario_id).marginals.values()
+        if m.convention is MarginalConvention.CONJUNCTION
+    ]
+
+
+# Rounding band of the reconstruction verdicts. A term is seven float
+# additions of partial sums within 4 in size, so it lies within 28 ulps
+# (2^-53 each) of its exact value; a window end takes at most six
+# additions within 2, 12 ulps, and is_empty adds SLACK_TOL to the upper
+# end, one rounding more. So outside 2^-48 (32 ulps) of the floor every
+# float verdict has the exact sign; inside it the disagreements are
+# counted and pinned, per source as (sets, terms in the band, of them
+# wrong, windows in the band, of them wrong).
+ULP = Fraction(2) ** -53
+REPLAY_BAND = 32 * ULP
+REPLAY_SOURCES = {
+    "floor_sets": (lambda: floor_sets(seed=11, count=2000), (923, 105, 11, 452, 28)),
+    "term_floor_sets": (lambda: term_floor_sets(seed=12, count=2000), (663, 224, 18, 0, 0)),
+    "default_scenarios": (_default_conjunction_sets, (4, 0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("source", REPLAY_SOURCES)
+def test_reconstruction_verdicts_match_the_exact_sign(source):
+    sets, pinned = REPLAY_SOURCES[source]
+    floor = -Fraction(SLACK_TOL)
+    seen = Counter()
+    for m in sets():
+        terms, lower, upper = exact_terms_and_bounds(m)
+        floats = _condition_terms(m, m.xi).tolist()
+        float_lower, float_upper = _xi_bounds(m)
+        assert all(abs(Fraction(v) - t) <= 28 * ULP for v, t in zip(floats, terms))
+        assert abs(Fraction(float_lower) - lower) <= 12 * ULP
+        assert abs(Fraction(float_upper) - upper) <= 12 * ULP
+        for value, exact in zip(floats, terms):
+            wrong = holds(value) != (exact >= floor)
+            if abs(exact - floor) <= REPLAY_BAND:
+                seen["terms in band"] += 1
+                seen["terms wrong"] += wrong
+            else:
+                assert not wrong, (m, terms)
+        margin = upper - lower - floor  # is_empty exactly when negative
+        wrong = xi_interval(m).is_empty != (margin < 0)
+        if abs(margin) <= REPLAY_BAND:
+            seen["windows in band"] += 1
+            seen["windows wrong"] += wrong
+        else:
+            assert not wrong, (m, lower, upper)
+        seen["sets"] += 1
+    counts = ("sets", "terms in band", "terms wrong", "windows in band", "windows wrong")
+    assert tuple(seen[k] for k in counts) == pinned
+
+
 # The (i, j) sums of xi_elimination that are bell_slacks' four rows, in
 # its order; each pairs complementary outcomes, as exact_bell_slacks does.
 BELL_PAIRS = [(0, 7), (3, 4), (5, 2), (6, 1)]
@@ -352,6 +440,9 @@ def test_parity_bell_slacks_are_literal_row_pairs():
     slacks = bell_slack_values(marginal_values(np.eye(8), MarginalConvention.PARITY))
     pair_sums = np.array([LITERAL[i] + LITERAL[j] for i, j in BELL_PAIRS])
     assert np.array_equal(slacks, pair_sums.T)
+    # The ghz-bell weight scan's two ends: |111> at x = 0, |000> at x = 1.
+    ends = bell_slack_values(marginal_values(np.eye(8)[[7, 0]], MarginalConvention.PARITY))
+    assert ends.tolist() == [[4.0, -1.0, -1.0, -1.0], [1.0, 0.0, 0.0, 0.0]]
 
 
 def test_xi_bounds_are_the_eliminated_rows_on_dyadic_sets():

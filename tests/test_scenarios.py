@@ -27,6 +27,7 @@ import finegames.equilibrium as equilibrium
 from finegames.equilibrium import MAX_RESOLUTION
 from finegames.qstates import _PD_SUPPORT, _W_SUPPORT, pd_state, w_state
 from finegames.scenarios import MAX_SCAN_GRID, _family_map
+from oracles import reference_weight_scan
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -303,17 +304,28 @@ def test_batched_weight_scan_matches_per_point_loop(grid_n):
         assert sha256(render_json(report.to_dict())) == GHZ_BELL_10001_SHA256
 
 
+def test_weight_scan_matches_the_batch_reference():
+    # The scenario evaluates the slacks' affine ends on the grid; the
+    # reference pushes every grid point's diagonal through the batch API.
+    for grid_n in [*range(2, 2001), 10001, 65537]:
+        scan = run_scenario("ghz-bell", {"grid": grid_n}).details["weight_scan"]
+        points = reference_weight_scan(grid_n)
+        assert scan == {"grid": grid_n, "satisfied_points": points, "satisfied_count": len(points)}
+
+
 def test_weight_scan_grid_bound():
     scan = run_scenario("ghz-bell", {"grid": MAX_SCAN_GRID}).details["weight_scan"]
     assert scan["grid"] == MAX_SCAN_GRID and scan["satisfied_points"] == [1.0]
+    assert scan["satisfied_points"] == reference_weight_scan(MAX_SCAN_GRID)
     with pytest.raises(ParamError, match="params.grid"):
         run_scenario("ghz-bell", {"grid": MAX_SCAN_GRID + 1})
 
 
 def test_lattice_resolution_bound(monkeypatch):
-    # The real screen runs at the largest resolution: one 24 MB boolean
-    # cube, about 35 ms for pd3 and 0.4 s for the odd-man-out game,
-    # whose slopes vanish along lines. The wrapper records that the
+    # The real screen runs at the largest resolution. pd3's slope bands
+    # are empty, so it screens a 2x2x2 cube in about 1.5 ms; only the
+    # odd-man-out game, whose slopes vanish along lines, builds the
+    # 24 MB 290^3 cube, in about 20 ms. The wrapper records that the
     # bound let each search in.
     seen = []
     screen = equilibrium._lattice_screen
