@@ -42,7 +42,7 @@ def format_float(x: float) -> str:
     """17-significant-digit decimal rendering used everywhere on the wire."""
     if not isfinite(x):
         raise ValueError(f"cannot render non-finite value {x!r}")
-    return format(float(x), ".17g")
+    return "%.17g" % float(x)
 
 
 def render_json(value) -> str:
@@ -71,7 +71,7 @@ def _render(value, level: int) -> str:
     t = type(value)
     if t is float:
         if isfinite(value):
-            return format(value, ".17g")
+            return "%.17g" % value
         raise ValueError(f"cannot render non-finite value {value!r}")
     if t is str:
         return _quote(value)
@@ -456,7 +456,7 @@ def _md_scalar(value) -> str:
     t = type(value)
     if t is float:
         if isfinite(value):
-            return format(value, ".17g")
+            return "%.17g" % value
         raise ValueError(f"cannot render non-finite value {value!r}")
     if t is str:
         return value

@@ -13,7 +13,9 @@ inclusion-exclusion rows instead of hand-written bounds, and the
 literal parity read is an integer matrix built from the bit rules
 instead of MOBIUS applied to the parity incidence rows. The
 reference screen is the lattice screen as first written, every slice
-tested on the whole plane, the reference coalition reduction is the
+tested on the whole plane, the reference audit is the endpoint audit
+as first batched, one loop building each row's gains and certificate,
+the reference coalition reduction is the
 pooled matrix, its row elimination and the 2x2 solve as first
 written, the reference best response reads the
 odd-man-out game's coefficients by marginal name, the reference sum is
@@ -42,10 +44,11 @@ from finegames import (
     marginal_form_coefficients,
     marginal_values,
 )
-from finegames.equilibrium import _smallest_root
+from finegames.equilibrium import _EQUILIBRIUM_NOTES, NeCertificate, _smallest_root
 from finegames.errors import holds
 from finegames.games import _polynomial_values
 from finegames.measurement import MOBIUS
+from finegames.qstates import _trusted
 
 ORACLE_TOL = 1e-9
 
@@ -306,6 +309,45 @@ def reference_lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -
         for i, x in enumerate(grid):
             slices[i] &= (-x * g <= tol) & ((1.0 - x) * g <= tol)
     return mask
+
+
+# Reference audit: equilibrium.py's _endpoint_audit as it was when each
+# row built its six gains and its certificate in one loop, kept verbatim
+# (renamed). The library's certificates must equal its own bit for bit.
+
+
+def reference_endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> list[NeCertificate]:
+    """Certificates of an (n, 3) batch of strategy triples.
+
+    With own slope g, moving player p to 0 gains -x_p g and moving to 1
+    gains (1 - x_p) g; the slack is minus the larger gain. The triple is
+    an equilibrium when no move gains more than tol, and a move to an
+    endpoint other than x_p is payoff-neutral when it loses at most tol.
+    The triples lie in [0, 1] and every payoff coefficient is bounded by
+    MAX_PAYOFF, so the slacks are finite: nothing is left to check.
+    """
+    slope = _polynomial_values(coeffs, x)[1]
+    gains = np.stack([-x * slope, (1.0 - x) * slope], axis=-1)
+    slack = 0.0 - gains.max(axis=-1)
+    is_ne = holds(slack.min(axis=-1), tol)
+    neutral = ((x[..., None] != (0.0, 1.0)) & holds(gains, tol)).any(axis=-1) @ (4, 2, 1)
+    certs = []
+    rows = zip(x.tolist(), slack.tolist(), gains.reshape(-1, 6).tolist(),
+               is_ne.tolist(), neutral.tolist())
+    for (lam, mu, nu), row_slack, row_gains, ok, bits in rows:
+        if not ok:
+            worst = row_gains.index(max(row_gains))  # first of A0, A1, B0, ...
+            note = (
+                f"not an equilibrium: player {PLAYERS[worst // 2]} gains "
+                f"{row_gains[worst]:g} by moving to {worst % 2:g}"
+            )
+        else:
+            note = _EQUILIBRIUM_NOTES[bits]
+        triple = _trusted(StrategyTriple, lam=lam, mu=mu, nu=nu)
+        certs.append(_trusted(
+            NeCertificate, triple=triple, player_slack=tuple(row_slack), is_ne=ok, note=note
+        ))
+    return certs
 
 
 # Reference coalition reduction: equilibrium.py's coalition_reduction

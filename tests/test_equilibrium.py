@@ -1,6 +1,7 @@
 """Equilibrium certification, lattice search, and coalition analysis."""
 
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -35,6 +36,7 @@ from finegames import (
     zero_sum_2x2_value,
 )
 import finegames.equilibrium as equilibrium
+from finegames.cli import main as cli_main
 from finegames.equilibrium import DEFAULT_NE_TOL, MAX_RESOLUTION, _lattice_screen
 from finegames.games import MAX_PAYOFF, _payoff_polynomial, _polynomial_values, _slope_plane
 from oracles import (
@@ -44,6 +46,7 @@ from oracles import (
     reference_coalition_reduction,
     reference_coop_best_response_solve,
     reference_eliminate_weakly_dominated_rows,
+    reference_endpoint_audit,
     reference_lattice_screen,
     reference_zero_sum_2x2_value,
 )
@@ -343,6 +346,49 @@ def test_every_equilibrium_note():
     assert cert.note == "not an equilibrium: player A gains 1 by moving to 1"
 
 
+def audit_tables(rng):
+    """The lattice workloads' table shapes (8 perturbed dilemmas, 8
+    normal tables, 16 own-choice-blind tables), both default games and
+    small-integer tables full of ties."""
+    levels = np.array(DEFAULT_PD_PARAMS.as_tuple())
+    for _ in range(8):
+        yield pd3(PdParams(*(levels + rng.uniform(-0.2, 0.2, 6))))
+        yield PayoffTable(rng.normal(size=(8, 3)))
+    for _ in range(16):
+        yield own_choice_blind_table(rng)
+    yield pd3()
+    yield coop_game()
+    for _ in range(8):
+        yield PayoffTable(rng.integers(-2, 3, size=(8, 3)).astype(float))
+
+
+def test_endpoint_audit_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    grid = np.linspace(0.0, 1.0, 5)
+    lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    notes, failing = set(), set()
+    for table in audit_tables(rng):
+        coeffs = _payoff_polynomial(table)
+        # Off-lattice points, a third of their values moved to an endpoint.
+        off = rng.uniform(size=(40, 3))
+        ends = rng.integers(0, 2, size=off.shape).astype(float)
+        off = np.where(rng.uniform(size=off.shape) < 1 / 3, ends, off)
+        for points in (lattice, off):
+            for tol in (0.0, 1e-9, 0.5):
+                got = equilibrium._endpoint_audit(coeffs, points, tol)
+                want = reference_endpoint_audit(coeffs, points, tol)
+                assert len(got) == len(want) == len(points)
+                for a, b in zip(got, want):
+                    assert repr(a.triple) == repr(b.triple)
+                    assert repr(a.player_slack) == repr(b.player_slack)
+                    assert a.is_ne is b.is_ne and a.note == b.note
+                notes.update(c.note for c in got if c.is_ne)
+                failing.update(tuple(c.note.split()[4::6]) for c in got if not c.is_ne)
+    assert notes == set(equilibrium._EQUILIBRIUM_NOTES)
+    # Every player is the worst deviator somewhere, to each endpoint.
+    assert len(failing) == 6
+
+
 def test_pd3_screen_tests_no_interior_slice(monkeypatch):
     # No slope of the dilemma comes near 0, so the band is empty and
     # only the two endpoint slices of each player are tested.
@@ -487,6 +533,101 @@ def test_slopes_and_gains_stay_within_rounding_of_exact():
         a, b, c = map(Fraction, equilibrium._diagonal_slope(table))
         t = Fraction(x[0])
         assert abs(a * t * t + b * t + c - exact_own_slope(entries, 0, x[0], x[0])) <= bound
+
+
+# The six cases of test_cli.NE_OUTPUT_SHA256 that audit lattice
+# triples, and how many of their verdicts lie within the rounding band
+# of their threshold: (lattice points, certificate verdicts).
+PINNED_NE_AUDITS = [
+    ("pd3", ("--mode", "grid", "--resolution", "11"), (0, 0)),
+    ("pd3", ("--mode", "grid", "--resolution", "61"), (0, 0)),
+    ("coop", ("--mode", "grid", "--resolution", "11"), (0, 0)),
+    ("coop", ("--mode", "grid", "--resolution", "61"), (0, 0)),
+    ("pd3", ("--mode", "verify", "--triple", "0,0,0"), (0, 0)),
+    ("pd3", ("--mode", "verify", "--triple", "1,1,1"), (0, 0)),
+]
+
+
+def exact_lattice_gains(entries, axis):
+    """d^3 times each player's larger endpoint gain at every point of
+    the lattice axis^3, an (n, n, n, 3) array of Python integers, and
+    d^3, where d is the largest denominator of the axis floats: on an
+    integer table every value is exact."""
+    fractions = [Fraction(v) for v in axis]
+    d = max(f.denominator for f in fractions)
+    a = np.array([int(f * d) for f in fractions], dtype=object)
+    w = np.stack([a, d - a], axis=-1)
+    best = []
+    for p, (q, r) in enumerate(OPPONENTS):
+        own = own_choice_blocks(entries.astype(np.int64).astype(object), p)
+        plane = w @ (own[0] - own[1]) @ w.T
+        cube = np.maximum(np.multiply.outer(-a, plane), np.multiply.outer(d - a, plane))
+        best.append(cube.transpose(np.argsort((p, q, r))))
+    return np.stack(best, axis=-1), d**3
+
+
+@pytest.mark.parametrize("kind, argv, in_band", PINNED_NE_AUDITS)
+def test_pinned_ne_verdicts_replay_exactly(tmp_path, capsys, kind, argv, in_band):
+    # Each verdict of the pinned output, recomputed in Fraction from the
+    # table entries and the printed float triples: the slacks lie within
+    # the rounding bound of their exact values, and each verdict whose
+    # exact value lies farther than that bound from its threshold has
+    # the exact sign: is_ne, each neutral bit, the worst move of a
+    # failing triple and, on a grid, the set of lattice points listed.
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({"kind": kind}))
+    code = cli_main(["ne", "--game", str(game), *argv])
+    out = json.loads(capsys.readouterr().out)
+    certs = out.get("equilibria", [out])
+    assert code == (0 if all(c["is_ne"] for c in certs) else 1)
+    table = {"pd3": pd3, "coop": coop_game}[kind]()
+    assert np.array_equal(table.entries, np.round(table.entries))
+    tol = Fraction(DEFAULT_NE_TOL)
+    band = Fraction(2.0**-51 * np.abs(table.entries).sum())
+    lattice_near = near = 0
+    if "resolution" in out:
+        axis = np.linspace(0.0, 1.0, out["resolution"])
+        best, den = exact_lattice_gains(table.entries, axis)
+        scale = max(tol.denominator, band.denominator)
+        excess = best.max(axis=-1) * scale - int(tol * scale) * den
+        close = np.abs(excess) <= int(band * scale) * den
+        lattice_near = int(close.sum())
+        listed = {tuple(c["triple"]) for c in certs}
+        hits = {tuple(axis[i].tolist()) for i in np.argwhere((excess <= 0) & ~close)}
+        assert hits <= listed <= hits | {tuple(axis[i].tolist()) for i in np.argwhere(close)}
+    for cert in certs:
+        x = [Fraction(v) for v in cert["triple"]]
+        slopes = [exact_own_slope(table.entries, p, x[q], x[r])
+                  for p, (q, r) in enumerate(OPPONENTS)]
+        gains = [(-xp * g, (1 - xp) * g) for xp, g in zip(x, slopes)]
+        slack = [-max(pair) for pair in gains]
+        for got, exact in zip(cert["player_slack"], slack):
+            assert abs(Fraction(got) - exact) <= band
+        if abs(min(slack) + tol) <= band:
+            near += 1
+            continue
+        assert cert["is_ne"] == (min(slack) >= -tol)
+        flat = [g for pair in gains for g in pair]
+        if not cert["is_ne"]:
+            worst = flat.index(max(flat))
+            if any(0 < flat[worst] - g <= 2 * band for g in flat):
+                near += 1
+                continue
+            assert cert["note"] == (
+                f"not an equilibrium: player {PLAYERS[worst // 2]} gains "
+                f"{float(flat[worst]):g} by moving to {worst % 2:g}"
+            )
+            continue
+        bits = 0
+        for k, gain in enumerate(flat):
+            if x[k // 2] == k % 2:
+                continue
+            if abs(gain + tol) <= band:
+                near += 1
+            elif gain >= -tol:
+                bits |= 4 >> (k // 2)
+        assert cert["note"] == equilibrium._EQUILIBRIUM_NOTES[bits]
+    assert (lattice_near, near) == in_band
 
 
 def test_verify_matches_outcome_form_oracle(rng):

@@ -11,6 +11,7 @@ import collections
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,25 @@ def test_non_finite_floats_raise_the_reference_error(value):
         assert expected[0] is ValueError
         assert_renders_like_reference(payload)
     assert outcome(format_float, value) == outcome(oracles.format_float, value)
+
+
+def test_float_leaves_match_the_reference_format_on_random_bit_patterns():
+    # The library writes "%.17g" % x; the reference writes
+    # format(x, ".17g"). On seeded 64-bit patterns (every exponent
+    # equally likely) and the edges of the format they give the same
+    # text, in every leaf writer.
+    bits = np.random.default_rng(20261019).integers(0, 2**64, size=100_000, dtype=np.uint64)
+    xs = bits.view(np.float64)
+    edges = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min * (1 - 2**-52),
+             sys.float_info.min, sys.float_info.max, -sys.float_info.max,
+             1e16, 1e17, -1e16, -1e17, 2.0**53, 2.0**53 + 2, 0.1, 1 / 3]
+    values = xs[np.isfinite(xs)].tolist() + edges
+    assert len(values) > 99_000
+    assert [format_float(x) for x in values] == [format(x, ".17g") for x in values]
+    assert render_json(values) == oracles.reference_render_json(values)
+    assert render_markdown("floats", {"x": values}) == oracles.reference_render_markdown(
+        "floats", {"x": values}
+    )
 
 
 @pytest.mark.parametrize(
