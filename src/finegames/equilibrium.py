@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_NE_TOL, FLAT_SLOPE_TOL, ROOT_ZERO_TOL, ZERO_TOL, ShapeError, holds
+from .errors import (
+    DEFAULT_NE_TOL, FLAT_SLOPE_TOL, ROOT_ZERO_TOL, ZERO_TOL, RangeError, ShapeError, holds,
+)
 from .games import (
     PayoffTable,
     StrategyTriple,
@@ -22,8 +24,8 @@ from .games import (
     _R,
     _VIEW,
     _payoff_polynomial,
-    _polynomial_values,
     _slope_plane,
+    _slopes,
     coop_game,
 )
 from .qstates import PLAYERS, _trusted
@@ -76,7 +78,7 @@ class NeCertificate:
 
 def factorizable_gradient(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
     """Exact own-probability payoff derivatives (A, B, C)."""
-    return _polynomial_values(_payoff_polynomial(table), s.as_tuple())[1]
+    return _slopes(_payoff_polynomial(table), s.as_tuple())
 
 
 def _endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> list[NeCertificate]:
@@ -89,7 +91,7 @@ def _endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> list[NeCer
     The triples lie in [0, 1] and every payoff coefficient is bounded by
     MAX_PAYOFF, so the slacks are finite: nothing is left to check.
     """
-    slope = _polynomial_values(coeffs, x)[1]
+    slope = _slopes(coeffs, x)
     to_0, to_1 = -x * slope, (1.0 - x) * slope
     slack = 0.0 - np.maximum(to_0, to_1)
     is_ne = holds(slack.min(axis=-1), tol)
@@ -272,7 +274,7 @@ def parity_product_gradient(table: PayoffTable, s: StrategyTriple) -> np.ndarray
     own partial derivative at the signed singles.
     """
     signed = 2.0 * np.array(s.as_tuple()) - 1.0
-    return _polynomial_values(_payoff_polynomial(table), signed)[1]
+    return _slopes(_payoff_polynomial(table), signed)
 
 
 def zero_sum_2x2_value(
@@ -419,7 +421,7 @@ def coop_best_response_solve(
         table = coop_game()
     c_star = _smallest_root(*_diagonal_slope(table), 0.0, 1.0)
     if c_star is None:
-        raise ValueError("first player's stationarity has no root in [0, 1]")
+        raise RangeError("first player's stationarity has no root in [0, 1]")
 
     _, _, r, qr, own, pq, pr, c7 = _payoff_polynomial(table)[_VIEW[:, 1], 1].tolist()
     g0 = 2.0 * pr * c_star + own + r
@@ -427,8 +429,8 @@ def coop_best_response_solve(
     if abs(g0 - g1) < FLAT_SLOPE_TOL:
         if abs(g0) < ZERO_TOL:
             return 0.5, float(c_star)
-        raise ValueError("second player's stationarity has no solution")
+        raise RangeError("second player's stationarity has no solution")
     l_star = g0 / (g0 - g1)
     if l_star < -DEFAULT_NE_TOL or l_star > 1.0 + DEFAULT_NE_TOL:
-        raise ValueError("second player's stationary point lies outside [0, 1]")
+        raise RangeError("second player's stationary point lies outside [0, 1]")
     return float(min(max(l_star, 0.0), 1.0)), float(c_star)

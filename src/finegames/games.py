@@ -222,8 +222,8 @@ def _bilinear(c, xq, xr):
     return c[3] * xq * xr + c[1] * xq + c[2] * xr + c[0]
 
 
-def _polynomial_values(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
-    """Payoffs (A, B, C) and own-probability slopes at a (..., 3) batch.
+def _slopes(coeffs: np.ndarray, x) -> np.ndarray:
+    """Own-probability slopes (A, B, C) at a (..., 3) batch.
 
     Each payoff is affine in its player's own probability: the slope is
     the exact partial derivative, and the payoff at an own endpoint e is
@@ -231,16 +231,12 @@ def _polynomial_values(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
     its bits do not depend on the batch's shape.
     """
     x = np.asarray(x, dtype=np.float64)
-    xq, xr = x[..., _Q], x[..., _R]
-    c = coeffs[_VIEW, (0, 1, 2)]
-    slope = _bilinear(c[4:], xq, xr)
-    return _bilinear(c[:4], xq, xr) + x * slope, slope
+    return _bilinear(coeffs[_VIEW[4:], (0, 1, 2)], x[..., _Q], x[..., _R])
 
 
 def _slope_plane(coeffs: np.ndarray, p: int, xq: np.ndarray, xr: np.ndarray) -> np.ndarray:
     """Player p's own-probability slopes over broadcast opponent values
-    xq and xr of p's opponents q < r: p's column of _polynomial_values'
-    slope."""
+    xq and xr of p's opponents q < r: p's column of _slopes."""
     return _bilinear(coeffs[_VIEW[4:, p], p], xq, xr)
 
 
@@ -297,5 +293,7 @@ def strategy_marginals(
 
 
 def payoff_factorizable(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
-    """Expected payoffs (A, B, C) of independent mixed strategies."""
-    return _polynomial_values(_payoff_polynomial(table), s.as_tuple())[0]
+    """Expected payoffs (A, B, C) of independent mixed strategies: REST
+    plus the own probability times the slope."""
+    coeffs, x = _payoff_polynomial(table), np.array(s.as_tuple())
+    return _bilinear(coeffs[_VIEW[:4], (0, 1, 2)], x[_Q], x[_R]) + x * _slopes(coeffs, x)

@@ -96,11 +96,12 @@ ROOT_THIRD = 3.0 ** -0.5
 class ScenarioReport:
     """Machine-checkable record of one case study.
 
-    A scenario body fills the analysis, its candidate reference rows
-    and any claim of its own in paper_deviation; run_scenario sets
-    scenario_id and inputs, writes inputs and details in their wire
-    form (serialize.to_wire), and keeps rows and claim only for the
-    default inputs. to_dict writes the remaining fields.
+    A scenario body fills the analysis, its reference entries
+    (quantity, expected, computed) and any claim of its own in
+    paper_deviation; run_scenario sets scenario_id and inputs, writes
+    inputs and details in their wire form (serialize.to_wire), forms
+    the reference rows from the entries and keeps rows and claim only
+    for the default inputs. to_dict writes the remaining fields.
     """
 
     scenario_id: str = ""
@@ -110,7 +111,7 @@ class ScenarioReport:
     payoffs: object = None
     ne_findings: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
-    reference: list[dict] = field(default_factory=list)
+    reference: list = field(default_factory=list)
     paper_deviation: str | None = None
 
     def to_dict(self) -> dict:
@@ -140,22 +141,6 @@ def _ghz_b(value, path: str, parsed: dict) -> complex:
 def _param(parse: Callable, *args) -> Callable:
     """A spec parser that reads its own value only."""
     return lambda value, path, parsed: parse(value, path, *args)
-
-
-def _reference_rows(entries: list[tuple[str, float, float]]) -> list[dict]:
-    rows = []
-    for name, expected, computed in entries:
-        expected = float(expected)
-        computed = float(computed)
-        rows.append(
-            {
-                "quantity": name,
-                "expected": expected,
-                "computed": computed,
-                "abs_delta": abs(expected - computed),
-            }
-        )
-    return rows
 
 
 def _rows(names: tuple[str, ...], expected: float, computed) -> list[tuple]:
@@ -193,16 +178,14 @@ def _pd_classical(pd_params: PdParams, resolution: int, tol: float) -> ScenarioR
             "all_cooperate_rejected": cert_coop,
             "all_cooperate_best_deviation_gain": float(coop_gain),
         },
-        reference=_reference_rows(
-            [
-                ("lattice_equilibrium_count", 1.0, float(len(equilibria))),
-                ("equilibrium_lam", 0.0, eq.lam),
-                ("equilibrium_mu", 0.0, eq.mu),
-                ("equilibrium_nu", 0.0, eq.nu),
-                *_rows(_PAYOFFS, 1.0, payoffs),
-                ("all_cooperate_best_deviation_gain", 2.0, float(coop_gain)),
-            ]
-        ),
+        reference=[
+            ("lattice_equilibrium_count", 1.0, float(len(equilibria))),
+            ("equilibrium_lam", 0.0, eq.lam),
+            ("equilibrium_mu", 0.0, eq.mu),
+            ("equilibrium_nu", 0.0, eq.nu),
+            *_rows(_PAYOFFS, 1.0, payoffs),
+            ("all_cooperate_best_deviation_gain", 2.0, float(coop_gain)),
+        ],
     )
 
 
@@ -242,13 +225,11 @@ def _pd_ghz(a: complex, b: complex, pd_params: PdParams) -> ScenarioReport:
             "freedom remains and no factorizable equilibrium audit applies"
         ],
         details=details,
-        reference=_reference_rows(
-            [
-                *_rows(_PAYOFFS, 3.0, payoffs),
-                *zip(_BELL, (2.5, -0.5, -0.5, -0.5), bell_parity.slack),
-                ("bell_satisfied", 0.0, 1.0 if bell_parity.satisfied else 0.0),
-            ]
-        ),
+        reference=[
+            *_rows(_PAYOFFS, 3.0, payoffs),
+            *zip(_BELL, (2.5, -0.5, -0.5, -0.5), bell_parity.slack),
+            ("bell_satisfied", 0.0, 1.0 if bell_parity.satisfied else 0.0),
+        ],
     )
 
 
@@ -275,17 +256,11 @@ def _ghz_bell(a: complex, grid: int) -> ScenarioReport:
                 "satisfied_count": len(satisfied_points),
             }
         },
-        reference=_reference_rows(
-            [
-                *zip(_BELL, (2.5, -0.5, -0.5, -0.5), bell.slack),
-                ("satisfied_count", 1.0, float(len(satisfied_points))),
-                (
-                    "satisfied_point",
-                    1.0,
-                    satisfied_points[0] if satisfied_points else float("inf"),
-                ),
-            ]
-        ),
+        reference=[
+            *zip(_BELL, (2.5, -0.5, -0.5, -0.5), bell.slack),
+            ("satisfied_count", 1.0, float(len(satisfied_points))),
+            ("satisfied_point", 1.0, satisfied_points[0] if satisfied_points else float("inf")),
+        ],
     )
 
 
@@ -344,14 +319,12 @@ def _pd_product(pd_params: PdParams) -> ScenarioReport:
             "inversion": inversion,
             "inversion_sign_pattern": dict(zip(BASIS_LABELS, sign_pattern)),
         },
-        reference=_reference_rows(
-            [
-                ("stationary_lam", lam_ref, t),
-                *_rows(_SINGLES, lam_ref, (m.lam, m.mu, m.nu)),
-                *_rows(_PAIRS, pair_ref, (m.p_ab, m.p_bc, m.p_ac)),
-                ("marginal_xi", xi_ref, m.xi),
-            ]
-        ),
+        reference=[
+            ("stationary_lam", lam_ref, t),
+            *_rows(_SINGLES, lam_ref, (m.lam, m.mu, m.nu)),
+            *_rows(_PAIRS, pair_ref, (m.p_ab, m.p_bc, m.p_ac)),
+            ("marginal_xi", xi_ref, m.xi),
+        ],
         paper_deviation=(
             "reference analysis reports a negative weight for basis outcome "
             "011 at this stationary point, but the unique inversion is "
@@ -407,7 +380,7 @@ def _affine_family(
             "reduced_constants": const,
             "singles_sum": float(singles_sum),
         },
-        reference=_reference_rows(entries),
+        reference=entries,
     )
 
 
@@ -491,23 +464,21 @@ def _coop_classical(resolution: int, tol: float) -> ScenarioReport:
             "best_response": [float(l_star), float(c_star)],
             "lattice_equilibria": equilibria,
         },
-        reference=_reference_rows(
-            [
-                ("coalition_value_a", -1.0, values[0].value),
-                ("coalition_value_b", -1.0, values[1].value),
-                ("coalition_value_c", -1.0, values[2].value),
-                ("coalition_value_ab", 1.0, values[3].value),
-                ("coalition_value_bc", 1.0, values[4].value),
-                ("coalition_value_ac", 1.0, values[5].value),
-                ("reduction_value", 1.0, reduction.value),
-                ("reduction_member_mix_first", 0.5, reduction.member_mix[0]),
-                ("reduction_odd_mix_first", 0.5, reduction.odd_mix[0]),
-                ("best_response_lam", 0.5, l_star),
-                ("best_response_c", 0.5, c_star),
-                *_rows(_PAYOFFS, 0.0, payoffs),
-                ("lattice_contains_half_point", 1.0, 1.0 if lattice_has_half else 0.0),
-            ]
-        ),
+        reference=[
+            ("coalition_value_a", -1.0, values[0].value),
+            ("coalition_value_b", -1.0, values[1].value),
+            ("coalition_value_c", -1.0, values[2].value),
+            ("coalition_value_ab", 1.0, values[3].value),
+            ("coalition_value_bc", 1.0, values[4].value),
+            ("coalition_value_ac", 1.0, values[5].value),
+            ("reduction_value", 1.0, reduction.value),
+            ("reduction_member_mix_first", 0.5, reduction.member_mix[0]),
+            ("reduction_odd_mix_first", 0.5, reduction.odd_mix[0]),
+            ("best_response_lam", 0.5, l_star),
+            ("best_response_c", 0.5, c_star),
+            *_rows(_PAYOFFS, 0.0, payoffs),
+            ("lattice_contains_half_point", 1.0, 1.0 if lattice_has_half else 0.0),
+        ],
     )
 
 
@@ -554,13 +525,11 @@ def _coop_quantum(
             "payoff_magnitude": payoff_magnitude,
             "pattern": {"q1": q1, "u": u, "v": v},
         },
-        reference=_reference_rows(
-            [
-                *_rows(_PAYOFFS, 0.0, payoffs),
-                *_rows(_SINGLES, 0.5, (m.lam, m.mu, m.nu)),
-                ("singles_spread", 0.0, float(singles_spread)),
-            ]
-        ),
+        reference=[
+            *_rows(_PAYOFFS, 0.0, payoffs),
+            *_rows(_SINGLES, 0.5, (m.lam, m.mu, m.nu)),
+            ("singles_spread", 0.0, float(singles_spread)),
+        ],
     )
 
 
@@ -652,6 +621,11 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport
     report.inputs = to_wire(parsed)
     report.details = to_wire(report.details)
     if report.inputs == _default_echo(scenario_id):
+        entries = [(name, float(e), float(c)) for name, e, c in report.reference]
+        report.reference = [
+            {"quantity": name, "expected": e, "computed": c, "abs_delta": abs(e - c)}
+            for name, e, c in entries
+        ]
         bad = [r["quantity"] for r in report.reference if r["abs_delta"] > REFERENCE_TOL]
         mismatch = "computed values contradict reference claims: " + ", ".join(bad)
         claims = (mismatch if bad else None, report.paper_deviation)

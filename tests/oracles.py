@@ -46,7 +46,7 @@ from finegames import (
 )
 from finegames.equilibrium import _EQUILIBRIUM_NOTES, NeCertificate, _smallest_root
 from finegames.errors import holds
-from finegames.games import _polynomial_values
+from finegames.games import _Q, _R, _VIEW, _bilinear
 from finegames.measurement import MOBIUS
 from finegames.qstates import _trusted
 
@@ -284,6 +284,26 @@ def lattice_screen(entries: np.ndarray, resolution: int, tol: float) -> list[tup
         own -= np.maximum(own[0], own[-1])
         mask &= cube >= -tol
     return [tuple(float(v) for v in grid[idx]) for idx in np.argwhere(mask)]
+
+
+# Reference evaluator: games.py's _polynomial_values as it was when it
+# computed payoffs and slopes together, kept verbatim. games._slopes and
+# payoff_factorizable must equal its two halves bit for bit.
+
+
+def _polynomial_values(coeffs: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """Payoffs (A, B, C) and own-probability slopes at a (..., 3) batch.
+
+    Each payoff is affine in its player's own probability: the slope is
+    the exact partial derivative, and the payoff at an own endpoint e is
+    payoff + (e - x_p) * slope. Every entry is computed elementwise, so
+    its bits do not depend on the batch's shape.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    xq, xr = x[..., _Q], x[..., _R]
+    c = coeffs[_VIEW, (0, 1, 2)]
+    slope = _bilinear(c[4:], xq, xr)
+    return _bilinear(c[:4], xq, xr) + x * slope, slope
 
 
 # Reference screen: equilibrium.py's _lattice_screen as it was before

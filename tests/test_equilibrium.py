@@ -18,6 +18,7 @@ from finegames import (
     PLAYERS,
     PayoffTable,
     PdParams,
+    RangeError,
     ShapeError,
     StrategyTriple,
     coalition_analysis,
@@ -38,7 +39,7 @@ from finegames import (
 import finegames.equilibrium as equilibrium
 from finegames.cli import main as cli_main
 from finegames.equilibrium import DEFAULT_NE_TOL, MAX_RESOLUTION, _lattice_screen
-from finegames.games import MAX_PAYOFF, _payoff_polynomial, _polynomial_values, _slope_plane
+from finegames.games import MAX_PAYOFF, _payoff_polynomial, _slope_plane, _slopes
 from oracles import (
     LITERAL,
     endpoint_certificates,
@@ -480,7 +481,7 @@ def test_slopes_and_gains_replay_exactly_on_dyadic_lattices():
         points = grid[index]
         for table in tables:
             coeffs = _payoff_polynomial(table)
-            slope = _polynomial_values(coeffs, points)[1]
+            slope = _slopes(coeffs, points)
             certs = equilibrium._endpoint_audit(coeffs, points, DEFAULT_NE_TOL)
             slack = np.array([c.player_slack for c in certs])
             best = np.zeros(len(points), dtype=np.int64)
@@ -515,7 +516,7 @@ def test_slopes_and_gains_stay_within_rounding_of_exact():
         x = rng.uniform(size=3)
         table = PayoffTable(entries)
         coeffs = _payoff_polynomial(table)
-        slope = _polynomial_values(coeffs, x)[1]
+        slope = _slopes(coeffs, x)
         cert = verify_ne_factorizable(table, StrategyTriple(*x))
         bound = Fraction(2.0**-51 * np.abs(entries).sum())
         for p, (q, r) in enumerate(OPPONENTS):
@@ -909,6 +910,26 @@ def test_coop_best_response_zeroes_payoff_derivatives(rng):
         diagonal = factorizable_gradient(table, s)[1] + at_nu[1] - at_nu[0]
         assert diagonal == pytest.approx(0.0, abs=1e-12)
     assert solved >= 30
+
+
+def test_coop_best_response_failures_are_package_errors(rng):
+    # The 300 normal tables of the derivative test (same seed): every
+    # table the solver cannot solve raises a RangeError, which callers
+    # catching FinegamesError or ValueError both see.
+    messages = {
+        "first player's stationarity has no root in [0, 1]",
+        "second player's stationarity has no solution",
+        "second player's stationary point lies outside [0, 1]",
+    }
+    failed = 0
+    for _ in range(300):
+        table = PayoffTable(rng.normal(size=(8, 3)))
+        try:
+            coop_best_response_solve(table)
+        except Exception as exc:
+            assert isinstance(exc, RangeError) and str(exc) in messages, repr(exc)
+            failed += 1
+    assert failed >= 150
 
 
 def _outcome(solve, table):

@@ -28,7 +28,7 @@ from finegames import (
 )
 from finegames.errors import SLACK_TOL, holds
 from finegames.fine import _condition_terms, _slack_terms, _xi_bounds
-from finegames.measurement import _INCIDENCE, MARGINAL_FIELDS, MOBIUS, ZETA
+from finegames.measurement import _INCIDENCE, MARGINAL_FIELDS, MOBIUS, WALSH, ZETA
 from finegames.qstates import _trusted
 from oracles import (
     LITERAL, exact_bell_slacks, joint_exists_oracle, strategy_weights, xi_elimination,
@@ -192,23 +192,21 @@ def test_reconstruction_equals_inversion_on_conjunction_sets(rng):
     assert checked > 200
 
 
-def boundary_sets(seed: int, count: int):
-    """Conjunction sets of joints with one to three zero entries, each
-    value moved by +-1e-13 to 1e-8 with probability one half; draws
-    that break the pair bounds are skipped."""
+def boundary_sets(seed: int, count: int, convention=MarginalConvention.CONJUNCTION):
+    """Sets of joints with one to three zero entries, each value moved
+    by +-1e-13 to 1e-8 with probability one half; draws that break the
+    convention's bounds are skipped."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         p = rng.dirichlet(np.ones(8))
         p[rng.choice(8, size=rng.integers(1, 4), replace=False)] = 0.0
         values = np.array(
-            marginals_from_joint(
-                JointDistribution(p / p.sum()), MarginalConvention.CONJUNCTION
-            ).values()
+            marginals_from_joint(JointDistribution(p / p.sum()), convention).values()
         )
         moved = rng.random(7) < 0.5
         values += moved * rng.choice([-1.0, 1.0], 7) * 10.0 ** rng.uniform(-13, -8, 7)
         try:
-            yield MarginalSet(*values, MarginalConvention.CONJUNCTION)
+            yield MarginalSet(*values, convention)
         except RangeError:
             continue
 
@@ -379,6 +377,96 @@ def test_reconstruction_verdicts_match_the_exact_sign(source):
         seen["sets"] += 1
     counts = ("sets", "terms in band", "terms wrong", "windows in band", "windows wrong")
     assert tuple(seen[k] for k in counts) == pinned
+
+
+def _default_parity_sets():
+    return [
+        m
+        for scenario_id in SCENARIO_IDS
+        for m in run_scenario(scenario_id).marginals.values()
+        if m.convention is MarginalConvention.PARITY
+    ]
+
+
+def inversion_floor_sets(seed: int, count: int):
+    """Parity sets of joints whose triple value is moved so that one
+    weight, drawn at random, sits at -SLACK_TOL plus a _near offset: a
+    step d in the triple moves weight i by WALSH[i, 7] d / 4. The value
+    is then rounded once to a float; draws that leave [0, 1] are
+    skipped."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = marginals_from_joint(random_joint(rng), MarginalConvention.PARITY)
+        i = rng.integers(8)
+        weight = Fraction(weights_from_marginals(m).weights[i])
+        xi = Fraction(m.xi) + 4 * int(WALSH[i, 7]) * (-Fraction(SLACK_TOL) + _near(rng) - weight)
+        try:
+            yield MarginalSet(*m.values()[:6], float(xi), MarginalConvention.PARITY)
+        except RangeError:
+            continue
+
+
+_WALSH_ROWS = WALSH.astype(int).tolist()
+_DYADIC = 2**1074  # every float in [0, 1] is an integer multiple of 1 / _DYADIC
+
+
+def exact_parity_weights(m: MarginalSet) -> list[Fraction]:
+    """(WALSH @ (2 x - 1)) / 8 of m's values x, exact; summed as integers
+    in units of 1 / _DYADIC, six times faster than in Fraction."""
+    units = [n * (_DYADIC // d) for n, d in (v.as_integer_ratio() for v in (1.0, *m.values()))]
+    e = [2 * u - _DYADIC for u in units]
+    return [Fraction(sum(c * v for c, v in zip(row, e)), 8 * _DYADIC) for row in _WALSH_ROWS]
+
+
+# Rounding band of the parity inversion, (WALSH @ e) / 8 with e = 2 x - 1.
+# Each |e| <= 1 rounds by at most 2^-54, and `@` adds the eight +-e in
+# an order that depends on the BLAS build: seven additions of partial
+# sums below 8 in size, each rounding by at most 2^-51. So the sum lies
+# within 8 * 2^-54 + 7 * 2^-51 = 2^-48 of its exact value in any order,
+# and each weight, the sum over 8, within 2^-51. Outside that band
+# around -SLACK_TOL every verdict has the exact sign; inside it the
+# disagreements are counted and pinned, per source as (sets, weights in
+# the band, of them wrong, feasibility verdicts in the band, of them wrong).
+INVERSION_BAND = 4 * ULP
+INVERSION_SOURCES = {
+    "boundary_sets": (
+        lambda: boundary_sets(seed=13, count=2000, convention=MarginalConvention.PARITY),
+        (2000, 0, 0, 0, 0),
+    ),
+    "inversion_floor_sets": (
+        lambda: inversion_floor_sets(seed=14, count=2000),
+        (1154, 282, 8, 125, 0),
+    ),
+    "default_scenarios": (_default_parity_sets, (6, 0, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("source", INVERSION_SOURCES)
+def test_parity_inversion_verdicts_match_the_exact_sign(source):
+    sets, pinned = INVERSION_SOURCES[source]
+    floor = -Fraction(SLACK_TOL)
+    seen = Counter()
+    for m in sets():
+        inversion = weights_from_marginals(m)
+        exact = exact_parity_weights(m)
+        assert all(abs(Fraction(w) - x) <= INVERSION_BAND for w, x in zip(inversion.weights, exact))
+        for i, x in enumerate(exact):
+            wrong = (i in inversion.negative_indices) != (x < floor)
+            if abs(x - floor) <= INVERSION_BAND:
+                seen["weights in band"] += 1
+                seen["weights wrong"] += wrong
+            else:
+                assert not wrong, (m, i, x)
+        margin = min(exact) - floor  # feasible exactly when non-negative
+        wrong = inversion.feasible != (margin >= 0)
+        if abs(margin) <= INVERSION_BAND:
+            seen["verdicts in band"] += 1
+            seen["verdicts wrong"] += wrong
+        else:
+            assert not wrong, (m, exact)
+        seen["sets"] += 1
+    counts = ("sets", "weights in band", "weights wrong", "verdicts in band", "verdicts wrong")
+    assert tuple(seen[k] for k in counts) == pinned, seen
 
 
 # The (i, j) sums of xi_elimination that are bell_slacks' four rows, in

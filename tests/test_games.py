@@ -33,7 +33,7 @@ from finegames import (
 import finegames.games as games
 from finegames.games import MAX_PAYOFF
 from finegames.measurement import MOBIUS, _apply
-from oracles import LITERAL, pd_payoffs_from_pure_state, strategy_weights
+from oracles import LITERAL, _polynomial_values, pd_payoffs_from_pure_state, strategy_weights
 from conftest import random_conjunction_set, random_joint, random_pure_state
 
 probability = st.floats(0.0, 1.0)
@@ -205,3 +205,29 @@ def test_payoff_polynomial_is_stored_once_read_only(entries, rng, monkeypatch):
     assert calls == []
     for got, want in zip(values, expected):
         assert got.tobytes() == want.tobytes()
+
+
+def test_slopes_and_factorizable_payoffs_match_the_joint_evaluator_bit_for_bit():
+    # games._slopes and payoff_factorizable split the joint evaluator kept
+    # in tests/oracles.py into its slope and payoff halves: each must
+    # equal it by repr, row by row and in batches of two shapes, on
+    # tables and triples that carry signed zeros.
+    rng = np.random.default_rng(20261019)
+    small = rng.integers(-2, 3, size=(40, 8, 3)).astype(float)
+    small[rng.random(small.shape) < 0.5] *= -1.0
+    tables = [pd3(), coop_game(), PayoffTable(np.zeros((8, 3))), PayoffTable(-np.zeros((8, 3)))]
+    tables += [PayoffTable(rng.normal(size=(8, 3))) for _ in range(100)]
+    tables += [PayoffTable(t) for t in small]
+    x = rng.uniform(size=(48, 3))
+    at_end = rng.random(x.shape) < 0.4
+    x[at_end] = rng.choice([0.0, -0.0, 1.0, 0.5], size=at_end.sum())
+    for table in tables:
+        coeffs = games._payoff_polynomial(table)
+        payoffs, slopes = _polynomial_values(coeffs, x)
+        assert repr(games._slopes(coeffs, x).tolist()) == repr(slopes.tolist())
+        batch = games._slopes(coeffs, x.reshape(4, 12, 3)).reshape(-1, 3)
+        assert repr(batch.tolist()) == repr(slopes.tolist())
+        for row, payoff, slope in zip(x, payoffs, slopes):
+            assert repr(games._slopes(coeffs, row).tolist()) == repr(slope.tolist())
+            got = payoff_factorizable(table, StrategyTriple(*row))
+            assert repr(got.tolist()) == repr(payoff.tolist())

@@ -1,0 +1,176 @@
+"""Digest a fixed, seeded corpus of outputs: equal totals, equal bytes.
+
+Runs the corpus below through the public API and the command line
+(`finegames.cli.main`) and prints one SHA-256 per part and one total.
+It reads no private name, so the same file digests any checkout's
+source, and a change that must leave every byte as it was shows it by
+printing the same total on both:
+
+    PYTHONPATH=src python tools/corpus_digest.py
+    PYTHONPATH=/path/to/other/checkout/src python tools/corpus_digest.py
+
+Parts:
+    scenarios  each scenario at its defaults, with the defaults spelled
+               out, and at 20 seeded param sets off them, in JSON and
+               markdown, with exit codes and error lines;
+    ne         `ne` grid at resolutions 5 and 61, verify at five
+               triples, and interior, in both formats with exit codes,
+               on seeded perturbed pd3, normal and own-choice-blind
+               games;
+    payoffs    payoff_factorizable, factorizable_gradient,
+               parity_product_gradient, product_state_interior_solve
+               and coop_best_response_solve on seeded tables, values by
+               repr and errors by their message only (their types may
+               change while the bytes a user sees stay).
+
+Takes about 1 s on a 2-vCPU VM (Python 3.11, numpy 2.4).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+import finegames as fg
+from finegames.cli import main
+
+SCENARIO_DRAWS = 20
+PD_LEVELS = (7.0, 9.0, 3.0, 0.0, 1.0, 5.0)
+
+
+def both_formats(label: str, *argv: str):
+    """Each format's exit code, stdout and stderr of one command-line
+    run, as text headed by label (argv may name a temporary file)."""
+    for fmt in ("json", "md"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--format", fmt])
+        yield f"{label} {fmt}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n"
+
+
+def seeded_params(scenario_id: str, rng) -> dict:
+    """A param set off the defaults for the params the scenario takes."""
+    def unit_triple():
+        z = rng.normal(size=3) + 1j * rng.normal(size=3)
+        return [[float(c.real), float(c.imag)] for c in z / np.linalg.norm(z)]
+
+    a = rng.uniform(0.1, 0.9) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    q1, u, v, _ = rng.dirichlet(np.ones(4)) / (1.0, 3.0, 3.0, 1.0)
+    draws = {
+        "pd_params": [float(x) for x in PD_LEVELS + rng.uniform(-0.25, 0.25, 6)],
+        "resolution": int(rng.integers(2, 12)),
+        "tol": float(10.0 ** rng.uniform(-12, -3)),
+        "a": [float(a.real), float(a.imag)],
+        "grid": int(rng.integers(2, 300)),
+        **dict(zip(("c2", "c3", "c5"), unit_triple())),
+        **dict(zip(("c4", "c6", "c7"), unit_triple())),
+        "q1": float(q1), "u": float(u), "v": float(v),
+        "seed": int(rng.integers(0, 1000)),
+    }
+    return {k: v for k, v in draws.items() if k in fg.SCENARIOS[scenario_id].params}
+
+
+def scenarios():
+    rng = np.random.default_rng(20261019)
+    for scenario_id in fg.SCENARIO_IDS:
+        run = ("scenario", "--id", scenario_id)
+        yield from both_formats(repr(run), *run)
+        draws = [fg.run_scenario(scenario_id).inputs]
+        draws += [seeded_params(scenario_id, rng) for _ in range(SCENARIO_DRAWS)]
+        for params in map(json.dumps, draws):
+            yield from both_formats(f"{run!r} {params}", *run, "--params", params)
+
+
+def games(rng) -> list[tuple[dict, tuple[str, ...]]]:
+    """Game descriptors and their grid resolutions: perturbed pd3, normal
+    tables, and tables where the first one, two or three players ignore
+    their own choice."""
+    both = ("5", "61")
+    out = [({"kind": "pd3"}, both), ({"kind": "coop"}, both)]
+    for _ in range(4):
+        levels = np.array(PD_LEVELS) + rng.uniform(-0.2, 0.2, 6)
+        out.append(({"kind": "pd3", "params": levels.tolist()}, both))
+        out.append(({"kind": "custom", "rows": rng.normal(size=(8, 3)).tolist()}, both))
+    for blind in (1, 2, 3, 1, 2, 3):
+        t = rng.normal(size=(2, 2, 2, 3))
+        for p in range(blind):
+            t[..., p] = np.take(t[..., p], [0], axis=p)
+        # A table that every player ignores passes every lattice point: at
+        # 61 it renders 226,981 certificates (2 s and 480 MB ru_maxrss per
+        # format on a 2-vCPU VM), so it is read at 5 only.
+        out.append(({"kind": "custom", "rows": t.reshape(8, 3).tolist()}, both[: 4 - blind]))
+    return out
+
+
+def ne(workdir: str):
+    rng = np.random.default_rng(20261020)
+    for n, (game, resolutions) in enumerate(games(rng)):
+        path = os.path.join(workdir, f"game{n}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(game, fh)
+        triples = ["0,0,0", "1,1,1", "0.5,0.5,0.5"]
+        triples += [",".join(repr(float(x)) for x in rng.uniform(size=3)) for _ in range(2)]
+        modes = [("grid", "--resolution", r) for r in resolutions]
+        modes += [("verify", "--triple", triple) for triple in triples] + [("interior",)]
+        for mode, *rest in modes:
+            argv = ("--mode", mode, *rest)
+            yield from both_formats(f"{game} {argv}", "ne", "--game", path, *argv)
+
+
+def call(f, *args) -> str:
+    """repr of f's value as plain floats, or the message of its error."""
+    try:
+        value = f(*args)
+    except Exception as err:  # recorded by message, whatever its type
+        return f"error: {err}\n"
+    if isinstance(value, fg.StrategyTriple):
+        value = value.as_tuple()
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    return f"{value!r}\n"
+
+
+def payoffs():
+    rng = np.random.default_rng(20261021)
+    tables = [fg.pd3(), fg.coop_game(), fg.PayoffTable(-np.zeros((8, 3)))]
+    tables += [fg.PayoffTable(rng.normal(size=(8, 3))) for _ in range(100)]
+    tables += [fg.PayoffTable(rng.integers(-2, 3, size=(8, 3))) for _ in range(50)]
+    for _ in range(50):
+        levels = np.array(PD_LEVELS) + rng.uniform(-0.25, 0.25, 6)
+        tables.append(fg.pd3(fg.PdParams(*levels)))
+    for table in tables:
+        yield call(fg.product_state_interior_solve, table)
+        yield call(fg.coop_best_response_solve, table)
+        x = rng.uniform(size=(4, 3))
+        at_end = rng.random(x.shape) < 0.3
+        x[at_end] = rng.choice([0.0, -0.0, 1.0, 0.5], size=at_end.sum())
+        for row in [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), *x.tolist()]:
+            s = fg.StrategyTriple(*row)
+            for f in (fg.payoff_factorizable, fg.factorizable_gradient, fg.parity_product_gradient):
+                yield call(f, table, s)
+
+
+def main_digest() -> int:
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as workdir:
+        parts = {"scenarios": scenarios(), "ne": ne(workdir), "payoffs": payoffs()}
+        for name, records in parts.items():
+            digest, count = hashlib.sha256(), 0
+            for record in records:
+                digest.update(record.encode("utf-8"))
+                count += 1
+            total.update(f"{name} {digest.hexdigest()}\n".encode("utf-8"))
+            print(f"{name:<10} {count:>5} cases  {digest.hexdigest()}")
+    print(f"{'total':<10} {'':>5}        {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digest())
