@@ -6,185 +6,24 @@ probability distribution reproduces a marginal set, evaluates payoffs
 in outcome, marginal, and factorizable form, and certifies Nash
 equilibria for a three-player dilemma and an odd-man-out coalition
 game. Named scenarios tie the pieces into machine-checkable reports.
+
+Each module declares its public names in `__all__`, and the package
+re-exports exactly those.
 """
 
-from .errors import (
-    ConventionError,
-    DilemmaViolation,
-    FinegamesError,
-    InvalidDensityError,
-    NoJointError,
-    NormalizationError,
-    ParamError,
-    RangeError,
-    ShapeError,
-    UnknownScenarioError,
-)
-from .qstates import (
-    BASIS_LABELS,
-    PLAYERS,
-    DensityMatrix,
-    DiagonalMixedState,
-    ProductStateAngles,
-    PureState,
-    basis_bit,
-    density_from_mixed,
-    density_from_pure,
-    ghz,
-    pd_state,
-    product_state,
-    validate_densities,
-    w_state,
-)
-from .measurement import (
-    Correlations,
-    MarginalConvention,
-    MarginalSet,
-    PovmElement,
-    WeightInversion,
-    convert_marginals,
-    extract_marginals,
-    marginal_values,
-    pair_povm,
-    single_povm,
-    triple_povm,
-    weights_from_marginals,
-)
-from .fine import (
-    BellReport,
-    JointDistribution,
-    OUTCOME_LABELS,
-    XiInterval,
-    XiRule,
-    bell_slack_values,
-    bell_slacks,
-    marginals_from_joint,
-    reconstruct_joint,
-    xi_interval,
-)
-from .games import (
-    DEFAULT_PD_PARAMS,
-    MARGINAL_COEFF_ORDER,
-    PayoffTable,
-    PdParams,
-    StrategyTriple,
-    coop_game,
-    marginal_form_coefficients,
-    payoff_factorizable,
-    payoff_marginal_form,
-    payoff_marginal_values,
-    payoff_outcome_form,
-    pd3,
-    strategy_marginals,
-)
-from .equilibrium import (
-    CoalitionReduction,
-    CoalitionValue,
-    NeCertificate,
-    coalition_analysis,
-    coalition_reduction,
-    coop_best_response_solve,
-    factorizable_gradient,
-    grid_ne_search,
-    parity_product_gradient,
-    product_state_interior_solve,
-    verify_ne_factorizable,
-    zero_sum_2x2_value,
-)
-from .scenarios import SCENARIO_IDS, SCENARIOS, ScenarioReport, run_scenario
-from .serialize import (
-    load_game,
-    load_marginals,
-    load_schema,
-    load_state,
-    render_json,
-    render_markdown,
-    state_density,
-)
+from .errors import *
+from .qstates import *
+from .measurement import *
+from .fine import *
+from .games import *
+from .equilibrium import *
+from .scenarios import *
+from .serialize import *
+from . import equilibrium, errors, fine, games, measurement, qstates, scenarios, serialize
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASIS_LABELS",
-    "BellReport",
-    "CoalitionReduction",
-    "CoalitionValue",
-    "ConventionError",
-    "Correlations",
-    "DEFAULT_PD_PARAMS",
-    "DensityMatrix",
-    "DiagonalMixedState",
-    "DilemmaViolation",
-    "FinegamesError",
-    "InvalidDensityError",
-    "JointDistribution",
-    "MARGINAL_COEFF_ORDER",
-    "MarginalConvention",
-    "MarginalSet",
-    "NeCertificate",
-    "NoJointError",
-    "NormalizationError",
-    "OUTCOME_LABELS",
-    "PLAYERS",
-    "ParamError",
-    "PayoffTable",
-    "PdParams",
-    "PovmElement",
-    "ProductStateAngles",
-    "PureState",
-    "RangeError",
-    "SCENARIOS",
-    "SCENARIO_IDS",
-    "ScenarioReport",
-    "ShapeError",
-    "StrategyTriple",
-    "UnknownScenarioError",
-    "WeightInversion",
-    "XiInterval",
-    "XiRule",
-    "basis_bit",
-    "bell_slack_values",
-    "bell_slacks",
-    "coalition_analysis",
-    "coalition_reduction",
-    "convert_marginals",
-    "coop_best_response_solve",
-    "coop_game",
-    "density_from_mixed",
-    "density_from_pure",
-    "extract_marginals",
-    "factorizable_gradient",
-    "ghz",
-    "grid_ne_search",
-    "load_game",
-    "load_marginals",
-    "load_schema",
-    "load_state",
-    "marginal_form_coefficients",
-    "marginal_values",
-    "marginals_from_joint",
-    "pair_povm",
-    "parity_product_gradient",
-    "payoff_factorizable",
-    "payoff_marginal_form",
-    "payoff_marginal_values",
-    "payoff_outcome_form",
-    "pd3",
-    "pd_state",
-    "product_state",
-    "product_state_interior_solve",
-    "reconstruct_joint",
-    "render_json",
-    "render_markdown",
-    "run_scenario",
-    "single_povm",
-    "state_density",
-    "strategy_marginals",
-    "triple_povm",
-    "validate_densities",
-    "verify_ne_factorizable",
-    "w_state",
-    "weights_from_marginals",
-    "xi_interval",
-    "zero_sum_2x2_value",
-]
+__all__ = []
+for _module in (errors, qstates, measurement, fine, games, equilibrium, scenarios, serialize):
+    __all__ += _module.__all__
+del _module

@@ -22,13 +22,21 @@ from .games import (
     StrategyTriple,
     _Q,
     _R,
-    _VIEW,
+    _REST,
+    _SLOPE,
     _payoff_polynomial,
     _slope_plane,
     _slopes,
     coop_game,
 )
 from .qstates import PLAYERS, _trusted
+
+__all__ = [
+    "CoalitionReduction", "CoalitionValue", "NeCertificate", "coalition_analysis",
+    "coalition_reduction", "coop_best_response_solve", "factorizable_gradient",
+    "grid_ne_search", "parity_product_gradient", "product_state_interior_solve",
+    "verify_ne_factorizable", "zero_sum_2x2_value",
+]
 
 DEFAULT_RESOLUTION = 11
 # Largest lattice resolution. It bounds the screen's boolean cube, which
@@ -40,7 +48,8 @@ DEFAULT_RESOLUTION = 11
 MAX_RESOLUTION = 290
 # Most screen hits a search certifies. Each hit becomes a certificate: an
 # own-choice-blind table makes 226,981 at resolution 61, in 0.6 s and at
-# 288 MB ru_maxrss, 35 MB of it the import (2-vCPU VM, numpy 2.4).
+# 288 MB ru_maxrss, 35 MB of it the import; `ne` renders them as 80 MB
+# of JSON in 2.3 s at 484 MB ru_maxrss (2-vCPU VM, numpy 2.4).
 _MAX_LATTICE_HITS = 250_000
 
 
@@ -240,7 +249,7 @@ def _require_player_symmetric(table: PayoffTable):
 def _diagonal_slope(table: PayoffTable) -> tuple[float, float, float]:
     """Player A's own slope with both opponents at one value t, as the
     coefficients (C7, C[pq] + C[pr], C[p]) of a quadratic in t."""
-    own, pq, pr, c7 = _payoff_polynomial(table)[_VIEW[4:, 0], 0].tolist()
+    own, pq, pr, c7 = _payoff_polynomial(table)[_SLOPE[:, 0], 0].tolist()
     return c7, pq + pr, own
 
 
@@ -295,12 +304,10 @@ def zero_sum_2x2_value(
     c, d = float(m[1, 0]), float(m[1, 1])
     if a == b == c == d:
         return a, (0.5, 0.5), (0.5, 0.5)
-    # On ties min and max take the later operand, as numpy's reductions
-    # do, so a zero value keeps its sign; the indices take the first.
-    row_mins, col_maxs = (min(b, a), min(d, c)), (max(c, a), max(d, b))
-    maximin, minimax = max(row_mins[1], row_mins[0]), min(col_maxs[1], col_maxs[0])
+    row_mins, col_maxs = m.min(axis=1), m.max(axis=0)
+    maximin, minimax = float(row_mins.max()), float(col_maxs.min())
     if abs(maximin - minimax) <= ZERO_TOL:
-        r, k = row_mins.index(maximin), col_maxs.index(minimax)
+        r, k = int(np.argmax(row_mins)), int(np.argmin(col_maxs))
         row_mix = (1.0, 0.0) if r == 0 else (0.0, 1.0)
         col_mix = (1.0, 0.0) if k == 0 else (0.0, 1.0)
         return maximin, row_mix, col_mix
@@ -423,7 +430,9 @@ def coop_best_response_solve(
     if c_star is None:
         raise RangeError("first player's stationarity has no root in [0, 1]")
 
-    _, _, r, qr, own, pq, pr, c7 = _payoff_polynomial(table)[_VIEW[:, 1], 1].tolist()
+    coeffs = _payoff_polynomial(table)
+    _, _, r, qr = coeffs[_REST[:, 1], 1].tolist()
+    own, pq, pr, c7 = coeffs[_SLOPE[:, 1], 1].tolist()
     g0 = 2.0 * pr * c_star + own + r
     g1 = g0 + 2.0 * c7 * c_star + pq + qr
     if abs(g0 - g1) < FLAT_SLOPE_TOL:

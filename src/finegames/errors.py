@@ -5,6 +5,12 @@ as a literal. `holds` decides every verdict; `clamp_unit` every range."""
 
 from __future__ import annotations
 
+__all__ = [
+    "ConventionError", "DilemmaViolation", "FinegamesError", "InvalidDensityError",
+    "NoJointError", "NormalizationError", "ParamError", "RangeError", "ShapeError",
+    "UnknownScenarioError",
+]
+
 # Input validation: how far a supplied value may miss an exact constraint.
 NORMALIZATION_TOL = 1e-9  # a norm squared, trace or sum of probabilities against 1
 EIGENVALUE_FLOOR = -1e-10  # smallest eigenvalue of a density or a POVM element

@@ -31,6 +31,12 @@ from .measurement import (
 )
 from .qstates import _freeze, _trusted
 
+__all__ = [
+    "BellReport", "JointDistribution", "OUTCOME_LABELS", "XiInterval", "XiRule",
+    "bell_slack_values", "bell_slacks", "marginals_from_joint", "reconstruct_joint",
+    "xi_interval",
+]
+
 # Outcome order of joint distributions, aligned with the basis order of
 # qstates: index bits (a, b, c), bit 0 = outcome +1.
 OUTCOME_LABELS = (

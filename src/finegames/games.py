@@ -23,6 +23,12 @@ from .errors import DilemmaViolation, RangeError, ShapeError, clamp_unit
 from .fine import JointDistribution
 from .measurement import MOBIUS, MarginalConvention, MarginalSet, _apply, convert_marginals
 
+__all__ = [
+    "DEFAULT_PD_PARAMS", "MARGINAL_COEFF_ORDER", "PayoffTable", "PdParams", "StrategyTriple",
+    "coop_game", "marginal_form_coefficients", "payoff_factorizable", "payoff_marginal_form",
+    "payoff_marginal_values", "payoff_outcome_form", "pd3", "strategy_marginals",
+]
+
 # Largest payoff magnitude a table accepts: sums of a few entries and
 # the squares the equilibrium solvers take of them stay finite.
 MAX_PAYOFF = 1e150
@@ -35,12 +41,15 @@ MARGINAL_COEFF_ORDER = ("xi", "p_ab", "p_bc", "p_ac", "lam", "mu", "nu", "const"
 # r = _R[p]: p's payoff is REST + x_p * SLOPE, each bilinear in (x_q, x_r).
 # Column p lists the polynomial rows of REST's monomials (1, x_q, x_r,
 # x_q x_r), then of SLOPE's (x_p, x_p x_q, x_p x_r, x_p x_q x_r).
-_Q, _R = [1, 0, 0], [2, 2, 1]
+# coeffs[_REST, _PLAYER] and coeffs[_SLOPE, _PLAYER] read every player's
+# column at once, coeffs[_SLOPE[:, p], p] player p's alone.
+_Q, _R, _PLAYER = np.array([1, 0, 0]), np.array([2, 2, 1]), np.arange(3)
 _VIEW = np.array([
     [0, 2, 3, 5, 1, 4, 6, 7],  # A: q, r = B, C
     [0, 1, 3, 6, 2, 4, 5, 7],  # B: q, r = A, C
     [0, 1, 2, 4, 3, 6, 5, 7],  # C: q, r = A, B
 ]).T
+_REST, _SLOPE = np.ascontiguousarray(_VIEW[:4]), np.ascontiguousarray(_VIEW[4:])
 # The polynomial's rows in MARGINAL_COEFF_ORDER.
 _MARGINAL_ROWS = np.array([7, 4, 5, 6, 1, 2, 3, 0])
 
@@ -231,13 +240,13 @@ def _slopes(coeffs: np.ndarray, x) -> np.ndarray:
     its bits do not depend on the batch's shape.
     """
     x = np.asarray(x, dtype=np.float64)
-    return _bilinear(coeffs[_VIEW[4:], (0, 1, 2)], x[..., _Q], x[..., _R])
+    return _bilinear(coeffs[_SLOPE, _PLAYER], x[..., _Q], x[..., _R])
 
 
 def _slope_plane(coeffs: np.ndarray, p: int, xq: np.ndarray, xr: np.ndarray) -> np.ndarray:
     """Player p's own-probability slopes over broadcast opponent values
     xq and xr of p's opponents q < r: p's column of _slopes."""
-    return _bilinear(coeffs[_VIEW[4:, p], p], xq, xr)
+    return _bilinear(coeffs[_SLOPE[:, p], p], xq, xr)
 
 
 def marginal_form_coefficients(table: PayoffTable) -> np.ndarray:
@@ -296,4 +305,6 @@ def payoff_factorizable(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
     """Expected payoffs (A, B, C) of independent mixed strategies: REST
     plus the own probability times the slope."""
     coeffs, x = _payoff_polynomial(table), np.array(s.as_tuple())
-    return _bilinear(coeffs[_VIEW[:4], (0, 1, 2)], x[_Q], x[_R]) + x * _slopes(coeffs, x)
+    xq, xr = x[_Q], x[_R]
+    slope = _bilinear(coeffs[_SLOPE, _PLAYER], xq, xr)
+    return _bilinear(coeffs[_REST, _PLAYER], xq, xr) + x * slope

@@ -26,6 +26,12 @@ import numpy as np
 from .errors import EIGENVALUE_FLOOR, ZERO_TOL, RangeError, ShapeError, clamp_unit, holds
 from .qstates import PLAYERS, DensityMatrix, _trusted
 
+__all__ = [
+    "Correlations", "MarginalConvention", "MarginalSet", "PovmElement", "WeightInversion",
+    "convert_marginals", "extract_marginals", "marginal_values", "pair_povm", "single_povm",
+    "triple_povm", "weights_from_marginals",
+]
+
 MARGINAL_FIELDS = ("lam", "mu", "nu", "p_ab", "p_bc", "p_ac", "xi")
 
 PAIR_LABELS = ("AB", "BC", "AC")

@@ -18,6 +18,12 @@ from .errors import (
     InvalidDensityError, NormalizationError, RangeError, ShapeError,
 )
 
+__all__ = [
+    "BASIS_LABELS", "PLAYERS", "DensityMatrix", "DiagonalMixedState", "ProductStateAngles",
+    "PureState", "basis_bit", "density_from_mixed", "density_from_pure", "ghz", "pd_state",
+    "product_state", "validate_densities", "w_state",
+]
+
 BASIS_LABELS = ("000", "001", "010", "011", "100", "101", "110", "111")
 
 PLAYERS = ("A", "B", "C")

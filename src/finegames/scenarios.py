@@ -84,6 +84,8 @@ from .serialize import (
     to_wire,
 )
 
+__all__ = ["SCENARIO_IDS", "SCENARIOS", "ScenarioReport", "run_scenario"]
+
 # Largest ghz-bell weight grid. The scan evaluates four affine slacks on
 # the grid, (grid, 4) floats: a run at this bound peaks at 37 MB ru_maxrss
 # (30 MB of it the import) and takes about 8 ms (2-vCPU VM, numpy 2.4).
@@ -98,16 +100,18 @@ class ScenarioReport:
 
     A scenario body fills the analysis, its reference entries
     (quantity, expected, computed) and any claim of its own in
-    paper_deviation; run_scenario sets scenario_id and inputs, writes
-    inputs and details in their wire form (serialize.to_wire), forms
-    the reference rows from the entries and keeps rows and claim only
-    for the default inputs. to_dict writes the remaining fields.
+    paper_deviation; run_scenario sets scenario_id and inputs, derives
+    bell as the Bell report of the first marginal set (None without
+    one), writes inputs and details in their wire form
+    (serialize.to_wire), forms the reference rows from the entries and
+    keeps rows and claim only for the default inputs. to_dict writes
+    the remaining fields.
     """
 
     scenario_id: str = ""
     inputs: dict = field(default_factory=dict)
     marginals: dict[str, MarginalSet] = field(default_factory=dict)
-    bell: BellReport | None = None
+    bell: BellReport | None = field(init=False, default=None)
     payoffs: object = None
     ne_findings: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
@@ -169,7 +173,6 @@ def _pd_classical(pd_params: PdParams, resolution: int, tol: float) -> ScenarioR
     eq = equilibria[0].triple if equilibria else all_coop
     return ScenarioReport(
         marginals={"all_defect_conjunction": m},
-        bell=bell_slacks(m),
         payoffs=payoffs,
         ne_findings=list(equilibria),
         details={
@@ -217,7 +220,6 @@ def _pd_ghz(a: complex, b: complex, pd_params: PdParams) -> ScenarioReport:
     _joint_or_terms(m_conj, conj, "joint", "violated_terms")
     return ScenarioReport(
         marginals={"parity": m_parity, "conjunction": m_conj},
-        bell=bell_parity,
         payoffs=payoffs,
         ne_findings=[
             "the shared state fixes all seven marginal values at once, so the "
@@ -246,7 +248,6 @@ def _ghz_bell(a: complex, grid: int) -> ScenarioReport:
 
     return ScenarioReport(
         marginals={"parity": m},
-        bell=bell,
         payoffs="not evaluated: feasibility-only scenario",
         ne_findings=[],
         details={
@@ -309,7 +310,6 @@ def _pd_product(pd_params: PdParams) -> ScenarioReport:
             "parity": m,
             "conjunction": extract_marginals(rho, MarginalConvention.CONJUNCTION),
         },
-        bell=bell_slacks(m),
         payoffs=payoffs,
         ne_findings=[cert],
         details={
@@ -372,7 +372,6 @@ def _affine_family(
     findings, entries = analysis(m, payoffs, matrix, const, own, singles_sum)
     return ScenarioReport(
         marginals={"parity": m},
-        bell=bell_slacks(m),
         payoffs=payoffs,
         ne_findings=findings,
         details={
@@ -455,7 +454,6 @@ def _coop_classical(resolution: int, tol: float) -> ScenarioReport:
     )
     return ScenarioReport(
         marginals={"solved_point_conjunction": m},
-        bell=bell_slacks(m),
         payoffs=payoffs,
         ne_findings=[cert] + list(equilibria),
         details={
@@ -512,7 +510,6 @@ def _coop_quantum(
     payoff_magnitude = float(np.max(np.abs(payoffs)))
     return ScenarioReport(
         marginals={"parity": m},
-        bell=bell_slacks(m),
         payoffs=payoffs,
         ne_findings=[
             "all three payoffs vanish for every state meeting the equal-trio "
@@ -619,6 +616,8 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport
     report = spec.body(**parsed)
     report.scenario_id = scenario_id
     report.inputs = to_wire(parsed)
+    first = next(iter(report.marginals.values()), None)
+    report.bell = None if first is None else bell_slacks(first)
     report.details = to_wire(report.details)
     if report.inputs == _default_echo(scenario_id):
         entries = [(name, float(e), float(c)) for name, e, c in report.reference]

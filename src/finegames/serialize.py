@@ -34,6 +34,11 @@ from .qstates import (
     w_state,
 )
 
+__all__ = [
+    "load_game", "load_marginals", "load_schema", "load_state", "render_json",
+    "render_markdown", "state_density",
+]
+
 STATE_KINDS = ("pure", "mixed", "product", "ghz", "w", "pd")
 GAME_KINDS = ("pd3", "coop", "custom")
 

@@ -396,6 +396,31 @@ def seeded_params(scenario_id: str, rng) -> dict:
     return params
 
 
+# Integer dilemma levels whose symmetric slope has no root in [0, 1]:
+# the pd-product report then holds no marginal set.
+NO_STATIONARY_POINT = {"pd_params": [4, 5, 2, 0, 1, 3]}
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+def test_bell_is_the_report_of_the_first_marginal_set(scenario_id):
+    rng = np.random.default_rng(25 + SCENARIO_IDS.index(scenario_id))
+    draws = [None] + [seeded_params(scenario_id, rng) for _ in range(4)]
+    if scenario_id == "pd-product":
+        draws.append(NO_STATIONARY_POINT)
+    for params in draws:
+        report = run_scenario(scenario_id, params)
+        first = next(iter(report.marginals.values()), None)
+        assert (first is None) == (params is NO_STATIONARY_POINT)
+        if first is None:
+            assert report.bell is None and report.to_dict()["bell"] is None
+            continue
+        expected = bell_slacks(first)
+        assert type(report.bell) is type(expected)
+        assert repr(report.bell.slack) == repr(expected.slack)
+        assert report.bell.convention_note == expected.convention_note
+        assert report.bell.satisfied is expected.satisfied
+
+
 def assert_plain(value, where: str):
     # np.float64 is a float; no library object, array, tuple or complex.
     assert value is None or isinstance(value, (dict, list, str, bool, int, float)), where
