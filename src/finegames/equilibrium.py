@@ -395,6 +395,20 @@ def coalition_reduction(table: PayoffTable, odd_player: str) -> CoalitionReducti
     )
 
 
+def _coalition_analysis(
+    table: PayoffTable,
+) -> tuple[list[CoalitionValue], dict[str, CoalitionReduction]]:
+    """coalition_analysis' values and the three reductions behind them,
+    keyed by odd player."""
+    sums = np.abs(table.entries.sum(axis=1))
+    if float(sums.max()) > ZERO_TOL:
+        raise ShapeError("coalition analysis needs zero-sum payoff rows")
+    reductions = {odd: coalition_reduction(table, odd) for odd in PLAYERS}
+    singles = [CoalitionValue((p,), -reductions[p].value) for p in PLAYERS]
+    pairs = [CoalitionValue(reductions[odd].members, reductions[odd].value) for odd in "CAB"]
+    return singles + pairs, reductions
+
+
 def coalition_analysis(table: PayoffTable) -> list[CoalitionValue]:
     """Characteristic values of all singleton and pair coalitions.
 
@@ -403,13 +417,7 @@ def coalition_analysis(table: PayoffTable) -> list[CoalitionValue]:
     complementary coalitions then carry opposite values by
     construction. Order: singletons A, B, C, then pairs AB, BC, AC.
     """
-    sums = np.abs(table.entries.sum(axis=1))
-    if float(sums.max()) > ZERO_TOL:
-        raise ShapeError("coalition analysis needs zero-sum payoff rows")
-    reductions = {odd: coalition_reduction(table, odd) for odd in PLAYERS}
-    singles = [CoalitionValue((p,), -reductions[p].value) for p in PLAYERS]
-    pairs = [CoalitionValue(reductions[odd].members, reductions[odd].value) for odd in "CAB"]
-    return singles + pairs
+    return _coalition_analysis(table)[0]
 
 
 def coop_best_response_solve(

@@ -119,7 +119,7 @@ class XiRule(enum.Enum):
 
 def _condition_terms(m: MarginalSet, xi: float) -> np.ndarray:
     """The eight joint probabilities implied by inclusion-exclusion."""
-    return _apply(MOBIUS, (1.0, *m.values()[:6], xi))
+    return _apply(MOBIUS, (1.0, m.lam, m.mu, m.nu, m.p_ab, m.p_bc, m.p_ac, xi))
 
 
 def _xi_bounds(m: MarginalSet) -> tuple[float, float]:
@@ -214,9 +214,10 @@ def reconstruct_joint(
     terms = _condition_terms(m, xi)
     # The terms are finite, as the seven values are, so their minimum
     # tells whether any lies below the floor.
-    low = terms.min()
+    listed = terms.tolist()
+    low = min(listed)
     if not holds(low) or empty:
-        violated = tuple((~holds(terms)).nonzero()[0].tolist())
+        violated = tuple(i for i, t in enumerate(listed) if not holds(t))
         raise NoJointError(violated, bell_slacks(m))
     clipped = np.maximum(terms, 0.0)
     if low < 0.0:

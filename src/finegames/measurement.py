@@ -68,7 +68,12 @@ _INCIDENCE = {
     MarginalConvention.CONJUNCTION: ZETA[1:],
     MarginalConvention.PARITY: np.ascontiguousarray(1.0 + WALSH.T[1:]) / 2.0,
 }
-for _matrix in (ZETA, MOBIUS, WALSH, *_INCIDENCE.values()):
+# Conjunction values (1, lam, ..., xi) -> correlations (1, e_a, ...,
+# e_abc), WALSH.T @ MOBIUS: an integer map, so the product is exact. It
+# is summed without `@`, because a first BLAS call allocates buffers
+# (0.3 MB of RSS) that the lattice searches never need.
+_CONJ_SIGNED = (WALSH.T[:, :, None] * MOBIUS).sum(axis=1)
+for _matrix in (ZETA, MOBIUS, WALSH, _CONJ_SIGNED, *_INCIDENCE.values()):
     _matrix.flags.writeable = False
 
 
@@ -263,7 +268,7 @@ def _marginal_set(values: np.ndarray, convention: MarginalConvention) -> Margina
 
 def extract_marginals(rho: DensityMatrix, convention: MarginalConvention) -> MarginalSet:
     """All seven marginal probabilities of a state, as POVM traces."""
-    return _marginal_set(marginal_values(rho.diagonal(), convention), convention)
+    return _marginal_set(marginal_values(rho.matrix.diagonal().real, convention), convention)
 
 
 def convert_marginals(m: MarginalSet, target: MarginalConvention) -> MarginalSet:
@@ -284,11 +289,11 @@ def convert_marginals(m: MarginalSet, target: MarginalConvention) -> MarginalSet
 
 def _signed(m: MarginalSet) -> np.ndarray:
     """(1, e_a, e_b, e_c, e_ab, e_bc, e_ac, e_abc) of a marginal set."""
-    x = np.array((1.0, *m.values()))
     if m.convention is MarginalConvention.PARITY:
-        return 2.0 * x - 1.0
+        # The same two IEEE operations per value as on a float64 array.
+        return np.array([2.0 * v - 1.0 for v in (1.0, *m.values())])
     # An integer map: every product is exact and fsum rounds each sum once.
-    return np.array([math.fsum(row) for row in (WALSH.T @ MOBIUS) * x])
+    return np.array([math.fsum(row) for row in _CONJ_SIGNED * np.array((1.0, *m.values()))])
 
 
 @dataclass(frozen=True)
@@ -322,6 +327,6 @@ def weights_from_marginals(m: MarginalSet) -> WeightInversion:
         # `@` on input values here only: the helper's summation order would
         # move pd-product's reported parity inversion by an ulp.
         weights = (WALSH @ _signed(m)) / 8.0
-    negative = tuple((~holds(weights)).nonzero()[0].tolist())
+    negative = tuple(i for i, w in enumerate(weights.tolist()) if not holds(w))
     weights.flags.writeable = False
     return WeightInversion(weights, negative)

@@ -35,12 +35,21 @@ def basis_bit(index: int, player: str) -> int:
     return (index >> shift) & 1
 
 
-def _as_vector(values, length: int, what: str, dtype) -> np.ndarray:
+def _shaped(values, length: int, what: str, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     if arr.shape != (length,):
         raise ShapeError(f"{what} must have shape ({length},), got {arr.shape}")
+    return arr
+
+
+def _check_finite(arr: np.ndarray, what: str):
     if not np.isfinite(arr).all():
         raise ShapeError(f"{what} contains non-finite entries")
+
+
+def _as_vector(values, length: int, what: str, dtype) -> np.ndarray:
+    arr = _shaped(values, length, what, dtype)
+    _check_finite(arr, what)
     return arr
 
 
@@ -75,9 +84,12 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_vector(self.amplitudes, 8, "amplitudes", np.complex128)
+        amps = _shaped(self.amplitudes, 8, "amplitudes", np.complex128)
         norm = float((np.abs(amps) ** 2).sum())
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
+        # A non-finite entry makes the norm non-finite, which fails this
+        # test (NaN too), so the entries are scanned only on that branch.
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:
+            _check_finite(amps, "amplitudes")
             raise NormalizationError(
                 f"amplitude norm squared is {norm!r}, not 1 within {NORMALIZATION_TOL}"
             )
@@ -223,7 +235,9 @@ def product_state(angles: ProductStateAngles) -> PureState:
         (phase * np.cos(half), phase * (np.exp(1j * angles.phi) * np.sin(half)))
     ).T
     amps = np.multiply.outer(np.multiply.outer(f0, f1), f2).ravel()
-    return PureState(amps)
+    # Finite angles give finite amplitudes, and three unit qubits have
+    # norm squared 1 to a few ulp, far inside NORMALIZATION_TOL.
+    return _trusted(PureState, amplitudes=_freeze(amps))
 
 
 def _on_basis(indices: tuple[int, ...], values: tuple[complex, ...]) -> PureState:

@@ -21,8 +21,7 @@ from .equilibrium import (
     DEFAULT_RESOLUTION,
     MAX_RESOLUTION,
     NeCertificate,
-    coalition_analysis,
-    coalition_reduction,
+    _coalition_analysis,
     coop_best_response_solve,
     grid_ne_search,
     parity_product_gradient,
@@ -440,8 +439,8 @@ def _continuum_analysis(m, payoffs, matrix, const, own, singles_sum) -> tuple[li
 
 def _coop_classical(resolution: int, tol: float) -> ScenarioReport:
     table = coop_game()
-    values = coalition_analysis(table)
-    reduction = coalition_reduction(table, "A")
+    values, reductions = _coalition_analysis(table)
+    reduction = reductions["A"]
     l_star, c_star = coop_best_response_solve(table)
     solved = StrategyTriple(l_star, c_star, c_star)
     cert = verify_ne_factorizable(table, solved, tol)

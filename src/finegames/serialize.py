@@ -140,6 +140,8 @@ def _field_path(path: str, at) -> str:
 
 
 def _number(value, path: str, *at) -> float:
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParamError(f"{_field_path(path, at)}: expected a number")
     try:
@@ -198,10 +200,10 @@ def parse_complex(value, path: str, *at) -> complex:
     component above 1 in modulus is rejected: no unit vector has one,
     and its square could overflow.
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        z = complex(_number(value, path, *at), 0.0)
-    elif isinstance(value, list) and len(value) == 2:
+    if isinstance(value, list) and len(value) == 2:
         z = complex(_number(value[0], path, *at, 0), _number(value[1], path, *at, 1))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        z = complex(_number(value, path, *at), 0.0)
     else:
         raise ParamError(f"{_field_path(path, at)}: expected a number or an [re, im] pair")
     bound = 1.0 + NORMALIZATION_TOL

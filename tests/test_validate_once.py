@@ -28,6 +28,7 @@ from finegames import (
     NoJointError,
     NormalizationError,
     PayoffTable,
+    ProductStateAngles,
     PureState,
     RangeError,
     ShapeError,
@@ -44,12 +45,14 @@ from finegames import (
     marginals_from_joint,
     payoff_marginal_form,
     pd3,
+    product_state,
     reconstruct_joint,
     state_density,
     verify_ne_factorizable,
     weights_from_marginals,
     xi_interval,
 )
+from finegames.errors import NORMALIZATION_TOL
 
 CONJ, PAR = MarginalConvention.CONJUNCTION, MarginalConvention.PARITY
 
@@ -172,6 +175,22 @@ def test_trusted_states_and_marginals_equal_public_ones(seed):
                 lambda: convert_marginals(m, other),
                 lambda: MarginalSet(m.lam, m.mu, m.nu, *converted[3:].tolist(), other),
             )
+
+
+def test_trusted_product_states_equal_public_ones():
+    rng = np.random.default_rng(11)
+    below = np.nextafter(2 * np.pi, 0.0)  # phi and delta just below 2*pi
+    draws = [rng.uniform(0.0, (np.pi, 2 * np.pi, 2 * np.pi), (3, 3)).T for _ in range(200)]
+    draws += [
+        (np.array(theta), np.full(3, phase), np.full(3, phase))
+        for theta in itertools.product((0.0, np.pi), repeat=3)
+        for phase in (0.0, below)
+    ]
+    for theta, phi, delta in draws:
+        state = product_state(ProductStateAngles(theta, phi, delta))
+        assert_same(state, PureState(state.amplitudes))
+        norm = float((np.abs(state.amplitudes) ** 2).sum())
+        assert abs(norm - 1.0) <= NORMALIZATION_TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -348,7 +367,7 @@ def test_trusted_objects_behave_as_public_ones(trusted_objects):
     run_state_pipeline(pd3(), state_descriptors(5, per_kind=2))
     grid_ne_search(blind_table(4), 3)
     kinds = {type(obj) for obj in trusted_objects}
-    assert kinds == {DensityMatrix, MarginalSet, BellReport, JointDistribution,
+    assert kinds == {PureState, DensityMatrix, MarginalSet, BellReport, JointDistribution,
                      NeCertificate, StrategyTriple}
     for cls in kinds:
         # One __dict__.update stands for per-field setattr only without slots.
@@ -425,6 +444,12 @@ CONSTRUCTOR_ERRORS = [
      "player_slack must be three finite reals"),
     (lambda: PureState(np.ones(7)), ShapeError, "amplitudes must have shape (8,), got (7,)"),
     (lambda: PureState(np.diag(_diag(NAN))), ShapeError, "amplitudes contains non-finite entries"),
+    # The norm is tested first: a non-finite entry fails it, and then
+    # the non-finite error wins, unnormalized or not.
+    pytest.param(lambda: PureState(np.diag(_diag(INF))), ShapeError,
+                 "amplitudes contains non-finite entries", id="amplitudes-inf"),
+    pytest.param(lambda: PureState(np.diag(_diag(1.0, 1.0, INF))), ShapeError,
+                 "amplitudes contains non-finite entries", id="amplitudes-unnormalized-inf"),
     (lambda: PureState(np.diag(_diag(1.0, 1.0))), NormalizationError,
      "amplitude norm squared is 2.0, not 1 within 1e-09"),
     (lambda: DiagonalMixedState(np.ones(3) / 3), ShapeError, "weights must have shape (8,), got (3,)"),

@@ -21,7 +21,16 @@ Parts:
                parity_product_gradient, product_state_interior_solve
                and coop_best_response_solve on seeded tables, values by
                repr and errors by their message only (their types may
-               change while the bytes a user sees stay).
+               change while the bytes a user sees stay);
+    states     seeded descriptors of all six state kinds, edge cases
+               (mixed weights of -0.0 and -1e-13, norms either side of
+               the tolerance) and bad descriptors, through load_state,
+               state_density and, under both conventions,
+               extract_marginals, bell_slacks, xi_interval,
+               reconstruct_joint under every XiRule,
+               weights_from_marginals, convert_marginals to both
+               conventions, correlations() and payoff_marginal_form;
+               values and errors recorded as in payoffs.
 
 Takes about 1 s on a 2-vCPU VM (Python 3.11, numpy 2.4).
 """
@@ -29,6 +38,7 @@ Takes about 1 s on a 2-vCPU VM (Python 3.11, numpy 2.4).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -124,17 +134,31 @@ def ne(workdir: str):
             yield from both_formats(f"{game} {argv}", "ne", "--game", path, *argv)
 
 
-def call(f, *args) -> str:
-    """repr of f's value as plain floats, or the message of its error."""
+def plain(value):
+    """value with arrays as lists and dataclasses as their type name and
+    fields, so that its repr shows every float's bits."""
+    if isinstance(value, fg.StrategyTriple):
+        return value.as_tuple()
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return type(value).__name__, fields
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def outcome(f, *args):
+    """f's value, None if it raised, and its record: the repr of the
+    value as plain floats, or the message of the error."""
     try:
         value = f(*args)
     except Exception as err:  # recorded by message, whatever its type
-        return f"error: {err}\n"
-    if isinstance(value, fg.StrategyTriple):
-        value = value.as_tuple()
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    return f"{value!r}\n"
+        return None, f"error: {err}\n"
+    return value, f"{plain(value)!r}\n"
+
+
+def call(f, *args) -> str:
+    return outcome(f, *args)[1]
 
 
 def payoffs():
@@ -157,10 +181,101 @@ def payoffs():
                 yield call(f, table, s)
 
 
+def pair(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def unit(rng, n: int) -> np.ndarray:
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return z / np.linalg.norm(z)
+
+
+def state_descriptors(rng) -> list:
+    """Seeded descriptors of the six kinds, edge cases and bad ones."""
+    below = float(np.nextafter(2.0 * np.pi, 0.0))
+    basis = [1.0] + [0.0] * 7
+    out = [
+        {"kind": "ghz"}, {"kind": "ghz", "a": 1.0, "b": 0.0}, {"kind": "ghz", "a": [0.6, 0.0]},
+        {"kind": "product", "theta": [0.0, np.pi, np.pi / 2]},
+        {"kind": "product", "theta": [np.pi, 0.0, np.pi], "phi": [below] * 3, "delta": [below] * 3},
+        {"kind": "mixed", "weights": basis},
+        {"kind": "mixed", "weights": [0.5, -0.0, 0.25, -1e-13, 0.25 + 1e-13, 0.0, -0.0, 0.0]},
+        {"kind": "mixed", "weights": [-1e-13, 0.125, 0.125, 0.25, 0.25, 0.125, 0.125, 1e-13]},
+        {"kind": "pure", "amplitudes": [[0.0, -1.0]] + [-0.0] * 7},
+        {"kind": "pure", "amplitudes": [1, 0, 0, 0, 0, 0, 0, [0, 0]]},
+        {"kind": "w", "c2": [3 ** -0.5, 0.0], "c3": 3 ** -0.5, "c5": [0.0, -(3 ** -0.5)]},
+        {"kind": "pd", "c4": 1.0, "c6": 0.0, "c7": -0.0},
+    ]
+    for scale in (1.0 + 5e-10, 1.0 - 5e-10, 1.0 + 2e-9):  # norms squared about 1 +- 1e-9
+        amps = unit(rng, 8) * scale ** 0.5
+        out.append({"kind": "pure", "amplitudes": [pair(z) for z in amps]})
+    out += [
+        None, {"kind": "qutrit"}, {"kind": "pure"}, {"kind": "pure", "amplitudes": basis[:7]},
+        {"kind": "pure", "amplitudes": [True] + basis[1:]},
+        {"kind": "pure", "amplitudes": [[1.0, 0.0, 0.0]] + basis[1:]},
+        {"kind": "pure", "amplitudes": [float("nan")] + basis[1:]},
+        {"kind": "pure", "amplitudes": [10 ** 400] + basis[1:]},
+        {"kind": "pure", "amplitudes": [1.5] + basis[1:]},
+        {"kind": "pure", "amplitudes": [[0.8, 0.0], [0.8, 0.0]] + basis[2:]},
+        {"kind": "pure", "amplitudes": basis, "extra": 1},
+        {"kind": "mixed", "weights": [0.5] * 8},
+        {"kind": "mixed", "weights": [1.5, -0.5] + basis[2:]},
+        {"kind": "mixed", "weights": [float("inf")] + basis[1:]},
+        {"kind": "product", "theta": [4.0, 0.0, 0.0]},
+        {"kind": "product", "theta": [0.0] * 3, "phi": [7.0, 0.0, 0.0]},
+        {"kind": "product", "theta": [0.0] * 2},
+        {"kind": "ghz", "a": [0.9, 0.9]},
+        {"kind": "ghz", "a": 0.6, "b": 0.6},
+        {"kind": "w", "c2": 1.0, "c3": 1.0, "c5": 0.0},
+        {"kind": "pd", "c4": "1", "c6": 0.0, "c7": 0.0},
+    ]
+    for _ in range(20):
+        theta, phi, delta = rng.uniform(0.0, (np.pi, 2 * np.pi, 2 * np.pi), (3, 3)).T
+        out += [
+            {"kind": "pure", "amplitudes": [pair(z) for z in unit(rng, 8)]},
+            {"kind": "mixed", "weights": rng.dirichlet(np.ones(8)).tolist()},
+            {"kind": "product", "theta": theta.tolist(), "phi": phi.tolist(), "delta": delta.tolist()},
+            {"kind": "ghz", **dict(zip("ab", map(pair, unit(rng, 2))))},
+            {"kind": "w", **dict(zip(("c2", "c3", "c5"), map(pair, unit(rng, 3))))},
+            {"kind": "pd", **dict(zip(("c4", "c6", "c7"), map(pair, unit(rng, 3))))},
+        ]
+    return out
+
+
+def states():
+    table = fg.pd3()
+    conventions = list(fg.MarginalConvention)
+    for desc in state_descriptors(np.random.default_rng(20261022)):
+        state, record = outcome(fg.load_state, desc)
+        yield f"{desc!r}\n{record}"
+        if state is None:
+            continue
+        rho, record = outcome(fg.state_density, state)
+        yield record
+        if rho is None:
+            continue
+        for convention in conventions:
+            m, record = outcome(fg.extract_marginals, rho, convention)
+            yield record
+            if m is None:
+                continue
+            yield call(fg.bell_slacks, m)
+            yield call(fg.xi_interval, m)
+            for rule in fg.XiRule:
+                yield call(fg.reconstruct_joint, m, rule)
+            yield call(fg.weights_from_marginals, m)
+            for target in conventions:
+                yield call(fg.convert_marginals, m, target)
+            yield call(m.correlations)
+            yield call(fg.payoff_marginal_form, table, m)
+
+
 def main_digest() -> int:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as workdir:
-        parts = {"scenarios": scenarios(), "ne": ne(workdir), "payoffs": payoffs()}
+        parts = {
+            "scenarios": scenarios(), "ne": ne(workdir), "payoffs": payoffs(), "states": states()
+        }
         for name, records in parts.items():
             digest, count = hashlib.sha256(), 0
             for record in records:
