@@ -24,7 +24,6 @@ from .games import (
     _R,
     _REST,
     _SLOPE,
-    _payoff_polynomial,
     _slope_plane,
     _slopes,
     coop_game,
@@ -87,7 +86,7 @@ class NeCertificate:
 
 def factorizable_gradient(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
     """Exact own-probability payoff derivatives (A, B, C)."""
-    return _slopes(_payoff_polynomial(table), s.as_tuple())
+    return _slopes(table._polynomial, s.as_tuple())
 
 
 def _endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> list[NeCertificate]:
@@ -126,7 +125,7 @@ def verify_ne_factorizable(
     table: PayoffTable, s: StrategyTriple, tol: float = DEFAULT_NE_TOL
 ) -> NeCertificate:
     """Check a strategy triple for Nash equilibrium by endpoint audit."""
-    return _endpoint_audit(_payoff_polynomial(table), np.array([s.as_tuple()]), tol)[0]
+    return _endpoint_audit(table._polynomial, np.array([s.as_tuple()]), tol)[0]
 
 
 def grid_ne_search(
@@ -143,7 +142,7 @@ def grid_ne_search(
     if resolution > MAX_RESOLUTION:
         raise ShapeError(f"resolution must be at most {MAX_RESOLUTION}")
     grid = np.linspace(0.0, 1.0, resolution)
-    coeffs = _payoff_polynomial(table)
+    coeffs = table._polynomial
     screen, axes = _lattice_screen(coeffs, grid, tol)
     count = int(np.count_nonzero(screen))
     if count > _MAX_LATTICE_HITS:
@@ -249,7 +248,7 @@ def _require_player_symmetric(table: PayoffTable):
 def _diagonal_slope(table: PayoffTable) -> tuple[float, float, float]:
     """Player A's own slope with both opponents at one value t, as the
     coefficients (C7, C[pq] + C[pr], C[p]) of a quadratic in t."""
-    own, pq, pr, c7 = _payoff_polynomial(table)[_SLOPE[:, 0], 0].tolist()
+    own, pq, pr, c7 = table._polynomial[_SLOPE[:, 0], 0].tolist()
     return c7, pq + pr, own
 
 
@@ -283,7 +282,7 @@ def parity_product_gradient(table: PayoffTable, s: StrategyTriple) -> np.ndarray
     own partial derivative at the signed singles.
     """
     signed = 2.0 * np.array(s.as_tuple()) - 1.0
-    return _slopes(_payoff_polynomial(table), signed)
+    return _slopes(table._polynomial, signed)
 
 
 def zero_sum_2x2_value(
@@ -331,13 +330,21 @@ class CoalitionReduction:
     """Work product of reducing a pair-vs-one game to its 2x2 core."""
 
     odd_player: str
-    members: tuple[str, str]
     full_matrix: np.ndarray
     kept_rows: tuple[int, int]
-    reduced: np.ndarray
     value: float
     member_mix: tuple[float, float]
     odd_mix: tuple[float, float]
+
+    @property
+    def members(self) -> tuple[str, ...]:
+        """The two pooled players, in player order."""
+        return tuple(p for p in PLAYERS if p != self.odd_player)
+
+    @property
+    def reduced(self) -> np.ndarray:
+        """The 2x2 core: the kept rows of the full matrix."""
+        return self.full_matrix[list(self.kept_rows)]
 
 
 def _eliminate_weakly_dominated_rows(rows: list[list[float]]) -> list[int]:
@@ -369,7 +376,6 @@ def coalition_reduction(table: PayoffTable, odd_player: str) -> CoalitionReducti
     """
     if odd_player not in PLAYERS:
         raise ShapeError(f"odd_player must be one of {PLAYERS}, got {odd_player!r}")
-    members = tuple(p for p in PLAYERS if p != odd_player)
     odd = PLAYERS.index(odd_player)
     # Table rows are the bits (A, B, C) in C order: with the odd axis last
     # the members' choices are the rows. a + b keeps -0.0, sum() does not.
@@ -381,14 +387,11 @@ def coalition_reduction(table: PayoffTable, odd_player: str) -> CoalitionReducti
         raise ShapeError(
             f"coalition matrix reduced to {len(kept)} rows, expected 2"
         )
-    reduced = full[kept]
-    value, member_mix, odd_mix = zero_sum_2x2_value(reduced)
+    value, member_mix, odd_mix = zero_sum_2x2_value(full[kept])
     return CoalitionReduction(
         odd_player=odd_player,
-        members=members,  # type: ignore[arg-type]
         full_matrix=full,
         kept_rows=(kept[0], kept[1]),
-        reduced=reduced,
         value=value,
         member_mix=member_mix,
         odd_mix=odd_mix,
@@ -438,7 +441,7 @@ def coop_best_response_solve(
     if c_star is None:
         raise RangeError("first player's stationarity has no root in [0, 1]")
 
-    coeffs = _payoff_polynomial(table)
+    coeffs = table._polynomial
     _, _, r, qr = coeffs[_REST[:, 1], 1].tolist()
     own, pq, pr, c7 = coeffs[_SLOPE[:, 1], 1].tolist()
     g0 = 2.0 * pr * c_star + own + r

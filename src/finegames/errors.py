@@ -93,12 +93,9 @@ class NoJointError(FinegamesError):
     Bell-inequality report evaluated on the same marginal set.
     """
 
-    def __init__(self, violated_terms, bell_report, message=None):
+    def __init__(self, violated_terms, bell_report):
         self.violated_terms = tuple(violated_terms)
         self.bell_report = bell_report
-        if message is None:
-            message = (
-                "no joint distribution exists: terms %s negative"
-                % (list(self.violated_terms),)
-            )
-        super().__init__(message)
+        super().__init__(
+            "no joint distribution exists: terms %s negative" % (list(self.violated_terms),)
+        )

@@ -56,20 +56,22 @@ class BellReport:
     """Slack of the four joint-existence inequalities.
 
     Each slack is right-hand side minus left-hand side, so the
-    inequality holds when its slack is non-negative. `satisfied` is
-    derived from the slacks, never supplied.
+    inequality holds when its slack is non-negative; the report is
+    `satisfied` when all four hold.
     """
 
     slack: tuple[float, float, float, float]
     convention_note: str
-    satisfied: bool = False
 
     def __post_init__(self):
         slack = tuple(float(s) for s in self.slack)
         if len(slack) != 4 or not all(np.isfinite(slack)):
             raise ShapeError("slack must be four finite reals")
         object.__setattr__(self, "slack", slack)
-        object.__setattr__(self, "satisfied", holds(min(slack)))
+
+    @property
+    def satisfied(self) -> bool:
+        return holds(min(self.slack))
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,7 @@ def bell_slacks(m: MarginalSet) -> BellReport:
     # Sums of seven values in [0, 1]: four finite reals by construction.
     # Python floats round each operation as float64 columns do.
     slack = _slack_terms(m.lam, m.mu, m.nu, m.p_ab, m.p_bc, m.p_ac)
-    return _trusted(
-        BellReport, slack=slack, convention_note=_NOTES[m.convention], satisfied=holds(min(slack))
-    )
+    return _trusted(BellReport, slack=slack, convention_note=_NOTES[m.convention])
 
 
 def xi_interval(m: MarginalSet) -> XiInterval:

@@ -59,8 +59,11 @@ class PayoffTable:
     """Payoff entries, shape (8, 3): outcome row, player column."""
 
     entries: np.ndarray
-    # The payoff polynomial's coefficients, computed once (see
-    # _payoff_polynomial); read-only like the entries.
+    # Coefficients of the factorizable payoffs, shape (8, 3), computed
+    # once and read-only like the entries. Row m multiplies the m-th
+    # monomial of (1, lam, mu, nu, lam mu, mu nu, lam nu, lam mu nu);
+    # columns are players. Outcome weights are MOBIUS @ (1, lam, ..., xi),
+    # so the payoffs weights @ t have the coefficients MOBIUS.T @ t.
     _polynomial: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -213,17 +216,6 @@ def payoff_outcome_form(table: PayoffTable, joint: JointDistribution) -> np.ndar
     return joint.prob @ table.entries
 
 
-def _payoff_polynomial(table: PayoffTable) -> np.ndarray:
-    """Coefficients of the factorizable payoffs, shape (8, 3).
-
-    Row m multiplies the m-th monomial of (1, lam, mu, nu, lam mu,
-    mu nu, lam nu, lam mu nu); columns are players. Outcome weights are
-    MOBIUS @ (1, lam, ..., xi), so the payoffs weights @ t have the
-    coefficients MOBIUS.T @ t, which the table computes on construction.
-    """
-    return table._polynomial
-
-
 def _bilinear(c, xq, xr):
     """c[0] + c[1] x_q + c[2] x_r + c[3] x_q x_r, summed from the x_q x_r
     term down: payoffs, slopes and slope planes all take it, so they
@@ -257,7 +249,7 @@ def marginal_form_coefficients(table: PayoffTable) -> np.ndarray:
     They are the payoff polynomial's coefficients, each monomial read
     as the conjunction marginal it equals under independence.
     """
-    return _payoff_polynomial(table).take(_MARGINAL_ROWS, axis=0)
+    return table._polynomial.take(_MARGINAL_ROWS, axis=0)
 
 
 def payoff_marginal_values(
@@ -304,7 +296,7 @@ def strategy_marginals(
 def payoff_factorizable(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
     """Expected payoffs (A, B, C) of independent mixed strategies: REST
     plus the own probability times the slope."""
-    coeffs, x = _payoff_polynomial(table), np.array(s.as_tuple())
+    coeffs, x = table._polynomial, np.array(s.as_tuple())
     xq, xr = x[_Q], x[_R]
     slope = _bilinear(coeffs[_SLOPE, _PLAYER], xq, xr)
     return _bilinear(coeffs[_REST, _PLAYER], xq, xr) + x * slope

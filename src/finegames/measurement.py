@@ -293,7 +293,8 @@ def _signed(m: MarginalSet) -> np.ndarray:
         # The same two IEEE operations per value as on a float64 array.
         return np.array([2.0 * v - 1.0 for v in (1.0, *m.values())])
     # An integer map: every product is exact and fsum rounds each sum once.
-    return np.array([math.fsum(row) for row in _CONJ_SIGNED * np.array((1.0, *m.values()))])
+    rows = (_CONJ_SIGNED * np.array((1.0, *m.values()))).tolist()
+    return np.array([math.fsum(row) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -306,7 +307,10 @@ class WeightInversion:
     """
 
     weights: np.ndarray
-    negative_indices: tuple[int, ...]
+
+    @property
+    def negative_indices(self) -> tuple[int, ...]:
+        return tuple(i for i, w in enumerate(self.weights.tolist()) if not holds(w))
 
     @property
     def feasible(self) -> bool:
@@ -327,6 +331,5 @@ def weights_from_marginals(m: MarginalSet) -> WeightInversion:
         # `@` on input values here only: the helper's summation order would
         # move pd-product's reported parity inversion by an ulp.
         weights = (WALSH @ _signed(m)) / 8.0
-    negative = tuple(i for i, w in enumerate(weights.tolist()) if not holds(w))
     weights.flags.writeable = False
-    return WeightInversion(weights, negative)
+    return WeightInversion(weights)

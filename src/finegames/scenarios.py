@@ -42,7 +42,6 @@ from .games import (
     DEFAULT_PD_PARAMS,
     PdParams,
     StrategyTriple,
-    _payoff_polynomial,
     coop_game,
     payoff_factorizable,
     payoff_marginal_form,
@@ -74,6 +73,7 @@ from .serialize import (
     _amplitudes,
     _bounded_int,
     _checked,
+    _ensure_dict,
     _finite,
     _pd_params,
     _seed,
@@ -99,23 +99,27 @@ class ScenarioReport:
 
     A scenario body fills the analysis, its reference entries
     (quantity, expected, computed) and any claim of its own in
-    paper_deviation; run_scenario sets scenario_id and inputs, derives
-    bell as the Bell report of the first marginal set (None without
-    one), writes inputs and details in their wire form
-    (serialize.to_wire), forms the reference rows from the entries and
-    keeps rows and claim only for the default inputs. to_dict writes
-    the remaining fields.
+    paper_deviation; run_scenario sets scenario_id and inputs, writes
+    inputs and details in their wire form (serialize.to_wire), forms
+    the reference rows from the entries and keeps rows and claim only
+    for the default inputs. bell is read from the marginals. to_dict
+    writes the remaining fields.
     """
 
-    scenario_id: str = ""
-    inputs: dict = field(default_factory=dict)
+    scenario_id: str = field(init=False, default="")
+    inputs: dict = field(init=False, default_factory=dict)
     marginals: dict[str, MarginalSet] = field(default_factory=dict)
-    bell: BellReport | None = field(init=False, default=None)
     payoffs: object = None
     ne_findings: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
     reference: list = field(default_factory=list)
     paper_deviation: str | None = None
+
+    @property
+    def bell(self) -> BellReport | None:
+        """Bell report of the first marginal set, None without one."""
+        first = next(iter(self.marginals.values()), None)
+        return None if first is None else bell_slacks(first)
 
     def to_dict(self) -> dict:
         return {
@@ -298,9 +302,8 @@ def _pd_product(pd_params: PdParams) -> ScenarioReport:
         "are flat in each player's own probability",
     )
 
-    sign_pattern = [
-        "negative" if i in inversion.negative_indices else "non-negative" for i in range(8)
-    ]
+    negative = inversion.negative_indices
+    sign_pattern = ["negative" if i in negative else "non-negative" for i in range(8)]
     lam_ref = (2.0 - 2.0 ** 0.5) / 2.0
     pair_ref = 2.0 - 2.0 ** 0.5
     xi_ref = (2.0 - 2.0 ** 0.5) * (3.0 - 2.0 ** 0.5) / 2.0
@@ -364,7 +367,7 @@ def _affine_family(
     rho = density_from_pure(state)
     m = _checked(extract_marginals, "params", rho, MarginalConvention.PARITY)
     payoffs = payoff_marginal_form(table, m)
-    reduced = _payoff_polynomial(table).T @ np.vstack((np.eye(4), _family_map(support)))
+    reduced = table._polynomial.T @ np.vstack((np.eye(4), _family_map(support)))
     matrix, const = reduced[:, 1:], reduced[:, 0]
     own = [float(matrix[p, p]) for p in range(3)]
     singles_sum = m.lam + m.mu + m.nu
@@ -595,8 +598,10 @@ def _default_echo(scenario_id: str) -> dict:
 def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport:
     """Execute one registered scenario and return its report.
 
-    Reference rows and paper_deviation stay only when the inputs echo
-    equals, exactly, the echo of the scenario's defaults.
+    params is a dict or None, as the CLI's --params is a JSON object;
+    any other value raises ParamError. Reference rows and
+    paper_deviation stay only when the inputs echo equals, exactly, the
+    echo of the scenario's defaults.
     """
     try:
         spec = SCENARIOS[scenario_id]
@@ -604,7 +609,7 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport
         raise UnknownScenarioError(
             f"unknown scenario {scenario_id!r}; available: {list(SCENARIO_IDS)}"
         ) from None
-    supplied = dict(params or {})
+    supplied = {} if params is None else _ensure_dict(params, "params")
     unknown = sorted(set(supplied) - set(spec.params))
     if unknown:
         raise ParamError(
@@ -615,8 +620,6 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport
     report = spec.body(**parsed)
     report.scenario_id = scenario_id
     report.inputs = to_wire(parsed)
-    first = next(iter(report.marginals.values()), None)
-    report.bell = None if first is None else bell_slacks(first)
     report.details = to_wire(report.details)
     if report.inputs == _default_echo(scenario_id):
         entries = [(name, float(e), float(c)) for name, e, c in report.reference]

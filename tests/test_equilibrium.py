@@ -39,7 +39,7 @@ from finegames import (
 import finegames.equilibrium as equilibrium
 from finegames.cli import main as cli_main
 from finegames.equilibrium import DEFAULT_NE_TOL, MAX_RESOLUTION, _lattice_screen
-from finegames.games import MAX_PAYOFF, _payoff_polynomial, _slope_plane, _slopes
+from finegames.games import MAX_PAYOFF, _slope_plane, _slopes
 from oracles import (
     LITERAL,
     endpoint_certificates,
@@ -238,7 +238,7 @@ def test_lattice_screen_matches_reference_bit_for_bit():
         grid = np.linspace(0.0, 1.0, resolution)
         for tol in SCREEN_TOLS:
             for table in screen_tables(rng, tol, resolution):
-                coeffs = _payoff_polynomial(table)
+                coeffs = table._polynomial
                 got = expand_screen(_lattice_screen(coeffs, grid, tol), grid)
                 want = reference_lattice_screen(coeffs, grid, tol)
                 assert np.array_equal(got, want), (resolution, tol, table.entries)
@@ -249,7 +249,7 @@ def test_lattice_screen_matches_reference_bit_for_bit():
 def test_lattice_screen_memory_peak_within_reference():
     # Every slope of an own-choice-blind table is 0, so the band covers
     # every interior slice: the screen's worst case.
-    coeffs = _payoff_polynomial(own_choice_blind_table(np.random.default_rng(5)))
+    coeffs = own_choice_blind_table(np.random.default_rng(5))._polynomial
     grid = np.linspace(0.0, 1.0, MAX_RESOLUTION)
     peaks = []
     for screen in (_lattice_screen, reference_lattice_screen):
@@ -280,7 +280,7 @@ def test_screen_axes_keep_only_the_endpoints_of_an_empty_band():
     for resolution in (2, 3, 11, 61):
         grid = np.linspace(0.0, 1.0, resolution)
         for table, whole in cases:
-            coeffs = _payoff_polynomial(table)
+            coeffs = table._polynomial
             cube, axes = _lattice_screen(coeffs, grid, DEFAULT_NE_TOL)
             for axis, w in zip(axes, whole):
                 assert np.array_equal(axis, grid if w else grid[[0, -1]])
@@ -292,7 +292,7 @@ def test_screen_axes_keep_only_the_endpoints_of_an_empty_band():
 def test_screen_of_empty_bands_builds_no_full_cube():
     # The dilemma's bands are all empty, so at MAX_RESOLUTION the screen
     # holds three slope planes and a 2x2x2 cube, far below one n^3 cube.
-    coeffs = _payoff_polynomial(pd3())
+    coeffs = pd3()._polynomial
     grid = np.linspace(0.0, 1.0, MAX_RESOLUTION)
     tracemalloc.start()
     try:
@@ -369,7 +369,7 @@ def test_endpoint_audit_matches_reference_bit_for_bit():
     lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
     notes, failing = set(), set()
     for table in audit_tables(rng):
-        coeffs = _payoff_polynomial(table)
+        coeffs = table._polynomial
         # Off-lattice points, a third of their values moved to an endpoint.
         off = rng.uniform(size=(40, 3))
         ends = rng.integers(0, 2, size=off.shape).astype(float)
@@ -423,7 +423,7 @@ def test_interior_slices_are_tested_on_the_band_only(monkeypatch):
     monkeypatch.setattr(equilibrium, "_slice_passes", recorded)
     n = MAX_RESOLUTION
     grid = np.linspace(0.0, 1.0, n)
-    coeffs = _payoff_polynomial(coop_game())
+    coeffs = coop_game()._polynomial
     cube = expand_screen(_lattice_screen(coeffs, grid, DEFAULT_NE_TOL), grid)
     monkeypatch.undo()
     assert np.array_equal(cube, reference_lattice_screen(coeffs, grid, DEFAULT_NE_TOL))
@@ -480,7 +480,7 @@ def test_slopes_and_gains_replay_exactly_on_dyadic_lattices():
         index = np.stack(np.meshgrid(i, i, i, indexing="ij"), axis=-1).reshape(-1, 3)
         points = grid[index]
         for table in tables:
-            coeffs = _payoff_polynomial(table)
+            coeffs = table._polynomial
             slope = _slopes(coeffs, points)
             certs = equilibrium._endpoint_audit(coeffs, points, DEFAULT_NE_TOL)
             slack = np.array([c.player_slack for c in certs])
@@ -515,7 +515,7 @@ def test_slopes_and_gains_stay_within_rounding_of_exact():
         entries = rng.normal(size=(8, 3))
         x = rng.uniform(size=3)
         table = PayoffTable(entries)
-        coeffs = _payoff_polynomial(table)
+        coeffs = table._polynomial
         slope = _slopes(coeffs, x)
         cert = verify_ne_factorizable(table, StrategyTriple(*x))
         bound = Fraction(2.0**-51 * np.abs(entries).sum())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from finegames import (
+    BellReport,
     ConventionError,
     JointDistribution,
     MarginalConvention,
@@ -24,6 +25,7 @@ from finegames import (
     weights_from_marginals,
     xi_interval,
     StrategyTriple,
+    WeightInversion,
     SCENARIO_IDS,
 )
 from finegames.errors import SLACK_TOL, holds
@@ -54,6 +56,26 @@ def test_ghz_conjunction_slacks_exact():
     report = bell_slacks(GHZ_CONJUNCTION)
     assert report.slack == pytest.approx((1.0, 0.0, 0.0, 0.0), abs=1e-15)
     assert report.satisfied
+
+
+def test_report_and_inversion_verdicts_follow_holds():
+    # satisfied, negative_indices and feasible are read from the stored
+    # slacks and weights: on seeded values and on values at the floor
+    # (either side of -SLACK_TOL, signed zeros) each agrees with holds.
+    rng = np.random.default_rng(27)
+    floor = [-2 * SLACK_TOL, np.nextafter(-SLACK_TOL, -1.0), -SLACK_TOL,
+             np.nextafter(-SLACK_TOL, 0.0), -0.0, 0.0, SLACK_TOL, 0.5]
+    draws = [rng.choice(floor, size=8) for _ in range(500)]
+    draws += [rng.normal(scale=10.0 ** rng.uniform(-14, 0), size=8) for _ in range(500)]
+    draws += [np.full(8, x) for x in floor]
+    for values in draws:
+        listed = values.tolist()
+        report = BellReport(tuple(listed[:4]), "n")
+        assert report.satisfied is all(holds(s) for s in listed[:4])
+        inversion = WeightInversion(values)
+        negative = tuple(i for i, w in enumerate(listed) if not holds(w))
+        assert inversion.negative_indices == negative
+        assert inversion.feasible is all(holds(w) for w in listed)
 
 
 def test_xi_interval_requires_conjunction():

@@ -186,7 +186,7 @@ def test_strategy_triple_clamps_and_rejects():
 @pytest.mark.parametrize(
     "entries", [pd3().entries, coop_game().entries, np.arange(24.0).reshape(8, 3) / 7]
 )
-def test_payoff_polynomial_is_stored_once_read_only(entries, rng, monkeypatch):
+def test_polynomial_is_stored_once_read_only(entries, rng, monkeypatch):
     table = PayoffTable(entries)
     fresh = _apply(MOBIUS.T, table.entries.T).T
     assert (table._polynomial == fresh).all()
@@ -222,7 +222,7 @@ def test_slopes_and_factorizable_payoffs_match_the_joint_evaluator_bit_for_bit()
     at_end = rng.random(x.shape) < 0.4
     x[at_end] = rng.choice([0.0, -0.0, 1.0, 0.5], size=at_end.sum())
     for table in tables:
-        coeffs = games._payoff_polynomial(table)
+        coeffs = table._polynomial
         payoffs, slopes = _polynomial_values(coeffs, x)
         assert repr(games._slopes(coeffs, x).tolist()) == repr(slopes.tolist())
         batch = games._slopes(coeffs, x.reshape(4, 12, 3)).reshape(-1, 3)

@@ -1,5 +1,6 @@
 """POVM construction, marginal extraction, and convention conversion."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,9 +30,11 @@ from finegames import (
     JointDistribution,
     StrategyTriple,
 )
-from finegames.measurement import _INCIDENCE, MOBIUS, WALSH, ZETA, PovmElement, _apply
+from finegames.measurement import (
+    _CONJ_SIGNED, _INCIDENCE, MOBIUS, WALSH, ZETA, PovmElement, _apply, _signed,
+)
 from oracles import pure_state_marginals, reference_marginal_sums, strategy_weights
-from conftest import random_joint, random_pure_state
+from conftest import random_conjunction_set, random_joint, random_pure_state
 
 CONVENTIONS = (MarginalConvention.CONJUNCTION, MarginalConvention.PARITY)
 
@@ -160,6 +163,21 @@ def test_fair_coin_correlations():
     m = strategy_marginals(StrategyTriple(0.5, 0.5, 0.5), MarginalConvention.CONJUNCTION)
     corr = m.correlations()
     assert corr == pytest.approx((0.0,) * 7, abs=1e-12)
+
+
+def test_conjunction_signed_values_sum_python_rows_as_array_rows(rng):
+    # _signed sums the rows of the (8, 8) product as Python floats; the
+    # numpy rows it replaced hold the same floats, so fsum gives the
+    # same bits, the signs of zeros included.
+    sets = [random_conjunction_set(rng) for _ in range(2000)]
+    sets += [marginals_from_joint(JointDistribution(np.eye(8)[i]), CONVENTIONS[0]) for i in range(8)]
+    sets += [MarginalSet(*values, CONVENTIONS[0]) for values in (
+        (-0.0,) * 7, (0.5, -0.0, 0.5, -0.0, -0.0, 0.25, -0.0), (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    )]
+    for m in sets:
+        rows = _CONJ_SIGNED * np.array((1.0, *m.values()))
+        want = np.array([math.fsum(row) for row in rows])
+        assert _signed(m).tobytes() == want.tobytes()
 
 
 def test_convention_conversion_round_trip(rng):

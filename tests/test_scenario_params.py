@@ -325,6 +325,13 @@ def test_unknown_keys_keep_their_message(scenario_id):
     )
 
 
+# dict() would take a list of pairs, and fail on other values with a
+# bare TypeError or ValueError.
+@pytest.mark.parametrize("params", [[1, 2], "abc", [("tol", 1e-9)], (), 0, False])
+def test_params_must_be_an_object(params):
+    assert outcome("pd-classical", params) == ("ParamError", "params: expected an object")
+
+
 @pytest.mark.parametrize("scenario_id, text, kind, message", COMBINED_ERRORS)
 def test_combined_param_errors_keep_their_messages(scenario_id, text, kind, message):
     assert outcome(scenario_id, json.loads(text)) == (kind, message)

@@ -421,6 +421,19 @@ def test_bell_is_the_report_of_the_first_marginal_set(scenario_id):
         assert report.bell.satisfied is expected.satisfied
 
 
+def test_bell_follows_the_marginals_and_cannot_be_assigned():
+    report = run_scenario("pd-ghz")
+    parity, conj = report.marginals["parity"], report.marginals["conjunction"]
+    assert report.bell == bell_slacks(parity) and not report.bell.satisfied
+    report.marginals = {"conjunction": conj, "parity": parity}
+    assert report.bell == bell_slacks(conj) and report.bell.satisfied
+    assert report.to_dict()["bell"]["satisfied"] is True
+    report.marginals = {}
+    assert report.bell is None and report.to_dict()["bell"] is None
+    with pytest.raises(AttributeError):
+        report.bell = bell_slacks(parity)
+
+
 def assert_plain(value, where: str):
     # np.float64 is a float; no library object, array, tuple or complex.
     assert value is None or isinstance(value, (dict, list, str, bool, int, float)), where

@@ -5,6 +5,7 @@ checks and messages."""
 
 import collections
 import dataclasses
+import inspect
 import itertools
 import math
 import pickle
@@ -18,6 +19,7 @@ import finegames.measurement as measurement
 import finegames.qstates as qstates
 from finegames import (
     BellReport,
+    CoalitionReduction,
     DensityMatrix,
     DiagonalMixedState,
     InvalidDensityError,
@@ -31,8 +33,10 @@ from finegames import (
     ProductStateAngles,
     PureState,
     RangeError,
+    ScenarioReport,
     ShapeError,
     StrategyTriple,
+    WeightInversion,
     XiRule,
     bell_slack_values,
     bell_slacks,
@@ -57,12 +61,19 @@ from finegames.errors import NORMALIZATION_TOL
 CONJ, PAR = MarginalConvention.CONJUNCTION, MarginalConvention.PARITY
 
 
+# Verdicts and copies that result types derive from their fields.
+DERIVED = ("satisfied", "negative_indices", "feasible", "is_empty", "members", "reduced")
+
+
 def assert_same(a, b):
-    """Equal types and bits; zeros must agree in sign."""
+    """Equal types and bits, derived values included; zeros must agree in sign."""
     assert type(a) is type(b)
     if dataclasses.is_dataclass(a):
         for f in dataclasses.fields(a):
             assert_same(getattr(a, f.name), getattr(b, f.name))
+        for name in DERIVED:
+            if isinstance(getattr(type(a), name, None), property):
+                assert_same(getattr(a, name), getattr(b, name))
     elif isinstance(a, np.ndarray):
         assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
         for part in ("real", "imag") if np.iscomplexobj(a) else ("real",):
@@ -467,3 +478,21 @@ def test_public_constructors_keep_their_checks(build, kind, message):
     with pytest.raises(kind) as info:
         build()
     assert type(info.value) is kind and str(info.value) == message
+
+
+# Each value a constructor once took and then overwrote, or that could
+# contradict the fields it is derived from.
+DERIVED_ARGUMENTS = [
+    (BellReport, "satisfied"),
+    (WeightInversion, "negative_indices"),
+    (CoalitionReduction, "members"),
+    (CoalitionReduction, "reduced"),
+    (ScenarioReport, "scenario_id"),
+    (ScenarioReport, "inputs"),
+    (NoJointError, "message"),
+]
+
+
+@pytest.mark.parametrize("cls, name", DERIVED_ARGUMENTS)
+def test_constructors_take_no_derived_value(cls, name):
+    assert name not in inspect.signature(cls).parameters
