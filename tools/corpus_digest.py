@@ -30,12 +30,19 @@ Parts:
                reconstruct_joint under every XiRule,
                weights_from_marginals, convert_marginals to both
                conventions, correlations() and payoff_marginal_form;
-               values and errors recorded as in payoffs.
+               values and errors recorded as in payoffs;
+    coalitions coalition_reduction for each odd player, and
+               coalition_analysis, on coop_game(), its negation and
+               seeded zero-sum tables (small integers with ties and
+               zeros of both signs, and normal draws), plus normal
+               tables that are not zero-sum; zero_sum_2x2_value on
+               every 2x2 matrix of -1, -0.0, 0.0 and 1 and on bad
+               matrices; values and errors recorded as in payoffs.
 
 A dataclass is recorded by its fields and properties together, sorted
 by name, so a value that moves from a stored field to a derived
 property leaves the digest as it was. tests/test_corpus_digest.py pins
-the four part digests.
+the five part digests.
 
 Takes about 2 s on a 2-vCPU VM (Python 3.11, numpy 2.4).
 """
@@ -46,6 +53,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -278,12 +286,39 @@ def states():
             yield call(fg.payoff_marginal_form, table, m)
 
 
+def coalition_tables(rng) -> list:
+    """coop_game(), its negation, seeded zero-sum tables whose derived
+    column (minus the others' sum) moves among players, with zeros of
+    both signs, and normal tables that are not zero-sum."""
+    tables = [fg.coop_game(), fg.PayoffTable(-fg.coop_game().entries)]
+    for _ in range(100):
+        ints = rng.integers(-2, 3, size=(8, 2)).astype(float)
+        ints[(ints == 0.0) & (rng.random(ints.shape) < 0.5)] = -0.0
+        for free in (ints, rng.normal(size=(8, 2))):
+            entries = np.column_stack([free, -(free[:, 0] + free[:, 1])])
+            tables.append(fg.PayoffTable(entries[:, rng.permutation(3)]))
+    tables += [fg.PayoffTable(rng.normal(size=(8, 3))) for _ in range(20)]
+    return tables
+
+
+def coalitions():
+    for table in coalition_tables(np.random.default_rng(20261023)):
+        for odd in (*fg.PLAYERS, "D"):
+            yield call(fg.coalition_reduction, table, odd)
+        yield call(fg.coalition_analysis, table)
+    for entries in itertools.product((-1.0, -0.0, 0.0, 1.0), repeat=4):
+        yield call(fg.zero_sum_2x2_value, np.reshape(entries, (2, 2)).tolist())
+    for bad in ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [[1.0, float("inf")], [0.0, 1.0]]):
+        yield call(fg.zero_sum_2x2_value, bad)
+
+
 def part_digests() -> dict[str, tuple[int, str]]:
     """Each part's number of records and SHA-256, in part order."""
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
         parts = {
-            "scenarios": scenarios(), "ne": ne(workdir), "payoffs": payoffs(), "states": states()
+            "scenarios": scenarios(), "ne": ne(workdir), "payoffs": payoffs(), "states": states(),
+            "coalitions": coalitions(),
         }
         for name, records in parts.items():
             digest, count = hashlib.sha256(), 0
