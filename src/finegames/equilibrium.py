@@ -28,7 +28,7 @@ from .games import (
     _slopes,
     coop_game,
 )
-from .qstates import PLAYERS, _trusted
+from .qstates import PLAYERS, _freeze, _trusted
 
 __all__ = [
     "CoalitionReduction", "CoalitionValue", "NeCertificate", "coalition_analysis",
@@ -299,22 +299,34 @@ def zero_sum_2x2_value(
         raise ShapeError(f"matrix must be 2x2, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ShapeError("matrix contains non-finite entries")
-    a, b = float(m[0, 0]), float(m[0, 1])
-    c, d = float(m[1, 0]), float(m[1, 1])
+    (a, b), (c, d) = m.tolist()
+    return _zero_sum_2x2(a, b, c, d)
+
+
+def _zero_sum_2x2(
+    a: float, b: float, c: float, d: float
+) -> tuple[float, tuple[float, float], tuple[float, float]]:
+    """zero_sum_2x2_value of the finite [[a, b], [c, d]].
+
+    Of two equal values numpy's min and max return the later one, and
+    Python's the first, so each pair is passed later first: the bits
+    stay those of numpy's reductions, and a tie of 0.0 and -0.0 keeps
+    the sign numpy gave it.
+    """
     if a == b == c == d:
         return a, (0.5, 0.5), (0.5, 0.5)
-    row_mins, col_maxs = m.min(axis=1), m.max(axis=0)
-    maximin, minimax = float(row_mins.max()), float(col_maxs.min())
+    row_mins, col_maxs = (min(b, a), min(d, c)), (max(c, a), max(d, b))
+    maximin, minimax = max(row_mins[1], row_mins[0]), min(col_maxs[1], col_maxs[0])
     if abs(maximin - minimax) <= ZERO_TOL:
-        r, k = int(np.argmax(row_mins)), int(np.argmin(col_maxs))
-        row_mix = (1.0, 0.0) if r == 0 else (0.0, 1.0)
-        col_mix = (1.0, 0.0) if k == 0 else (0.0, 1.0)
+        # The first index of the maximum row minimum and minimum column maximum.
+        row_mix = (1.0, 0.0) if row_mins[0] >= row_mins[1] else (0.0, 1.0)
+        col_mix = (1.0, 0.0) if col_maxs[0] <= col_maxs[1] else (0.0, 1.0)
         return maximin, row_mix, col_mix
     denom = a - b - c + d
     value = (a * d - b * c) / denom
     p = (d - c) / denom
     q = (d - b) / denom
-    return float(value), (float(p), float(1.0 - p)), (float(q), float(1.0 - q))
+    return value, (p, 1.0 - p), (q, 1.0 - q)
 
 
 @dataclass(frozen=True)
@@ -335,6 +347,14 @@ class CoalitionReduction:
     value: float
     member_mix: tuple[float, float]
     odd_mix: tuple[float, float]
+
+    def __post_init__(self):
+        full = np.array(self.full_matrix, dtype=np.float64)
+        if full.shape != (4, 2):
+            raise ShapeError(f"full_matrix must be 4x2, got {full.shape}")
+        if not np.isfinite(full).all():
+            raise ShapeError("full_matrix contains non-finite entries")
+        object.__setattr__(self, "full_matrix", _freeze(full))
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -366,6 +386,15 @@ def _eliminate_weakly_dominated_rows(rows: list[list[float]]) -> list[int]:
             return keep
 
 
+# Per odd player, the table rows of its 4x2 coalition matrix: rows are
+# the members' joint choices in C order, columns the odd player's.
+_COALITION_ROWS = (
+    ((0, 4), (1, 5), (2, 6), (3, 7)),  # A odd: rows (B, C)
+    ((0, 2), (1, 3), (4, 6), (5, 7)),  # B odd: rows (A, C)
+    ((0, 1), (2, 3), (4, 5), (6, 7)),  # C odd: rows (A, B)
+)
+
+
 def coalition_reduction(table: PayoffTable, odd_player: str) -> CoalitionReduction:
     """Solve two players pooled against the third as a zero-sum game.
 
@@ -377,20 +406,22 @@ def coalition_reduction(table: PayoffTable, odd_player: str) -> CoalitionReducti
     if odd_player not in PLAYERS:
         raise ShapeError(f"odd_player must be one of {PLAYERS}, got {odd_player!r}")
     odd = PLAYERS.index(odd_player)
-    # Table rows are the bits (A, B, C) in C order: with the odd axis last
-    # the members' choices are the rows. a + b keeps -0.0, sum() does not.
-    pair = np.delete(table.entries, odd, axis=1)
-    pooled = (pair[:, 0] + pair[:, 1]).reshape(2, 2, 2)
-    full = np.moveaxis(pooled, odd, -1).reshape(4, 2)
-    kept = _eliminate_weakly_dominated_rows(full.tolist())
+    i, j = (p for p in range(3) if p != odd)
+    # a + b keeps -0.0, sum() does not.
+    pooled = [row[i] + row[j] for row in table.entries.tolist()]
+    full = [[pooled[k] for k in ks] for ks in _COALITION_ROWS[odd]]
+    kept = _eliminate_weakly_dominated_rows(full)
     if len(kept) != 2:
         raise ShapeError(
             f"coalition matrix reduced to {len(kept)} rows, expected 2"
         )
-    value, member_mix, odd_mix = zero_sum_2x2_value(full[kept])
-    return CoalitionReduction(
+    (a, b), (c, d) = full[kept[0]], full[kept[1]]
+    value, member_mix, odd_mix = _zero_sum_2x2(a, b, c, d)
+    # Entries within MAX_PAYOFF give finite pooled sums.
+    return _trusted(
+        CoalitionReduction,
         odd_player=odd_player,
-        full_matrix=full,
+        full_matrix=_freeze(np.array(full)),
         kept_rows=(kept[0], kept[1]),
         value=value,
         member_mix=member_mix,

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DilemmaViolation, RangeError, ShapeError, clamp_unit
 from .fine import JointDistribution
 from .measurement import MOBIUS, MarginalConvention, MarginalSet, _apply, convert_marginals
+from .qstates import _freeze, _trusted
 
 __all__ = [
     "DEFAULT_PD_PARAMS", "MARGINAL_COEFF_ORDER", "PayoffTable", "PdParams", "StrategyTriple",
@@ -74,11 +75,13 @@ class PayoffTable:
             raise ShapeError("payoff table contains non-finite entries")
         if np.max(np.abs(entries)) > MAX_PAYOFF:
             raise RangeError(_TOO_LARGE)
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        polynomial = _apply(MOBIUS.T, entries.T).T
-        polynomial.flags.writeable = False
-        object.__setattr__(self, "_polynomial", polynomial)
+        self.__dict__.update(_table_fields(entries))
+
+
+def _table_fields(entries: np.ndarray) -> dict:
+    """The stored fields of a table of checked float64 (8, 3) entries,
+    both arrays read-only (see _trusted for the update that stores them)."""
+    return {"entries": _freeze(entries), "_polynomial": _freeze(_apply(MOBIUS.T, entries.T).T)}
 
 
 @dataclass(frozen=True)
@@ -170,22 +173,44 @@ DEFAULT_PD_PARAMS = PdParams(
 
 
 def pd3(params: PdParams = DEFAULT_PD_PARAMS) -> PayoffTable:
-    """Symmetric three-player dilemma table from its payoff levels."""
+    """Symmetric three-player dilemma table from its payoff levels.
+
+    Its entries are the six levels, which PdParams has checked: finite
+    and within MAX_PAYOFF, so the table skips PayoffTable's checks.
+    """
     ac, ld, dc, lc, ad, dd = params.as_tuple()
-    return PayoffTable(
-        np.array(
-            [
-                [ac, ac, ac],
-                [dc, dc, ld],
-                [dc, ld, dc],
-                [lc, dd, dd],
-                [ld, dc, dc],
-                [dd, lc, dd],
-                [dd, dd, lc],
-                [ad, ad, ad],
-            ]
-        )
+    entries = np.array(
+        [
+            [ac, ac, ac],
+            [dc, dc, ld],
+            [dc, ld, dc],
+            [lc, dd, dd],
+            [ld, dc, dc],
+            [dd, lc, dd],
+            [dd, dd, lc],
+            [ad, ad, ad],
+        ],
+        dtype=np.float64,
     )
+    return _trusted(PayoffTable, **_table_fields(entries))
+
+
+# coop_game's table, built once: a table is frozen and its arrays are
+# read-only, so every caller can share it.
+_COOP_GAME = PayoffTable(
+    np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [1.0, 1.0, -2.0],
+            [1.0, -2.0, 1.0],
+            [-2.0, 1.0, 1.0],
+            [-2.0, 1.0, 1.0],
+            [1.0, -2.0, 1.0],
+            [1.0, 1.0, -2.0],
+            [0.0, 0.0, 0.0],
+        ]
+    )
+)
 
 
 def coop_game() -> PayoffTable:
@@ -193,22 +218,9 @@ def coop_game() -> PayoffTable:
 
     Whoever chooses differently from both others transfers one unit to
     each of them; unanimous outcomes pay nothing. Every row sums to
-    zero.
+    zero. Every call returns the same table.
     """
-    return PayoffTable(
-        np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [1.0, 1.0, -2.0],
-                [1.0, -2.0, 1.0],
-                [-2.0, 1.0, 1.0],
-                [-2.0, 1.0, 1.0],
-                [1.0, -2.0, 1.0],
-                [1.0, 1.0, -2.0],
-                [0.0, 0.0, 0.0],
-            ]
-        )
-    )
+    return _COOP_GAME
 
 
 def payoff_outcome_form(table: PayoffTable, joint: JointDistribution) -> np.ndarray:

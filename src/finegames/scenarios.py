@@ -590,9 +590,16 @@ def _parse(params: dict, supplied: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _defaults(scenario_id: str) -> dict:
+    """A scenario's parsed defaults, parsed once. Every value is immutable
+    and no body keeps the dict, so every default run can share it."""
+    return _parse(SCENARIOS[scenario_id].params, {})
+
+
+@lru_cache(maxsize=None)
 def _default_echo(scenario_id: str) -> dict:
     """The inputs echo of a scenario's defaults; callers only compare it."""
-    return to_wire(_parse(SCENARIOS[scenario_id].params, {}))
+    return to_wire(_defaults(scenario_id))
 
 
 def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport:
@@ -616,7 +623,7 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport
             f"params: unknown keys {unknown} for scenario {scenario_id!r}; "
             f"allowed: {sorted(spec.params)}"
         )
-    parsed = _parse(spec.params, supplied)
+    parsed = _parse(spec.params, supplied) if supplied else _defaults(scenario_id)
     report = spec.body(**parsed)
     report.scenario_id = scenario_id
     report.inputs = to_wire(parsed)

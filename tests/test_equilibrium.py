@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from finegames import (
+    CoalitionReduction,
     DEFAULT_PD_PARAMS,
     MarginalConvention,
     PLAYERS,
@@ -867,6 +868,18 @@ def test_coop_pair_reduction():
     assert red.value == pytest.approx(1.0, abs=1e-15)
     assert red.member_mix == pytest.approx((0.5, 0.5))
     assert red.odd_mix == pytest.approx((0.5, 0.5))
+
+
+def test_coalition_matrices_are_read_only():
+    for odd in PLAYERS:
+        red = coalition_reduction(coop_game(), odd)
+        with pytest.raises(ValueError, match="read-only"):
+            red.full_matrix[0, 0] = 5.0
+        assert np.array_equal(red.reduced, red.full_matrix[list(red.kept_rows)])
+    rows = [[0, 2], [-1, -1], [-1, -1], [2, 0]]
+    public = CoalitionReduction("A", rows, (0, 3), 1.0, (0.5, 0.5), (0.5, 0.5))
+    assert public.full_matrix.dtype == np.float64 and not public.full_matrix.flags.writeable
+    assert public.reduced.tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
 
 def test_coop_coalition_values():

@@ -58,6 +58,13 @@ def test_ghz_conjunction_slacks_exact():
     assert report.satisfied
 
 
+def test_weight_inversion_stores_a_read_only_float_vector():
+    inversion = WeightInversion([0.5] * 8)
+    assert inversion.feasible and inversion.negative_indices == ()
+    assert inversion.weights.dtype == np.float64 and inversion.weights.shape == (8,)
+    assert not inversion.weights.flags.writeable
+
+
 def test_report_and_inversion_verdicts_follow_holds():
     # satisfied, negative_indices and feasible are read from the stored
     # slacks and weights: on seeded values and on values at the floor

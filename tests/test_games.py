@@ -64,6 +64,14 @@ def test_coop_game_rows_are_zero_sum():
     assert table.entries[4].tolist() == [-2.0, 1.0, 1.0]
 
 
+def test_coop_game_is_built_once_and_tables_are_read_only():
+    assert coop_game() is coop_game()
+    for table in (coop_game(), pd3(), PayoffTable(np.ones((8, 3)))):
+        for array in (table.entries, table._polynomial):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+
 def test_payoff_table_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         PayoffTable(np.zeros((7, 3)))

@@ -452,3 +452,24 @@ def test_inputs_and_details_hold_plain_values(scenario_id):
         report = run_scenario(scenario_id, params)
         assert_plain(report.inputs, "inputs")
         assert_plain(report.details, "details")
+
+
+def mutate(value):
+    """Change every dict and list inside value in place."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            mutate(item)
+        value["mutated"] = True
+    elif isinstance(value, list):
+        for item in value:
+            mutate(item)
+        value.append("mutated")
+
+
+@pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
+def test_a_report_shares_no_inputs_or_details_with_the_next_run(scenario_id):
+    report = run_scenario(scenario_id)
+    expected = render_json(report.to_dict())
+    mutate(report.inputs)
+    mutate(report.details)
+    assert render_json(run_scenario(scenario_id).to_dict()) == expected

@@ -15,6 +15,7 @@ import pytest
 
 import finegames.equilibrium as equilibrium
 import finegames.fine as fine
+import finegames.games as games
 import finegames.measurement as measurement
 import finegames.qstates as qstates
 from finegames import (
@@ -30,9 +31,11 @@ from finegames import (
     NoJointError,
     NormalizationError,
     PayoffTable,
+    PdParams,
     ProductStateAngles,
     PureState,
     RangeError,
+    SCENARIO_IDS,
     ScenarioReport,
     ShapeError,
     StrategyTriple,
@@ -40,6 +43,7 @@ from finegames import (
     XiRule,
     bell_slack_values,
     bell_slacks,
+    coalition_analysis,
     convert_marginals,
     coop_game,
     extract_marginals,
@@ -51,6 +55,7 @@ from finegames import (
     pd3,
     product_state,
     reconstruct_joint,
+    run_scenario,
     state_density,
     verify_ne_factorizable,
     weights_from_marginals,
@@ -180,8 +185,10 @@ def test_trusted_states_and_marginals_equal_public_ones(seed):
             m = extract_marginals(rho, conv)
             assert_same(m, public_marginals(rho.diagonal(), conv))
             assert_same(bell_slacks(m), public_bell(m))
+            inversion = weights_from_marginals(m)
+            assert_same(inversion, WeightInversion(inversion.weights))
             other = PAR if conv is CONJ else CONJ
-            converted = marginal_values(weights_from_marginals(m).weights, other)
+            converted = marginal_values(inversion.weights, other)
             assert_same_outcome(
                 lambda: convert_marginals(m, other),
                 lambda: MarginalSet(m.lam, m.mu, m.nu, *converted[3:].tolist(), other),
@@ -267,8 +274,8 @@ def test_frechet_check_still_guards_library_built_sets():
 
 WATCHED = [(qstates, "validate_densities"), (np.linalg, "eigvalsh")] + [
     (cls, "__post_init__")
-    for cls in (DensityMatrix, MarginalSet, BellReport, JointDistribution,
-                StrategyTriple, NeCertificate)
+    for cls in (DensityMatrix, MarginalSet, BellReport, JointDistribution, WeightInversion,
+                StrategyTriple, NeCertificate, PayoffTable, PdParams, CoalitionReduction)
 ]
 
 
@@ -310,20 +317,40 @@ def run_state_pipeline(table, descriptors):
     return joint, m_par
 
 
-def test_pipeline_runs_no_second_check(check_calls):
-    table, blind = pd3(), blind_table(4)
+def test_pipeline_runs_no_second_check(request):
+    blind = blind_table(4)  # a public table: built before the counters start
+    check_calls = request.getfixturevalue("check_calls")
+    table = pd3()
     joint, m_par = run_state_pipeline(table, state_descriptors(5, per_kind=2))
     assert len(grid_ne_search(blind, 5)) == 125
     grid_ne_search(table, 11)
+    coalition_analysis(coop_game())
     assert check_calls == {}
     # The counters see every public constructor's checks.
     DensityMatrix(np.eye(8) / 8)
     MarginalSet(*m_par.values(), PAR)
     BellReport((0.0,) * 4, "n")
     JointDistribution(joint.prob)
+    WeightInversion(joint.prob)
     NeCertificate(StrategyTriple(0, 0, 0), (0.0,) * 3, True, "n")
+    PayoffTable(np.zeros((8, 3)))
+    PdParams(7.0, 9.0, 3.0, 0.0, 1.0, 5.0)
+    CoalitionReduction("A", np.zeros((4, 2)), (0, 1), 0.0, (0.5, 0.5), (0.5, 0.5))
     assert set(check_calls) == {f"{o.__name__}.{n}" for o, n in WATCHED}
     assert set(check_calls.values()) == {1}
+
+
+def test_default_reproduction_runs_no_table_check(request):
+    for scenario_id in SCENARIO_IDS:  # the first run of each parses its defaults
+        run_scenario(scenario_id)
+    check_calls = request.getfixturevalue("check_calls")
+    for scenario_id in SCENARIO_IDS:
+        run_scenario(scenario_id)
+    tables = ("PayoffTable.__post_init__", "PdParams.__post_init__")
+    assert [check_calls[key] for key in tables] == [0, 0]
+    # Supplied levels are parsed and checked; pd3 builds their table unchecked.
+    run_scenario("pd-product", {"pd_params": [7.0, 9.0, 3.0, 0.0, 1.0, 5.0]})
+    assert [check_calls[key] for key in tables] == [0, 1]
 
 
 # numpy's module-level wrappers: each costs a Python-level dispatch that
@@ -361,7 +388,7 @@ def trusted_objects(monkeypatch):
         built.append(obj)
         return obj
 
-    for module in (qstates, measurement, fine, equilibrium):
+    for module in (qstates, measurement, fine, games, equilibrium):
         monkeypatch.setattr(module, "_trusted", recording)
     return built
 
@@ -377,9 +404,10 @@ def outcome_of(op):
 def test_trusted_objects_behave_as_public_ones(trusted_objects):
     run_state_pipeline(pd3(), state_descriptors(5, per_kind=2))
     grid_ne_search(blind_table(4), 3)
+    coalition_analysis(coop_game())
     kinds = {type(obj) for obj in trusted_objects}
     assert kinds == {PureState, DensityMatrix, MarginalSet, BellReport, JointDistribution,
-                     NeCertificate, StrategyTriple}
+                     NeCertificate, StrategyTriple, PayoffTable, CoalitionReduction}
     for cls in kinds:
         # One __dict__.update stands for per-field setattr only without slots.
         assert not hasattr(cls, "__slots__")
@@ -470,6 +498,15 @@ CONSTRUCTOR_ERRORS = [
      "mixture weights must lie in [0, 1]"),
     (lambda: DiagonalMixedState(np.diag(_diag(0.5))), NormalizationError,
      "mixture weights sum to 0.5, not 1 within 1e-09"),
+    (lambda: WeightInversion(np.ones((1, 2))), ShapeError,
+     "weights must have shape (8,), got (1, 2)"),
+    (lambda: WeightInversion([0.5] * 7), ShapeError, "weights must have shape (8,), got (7,)"),
+    (lambda: WeightInversion([NAN] + [0.125] * 7), ShapeError,
+     "weights contains non-finite entries"),
+    (lambda: CoalitionReduction("A", np.zeros((2, 2)), (0, 1), 0.0, (1.0, 0.0), (1.0, 0.0)),
+     ShapeError, "full_matrix must be 4x2, got (2, 2)"),
+    (lambda: CoalitionReduction("A", np.full((4, 2), INF), (0, 1), 0.0, (1.0, 0.0), (1.0, 0.0)),
+     ShapeError, "full_matrix contains non-finite entries"),
 ]
 
 
