@@ -37,12 +37,20 @@ Parts:
                zeros of both signs, and normal draws), plus normal
                tables that are not zero-sum; zero_sum_2x2_value on
                every 2x2 matrix of -1, -0.0, 0.0 and 1 and on bad
-               matrices; values and errors recorded as in payoffs.
+               matrices; values and errors recorded as in payoffs;
+    screens    grid_ne_search at resolutions 2, 3, 11, 101 and 290 and
+               tolerances 0, 1e-9 and 1e-3 on seeded perturbed pd3
+               tables, seeded tables whose own slopes keep one sign
+               (magnitudes 1e-300 to 1e149), tables whose extreme slope
+               corners sit at the band's bound, a few ulps either side
+               of the corner margin and at the subnormal floor,
+               coop_game(), and an own-choice-blind table (at 2, 3 and
+               11 only); values and errors recorded as in payoffs.
 
 A dataclass is recorded by its fields and properties together, sorted
 by name, so a value that moves from a stored field to a derived
 property leaves the digest as it was. tests/test_corpus_digest.py pins
-the five part digests.
+the six part digests.
 
 Takes about 2.5 s on a 2-vCPU VM (Python 3.11, numpy 2.4).
 """
@@ -55,6 +63,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -66,6 +75,13 @@ from finegames.cli import main
 
 SCENARIO_DRAWS = 20
 PD_LEVELS = (7.0, 9.0, 3.0, 0.0, 1.0, 5.0)
+SCREEN_RESOLUTIONS = (2, 3, 11, 101, 290)
+SCREEN_TOLS = (0.0, 1e-9, 1e-3)
+EPS, TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
+# Player p's opponents q < r, and the rows of marginal_form_coefficients
+# that hold p's own-slope coefficients of 1, x_q, x_r and x_q x_r.
+OPPONENTS = ((1, 2), (0, 2), (0, 1))
+SLOPE_ROWS = ([4, 1, 3, 0], [5, 1, 2, 0], [6, 3, 2, 0])
 
 
 def both_formats(label: str, *argv: str):
@@ -312,13 +328,109 @@ def coalitions():
         yield call(fg.zero_sum_2x2_value, bad)
 
 
+def corner_table(corners) -> fg.PayoffTable:
+    """The table where player p gains corners[p][i][j] by cooperating
+    while its opponents q < r play i and j (1 cooperates) and gets 0 by
+    defecting: p's own slope takes those values at the four corners."""
+    rows = itertools.product((1, 0), repeat=3)
+    return fg.PayoffTable(np.array([
+        [b[p] * corners[p][b[q]][b[r]] for p, (q, r) in enumerate(OPPONENTS)] for b in rows
+    ], dtype=float))
+
+
+def band_bound(resolution: int, tol: float) -> float:
+    """The screen's slope band |g| <= 2 (n - 1) max(tol, tiny)."""
+    return 2.0 * (resolution - 1) * max(tol, TINY)
+
+
+def corner_margin(table, p: int, resolution: int, tol: float) -> float:
+    """bound + 16 eps sum|c| + 8 tiny over player p's slope coefficients
+    c: four corners past it on one side put no lattice slope of p in the
+    band."""
+    c = fg.marginal_form_coefficients(table)[SLOPE_ROWS[p], p].tolist()
+    return band_bound(resolution, tol) + 16.0 * EPS * sum(map(abs, c)) + 8.0 * TINY
+
+
+def ulps(x: float, k: int) -> float:
+    """x moved k floats up (down if k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def least_clearing(scale: float, p: int, resolution: int, tol: float) -> float:
+    """The least m past player p's corner margin when p's slope has the
+    corners m, m, m and m + scale."""
+    def margin(m):
+        return corner_margin(corner_table([[[m, m], [m, m + scale]]] * 3), p, resolution, tol)
+
+    m = margin(0.0)
+    while m <= margin(m):
+        m = ulps(m, 1)
+    while ulps(m, -1) > margin(ulps(m, -1)):
+        m = ulps(m, -1)
+    return m
+
+
+def margin_tables(resolution: int, tol: float):
+    """Tables whose players' least slope corners sit at the corner margin
+    and up to two floats either side of it; and tables where one player
+    sits at the band's bound or at the subnormal floor while the others
+    sit at the margin. Constant and bilinear slopes, player B's negated."""
+    for i, scales in enumerate(((0.0, 1e-300, 1e149), (1e-12, 1.0, 1e100))):
+        at = [least_clearing(s, p, resolution, tol) for p, s in enumerate(scales)]
+        places = [[ulps(m, k) for m in at] for k in (-2, -1, 0, 1)]
+        places.append(at[:i] + [band_bound(resolution, tol)] + at[i + 1:])
+        places.append(at[: i + 1] + [5e-324] + at[i + 2:])
+        for place in places:
+            yield corner_table([
+                [[sign * m, sign * m], [sign * m, sign * (m + s)]]
+                for m, s, sign in zip(place, scales, (1.0, -1.0, 1.0))
+            ])
+
+
+def screen_tables(rng) -> list:
+    """Perturbed pd3 tables; tables whose own slopes keep one sign, B's
+    and C's far from the band and A's at magnitudes from 1e-300 to 1e149;
+    coop_game()."""
+    tables = []
+    for _ in range(4):
+        levels = np.array(PD_LEVELS) + rng.uniform(-0.2, 0.2, 6)
+        tables.append(fg.pd3(fg.PdParams(*levels)))
+    for exponent in np.linspace(-300.0, 149.0, 8):
+        exponents = [exponent, *rng.uniform(1.0, 149.0, 2)]
+        scales = rng.choice([-1.0, 1.0], 3) * 10.0 ** np.array(exponents)
+        corners = scales[:, None, None] * rng.uniform(0.5, 1.0, (3, 2, 2))
+        tables.append(corner_table(corners.tolist()))
+    return tables + [fg.coop_game()]
+
+
+def lattice(table, resolution: int, tol: float) -> list:
+    return [plain(c) for c in fg.grid_ne_search(table, resolution, tol)]
+
+
+def screens():
+    rng = np.random.default_rng(20261024)
+    tables = screen_tables(rng)
+    blind = rng.normal(size=(2, 2, 2, 3))
+    for p in range(3):
+        blind[..., p] = np.take(blind[..., p], [0], axis=p)
+    blind = fg.PayoffTable(blind.reshape(8, 3))
+    for resolution in SCREEN_RESOLUTIONS:
+        for tol in SCREEN_TOLS:
+            cases = tables + list(margin_tables(resolution, tol))
+            cases += [blind] if resolution <= 61 else []
+            for k, table in enumerate(cases):
+                yield f"{k} {resolution} {tol!r}\n" + call(lattice, table, resolution, tol)
+
+
 def part_digests() -> dict[str, tuple[int, str]]:
     """Each part's number of records and SHA-256, in part order."""
     out = {}
     with tempfile.TemporaryDirectory() as workdir:
         parts = {
             "scenarios": scenarios(), "ne": ne(workdir), "payoffs": payoffs(), "states": states(),
-            "coalitions": coalitions(),
+            "coalitions": coalitions(), "screens": screens(),
         }
         for name, records in parts.items():
             digest, count = hashlib.sha256(), 0
