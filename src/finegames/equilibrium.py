@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,10 +21,12 @@ from .errors import (
 from .games import (
     PayoffTable,
     StrategyTriple,
+    _PLAYER,
     _Q,
     _R,
     _REST,
     _SLOPE,
+    _bilinear,
     _slope_plane,
     _slopes,
     coop_game,
@@ -42,14 +45,16 @@ DEFAULT_RESOLUTION = 11
 # is resolution^3 bytes when every player's slope band has a point: a
 # search at 290 then peaks at 56 MB ru_maxrss (30 MB of it the import)
 # and takes about 21 ms on coop_game and 0.2 s where a band covers the
-# plane. On pd3, whose bands are empty, the cube is 2x2x2: 1.6 ms and
-# 33 MB (2-vCPU VM, numpy 2.4).
+# plane. On pd3, whose slope corners all clear the bands, the screen
+# builds no slope plane and a 2x2x2 cube: 0.19 ms, and no peak above
+# the 30 MB of the import (2-vCPU VM, numpy 2.4).
 MAX_RESOLUTION = 290
 # Most screen hits a search certifies. Each hit becomes a certificate: an
 # own-choice-blind table makes 226,981 at resolution 61, in 0.6 s and at
 # 288 MB ru_maxrss, 35 MB of it the import; `ne` renders them as 80 MB
 # of JSON in 2.3 s at 484 MB ru_maxrss (2-vCPU VM, numpy 2.4).
 _MAX_LATTICE_HITS = 250_000
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 # An equilibrium's note, indexed by its payoff-neutral players as the
@@ -141,7 +146,7 @@ def grid_ne_search(
         raise ShapeError("resolution must be at least 2 to include both endpoints")
     if resolution > MAX_RESOLUTION:
         raise ShapeError(f"resolution must be at most {MAX_RESOLUTION}")
-    grid = np.linspace(0.0, 1.0, resolution)
+    grid = _lattice_grid(resolution)
     coeffs = table._polynomial
     screen, axes = _lattice_screen(coeffs, grid, tol)
     count = int(np.count_nonzero(screen))
@@ -157,6 +162,12 @@ def grid_ne_search(
     return _endpoint_audit(coeffs, points, tol)
 
 
+@lru_cache(maxsize=MAX_RESOLUTION)
+def _lattice_grid(resolution: int) -> np.ndarray:
+    """The read-only uniform lattice of [0, 1] at resolution points."""
+    return _freeze(np.linspace(0.0, 1.0, resolution))
+
+
 def _slice_passes(x: float, g: np.ndarray, tol: float) -> np.ndarray:
     """Where a player at own value x with slopes g gains at most tol
     from either endpoint: the gains _endpoint_audit takes."""
@@ -169,37 +180,65 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
     Player p's slope g does not depend on x_p, so one plane of slopes
     over the opponents' values serves every slice of p's axis. An
     interior x lies at least 1/(n - 1) from both endpoints, so it can
-    pass only inside the band |g| <= 2 (n - 1) max(tol, tiny): the
-    factor 2 covers rounding, and the floor keeps subnormal slopes,
+    pass only inside the band |g| <= bound = 2 (n - 1) max(tol, tiny):
+    the factor 2 covers rounding, and the floor keeps subnormal slopes,
     whose products can round to 0. A player with an empty band keeps
     only the axis values 0 and 1, so the cube is n^3 only when every
-    band has a point. Each plane is read at the opponents' axis values;
-    the endpoint slices take all of it. Interior slices are cleared
-    outside the band, then tested in one call per block of 2^16 // n^2
-    rows (at least one, to bound the temporaries) between the block's
-    first and last band columns. From n = 257 on a block is one row,
-    whose band is one run (g is affine along it), so the test covers
-    exactly the band. Each point takes the gains as _endpoint_audit
-    does, so the cube is the full lattice's screen read at the axes,
-    and the full screen fails off them.
+    band has a point.
+
+    A band is first decided from its plane's four corners. The slope
+    g = c0 + c1 x_q + c2 x_r + c3 x_q x_r is bilinear, so on [0, 1]^2
+    it lies between its least and greatest corner. Let S = sum |c| and
+    u = eps / 2; to first order in u, _bilinear rounds a lattice value
+    at most 5 times, so it is within 5u S of the exact value at that
+    point, plus 2^-1074 per underflowing product, and a float corner,
+    whose products by 0 and 1 are exact, is within 3u S of the exact
+    corner. Take limit = bound + 16 eps S + 8 tiny. If all four float
+    corners exceed it, every lattice value exceeds
+    limit - 8u S - 4 * 2^-1074, and that exceeds bound by at least
+    21u S + 7 tiny after limit's own rounding, which is at most 3u limit
+    with limit < (1 + 3u) S. The same holds below -limit.
+    Such a band is empty, so its plane is never built: the player's
+    slopes are evaluated only at the axis values the cube reads, with
+    the plane's bits, since _slope_plane is elementwise. Any other
+    player's plane is built and its band read from it.
+
+    The endpoint slices take the whole of a player's slopes. Interior
+    slices are cleared outside the band, then tested in one call per
+    block of 2^16 // n^2 rows (at least one, to bound the temporaries)
+    between the block's first and last band columns. From n = 257 on a
+    block is one row, whose band is one run (g is affine along it), so
+    the test covers exactly the band. Each point takes the gains as
+    _endpoint_audit does, so the cube is the full lattice's screen read
+    at the axes, and the full screen fails off them.
     """
     n = grid.size
-    bound = 2.0 * (n - 1) * max(tol, np.finfo(float).tiny)
-    planes = [_slope_plane(coeffs, p, grid[:, None], grid[None, :]) for p in range(3)]
-    bands = [np.abs(g) <= bound for g in planes]
-    whole = [band.any() for band in bands]
+    bound = 2.0 * (n - 1) * max(tol, _TINY)
+    planes, bands = [None] * 3, [None] * 3
+    for p, c in enumerate(coeffs[_SLOPE, _PLAYER].T.tolist()):
+        corners = [_bilinear(c, xq, xr) for xq in (0.0, 1.0) for xr in (0.0, 1.0)]
+        limit = bound + 16.0 * _EPS * sum(map(abs, c)) + 8.0 * _TINY
+        if min(corners) > limit or max(corners) < -limit:
+            continue
+        planes[p] = _slope_plane(coeffs, p, grid[:, None], grid[None, :])
+        bands[p] = np.abs(planes[p]) <= bound
+    whole = [band is not None and band.any() for band in bands]
     axes = [slice(None) if w else slice(None, None, n - 1) for w in whole]
     values = [grid[axis] for axis in axes]
     mask = np.ones([v.size for v in values], dtype=bool)
     inner, step = grid[1:-1, None, None], max(1, 2**16 // n**2)
     for p in range(3):
         q, r = _Q[p], _R[p]
-        g, band = planes[p][axes[q], axes[r]], bands[p][axes[q], axes[r]]
+        if planes[p] is None:
+            g = _slope_plane(coeffs, p, values[q][:, None], values[r][None, :])
+        else:
+            g = planes[p][axes[q], axes[r]]
         slices = mask.transpose(p, q, r)
         for i in (0, -1):
             slices[i] &= _slice_passes(grid[i], g, tol)
         if not whole[p]:
             continue
+        band = bands[p][axes[q], axes[r]]
         slices[1:-1] &= band
         for row in range(0, band.shape[0], step):
             rows = slice(row, row + step)

@@ -40,7 +40,7 @@ from finegames import (
 import finegames.equilibrium as equilibrium
 from finegames.cli import main as cli_main
 from finegames.equilibrium import DEFAULT_NE_TOL, MAX_RESOLUTION, _lattice_screen
-from finegames.games import MAX_PAYOFF, _slope_plane, _slopes
+from finegames.games import MAX_PAYOFF, _SLOPE, _slope_plane, _slopes
 from oracles import (
     LITERAL,
     endpoint_certificates,
@@ -195,15 +195,81 @@ def own_slope_table(slopes) -> PayoffTable:
     return PayoffTable(cooperates * np.asarray(slopes, dtype=float))
 
 
+def corner_table(corners) -> PayoffTable:
+    """Player p earns corners[p][i][j] by cooperating while its opponents
+    q < r play i and j (1 cooperates), and 0 by defecting, so p's slope
+    plane takes those values at its corners."""
+    opponents = ((1, 2), (0, 2), (0, 1))
+    return PayoffTable(np.array([
+        [b[p] * corners[p][b[q]][b[r]] for p, (q, r) in enumerate(opponents)]
+        for b in itertools.product((1, 0), repeat=3)
+    ], dtype=float))
+
+
+def corner_margin(table, p, resolution, tol) -> float:
+    """The band's bound plus 16 eps sum|c| + 8 tiny over player p's slope
+    coefficients c: slope corners past it, all on one side, leave p's
+    band without a lattice point."""
+    tiny = float(np.finfo(float).tiny)
+    c = table._polynomial[_SLOPE[:, p], p].tolist()
+    bound = 2.0 * (resolution - 1) * max(tol, tiny)
+    return bound + 16.0 * float(np.finfo(float).eps) * sum(map(abs, c)) + 8.0 * tiny
+
+
+def ulps(x, k):
+    """x moved k floats up (down if k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def least_clearing(scale, p, resolution, tol) -> float:
+    """The least m past player p's corner margin when p's slope plane
+    has the corners m, m, m and m + scale."""
+    def margin(m):
+        table = corner_table([[[m, m], [m, m + scale]]] * 3)
+        return corner_margin(table, p, resolution, tol)
+
+    m = margin(0.0)
+    while m <= margin(m):
+        m = ulps(m, 1)
+    while ulps(m, -1) > margin(ulps(m, -1)):
+        m = ulps(m, -1)
+    return m
+
+
+def margin_tables(resolution, tol):
+    """Tables whose players' least slope corners sit two floats below to
+    one float above the least that clears the corner margin, and tables
+    with one player's at the band's bound or the subnormal floor and
+    the others' at that least value. Constant and bilinear slopes of
+    magnitudes 1e-300 to 1e149; B's slopes are negated."""
+    bound = 2.0 * (resolution - 1) * max(tol, np.finfo(float).tiny)
+    for i, scales in enumerate(((0.0, 1e-300, 1e149), (1e-12, 1.0, 1e100))):
+        at = [least_clearing(s, p, resolution, tol) for p, s in enumerate(scales)]
+        places = [[ulps(m, k) for m in at] for k in (-2, -1, 0, 1)]
+        places.append(at[:i] + [bound] + at[i + 1:])
+        places.append(at[: i + 1] + [5e-324] + at[i + 2:])
+        for place in places:
+            yield corner_table([
+                [[sign * m, sign * m], [sign * m, sign * (m + s)]]
+                for m, s, sign in zip(place, scales, (1.0, -1.0, 1.0))
+            ])
+
+
 def screen_tables(rng, tol, resolution):
     """Seeded tables for the screen property: a perturbed dilemma, a
     normal table, a small-integer table full of ties, an own-choice-
     blind table, a scaled odd-man-out game (each slope vanishes along a
     line of the plane, so the band is a thin strip), a tiny-payoff
-    table (band over the whole plane at most tolerances), and constant
+    table (band over the whole plane at most tolerances), constant
     slopes at the band's edge: one float past (n - 1) tol, where
     rounding still lets interior points pass at resolutions 11 and 61,
-    exactly at 2 (n - 1) tol, and subnormal."""
+    exactly at 2 (n - 1) tol, and subnormal; the margin tables, whose
+    slope corners sit either side of the corner margin; and a slope
+    whose four corners are positive while rounding takes some of its
+    lattice values to exactly 0, at every resolution here but 2 (a
+    corner rule without its margin would drop those points)."""
     levels = np.array(DEFAULT_PD_PARAMS.as_tuple())
     yield pd3(PdParams(*(levels + rng.uniform(-0.2, 0.2, 6))))
     yield PayoffTable(rng.normal(size=(8, 3)))
@@ -216,6 +282,9 @@ def screen_tables(rng, tol, resolution):
     yield own_slope_table((past, -past, np.nextafter(past, np.inf)))
     yield own_slope_table((2.0 * edge, -2.0 * edge, -edge))
     yield own_slope_table((5e-324, -1e-310, np.finfo(float).tiny))
+    yield from margin_tables(resolution, tol)
+    flat = [[0.0, 0.0], [0.0, 0.0]]
+    yield corner_table([[[1.516, 1.348], [2.0**-52, 2.0**-52]], flat, flat])
 
 
 def expand_screen(screen, grid) -> np.ndarray:
@@ -244,7 +313,7 @@ def test_lattice_screen_matches_reference_bit_for_bit():
                 want = reference_lattice_screen(coeffs, grid, tol)
                 assert np.array_equal(got, want), (resolution, tol, table.entries)
                 cases += 1
-    assert cases == 9 * len(SCREEN_TOLS) * len(SCREEN_RESOLUTIONS)
+    assert cases == 22 * len(SCREEN_TOLS) * len(SCREEN_RESOLUTIONS)
 
 
 def test_lattice_screen_memory_peak_within_reference():
@@ -291,8 +360,9 @@ def test_screen_axes_keep_only_the_endpoints_of_an_empty_band():
 
 
 def test_screen_of_empty_bands_builds_no_full_cube():
-    # The dilemma's bands are all empty, so at MAX_RESOLUTION the screen
-    # holds three slope planes and a 2x2x2 cube, far below one n^3 cube.
+    # The dilemma's slope corners all clear the band, so at MAX_RESOLUTION
+    # the screen builds no slope plane and a 2x2x2 cube: it peaks below
+    # one float64 n^2 plane.
     coeffs = pd3()._polynomial
     grid = np.linspace(0.0, 1.0, MAX_RESOLUTION)
     tracemalloc.start()
@@ -302,7 +372,51 @@ def test_screen_of_empty_bands_builds_no_full_cube():
     finally:
         tracemalloc.stop()
     assert cube.shape == (2, 2, 2)
-    assert peak < MAX_RESOLUTION**3 / 4
+    assert peak < MAX_RESOLUTION**2 * 8
+
+
+def test_slopes_of_a_cleared_player_are_read_only_on_its_axes(monkeypatch):
+    # A player whose four slope corners clear the band gets no slope
+    # plane: its slopes are evaluated only where the cube reads them.
+    # All of pd3's players clear. With constant slopes (0, -1, 1), A has
+    # a band and B and C clear; with (0, 0, -1), C clears but both of
+    # its opponents' axes are whole. Each odd-man-out slope changes
+    # sign, so every player there builds its plane.
+    calls = []
+    plane = equilibrium._slope_plane
+
+    def recorded(coeffs, p, xq, xr):
+        g = plane(coeffs, p, xq, xr)
+        calls.append((p, g.shape))
+        return g
+
+    monkeypatch.setattr(equilibrium, "_slope_plane", recorded)
+    n = 61
+    grid = np.linspace(0.0, 1.0, n)
+    cases = (
+        (pd3(), [(0, (2, 2)), (1, (2, 2)), (2, (2, 2))]),
+        (own_slope_table((0.0, -1.0, 1.0)), [(0, (n, n)), (1, (n, 2)), (2, (n, 2))]),
+        (own_slope_table((0.0, 0.0, -1.0)), [(0, (n, n)), (1, (n, n)), (2, (n, n))]),
+        (coop_game(), [(0, (n, n)), (1, (n, n)), (2, (n, n))]),
+    )
+    for table, want in cases:
+        calls.clear()
+        coeffs = table._polynomial
+        got = expand_screen(_lattice_screen(coeffs, grid, DEFAULT_NE_TOL), grid)
+        assert calls == want
+        assert np.array_equal(got, reference_lattice_screen(coeffs, grid, DEFAULT_NE_TOL))
+    calls.clear()
+    found = grid_ne_search(pd3(), MAX_RESOLUTION)
+    assert [c.triple.as_tuple() for c in found] == [(0.0, 0.0, 0.0)]
+    assert calls == [(0, (2, 2)), (1, (2, 2)), (2, (2, 2))]
+
+
+def test_lattice_grid_is_built_once_per_resolution_and_read_only():
+    grid = equilibrium._lattice_grid(11)
+    assert grid is equilibrium._lattice_grid(11)
+    assert not grid.flags.writeable
+    assert np.array_equal(grid, np.linspace(0.0, 1.0, 11))
+    assert equilibrium._lattice_grid.cache_info().maxsize == MAX_RESOLUTION
 
 
 def test_grid_search_reads_hits_from_the_flat_cube(monkeypatch):

@@ -322,11 +322,11 @@ def test_weight_scan_grid_bound():
 
 
 def test_lattice_resolution_bound(monkeypatch):
-    # The real screen runs at the largest resolution. pd3's slope bands
-    # are empty, so it screens a 2x2x2 cube in about 1.5 ms; only the
-    # odd-man-out game, whose slopes vanish along lines, builds the
-    # 24 MB 290^3 cube, in about 20 ms. The wrapper records that the
-    # bound let each search in.
+    # The real screen runs at the largest resolution. pd3's slope corners
+    # all clear the bands, so it screens a 2x2x2 cube without building a
+    # slope plane, in about 0.2 ms; only the odd-man-out game, whose
+    # slopes vanish along lines, builds the 24 MB 290^3 cube, in about
+    # 20 ms. The wrapper records that the bound let each search in.
     seen = []
     screen = equilibrium._lattice_screen
 
