@@ -126,10 +126,17 @@ def _endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> list[NeCer
     ]
 
 
+def _require_tol(tol: float):
+    """Refuse a NaN tol, against which every gain would fail."""
+    if math.isnan(tol):
+        raise RangeError("tol must not be NaN", "tol")
+
+
 def verify_ne_factorizable(
     table: PayoffTable, s: StrategyTriple, tol: float = DEFAULT_NE_TOL
 ) -> NeCertificate:
     """Check a strategy triple for Nash equilibrium by endpoint audit."""
+    _require_tol(tol)
     return _endpoint_audit(table._polynomial, np.array([s.as_tuple()]), tol)[0]
 
 
@@ -142,6 +149,7 @@ def grid_ne_search(
     values that can pass, and certifies every hit in one batched audit.
     Results are sorted lexicographically by (lam, mu, nu).
     """
+    _require_tol(tol)
     if resolution < 2:
         raise ShapeError("resolution must be at least 2 to include both endpoints")
     if resolution > MAX_RESOLUTION:
@@ -425,15 +433,6 @@ def _eliminate_weakly_dominated_rows(rows: list[list[float]]) -> list[int]:
             return keep
 
 
-# Per odd player, the table rows of its 4x2 coalition matrix: rows are
-# the members' joint choices in C order, columns the odd player's.
-_COALITION_ROWS = (
-    ((0, 4), (1, 5), (2, 6), (3, 7)),  # A odd: rows (B, C)
-    ((0, 2), (1, 3), (4, 6), (5, 7)),  # B odd: rows (A, C)
-    ((0, 1), (2, 3), (4, 5), (6, 7)),  # C odd: rows (A, B)
-)
-
-
 def coalition_reduction(table: PayoffTable, odd_player: str) -> CoalitionReduction:
     """Solve two players pooled against the third as a zero-sum game.
 
@@ -448,7 +447,9 @@ def coalition_reduction(table: PayoffTable, odd_player: str) -> CoalitionReducti
     i, j = (p for p in range(3) if p != odd)
     # a + b keeps -0.0, sum() does not.
     pooled = [row[i] + row[j] for row in table.entries.tolist()]
-    full = [[pooled[k] for k in ks] for ks in _COALITION_ROWS[odd]]
+    # The members' choices in C order: the outcomes with the odd player's bit clear.
+    bit = 4 >> odd
+    full = [[pooled[k], pooled[k | bit]] for k in range(8) if not k & bit]
     kept = _eliminate_weakly_dominated_rows(full)
     if len(kept) != 2:
         raise ShapeError(

@@ -29,7 +29,7 @@ from .measurement import (
     _marginal_set,
     marginal_values,
 )
-from .qstates import _freeze, _trusted
+from .qstates import BASIS_LABELS, _freeze, _trusted
 
 __all__ = [
     "BellReport", "JointDistribution", "OUTCOME_LABELS", "XiInterval", "XiRule",
@@ -37,18 +37,9 @@ __all__ = [
     "xi_interval",
 ]
 
-# Outcome order of joint distributions, aligned with the basis order of
-# qstates: index bits (a, b, c), bit 0 = outcome +1.
-OUTCOME_LABELS = (
-    "(+,+,+)",
-    "(+,+,-)",
-    "(+,-,+)",
-    "(+,-,-)",
-    "(-,+,+)",
-    "(-,+,-)",
-    "(-,-,+)",
-    "(-,-,-)",
-)
+# Outcome order of joint distributions, the basis order of qstates:
+# index bits (a, b, c), bit 0 = outcome +1.
+OUTCOME_LABELS = tuple("(%s)" % ",".join("+-"[int(b)] for b in bits) for bits in BASIS_LABELS)
 
 
 @dataclass(frozen=True)

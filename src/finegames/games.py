@@ -15,13 +15,15 @@ Payoffs come in three equivalent forms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DilemmaViolation, RangeError, ShapeError, clamp_unit
 from .fine import JointDistribution
-from .measurement import MOBIUS, MarginalConvention, MarginalSet, _apply, convert_marginals
+from .measurement import MARGINAL_FIELDS, MOBIUS, MarginalConvention, MarginalSet, _apply
+from .measurement import convert_marginals
 from .qstates import _freeze, _trusted
 
 __all__ = [
@@ -51,8 +53,9 @@ _VIEW = np.array([
     [0, 1, 2, 4, 3, 6, 5, 7],  # C: q, r = A, B
 ]).T
 _REST, _SLOPE = np.ascontiguousarray(_VIEW[:4]), np.ascontiguousarray(_VIEW[4:])
-# The polynomial's rows in MARGINAL_COEFF_ORDER.
-_MARGINAL_ROWS = np.array([7, 4, 5, 6, 1, 2, 3, 0])
+# The polynomial's rows in MARGINAL_COEFF_ORDER: under independence,
+# row k's monomial equals the k-th value of ("const", *MARGINAL_FIELDS).
+_MARGINAL_ROWS = np.array([("const", *MARGINAL_FIELDS).index(n) for n in MARGINAL_COEFF_ORDER])
 
 
 @dataclass(frozen=True)
@@ -60,12 +63,6 @@ class PayoffTable:
     """Payoff entries, shape (8, 3): outcome row, player column."""
 
     entries: np.ndarray
-    # Coefficients of the factorizable payoffs, shape (8, 3), computed
-    # once and read-only like the entries. Row m multiplies the m-th
-    # monomial of (1, lam, mu, nu, lam mu, mu nu, lam nu, lam mu nu);
-    # columns are players. Outcome weights are MOBIUS @ (1, lam, ..., xi),
-    # so the payoffs weights @ t have the coefficients MOBIUS.T @ t.
-    _polynomial: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.array(self.entries, dtype=np.float64)
@@ -75,13 +72,15 @@ class PayoffTable:
             raise ShapeError("payoff table contains non-finite entries")
         if np.max(np.abs(entries)) > MAX_PAYOFF:
             raise RangeError(_TOO_LARGE)
-        self.__dict__.update(_table_fields(entries))
+        object.__setattr__(self, "entries", _freeze(entries))
 
-
-def _table_fields(entries: np.ndarray) -> dict:
-    """The stored fields of a table of checked float64 (8, 3) entries,
-    both arrays read-only (see _trusted for the update that stores them)."""
-    return {"entries": _freeze(entries), "_polynomial": _freeze(_apply(MOBIUS.T, entries.T).T)}
+    @cached_property
+    def _polynomial(self) -> np.ndarray:
+        """Coefficients of the factorizable payoffs, shape (8, 3), read-only
+        and computed on the first read. Row m multiplies the m-th monomial of
+        (1, lam, mu, nu, lam mu, mu nu, lam nu, lam mu nu). Outcome weights
+        are MOBIUS @ (1, lam, ..., xi), so weights @ t has coefficients MOBIUS.T @ t."""
+        return _freeze(_apply(MOBIUS.T, self.entries.T).T)
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def pd3(params: PdParams = DEFAULT_PD_PARAMS) -> PayoffTable:
         ],
         dtype=np.float64,
     )
-    return _trusted(PayoffTable, **_table_fields(entries))
+    return _trusted(PayoffTable, entries=_freeze(entries))
 
 
 # coop_game's table, built once: a table is frozen and its arrays are

@@ -3,8 +3,8 @@
 Every numeric value in a report re-derives from the library modules at
 run time. Each scenario is one spec: its params in echo order, each
 with a default and a parser, and a body that holds only the analysis.
-Reference rows (expected vs computed) attach only when the inputs echo
-equals the echo of the defaults, and paper_deviation is then set
+Reference rows (expected vs computed) attach only when the parsed inputs
+equal the parsed defaults, and paper_deviation is then set
 exactly when a computed value contradicts a reference claim.
 """
 
@@ -596,19 +596,13 @@ def _defaults(scenario_id: str) -> dict:
     return _parse(SCENARIOS[scenario_id].params, {})
 
 
-@lru_cache(maxsize=None)
-def _default_echo(scenario_id: str) -> dict:
-    """The inputs echo of a scenario's defaults; callers only compare it."""
-    return to_wire(_defaults(scenario_id))
-
-
 def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport:
     """Execute one registered scenario and return its report.
 
     params is a dict or None, as the CLI's --params is a JSON object;
     any other value raises ParamError. Reference rows and
-    paper_deviation stay only when the inputs echo equals, exactly, the
-    echo of the scenario's defaults.
+    paper_deviation stay only when the parsed inputs equal, exactly, the
+    scenario's parsed defaults.
     """
     try:
         spec = SCENARIOS[scenario_id]
@@ -628,7 +622,7 @@ def run_scenario(scenario_id: str, params: dict | None = None) -> ScenarioReport
     report.scenario_id = scenario_id
     report.inputs = to_wire(parsed)
     report.details = to_wire(report.details)
-    if report.inputs == _default_echo(scenario_id):
+    if parsed == _defaults(scenario_id):
         entries = [(name, float(e), float(c)) for name, e, c in report.reference]
         report.reference = [
             {"quantity": name, "expected": e, "computed": c, "abs_delta": abs(e - c)}

@@ -22,6 +22,7 @@ from finegames import (
     RangeError,
     ShapeError,
     StrategyTriple,
+    basis_bit,
     coalition_analysis,
     coalition_reduction,
     coop_best_response_solve,
@@ -757,6 +758,27 @@ def test_verify_matches_outcome_form_oracle(rng):
         assert cert.player_slack == pytest.approx(slacks[0], abs=1e-14)
 
 
+def test_a_nan_tolerance_is_refused_before_any_screening(monkeypatch):
+    # Every gain compared with NaN fails: the search would return no
+    # point and the audit would fail all-defect, "gaining 0 by moving to 0".
+    monkeypatch.setattr(equilibrium, "_lattice_screen", None)
+    monkeypatch.setattr(equilibrium, "_endpoint_audit", None)
+    calls = (
+        lambda: grid_ne_search(pd3(), 11, math.nan),
+        lambda: verify_ne_factorizable(pd3(), StrategyTriple(0.0, 0.0, 0.0), math.nan),
+    )
+    for call in calls:
+        with pytest.raises(RangeError, match="^tol must not be NaN$") as info:
+            call()
+        assert info.value.field == "tol"
+    monkeypatch.undo()
+    # An infinite, zero or negative tolerance is still taken as given.
+    assert len(grid_ne_search(pd3(), 3, math.inf)) == 27
+    assert [c.triple.as_tuple() for c in grid_ne_search(pd3(), 11, 0.0)] == [(0.0, 0.0, 0.0)]
+    assert grid_ne_search(pd3(), 11, -1e-9) == []
+    assert verify_ne_factorizable(pd3(), StrategyTriple(0.0, 0.0, 0.0), 1e-9).is_ne
+
+
 def test_grid_requires_two_points():
     with pytest.raises(ShapeError):
         grid_ne_search(pd3(), 1)
@@ -953,6 +975,34 @@ def test_coalition_reduction_matches_reference(rng):
             assert math.copysign(1.0, got.value) == math.copysign(1.0, want["value"])
             solved += 1
     assert solved >= 400 and raised >= 400
+
+
+def test_coalition_matrix_reads_the_outcomes_by_their_basis_bits(rng):
+    # Row 2 s + t holds the members' choices (s, t) in player order,
+    # column o the odd player's; each entry pools the members' payoffs
+    # at the outcome whose basis bits are those choices.
+    checked = 0
+    for table in zero_sum_tables(rng):
+        entries = table.entries.tolist()
+        for odd in PLAYERS:
+            try:
+                got = coalition_reduction(table, odd).full_matrix
+            except ShapeError:
+                continue
+            first, second = (p for p in PLAYERS if p != odd)
+            i, j = PLAYERS.index(first), PLAYERS.index(second)
+            outcome = {
+                (basis_bit(k, first), basis_bit(k, second), basis_bit(k, odd)): k
+                for k in range(8)
+            }
+            want = [
+                [entries[outcome[s, t, o]][i] + entries[outcome[s, t, o]][j] for o in (0, 1)]
+                for s in (0, 1)
+                for t in (0, 1)
+            ]
+            assert repr(got.tolist()) == repr(want), (odd, entries)
+            checked += 1
+    assert checked >= 400
 
 
 def test_elimination_removes_the_first_dominated_row_first(rng):

@@ -13,6 +13,8 @@ from finegames import (
     MarginalConvention,
     MarginalSet,
     NoJointError,
+    OUTCOME_LABELS,
+    PLAYERS,
     RangeError,
     ShapeError,
     XiRule,
@@ -25,6 +27,7 @@ from finegames import (
     weights_from_marginals,
     xi_interval,
     StrategyTriple,
+    basis_bit,
     WeightInversion,
     SCENARIO_IDS,
 )
@@ -43,6 +46,12 @@ GHZ_PARITY = MarginalSet(
 GHZ_CONJUNCTION = MarginalSet(
     0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, MarginalConvention.CONJUNCTION
 )
+
+
+def test_outcome_labels_spell_the_basis_bits():
+    assert len(OUTCOME_LABELS) == 8
+    for i, label in enumerate(OUTCOME_LABELS):
+        assert label == "(" + ",".join("+-"[basis_bit(i, p)] for p in PLAYERS) + ")"
 
 
 def test_ghz_parity_slacks_exact():

@@ -1,5 +1,7 @@
 """Payoff tables and the three payoff forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from finegames import (
     density_from_pure,
     extract_marginals,
     ghz,
+    load_game,
     marginal_form_coefficients,
     marginal_values,
     marginals_from_joint,
@@ -213,6 +216,32 @@ def test_polynomial_is_stored_once_read_only(entries, rng, monkeypatch):
     assert calls == []
     for got, want in zip(values, expected):
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_table_stores_its_entries_alone():
+    assert [f.name for f in dataclasses.fields(PayoffTable)] == ["entries"]
+
+
+def test_polynomial_is_derived_from_the_entries_on_the_first_read_only():
+    rows = (np.arange(24.0).reshape(8, 3) - 11.0) / 7.0
+    tables = [
+        PayoffTable(rows),
+        pd3(),
+        pd3(PdParams(8.0, 10.0, 3.5, -1.0, 1.5, 6.0)),
+        coop_game(),
+        load_game({"kind": "pd3"}),
+        load_game({"kind": "pd3", "params": [8, 10, 3.5, -1, 1.5, 6]}),
+        load_game({"kind": "coop"}),
+        load_game({"kind": "custom", "rows": rows.tolist()}),
+    ]
+    for table in tables:
+        first = table._polynomial
+        assert table._polynomial is first
+        fresh = _apply(MOBIUS.T, table.entries.T).T
+        assert first.shape == fresh.shape and first.tobytes() == fresh.tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table._polynomial = fresh
+        assert table._polynomial is first
 
 
 def test_slopes_and_factorizable_payoffs_match_the_joint_evaluator_bit_for_bit():

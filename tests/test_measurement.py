@@ -15,6 +15,7 @@ from finegames import (
     RangeError,
     ShapeError,
     basis_bit,
+    bell_slacks,
     convert_marginals,
     density_from_pure,
     extract_marginals,
@@ -22,11 +23,13 @@ from finegames import (
     marginal_values,
     marginals_from_joint,
     pair_povm,
+    reconstruct_joint,
     single_povm,
     strategy_marginals,
     triple_povm,
     validate_densities,
     weights_from_marginals,
+    xi_interval,
     JointDistribution,
     StrategyTriple,
 )
@@ -372,3 +375,47 @@ def test_marginal_values_sum_in_place(convention):
     new, new_peak = _traced(lambda: marginal_values(diagonals, convention))
     assert np.array_equal(new.view(np.int64), old.view(np.int64))
     assert new_peak <= 0.75 * old_peak
+
+
+@pytest.fixture(scope="module")
+def seeded_densities() -> list[DensityMatrix]:
+    """2,000 densities G G^+ / tr(G G^+), G complex normal of shape
+    (8, r), with the rank r cycling through 1-8 (seed 3)."""
+    rng = np.random.default_rng(3)
+    densities = []
+    for i in range(2000):
+        g = rng.normal(size=(8, 1 + i % 8)) + 1j * rng.normal(size=(8, 1 + i % 8))
+        rho = g @ g.conj().T
+        rho = (rho + rho.conj().T) / 2.0
+        densities.append(DensityMatrix(rho / rho.trace().real))
+    return densities
+
+
+def test_seeded_densities_cover_every_rank(seeded_densities):
+    ranks = [np.linalg.matrix_rank(rho.matrix, tol=1e-9) for rho in seeded_densities[:8]]
+    assert ranks == list(range(1, 9))
+
+
+def test_every_read_sees_only_the_diagonal(seeded_densities):
+    # Every POVM element is diagonal, so a density and its dephased copy
+    # diag(diag(rho)) give equal marginals under both reads.
+    for rho in seeded_densities:
+        dephased = DensityMatrix(np.diag(rho.matrix.diagonal()))
+        for convention in CONVENTIONS:
+            assert extract_marginals(rho, convention) == extract_marginals(dephased, convention)
+
+
+def test_the_conjunction_read_always_has_a_joint(seeded_densities):
+    # The conjunction read is the Born distribution diag(rho), so all
+    # three existence tests pass; the parity read fails Fine on most.
+    smallest, parity_fails = math.inf, 0
+    for rho in seeded_densities:
+        m = extract_marginals(rho, MarginalConvention.CONJUNCTION)
+        report = bell_slacks(m)
+        assert report.satisfied and not xi_interval(m).is_empty
+        reconstruct_joint(m)
+        smallest = min(smallest, *report.slack)
+        parity = extract_marginals(rho, MarginalConvention.PARITY)
+        parity_fails += not bell_slacks(parity).satisfied
+    assert 0.0068 < smallest < 0.0069
+    assert parity_fails == 1893

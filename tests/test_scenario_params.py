@@ -412,15 +412,15 @@ def test_default_spellings_keep_reference_rows(scenario_id, params):
 
 
 @pytest.mark.parametrize("scenario_id", SCENARIO_IDS)
-def test_default_echo_is_computed_once_and_carries_nothing_between_calls(scenario_id):
-    scenarios._default_echo.cache_clear()
+def test_defaults_are_parsed_once_and_carry_nothing_between_calls(scenario_id):
+    scenarios._defaults.cache_clear()
     name = ACCEPTED_PARAMS[scenario_id][0]
     moved = run_scenario(scenario_id, {name: OFF_DEFAULT[name]})
     assert moved.reference == [] and moved.paper_deviation is None
     default = run_scenario(scenario_id)
     spelled = run_scenario(scenario_id, json.loads(json.dumps(default.inputs)))
     assert default.reference and spelled.to_dict() == default.to_dict()
-    assert scenarios._default_echo.cache_info().misses == 1
+    assert scenarios._defaults.cache_info().misses == 1
 
 
 def readme_accepted_params() -> dict[str, list[str]]:
