@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import DilemmaViolation, RangeError, ShapeError, clamp_unit
 from .fine import JointDistribution
-from .measurement import MARGINAL_FIELDS, MOBIUS, MarginalConvention, MarginalSet, _apply
-from .measurement import convert_marginals
-from .qstates import _freeze, _trusted
+from .measurement import MARGINAL_FIELDS, MOBIUS, MarginalConvention, MarginalSet, _SUBSETS
+from .measurement import _apply, convert_marginals
+from .qstates import PLAYERS, _freeze, _trusted, basis_bit
 
 __all__ = [
     "DEFAULT_PD_PARAMS", "MARGINAL_COEFF_ORDER", "PayoffTable", "PdParams", "StrategyTriple",
@@ -42,20 +42,30 @@ MARGINAL_COEFF_ORDER = ("xi", "p_ab", "p_bc", "p_ac", "lam", "mu", "nu", "const"
 
 # Player p's view of the payoff polynomial, with opponents q = _Q[p] <
 # r = _R[p]: p's payoff is REST + x_p * SLOPE, each bilinear in (x_q, x_r).
-# Column p lists the polynomial rows of REST's monomials (1, x_q, x_r,
-# x_q x_r), then of SLOPE's (x_p, x_p x_q, x_p x_r, x_p x_q x_r).
-# coeffs[_REST, _PLAYER] and coeffs[_SLOPE, _PLAYER] read every player's
-# column at once, coeffs[_SLOPE[:, p], p] player p's alone.
-_Q, _R, _PLAYER = np.array([1, 0, 0]), np.array([2, 2, 1]), np.arange(3)
-_VIEW = np.array([
-    [0, 2, 3, 5, 1, 4, 6, 7],  # A: q, r = B, C
-    [0, 1, 3, 6, 2, 4, 5, 7],  # B: q, r = A, C
-    [0, 1, 2, 4, 3, 6, 5, 7],  # C: q, r = A, B
-]).T
+# Column p lists the polynomial rows (in _SUBSETS order) of REST's
+# monomials (1, x_q, x_r, x_q x_r), then of SLOPE's (x_p, x_p x_q,
+# x_p x_r, x_p x_q x_r). coeffs[_REST, _PLAYER] and coeffs[_SLOPE, _PLAYER]
+# read every player's column at once, coeffs[_SLOPE[:, p], p] player p's alone.
+_PLAYER = np.arange(3)
+_Q, _R = np.array([[q for q in range(3) if q != p] for p in range(3)]).T
+_VIEW = np.array([[
+    _SUBSETS.index("".join(PLAYERS[i] for i in sorted(own + rest)))
+    for own in ((), (p,)) for rest in ((), (q,), (r,), (q, r))
+] for p, q, r in zip(range(3), _Q, _R)]).T
 _REST, _SLOPE = np.ascontiguousarray(_VIEW[:4]), np.ascontiguousarray(_VIEW[4:])
 # The polynomial's rows in MARGINAL_COEFF_ORDER: under independence,
 # row k's monomial equals the k-th value of ("const", *MARGINAL_FIELDS).
 _MARGINAL_ROWS = np.array([("const", *MARGINAL_FIELDS).index(n) for n in MARGINAL_COEFF_ORDER])
+
+# The symmetric layout of pd3 and coop_game: a player's payoff depends on
+# its own choice and on how many opponents defect. Entry (k, p) is the
+# position, in PdParams.as_tuple() order, of the level paying player p at
+# outcome k: _LEVEL[own bit][defecting opponents].
+_LEVEL = ((0, 2, 3), (1, 5, 4))
+_SYMMETRIC = np.array([
+    [_LEVEL[bits[p]][sum(bits) - bits[p]] for p in range(3)]
+    for bits in ([basis_bit(k, player) for player in PLAYERS] for k in range(8))
+])
 
 
 @dataclass(frozen=True)
@@ -177,39 +187,13 @@ def pd3(params: PdParams = DEFAULT_PD_PARAMS) -> PayoffTable:
     Its entries are the six levels, which PdParams has checked: finite
     and within MAX_PAYOFF, so the table skips PayoffTable's checks.
     """
-    ac, ld, dc, lc, ad, dd = params.as_tuple()
-    entries = np.array(
-        [
-            [ac, ac, ac],
-            [dc, dc, ld],
-            [dc, ld, dc],
-            [lc, dd, dd],
-            [ld, dc, dc],
-            [dd, lc, dd],
-            [dd, dd, lc],
-            [ad, ad, ad],
-        ],
-        dtype=np.float64,
-    )
+    entries = np.array(params.as_tuple(), dtype=np.float64)[_SYMMETRIC]
     return _trusted(PayoffTable, entries=_freeze(entries))
 
 
-# coop_game's table, built once: a table is frozen and its arrays are
-# read-only, so every caller can share it.
-_COOP_GAME = PayoffTable(
-    np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [1.0, 1.0, -2.0],
-            [1.0, -2.0, 1.0],
-            [-2.0, 1.0, 1.0],
-            [-2.0, 1.0, 1.0],
-            [1.0, -2.0, 1.0],
-            [1.0, 1.0, -2.0],
-            [0.0, 0.0, 0.0],
-        ]
-    )
-)
+# coop_game's table, built once from its levels: a table is frozen and
+# its arrays are read-only, so every caller can share it.
+_COOP_GAME = PayoffTable(np.array([0.0, -2.0, 1.0, -2.0, 0.0, 1.0])[_SYMMETRIC])
 
 
 def coop_game() -> PayoffTable:

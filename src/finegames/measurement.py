@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 MARGINAL_FIELDS = ("lam", "mu", "nu", "p_ab", "p_bc", "p_ac", "xi")
+# The lattice's monomial order (1, *MARGINAL_FIELDS), by player subset:
+# MOBIUS's columns and each player's view of a payoff (games._VIEW).
+_SUBSETS = ("", "A", "B", "C", "AB", "BC", "AC", "ABC")
 
 PAIR_LABELS = ("AB", "BC", "AC")
 
@@ -47,11 +50,12 @@ class MarginalConvention(enum.Enum):
 # The outcome lattice. Each map is a Kronecker product over players A,
 # B, C of one 2x2 block indexed by (outcome bit, subset bit), outcome bit
 # 0 read as +1 (the qstates basis order); the subset columns are then put
-# in the order (), A, B, C, AB, BC, AC, ABC of (1, lam, mu, nu, p_ab,
-# p_bc, p_ac, xi). Adding 0.0 turns the blocks' -0.0 products into 0.0.
+# in _SUBSETS order, subset s at its outcome bits, 4 >> p per player p.
+# Adding 0.0 turns the blocks' -0.0 products into 0.0.
 def _over_players(block: list[list[float]]) -> np.ndarray:
     b = np.array(block)
-    return np.take(np.kron(np.kron(b, b), b), [0, 4, 2, 1, 6, 3, 5, 7], axis=1) + 0.0
+    columns = [sum(4 >> PLAYERS.index(p) for p in s) for s in _SUBSETS]
+    return np.take(np.kron(np.kron(b, b), b), columns, axis=1) + 0.0
 
 
 # Outcome weights -> conjunction values (1, lam, ..., xi): row s marks

@@ -17,7 +17,9 @@ tested on the whole plane, the reference audit is the endpoint audit
 as first batched, one loop building each row's gains and certificate,
 the reference coalition reduction is the
 pooled matrix, its row elimination and the 2x2 solve as first
-written, the reference best response reads the
+written, the 4x2 zero-sum value is the minimum over the odd player's
+mix of the rows' upper envelope instead of row elimination and a 2x2
+solve, the reference best response reads the
 odd-man-out game's coefficients by marginal name, the reference sum is
 marginal_values' trace sum as first written, the reference weight
 scan is ghz-bell's scan as one (grid, 8) batch of diagonals instead of
@@ -432,8 +434,8 @@ def reference_eliminate_weakly_dominated_rows(mat: np.ndarray) -> list[int]:
     return keep
 
 
-def reference_coalition_reduction(entries: np.ndarray, odd_player: str) -> dict:
-    """The fields of coalition_reduction(PayoffTable(entries), odd_player)."""
+def reference_coalition_matrix(entries: np.ndarray, odd_player: str) -> np.ndarray:
+    """The pooled 4x2 matrix of coalition_reduction's full_matrix."""
     members = tuple(p for p in PLAYERS if p != odd_player)
     rows = []
     for s1 in (0, 1):
@@ -448,7 +450,13 @@ def reference_coalition_reduction(entries: np.ndarray, odd_player: str) -> dict:
                     + float(pay[PLAYERS.index(members[1])])
                 )
             rows.append(row)
-    full = np.array(rows)
+    return np.array(rows)
+
+
+def reference_coalition_reduction(entries: np.ndarray, odd_player: str) -> dict:
+    """The fields of coalition_reduction(PayoffTable(entries), odd_player)."""
+    members = tuple(p for p in PLAYERS if p != odd_player)
+    full = reference_coalition_matrix(entries, odd_player)
     kept = reference_eliminate_weakly_dominated_rows(full)
     if len(kept) != 2:
         raise ShapeError(
@@ -465,6 +473,24 @@ def reference_coalition_reduction(entries: np.ndarray, odd_player: str) -> dict:
         "member_mix": member_mix,
         "odd_mix": odd_mix,
     }
+
+
+def zero_sum_4x2_value(matrix) -> float:
+    """Value of a 4x2 zero-sum game, rows maximizing, from the column
+    player's side: the minimum over its mix q (the weight of column 0)
+    of the rows' upper envelope max_r q m[r, 0] + (1 - q) m[r, 1]. The
+    envelope is convex and piecewise linear, so its minimum sits at
+    q = 0, at q = 1 or where two rows cross inside [0, 1]. No row is
+    eliminated and no 2x2 core is solved."""
+    rows = np.asarray(matrix, dtype=np.float64).tolist()
+    if len(rows) != 4 or any(len(row) != 2 for row in rows):
+        raise ShapeError(f"matrix must be 4x2, got {np.shape(matrix)}")
+    mixes = [0.0, 1.0]
+    for (a, b), (c, d) in combinations(rows, 2):
+        slope = (a - b) - (c - d)
+        if slope != 0.0 and 0.0 <= (d - b) / slope <= 1.0:
+            mixes.append((d - b) / slope)
+    return min(max(q * a + (1.0 - q) * b for a, b in rows) for q in mixes)
 
 
 # Reference best response: coop_best_response_solve as it was when it

@@ -46,12 +46,14 @@ from oracles import (
     LITERAL,
     endpoint_certificates,
     lattice_screen,
+    reference_coalition_matrix,
     reference_coalition_reduction,
     reference_coop_best_response_solve,
     reference_eliminate_weakly_dominated_rows,
     reference_endpoint_audit,
     reference_lattice_screen,
     reference_zero_sum_2x2_value,
+    zero_sum_4x2_value,
 )
 
 probability = st.floats(0.0, 1.0)
@@ -956,12 +958,16 @@ def test_coalition_reduction_matches_reference(rng):
     solved = raised = 0
     for table in zero_sum_tables(rng):
         for odd in PLAYERS:
+            full = reference_coalition_matrix(table.entries, odd)
+            value = zero_sum_4x2_value(full)
             try:
                 want = reference_coalition_reduction(table.entries, odd)
             except ShapeError as err:
                 with pytest.raises(ShapeError) as info:
                     coalition_reduction(table, odd)
                 assert str(info.value) == str(err)
+                # Every 4x2 game has a value, the reduction's refusal aside.
+                assert math.isfinite(value), full
                 raised += 1
                 continue
             got = coalition_reduction(table, odd)
@@ -973,8 +979,13 @@ def test_coalition_reduction_matches_reference(rng):
             for name in ("kept_rows", "value", "member_mix", "odd_mix"):
                 assert getattr(got, name) == want[name], (name, table.entries)
             assert math.copysign(1.0, got.value) == math.copysign(1.0, want["value"])
+            scale = max(1.0, float(np.abs(full).max()))
+            assert abs(got.value - value) <= 1e-12 * scale, (value, table.entries)
             solved += 1
-    assert solved >= 400 and raised >= 400
+    # The 490 pins a known defect: each of those pairs has the finite
+    # value the oracle finds, yet coalition_reduction raises on it. A
+    # reduction that solves every 4x2 game drives the count to 0.
+    assert (solved, raised) == (416, 490)
 
 
 def test_coalition_matrix_reads_the_outcomes_by_their_basis_bits(rng):

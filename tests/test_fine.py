@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -369,6 +370,12 @@ def _default_conjunction_sets():
     ]
 
 
+@lru_cache(maxsize=None)
+def _replay_floor_sets() -> tuple[MarginalSet, ...]:
+    """floor_sets(seed=11, count=2000), built once for the tests that read it."""
+    return tuple(floor_sets(seed=11, count=2000))
+
+
 # Rounding band of the reconstruction verdicts. A term is seven float
 # additions of partial sums within 4 in size, so it lies within 28 ulps
 # (2^-53 each) of its exact value; a window end takes at most six
@@ -380,7 +387,7 @@ def _default_conjunction_sets():
 ULP = Fraction(2) ** -53
 REPLAY_BAND = 32 * ULP
 REPLAY_SOURCES = {
-    "floor_sets": (lambda: floor_sets(seed=11, count=2000), (923, 105, 11, 452, 28)),
+    "floor_sets": (_replay_floor_sets, (923, 105, 11, 452, 28)),
     "term_floor_sets": (lambda: term_floor_sets(seed=12, count=2000), (663, 224, 18, 0, 0)),
     "default_scenarios": (_default_conjunction_sets, (4, 0, 0, 0, 0)),
 }
@@ -415,6 +422,25 @@ def test_reconstruction_verdicts_match_the_exact_sign(source):
         seen["sets"] += 1
     counts = ("sets", "terms in band", "terms wrong", "windows in band", "windows wrong")
     assert tuple(seen[k] for k in counts) == pinned
+
+
+def test_floor_verdicts_contradict_on_pinned_counts():
+    # Pins of two known defects. Each verdict holds its own sums to the
+    # -SLACK_TOL floor: the four slacks, the xi window's width and the
+    # eight terms at the given xi. At the floor they disagree, the window
+    # against the slacks on 36 sets, and on 256 sets the GIVEN rule builds
+    # a joint the slacks refuse. Verdicts that agree drive both to 0.
+    sets = _replay_floor_sets()
+    window = given = 0
+    for m in sets:
+        satisfied = bell_slacks(m).satisfied
+        window += satisfied == xi_interval(m).is_empty
+        try:
+            reconstruct_joint(m, XiRule.GIVEN)
+        except NoJointError:
+            continue
+        given += not satisfied
+    assert (len(sets), window, given) == (923, 36, 256)
 
 
 def _default_parity_sets():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from finegames import (
     DEFAULT_PD_PARAMS,
+    PLAYERS,
     DilemmaViolation,
     JointDistribution,
     MARGINAL_COEFF_ORDER,
@@ -19,6 +20,7 @@ from finegames import (
     RangeError,
     ShapeError,
     StrategyTriple,
+    basis_bit,
     coop_game,
     density_from_pure,
     extract_marginals,
@@ -35,7 +37,7 @@ from finegames import (
 )
 import finegames.games as games
 from finegames.games import MAX_PAYOFF
-from finegames.measurement import MOBIUS, _apply
+from finegames.measurement import MARGINAL_FIELDS, MOBIUS, _apply
 from oracles import LITERAL, _polynomial_values, pd_payoffs_from_pure_state, strategy_weights
 from conftest import random_conjunction_set, random_joint, random_pure_state
 
@@ -52,6 +54,30 @@ def test_default_pd_levels():
     assert table.entries[3].tolist() == [0.0, 5.0, 5.0]
 
 
+# The level PdParams' docstring names for a player's situation, by its
+# own basis bit and the number of defectors at the outcome.
+SITUATION_LEVEL = {
+    (0, 0): "all_cooperate", (1, 1): "lone_defector", (0, 1): "duo_cooperator",
+    (0, 2): "lone_cooperator", (1, 2): "duo_defector", (1, 3): "all_defect",
+}
+
+
+def test_pd3_pays_each_player_the_level_of_its_situation(rng):
+    # Affine images of jittered defaults keep every dilemma inequality.
+    draws = [DEFAULT_PD_PARAMS]
+    for _ in range(20):
+        levels = np.array(DEFAULT_PD_PARAMS.as_tuple()) + rng.uniform(-0.2, 0.2, size=6)
+        draws.append(PdParams(*(rng.uniform(0.1, 10.0) * levels + rng.uniform(-10.0, 10.0))))
+    for params in draws:
+        assert len(set(params.as_tuple())) == 6
+        entries = pd3(params).entries.tolist()
+        for k in range(8):
+            defectors = sum(basis_bit(k, p) for p in PLAYERS)
+            for i, player in enumerate(PLAYERS):
+                name = SITUATION_LEVEL[basis_bit(k, player), defectors]
+                assert entries[k][i] == getattr(params, name), (k, player, params)
+
+
 def test_dilemma_conditions_are_enforced():
     with pytest.raises(DilemmaViolation, match="lone_defector > all_cooperate"):
         PdParams(9.0, 7.0, 3.0, 0.0, 1.0, 5.0)
@@ -65,6 +91,11 @@ def test_coop_game_rows_are_zero_sum():
     assert table.entries[0].tolist() == [0.0, 0.0, 0.0]
     assert table.entries[1].tolist() == [1.0, 1.0, -2.0]
     assert table.entries[4].tolist() == [-2.0, 1.0, 1.0]
+    for k in range(8):
+        bits = [basis_bit(k, p) for p in PLAYERS]
+        for i, bit in enumerate(bits):
+            want = 0.0 if len(set(bits)) == 1 else -2.0 if bits.count(bit) == 1 else 1.0
+            assert table.entries[k][i] == want, (k, i)
 
 
 def test_coop_game_is_built_once_and_tables_are_read_only():
@@ -73,6 +104,23 @@ def test_coop_game_is_built_once_and_tables_are_read_only():
         for array in (table.entries, table._polynomial):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1.0
+
+
+def test_player_views_follow_the_monomial_exponents():
+    # Each monomial as its 0/1 exponents of (x_A, x_B, x_C), enumerated
+    # from the names of ("const", *MARGINAL_FIELDS): lam, mu, nu are the
+    # singles, p_xy the pair x, y and xi the triple.
+    letters = {"const": "", "lam": "a", "mu": "b", "nu": "c", "xi": "abc"}
+    exponents = [
+        tuple(int(c in letters.get(name, name[2:])) for c in "abc")
+        for name in ("const", *MARGINAL_FIELDS)
+    ]
+    for p in range(3):
+        q, r = (i for i in range(3) if i != p)
+        assert (games._Q[p], games._R[p]) == (q, r)
+        monomials = [own + rest for own in ((), (p,)) for rest in ((), (q,), (r,), (q, r))]
+        want = [exponents.index(tuple(int(i in m) for i in range(3))) for m in monomials]
+        assert games._VIEW[:, p].tolist() == want
 
 
 def test_payoff_table_rejects_bad_shapes():

@@ -34,7 +34,7 @@ from finegames import (
     StrategyTriple,
 )
 from finegames.measurement import (
-    _CONJ_SIGNED, _INCIDENCE, MOBIUS, WALSH, ZETA, PovmElement, _apply, _signed,
+    _CONJ_SIGNED, _INCIDENCE, _SUBSETS, MOBIUS, WALSH, ZETA, PovmElement, _apply, _signed,
 )
 from oracles import pure_state_marginals, reference_marginal_sums, strategy_weights
 from conftest import random_conjunction_set, random_joint, random_pure_state
@@ -103,6 +103,12 @@ def test_lattice_matrices_are_exact_inverses():
     for matrix in (ZETA, MOBIUS, WALSH):
         assert not matrix.flags.writeable
     assert WALSH.flags.c_contiguous
+
+
+def test_zeta_rows_mark_their_subsets_cooperating():
+    for s, subset in enumerate(_SUBSETS):
+        want = [float(all(basis_bit(k, p) == 0 for p in subset)) for k in range(8)]
+        assert ZETA[s].tolist() == want, subset
 
 
 def test_incidence_rows_are_lattice_rows():
