@@ -33,7 +33,7 @@ from .equilibrium import (
     verify_ne_factorizable,
 )
 from .errors import FinegamesError, ParamError
-from .fine import NoJointError, XiRule, bell_slacks, reconstruct_joint, xi_interval
+from .fine import XiRule, _joint_or_terms, bell_slacks, xi_interval
 from .games import StrategyTriple
 from .measurement import MarginalConvention, extract_marginals, weights_from_marginals
 from .scenarios import SCENARIO_IDS, run_scenario
@@ -129,10 +129,7 @@ def cmd_fine(args: argparse.Namespace) -> int:
         "bell": bell_slacks(m),
         "xi_interval": xi_interval(m) if m.convention is MarginalConvention.CONJUNCTION else None,
     }
-    try:
-        joint, violated = reconstruct_joint(m, XiRule(args.xi)), []
-    except NoJointError as err:
-        joint, violated = None, list(err.violated_terms)
+    joint, violated = _joint_or_terms(m, XiRule(args.xi))
     payload.update(joint=joint, violated_terms=violated, exists=joint is not None)
     _emit(payload, args, "joint existence")
     return 0 if joint is not None else 1

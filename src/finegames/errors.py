@@ -87,15 +87,11 @@ class UnknownScenarioError(FinegamesError, KeyError):
 
 
 class NoJointError(FinegamesError):
-    """No joint distribution reproduces the supplied marginals.
+    """No joint distribution reproduces the supplied marginals; carries
+    only the indices of the violated distribution terms."""
 
-    Carries the indices of the violated distribution terms and the
-    Bell-inequality report evaluated on the same marginal set.
-    """
-
-    def __init__(self, violated_terms, bell_report):
+    def __init__(self, violated_terms):
         self.violated_terms = tuple(violated_terms)
-        self.bell_report = bell_report
         super().__init__(
             "no joint distribution exists: terms %s negative" % (list(self.violated_terms),)
         )

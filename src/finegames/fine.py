@@ -190,11 +190,10 @@ def reconstruct_joint(
 
     With XiRule.GIVEN the supplied triple value is used; MIDPOINT and
     LOWER replace it by the midpoint or lower end of the admissible
-    interval. Raises NoJointError (carrying the violated term indices
-    and the Bell report) when the implied terms go negative, or when
-    the interval is empty under the interval rules. Values are read
-    literally in the conjunction sense whatever the tag, mirroring
-    bell_slacks.
+    interval. Raises NoJointError (carrying the violated term indices)
+    when the implied terms go negative, or when the interval is empty
+    under the interval rules. Values are read literally in the
+    conjunction sense whatever the tag, mirroring bell_slacks.
     """
     xi, empty = m.xi, False
     if rule is not XiRule.GIVEN:
@@ -209,7 +208,7 @@ def reconstruct_joint(
     low = min(listed)
     if not holds(low) or empty:
         violated = tuple(i for i, t in enumerate(listed) if not holds(t))
-        raise NoJointError(violated, bell_slacks(m))
+        raise NoJointError(violated)
     clipped = np.maximum(terms, 0.0)
     if low < 0.0:
         # Zeroing terms within the floor adds their size to the total.
@@ -217,6 +216,15 @@ def reconstruct_joint(
     # Finite, non-negative, and summing to 1 to rounding: the terms'
     # MOBIUS column sums are (1, 0, ..., 0), and a rescale restores it.
     return _trusted(JointDistribution, prob=_freeze(clipped))
+
+
+def _joint_or_terms(m: MarginalSet, rule: XiRule) -> tuple[JointDistribution | None, list]:
+    """The joint reconstruct_joint builds and no terms, or None and the
+    terms it found violated: the one reader of a failed reconstruction."""
+    try:
+        return reconstruct_joint(m, rule), []
+    except NoJointError as err:
+        return None, list(err.violated_terms)
 
 
 def marginals_from_joint(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -81,6 +80,14 @@ for _matrix in (ZETA, MOBIUS, WALSH, _CONJ_SIGNED, *_INCIDENCE.values()):
     _matrix.flags.writeable = False
 
 
+def _incidence(convention: MarginalConvention) -> np.ndarray:
+    """_INCIDENCE's rows of a convention; ShapeError for any other value."""
+    try:
+        return _INCIDENCE[convention]
+    except (KeyError, TypeError):  # TypeError: unhashable, as a list is
+        raise ShapeError("convention must be a MarginalConvention") from None
+
+
 def _apply(matrix: np.ndarray, x) -> np.ndarray:
     """`matrix @ v` for every (8,) vector v of a (..., 8) batch.
 
@@ -122,8 +129,7 @@ class MarginalSet:
     convention: MarginalConvention
 
     def __post_init__(self):
-        if not isinstance(self.convention, MarginalConvention):
-            raise ShapeError("convention must be a MarginalConvention")
+        _incidence(self.convention)  # ShapeError unless a MarginalConvention
         for name in MARGINAL_FIELDS:
             value = float(getattr(self, name))
             if not np.isfinite(value):
@@ -183,11 +189,10 @@ class PovmElement:
 
 
 def _projector_pair(row: int, convention: MarginalConvention) -> tuple:
-    hit = _INCIDENCE[convention][row]
+    hit = _incidence(convention)[row]
     return PovmElement(np.diag(hit)), PovmElement(np.diag(1.0 - hit))
 
 
-@lru_cache(maxsize=None)
 def single_povm(player: str) -> tuple[PovmElement, PovmElement]:
     """Projectors onto outcome +1 and -1 of one player's observable."""
     if player not in PLAYERS:
@@ -195,7 +200,6 @@ def single_povm(player: str) -> tuple[PovmElement, PovmElement]:
     return _projector_pair(PLAYERS.index(player), MarginalConvention.CONJUNCTION)
 
 
-@lru_cache(maxsize=None)
 def pair_povm(
     pair: str, convention: MarginalConvention
 ) -> tuple[PovmElement, PovmElement]:
@@ -209,7 +213,6 @@ def pair_povm(
     return _projector_pair(3 + PAIR_LABELS.index(pair), convention)
 
 
-@lru_cache(maxsize=None)
 def triple_povm(convention: MarginalConvention) -> tuple[PovmElement, PovmElement]:
     """Projector pair for the three-player event and its complement.
 
@@ -233,7 +236,7 @@ def marginal_values(diagonals, convention: MarginalConvention) -> np.ndarray:
     d = np.asarray(diagonals, dtype=np.float64)
     if d.shape[-1:] != (8,):
         raise ShapeError(f"diagonals must have shape (..., 8), got {d.shape}")
-    s = d[..., None, :] * _INCIDENCE[convention]
+    s = d[..., None, :] * _incidence(convention)
     t = s[..., :4]
     t += s[..., 4:]
     values = t[..., 0] + t[..., 1]

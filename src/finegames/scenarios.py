@@ -31,11 +31,10 @@ from .equilibrium import (
 from .errors import NORMALIZATION_TOL, REFERENCE_TOL, ParamError, UnknownScenarioError, holds
 from .fine import (
     BellReport,
-    NoJointError,
     XiRule,
+    _joint_or_terms,
     bell_slack_values,
     bell_slacks,
-    reconstruct_joint,
     xi_interval,
 )
 from .games import (
@@ -195,16 +194,6 @@ def _pd_classical(pd_params: PdParams, resolution: int, tol: float) -> ScenarioR
     )
 
 
-def _joint_or_terms(m: MarginalSet, out: dict, joint_key: str, terms_key: str):
-    """Store the GIVEN-rule joint under joint_key, or None and the
-    violated terms under terms_key."""
-    try:
-        out[joint_key] = reconstruct_joint(m, XiRule.GIVEN)
-    except NoJointError as err:
-        out[joint_key] = None
-        out[terms_key] = list(err.violated_terms)
-
-
 def _pd_ghz(a: complex, b: complex, pd_params: PdParams) -> ScenarioReport:
     table = pd3(pd_params)
     state = _checked(ghz, "params", a, b)
@@ -219,8 +208,13 @@ def _pd_ghz(a: complex, b: complex, pd_params: PdParams) -> ScenarioReport:
         "xi_interval": xi_interval(m_conj),
     }
     details: dict = {"conjunction_reading": conj}
-    _joint_or_terms(m_parity, details, "parity_as_literal_joint", "parity_violated_terms")
-    _joint_or_terms(m_conj, conj, "joint", "violated_terms")
+    for m, out, key, terms_key in (
+        (m_parity, details, "parity_as_literal_joint", "parity_violated_terms"),
+        (m_conj, conj, "joint", "violated_terms"),
+    ):
+        out[key], terms = _joint_or_terms(m, XiRule.GIVEN)
+        if out[key] is None:
+            out[terms_key] = terms
     return ScenarioReport(
         marginals={"parity": m_parity, "conjunction": m_conj},
         payoffs=payoffs,
@@ -491,6 +485,7 @@ def _coop_quantum(
     if amplitudes is not None:
         state = _checked(PureState, path, np.array(amplitudes))
         q = state.probabilities()
+        q1, u, v = float(q[0]), float(q[3]), float(q[1])  # pattern reads the state
         for s0, s1, s2 in (_PD_SUPPORT, _W_SUPPORT):
             if max(abs(q[s0] - q[s1]), abs(q[s0] - q[s2])) > NORMALIZATION_TOL:
                 trio = ", ".join(f"|c{i + 1}|^2" for i in (s0, s1, s2))

@@ -19,7 +19,9 @@ the reference coalition reduction is the
 pooled matrix, its row elimination and the 2x2 solve as first
 written, the 4x2 zero-sum value is the minimum over the odd player's
 mix of the rows' upper envelope instead of row elimination and a 2x2
-solve, the reference best response reads the
+solve, the exact equilibrium points are a support enumeration in
+closed form over the table's entries instead of a lattice screen of
+the payoff polynomial, the reference best response reads the
 odd-man-out game's coefficients by marginal name, the reference sum is
 marginal_values' trace sum as first written, the reference weight
 scan is ghz-bell's scan as one (grid, 8) batch of diagonals instead of
@@ -30,7 +32,7 @@ isinstance chain per node.
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -45,9 +47,10 @@ from finegames import (
     bell_slack_values,
     marginal_form_coefficients,
     marginal_values,
+    verify_ne_factorizable,
 )
 from finegames.equilibrium import _EQUILIBRIUM_NOTES, NeCertificate, _smallest_root
-from finegames.errors import holds
+from finegames.errors import DEFAULT_NE_TOL, holds
 from finegames.games import _Q, _R, _VIEW, _bilinear
 from finegames.measurement import MOBIUS
 from finegames.qstates import _trusted
@@ -491,6 +494,65 @@ def zero_sum_4x2_value(matrix) -> float:
         if slope != 0.0 and 0.0 <= (d - b) / slope <= 1.0:
             mixes.append((d - b) / slope)
     return min(max(q * a + (1.0 - q) * b for a, b in rows) for q in mixes)
+
+
+def exact_ne_points(table: PayoffTable) -> list[tuple[float, float, float]]:
+    """The isolated equilibria of a table, by support enumeration in
+    closed form over its entries.
+
+    Player p's slope, cooperating minus defecting, is bilinear in its
+    opponents' probabilities (x_q, x_r in player order): its differences
+    at the four opponent outcomes expand to a + b x_q + c x_r + d x_q x_r.
+    The candidates are the 8 pure points; each player held at 0 or 1 with
+    the other two mixed, where each mixed slope is affine in the other
+    mixed probability, so two linear equations; and all three mixed,
+    where the slopes of A and B give x_B and x_A as ratios in x_C and
+    the slope of C, times both denominators, is a quadratic in x_C. A
+    vanishing divisor is a degenerate support and gives no point. Each
+    candidate in [0, 1]^3 that verify_ne_factorizable certifies is kept,
+    in sorted order.
+    """
+    opponents = [tuple(q for q in range(3) if q != p) for p in range(3)]
+    entries = np.asarray(table.entries).reshape(2, 2, 2, 3)
+    slope = []
+    for p in range(3):
+        own = np.moveaxis(entries[..., p], p, 0)  # (own bit, q bit, r bit)
+        (d00, d01), (d10, d11) = (own[0] - own[1]).tolist()
+        slope.append((d11, d01 - d11, d10 - d11, d00 - d01 - d10 + d11))
+
+    def affine(p, held, h):
+        """p's slope with player `held` at h: (constant, coefficient of
+        the other opponent's probability)."""
+        a, b, c, d = slope[p]
+        return (a + b * h, c + d * h) if opponents[p][0] == held else (a + c * h, b + d * h)
+
+    candidates = [list(x) for x in product((0.0, 1.0), repeat=3)]
+    for held in range(3):
+        m1, m2 = opponents[held]
+        for h in (0.0, 1.0):
+            (k1, l1), (k2, l2) = affine(m1, held, h), affine(m2, held, h)
+            if l1 != 0.0 and l2 != 0.0:
+                x = [h] * 3
+                x[m2], x[m1] = -k1 / l1, -k2 / l2
+                candidates.append(x)
+    (aa, ba, ca, da), (ab, bb, cb, db), (ac, bc, cc, dc) = slope
+    # x_A = -(ab + cb z) / (bb + db z) and x_B = -(aa + ca z) / (ba + da z),
+    # each as (numerator, denominator) coefficients, lowest power first.
+    num_a, den_a = np.array([ab, cb]), np.array([bb, db])
+    num_b, den_b = np.array([aa, ca]), np.array([ba, da])
+    quadratic = (
+        ac * np.convolve(den_a, den_b) - bc * np.convolve(num_a, den_b)
+        - cc * np.convolve(num_b, den_a) + dc * np.convolve(num_a, num_b)
+    )
+    for root in np.roots(quadratic[::-1]):
+        z = float(root.real)
+        if abs(root.imag) < 1e-9 and bb + db * z != 0.0 and ba + da * z != 0.0:
+            candidates.append([-(ab + cb * z) / (bb + db * z), -(aa + ca * z) / (ba + da * z), z])
+    return sorted({
+        tuple(x) for x in candidates
+        if min(x) >= 0.0 and max(x) <= 1.0
+        and verify_ne_factorizable(table, StrategyTriple(*x), DEFAULT_NE_TOL).is_ne
+    })
 
 
 # Reference best response: coop_best_response_solve as it was when it

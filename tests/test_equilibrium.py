@@ -45,6 +45,7 @@ from finegames.games import MAX_PAYOFF, _SLOPE, _slope_plane, _slopes
 from oracles import (
     LITERAL,
     endpoint_certificates,
+    exact_ne_points,
     lattice_screen,
     reference_coalition_matrix,
     reference_coalition_reduction,
@@ -779,6 +780,25 @@ def test_a_nan_tolerance_is_refused_before_any_screening(monkeypatch):
     assert [c.triple.as_tuple() for c in grid_ne_search(pd3(), 11, 0.0)] == [(0.0, 0.0, 0.0)]
     assert grid_ne_search(pd3(), 11, -1e-9) == []
     assert verify_ne_factorizable(pd3(), StrategyTriple(0.0, 0.0, 0.0), 1e-9).is_ne
+
+
+def test_exact_oracle_finds_an_equilibrium_where_the_lattice_misses():
+    # A pin of a known defect: on 101 of these 500 tables the lattice at
+    # resolution 61 finds nothing, though every finite game has an
+    # equilibrium. The closed-form oracle certifies at least one point
+    # on each, and at most 2 totally mixed ones, the bound for generic
+    # 2x2x2 games (McKelvey and McLennan, J. Econ. Theory 72, 1997).
+    assert exact_ne_points(pd3()) == [(0.0, 0.0, 0.0)]
+    assert exact_ne_points(coop_game()) == [(0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]
+    rng = np.random.default_rng(7)
+    lattice_empty = 0
+    for _ in range(500):
+        table = PayoffTable(rng.normal(size=(8, 3)))
+        points = exact_ne_points(table)
+        assert points
+        assert sum(0.0 < min(x) and max(x) < 1.0 for x in points) <= 2
+        lattice_empty += not grid_ne_search(table, 61)
+    assert lattice_empty == 101
 
 
 def test_grid_requires_two_points():

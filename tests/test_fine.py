@@ -33,7 +33,7 @@ from finegames import (
     SCENARIO_IDS,
 )
 from finegames.errors import SLACK_TOL, holds
-from finegames.fine import _condition_terms, _slack_terms, _xi_bounds
+from finegames.fine import _condition_terms, _joint_or_terms, _slack_terms, _xi_bounds
 from finegames.measurement import _INCIDENCE, MARGINAL_FIELDS, MOBIUS, WALSH, ZETA
 from finegames.qstates import _trusted
 from oracles import (
@@ -139,7 +139,7 @@ def test_literal_reading_of_parity_values_fails():
         reconstruct_joint(GHZ_PARITY, XiRule.GIVEN)
     err = exc_info.value
     assert err.violated_terms == (3, 5, 6)
-    assert not err.bell_report.satisfied
+    assert not bell_slacks(GHZ_PARITY).satisfied
     assert "negative" in str(err)
 
 
@@ -441,6 +441,24 @@ def test_floor_verdicts_contradict_on_pinned_counts():
             continue
         given += not satisfied
     assert (len(sets), window, given) == (923, 36, 256)
+
+
+def test_joint_or_terms_equals_a_try_except_reference():
+    built = Counter()
+    for m in (*_replay_floor_sets(), GHZ_PARITY, GHZ_CONJUNCTION):
+        for rule in XiRule:
+            try:
+                expected, expected_terms = reconstruct_joint(m, rule), []
+            except NoJointError as err:
+                expected, expected_terms = None, list(err.violated_terms)
+            joint, terms = _joint_or_terms(m, rule)
+            assert type(terms) is list and terms == expected_terms
+            if expected is None:
+                assert joint is None
+            else:
+                assert np.array_equal(joint.prob, expected.prob)
+            built[joint is not None] += 1
+    assert built[True] and built[False]
 
 
 def _default_parity_sets():

@@ -79,6 +79,36 @@ def test_povm_elements_and_names_are_checked():
         pair_povm("AD", MarginalConvention.PARITY)
 
 
+BAD_CONVENTIONS = ("parity", None, ["parity"])
+CONVENTION_READERS = {
+    "marginal_values": lambda c: marginal_values(np.eye(8)[0], c),
+    "extract_marginals": lambda c: extract_marginals(density_from_pure(ghz(1.0, 0.0)), c),
+    "marginals_from_joint": lambda c: marginals_from_joint(JointDistribution(np.eye(8)[0]), c),
+    "convert_marginals": lambda c: convert_marginals(
+        strategy_marginals(StrategyTriple(0.5, 0.5, 0.5), MarginalConvention.CONJUNCTION), c
+    ),
+    "strategy_marginals": lambda c: strategy_marginals(StrategyTriple(0.5, 0.5, 0.5), c),
+    "pair_povm": lambda c: pair_povm("AB", c),
+    "triple_povm": triple_povm,
+    "MarginalSet": lambda c: MarginalSet(0.5, 0.5, 0.5, 0.25, 0.25, 0.25, 0.125, c),
+}
+
+
+@pytest.mark.parametrize("convention", BAD_CONVENTIONS, ids=repr)
+@pytest.mark.parametrize("reader", CONVENTION_READERS)
+def test_every_convention_reader_refuses_a_non_convention(reader, convention):
+    with pytest.raises(ShapeError) as info:
+        CONVENTION_READERS[reader](convention)
+    assert str(info.value) == "convention must be a MarginalConvention"
+
+
+def test_povm_builders_check_unhashable_labels():
+    with pytest.raises(ShapeError, match="player must be"):
+        single_povm(["A"])
+    with pytest.raises(ShapeError, match="pair must be one of"):
+        pair_povm(["AB"], MarginalConvention.PARITY)
+
+
 def test_parity_pair_povm_selects_equal_bits():
     diag = np.diag(pair_povm("AB", MarginalConvention.PARITY)[0].matrix).real
     expected = [

@@ -207,6 +207,25 @@ def test_coop_quantum_pattern_generalizes():
     assert report.reference == []
 
 
+def test_coop_quantum_pattern_reads_the_weights_or_the_state():
+    # Weight mode: the weights that drew the state.
+    weights = {"q1": 0.25, "u": 0.1, "v": 0.05}
+    report = run_scenario("coop-quantum", {**weights, "seed": 7})
+    assert report.details["pattern"] == weights
+    assert run_scenario("coop-quantum").details["pattern"] == {"q1": 0.125, "u": 0.125, "v": 0.125}
+    # Amplitude mode: the state's own |c1|^2, |c4|^2 and |c2|^2; the weights are ignored.
+    half, third, sixth = 2.0 ** -0.5, 3.0 ** -0.5, 6.0 ** -0.5
+    cases = (
+        ([half, 0, 0, 0, 0, 0, 0, half], {"q1": 0.5, "u": 0.0, "v": 0.0}),
+        ([0, 0, 0, third, 0, third, third, 0], {"q1": 0.0, "u": 1 / 3, "v": 0.0}),
+        ([0.5, sixth, sixth, 0.25, sixth, 0.25, 0.25, 0.25], {"q1": 0.25, "u": 0.0625, "v": 1 / 6}),
+    )
+    for amplitudes, pattern in cases:
+        report = run_scenario("coop-quantum", {"amplitudes": amplitudes, "q1": 0.9, "u": 0, "v": 0})
+        assert report.details["pattern"] == pytest.approx(pattern, abs=1e-15)
+        assert all(type(w) is float for w in report.details["pattern"].values())
+
+
 def test_coop_quantum_amplitude_mode_checks_pattern():
     third = 3.0 ** -0.5
     good = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [third, 0.0],

@@ -226,9 +226,8 @@ def test_trusted_joints_and_reports_equal_public_ones(seed):
         for rule in XiRule:
             try:
                 joint = reconstruct_joint(m, rule)
-            except NoJointError as err:
+            except NoJointError:
                 raised += 1
-                assert_same(err.bell_report, public_bell(m))
                 continue
             assert_same(joint, JointDistribution(joint.prob))
             joints.append(joint)
@@ -527,6 +526,7 @@ DERIVED_ARGUMENTS = [
     (ScenarioReport, "scenario_id"),
     (ScenarioReport, "inputs"),
     (NoJointError, "message"),
+    (NoJointError, "bell_report"),
 ]
 
 
