@@ -44,10 +44,11 @@ DEFAULT_RESOLUTION = 11
 # Largest lattice resolution. It bounds the screen's boolean cube, which
 # is resolution^3 bytes when every player's slope band has a point: a
 # search at 290 then peaks at 56 MB ru_maxrss (30 MB of it the import)
-# and takes about 21 ms on coop_game and 0.2 s where a band covers the
+# and takes about 23 ms on coop_game and 0.2 s where a band covers the
 # plane. On pd3, whose slope corners all clear the bands, the screen
-# builds no slope plane and a 2x2x2 cube: 0.19 ms, and no peak above
-# the 30 MB of the import (2-vCPU VM, numpy 2.4).
+# evaluates no slope and writes a 2x2x2 cube of constants: a search
+# takes 0.054 ms at any resolution, with no peak above the 30 MB of the
+# import (2-vCPU VM, numpy 2.4).
 MAX_RESOLUTION = 290
 # Most screen hits a search certifies. Each hit becomes a certificate: an
 # own-choice-blind table makes 226,981 at resolution 61, in 0.6 s and at
@@ -206,30 +207,41 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
     limit - 8u S - 4 * 2^-1074, and that exceeds bound by at least
     21u S + 7 tiny after limit's own rounding, which is at most 3u limit
     with limit < (1 + 3u) S. The same holds below -limit.
-    Such a band is empty, so its plane is never built: the player's
-    slopes are evaluated only at the axis values the cube reads, with
-    the plane's bits, since _slope_plane is elementwise. Any other
-    player's plane is built and its band read from it.
+    Such a player clears: its band is empty, and its endpoint slices
+    are constants, so it evaluates no slope at all. Say every lattice
+    g > bound. At x = 0 the move to 1 gains 1.0 * g = g, which exceeds
+    tol: g > 2 (n - 1) tol >= 2 tol when tol > 0, and g > 0 >= tol
+    otherwise. So the 0-slice is all False. At x = 1 the move to 0
+    gains -g < 0 and the own move gains 0.0 * g = +-0.0, so the 1-slice
+    is all tol >= 0. Below -bound the two slices swap. A tol of +inf
+    makes bound infinite, so no player clears, and a NaN tol never
+    reaches the screen. Any other player's plane is built and its band
+    read from it.
 
-    The endpoint slices take the whole of a player's slopes. Interior
-    slices are cleared outside the band, then tested in one call per
-    block of 2^16 // n^2 rows (at least one, to bound the temporaries)
-    between the block's first and last band columns. From n = 257 on a
-    block is one row, whose band is one run (g is affine along it), so
-    the test covers exactly the band. Each point takes the gains as
-    _endpoint_audit does, so the cube is the full lattice's screen read
-    at the axes, and the full screen fails off them.
+    The endpoint slices of a player with a plane take the whole of its
+    slopes. Interior slices are cleared outside the band, then tested in
+    one call per block of 2^16 // n^2 rows (at least one, to bound the
+    temporaries) between the block's first and last band columns. From
+    n = 257 on a block is one row, whose band is one run (g is affine
+    along it), so the test covers exactly the band. Each point takes the
+    gains as _endpoint_audit does, so the cube is the full lattice's
+    screen read at the axes, and the full screen fails off them.
     """
     n = grid.size
     bound = 2.0 * (n - 1) * max(tol, _TINY)
-    planes, bands = [None] * 3, [None] * 3
+    # A cleared player's side: 1 when its slopes all exceed bound, -1
+    # when they all lie below -bound, and 0 when it has a plane.
+    planes, bands, sides = [None] * 3, [None] * 3, [0] * 3
     for p, c in enumerate(coeffs[_SLOPE, _PLAYER].T.tolist()):
         corners = [_bilinear(c, xq, xr) for xq in (0.0, 1.0) for xr in (0.0, 1.0)]
         limit = bound + 16.0 * _EPS * sum(map(abs, c)) + 8.0 * _TINY
-        if min(corners) > limit or max(corners) < -limit:
-            continue
-        planes[p] = _slope_plane(coeffs, p, grid[:, None], grid[None, :])
-        bands[p] = np.abs(planes[p]) <= bound
+        if min(corners) > limit:
+            sides[p] = 1
+        elif max(corners) < -limit:
+            sides[p] = -1
+        else:
+            planes[p] = _slope_plane(coeffs, p, grid[:, None], grid[None, :])
+            bands[p] = np.abs(planes[p]) <= bound
     whole = [band is not None and band.any() for band in bands]
     axes = [slice(None) if w else slice(None, None, n - 1) for w in whole]
     values = [grid[axis] for axis in axes]
@@ -237,11 +249,15 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
     inner, step = grid[1:-1, None, None], max(1, 2**16 // n**2)
     for p in range(3):
         q, r = _Q[p], _R[p]
-        if planes[p] is None:
-            g = _slope_plane(coeffs, p, values[q][:, None], values[r][None, :])
-        else:
-            g = planes[p][axes[q], axes[r]]
         slices = mask.transpose(p, q, r)
+        if sides[p]:
+            # The slopes point at 1: the 0-slice fails and the 1-slice
+            # holds when tol >= 0. Mirrored when they point at 0.
+            lose, keep = (0, -1) if sides[p] > 0 else (-1, 0)
+            slices[lose] = False
+            slices[keep] &= tol >= 0.0
+            continue
+        g = planes[p][axes[q], axes[r]]
         for i in (0, -1):
             slices[i] &= _slice_passes(grid[i], g, tol)
         if not whole[p]:

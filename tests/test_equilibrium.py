@@ -188,7 +188,7 @@ def test_lattice_search_matches_outcome_form_oracle():
     assert searches >= 400
 
 
-SCREEN_TOLS = (0.0, 1e-300, 1e-9, 0.5, 3.0, -1e-9)
+SCREEN_TOLS = (0.0, 1e-300, 1e-9, 0.5, 3.0, -1e-9, 5e-324, -5e-324, -math.inf)
 SCREEN_RESOLUTIONS = (2, 3, 5, 11, 61, 101)
 
 
@@ -379,13 +379,13 @@ def test_screen_of_empty_bands_builds_no_full_cube():
     assert peak < MAX_RESOLUTION**2 * 8
 
 
-def test_slopes_of_a_cleared_player_are_read_only_on_its_axes(monkeypatch):
+def test_a_cleared_player_evaluates_no_slope(monkeypatch):
     # A player whose four slope corners clear the band gets no slope
-    # plane: its slopes are evaluated only where the cube reads them.
-    # All of pd3's players clear. With constant slopes (0, -1, 1), A has
-    # a band and B and C clear; with (0, 0, -1), C clears but both of
-    # its opponents' axes are whole. Each odd-man-out slope changes
-    # sign, so every player there builds its plane.
+    # plane, and its endpoint slices are constants: its slopes are never
+    # evaluated. All of pd3's players clear. With constant slopes
+    # (0, -1, 1), A has a band and B and C clear; with (0, 0, -1), C
+    # clears. Each odd-man-out slope changes sign, so every player there
+    # builds its plane.
     calls = []
     plane = equilibrium._slope_plane
 
@@ -398,9 +398,9 @@ def test_slopes_of_a_cleared_player_are_read_only_on_its_axes(monkeypatch):
     n = 61
     grid = np.linspace(0.0, 1.0, n)
     cases = (
-        (pd3(), [(0, (2, 2)), (1, (2, 2)), (2, (2, 2))]),
-        (own_slope_table((0.0, -1.0, 1.0)), [(0, (n, n)), (1, (n, 2)), (2, (n, 2))]),
-        (own_slope_table((0.0, 0.0, -1.0)), [(0, (n, n)), (1, (n, n)), (2, (n, n))]),
+        (pd3(), []),
+        (own_slope_table((0.0, -1.0, 1.0)), [(0, (n, n))]),
+        (own_slope_table((0.0, 0.0, -1.0)), [(0, (n, n)), (1, (n, n))]),
         (coop_game(), [(0, (n, n)), (1, (n, n)), (2, (n, n))]),
     )
     for table, want in cases:
@@ -412,7 +412,7 @@ def test_slopes_of_a_cleared_player_are_read_only_on_its_axes(monkeypatch):
     calls.clear()
     found = grid_ne_search(pd3(), MAX_RESOLUTION)
     assert [c.triple.as_tuple() for c in found] == [(0.0, 0.0, 0.0)]
-    assert calls == [(0, (2, 2)), (1, (2, 2)), (2, (2, 2))]
+    assert calls == []
 
 
 def test_lattice_grid_is_built_once_per_resolution_and_read_only():
@@ -509,9 +509,9 @@ def test_endpoint_audit_matches_reference_bit_for_bit():
     assert len(failing) == 6
 
 
-def test_pd3_screen_tests_no_interior_slice(monkeypatch):
-    # No slope of the dilemma comes near 0, so the band is empty and
-    # only the two endpoint slices of each player are tested.
+def test_pd3_screen_tests_no_slice(monkeypatch):
+    # No slope of the dilemma comes near 0, so every player clears: its
+    # band is empty and its two endpoint slices are constants.
     tested = []
     passes = equilibrium._slice_passes
 
@@ -522,7 +522,16 @@ def test_pd3_screen_tests_no_interior_slice(monkeypatch):
     monkeypatch.setattr(equilibrium, "_slice_passes", counted)
     found = grid_ne_search(pd3(), MAX_RESOLUTION)
     assert [c.triple.as_tuple() for c in found] == [(0.0, 0.0, 0.0)]
-    assert sorted(tested) == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert tested == []
+
+
+def test_constant_slices_pass_only_at_a_non_negative_tol():
+    # A cleared player's own move gains 0.0 * g, a signed zero, so its
+    # kept endpoint slice holds exactly when tol >= 0.
+    for tol, want in ((0.0, [(0.0, 0.0, 0.0)]), (5e-324, [(0.0, 0.0, 0.0)]),
+                      (-5e-324, []), (-math.inf, [])):
+        found = grid_ne_search(pd3(), 11, tol)
+        assert [c.triple.as_tuple() for c in found] == want, tol
 
 
 def test_interior_slices_are_tested_on_the_band_only(monkeypatch):

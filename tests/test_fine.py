@@ -425,22 +425,29 @@ def test_reconstruction_verdicts_match_the_exact_sign(source):
 
 
 def test_floor_verdicts_contradict_on_pinned_counts():
-    # Pins of two known defects. Each verdict holds its own sums to the
+    # Pins of known defects. Each verdict holds its own sums to the
     # -SLACK_TOL floor: the four slacks, the xi window's width and the
-    # eight terms at the given xi. At the floor they disagree, the window
-    # against the slacks on 36 sets, and on 256 sets the GIVEN rule builds
-    # a joint the slacks refuse. Verdicts that agree drive both to 0.
+    # eight terms at the chosen xi. At the floor they disagree: the window
+    # against the slacks on 36 sets, and under every xi rule some sets
+    # get no joint beside satisfied slacks, and others a joint the slacks
+    # refuse. Verdicts that agree drive every count to 0.
     sets = _replay_floor_sets()
-    window = given = 0
+    window = 0
+    missing, refused = Counter(), Counter()
     for m in sets:
         satisfied = bell_slacks(m).satisfied
         window += satisfied == xi_interval(m).is_empty
-        try:
-            reconstruct_joint(m, XiRule.GIVEN)
-        except NoJointError:
-            continue
-        given += not satisfied
-    assert (len(sets), window, given) == (923, 36, 256)
+        for rule in XiRule:
+            try:
+                reconstruct_joint(m, rule)
+            except NoJointError:
+                missing[rule] += satisfied
+                continue
+            refused[rule] += not satisfied
+    assert (len(sets), window) == (923, 36)
+    assert {rule: (missing[rule], refused[rule]) for rule in XiRule} == {
+        XiRule.GIVEN: (52, 256), XiRule.MIDPOINT: (14, 22), XiRule.LOWER: (20, 19),
+    }
 
 
 def test_joint_or_terms_equals_a_try_except_reference():
