@@ -128,9 +128,10 @@ def _endpoint_audit(coeffs: np.ndarray, x: np.ndarray, tol: float) -> list[NeCer
 
 
 def _require_tol(tol: float):
-    """Refuse a NaN tol, against which every gain would fail."""
-    if math.isnan(tol):
-        raise RangeError("tol must not be NaN", "tol")
+    """Refuse a tol that is not finite and non-negative: below 0 (or at
+    NaN) even the own move's zero gain fails, and at +inf every gain passes."""
+    if not 0.0 <= tol < math.inf:
+        raise RangeError("tol must be a finite non-negative number", "tol")
 
 
 def verify_ne_factorizable(
@@ -209,14 +210,11 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
     with limit < (1 + 3u) S. The same holds below -limit.
     Such a player clears: its band is empty, and its endpoint slices
     are constants, so it evaluates no slope at all. Say every lattice
-    g > bound. At x = 0 the move to 1 gains 1.0 * g = g, which exceeds
-    tol: g > 2 (n - 1) tol >= 2 tol when tol > 0, and g > 0 >= tol
-    otherwise. So the 0-slice is all False. At x = 1 the move to 0
-    gains -g < 0 and the own move gains 0.0 * g = +-0.0, so the 1-slice
-    is all tol >= 0. Below -bound the two slices swap. A tol of +inf
-    makes bound infinite, so no player clears, and a NaN tol never
-    reaches the screen. Any other player's plane is built and its band
-    read from it.
+    g > bound. At x = 0 the move to 1 gains 1.0 * g = g > bound >= tol,
+    so the 0-slice is all False. At x = 1 the move to 0 gains -g < 0
+    and the own move gains 0.0 * g = +-0.0, so with tol non-negative
+    the 1-slice holds everywhere. Below -bound the two slices swap. Any
+    other player's plane is built and its band read from it.
 
     The endpoint slices of a player with a plane take the whole of its
     slopes. Interior slices are cleared outside the band, then tested in
@@ -252,10 +250,8 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
         slices = mask.transpose(p, q, r)
         if sides[p]:
             # The slopes point at 1: the 0-slice fails and the 1-slice
-            # holds when tol >= 0. Mirrored when they point at 0.
-            lose, keep = (0, -1) if sides[p] > 0 else (-1, 0)
-            slices[lose] = False
-            slices[keep] &= tol >= 0.0
+            # holds. Mirrored when they point at 0.
+            slices[0 if sides[p] > 0 else -1] = False
             continue
         g = planes[p][axes[q], axes[r]]
         for i in (0, -1):

@@ -195,6 +195,15 @@ def reconstruct_joint(
     under the interval rules. Values are read literally in the
     conjunction sense whatever the tag, mirroring bell_slacks.
     """
+    joint, violated = _joint_or_terms(m, rule)
+    if joint is None:
+        raise NoJointError(violated)
+    return joint
+
+
+def _joint_or_terms(m: MarginalSet, rule: XiRule) -> tuple[JointDistribution | None, list]:
+    """The joint reconstruct_joint returns and no terms, or None and the
+    violated term indices it raises with: a failed reconstruction as a value."""
     xi, empty = m.xi, False
     if rule is not XiRule.GIVEN:
         interval = XiInterval(*_xi_bounds(m))
@@ -207,24 +216,14 @@ def reconstruct_joint(
     listed = terms.tolist()
     low = min(listed)
     if not holds(low) or empty:
-        violated = tuple(i for i, t in enumerate(listed) if not holds(t))
-        raise NoJointError(violated)
+        return None, [i for i, t in enumerate(listed) if not holds(t)]
     clipped = np.maximum(terms, 0.0)
     if low < 0.0:
         # Zeroing terms within the floor adds their size to the total.
         clipped /= clipped.sum()
     # Finite, non-negative, and summing to 1 to rounding: the terms'
     # MOBIUS column sums are (1, 0, ..., 0), and a rescale restores it.
-    return _trusted(JointDistribution, prob=_freeze(clipped))
-
-
-def _joint_or_terms(m: MarginalSet, rule: XiRule) -> tuple[JointDistribution | None, list]:
-    """The joint reconstruct_joint builds and no terms, or None and the
-    terms it found violated: the one reader of a failed reconstruction."""
-    try:
-        return reconstruct_joint(m, rule), []
-    except NoJointError as err:
-        return None, list(err.violated_terms)
+    return _trusted(JointDistribution, prob=_freeze(clipped)), []
 
 
 def marginals_from_joint(

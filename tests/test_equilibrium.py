@@ -188,7 +188,7 @@ def test_lattice_search_matches_outcome_form_oracle():
     assert searches >= 400
 
 
-SCREEN_TOLS = (0.0, 1e-300, 1e-9, 0.5, 3.0, -1e-9, 5e-324, -5e-324, -math.inf)
+SCREEN_TOLS = (0.0, 1e-300, 1e-9, 0.5, 3.0, 5e-324)
 SCREEN_RESOLUTIONS = (2, 3, 5, 11, 61, 101)
 
 
@@ -525,15 +525,6 @@ def test_pd3_screen_tests_no_slice(monkeypatch):
     assert tested == []
 
 
-def test_constant_slices_pass_only_at_a_non_negative_tol():
-    # A cleared player's own move gains 0.0 * g, a signed zero, so its
-    # kept endpoint slice holds exactly when tol >= 0.
-    for tol, want in ((0.0, [(0.0, 0.0, 0.0)]), (5e-324, [(0.0, 0.0, 0.0)]),
-                      (-5e-324, []), (-math.inf, [])):
-        found = grid_ne_search(pd3(), 11, tol)
-        assert [c.triple.as_tuple() for c in found] == want, tol
-
-
 def test_interior_slices_are_tested_on_the_band_only(monkeypatch):
     # Each slope of the odd-man-out game vanishes along a line, so each
     # band is a thin strip of the plane. At MAX_RESOLUTION a block is one
@@ -770,25 +761,27 @@ def test_verify_matches_outcome_form_oracle(rng):
         assert cert.player_slack == pytest.approx(slacks[0], abs=1e-14)
 
 
-def test_a_nan_tolerance_is_refused_before_any_screening(monkeypatch):
-    # Every gain compared with NaN fails: the search would return no
-    # point and the audit would fail all-defect, "gaining 0 by moving to 0".
+@pytest.mark.parametrize("entry", ["grid_ne_search", "verify_ne_factorizable"])
+def test_tol_outside_the_finite_non_negative_range_is_refused_before_any_work(monkeypatch, entry):
+    # The own move gains 0 (a signed zero), so below 0 or at NaN even the
+    # strict all-defect equilibrium of pd3 would fail, "gaining 0 by
+    # moving to 0", and at +inf every point would pass.
+    def all_defect_passes(tol):
+        if entry == "grid_ne_search":
+            found = grid_ne_search(pd3(), 11, tol)
+            return [c.triple.as_tuple() for c in found] == [(0.0, 0.0, 0.0)]
+        return verify_ne_factorizable(pd3(), StrategyTriple(0.0, 0.0, 0.0), tol).is_ne
+
     monkeypatch.setattr(equilibrium, "_lattice_screen", None)
     monkeypatch.setattr(equilibrium, "_endpoint_audit", None)
-    calls = (
-        lambda: grid_ne_search(pd3(), 11, math.nan),
-        lambda: verify_ne_factorizable(pd3(), StrategyTriple(0.0, 0.0, 0.0), math.nan),
-    )
-    for call in calls:
-        with pytest.raises(RangeError, match="^tol must not be NaN$") as info:
-            call()
+    for tol in (math.nan, -5e-324, -1e-9, -math.inf, math.inf):
+        with pytest.raises(RangeError, match="^tol must be a finite non-negative number$") as info:
+            all_defect_passes(tol)
         assert info.value.field == "tol"
     monkeypatch.undo()
-    # An infinite, zero or negative tolerance is still taken as given.
-    assert len(grid_ne_search(pd3(), 3, math.inf)) == 27
-    assert [c.triple.as_tuple() for c in grid_ne_search(pd3(), 11, 0.0)] == [(0.0, 0.0, 0.0)]
-    assert grid_ne_search(pd3(), 11, -1e-9) == []
-    assert verify_ne_factorizable(pd3(), StrategyTriple(0.0, 0.0, 0.0), 1e-9).is_ne
+    # A cleared player's kept endpoint slice holds at every accepted tol.
+    for tol in (0.0, -0.0, 5e-324, 1e-9):
+        assert all_defect_passes(tol), tol
 
 
 def test_exact_oracle_finds_an_equilibrium_where_the_lattice_misses():
@@ -1010,6 +1003,13 @@ def test_coalition_reduction_matches_reference(rng):
             assert math.copysign(1.0, got.value) == math.copysign(1.0, want["value"])
             scale = max(1.0, float(np.abs(full).max()))
             assert abs(got.value - value) <= 1e-12 * scale, (value, table.entries)
+            # The odd player's mix holds every row of the whole game to the
+            # value, and the members' mix of the core guarantees it.
+            q = got.odd_mix[0]
+            held = max(q * a + (1.0 - q) * b for a, b in full.tolist())
+            assert held <= value + 1e-12 * scale, (value, table.entries)
+            guaranteed = np.asarray(got.member_mix) @ got.reduced
+            assert guaranteed.min() >= value - 1e-12 * scale, (value, table.entries)
             solved += 1
     # The 490 pins a known defect: each of those pairs has the finite
     # value the oracle finds, yet coalition_reduction raises on it. A
