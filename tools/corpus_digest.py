@@ -45,7 +45,13 @@ Parts:
                corners sit at the band's bound, a few ulps either side
                of the corner margin and at the subnormal floor,
                coop_game(), and an own-choice-blind table (at 2, 3 and
-               11 only); values and errors recorded as in payoffs.
+               11 only); and at resolutions 2, 3 and 11 and
+               tolerances 0, 5e-324, 1e-9 and 0.5, tables whose
+               players' |slope coefficient| sums sit one float under,
+               at and one float over the flat limit, tables of signed
+               zeros and subnormals, and a slope cancelling to a ninth
+               of its coefficient sum; values and errors recorded as
+               in payoffs.
 
 A dataclass is recorded by its fields and properties together, sorted
 by name, so a value that moves from a stored field to a derived
@@ -77,6 +83,17 @@ SCENARIO_DRAWS = 20
 PD_LEVELS = (7.0, 9.0, 3.0, 0.0, 1.0, 5.0)
 SCREEN_RESOLUTIONS = (2, 3, 11, 101, 290)
 SCREEN_TOLS = (0.0, 1e-9, 1e-3)
+# The flat-boundary tables' tolerances and resolutions. Below 8 tiny no
+# slope is flat. A flat table passes every lattice point, so it is read
+# at 11 at most, as the own-choice-blind table is.
+FLAT_TOLS = (0.0, 5e-324, 1e-9, 0.5)
+FLAT_RESOLUTIONS = (2, 3, 11)
+# Each player's slope corners, as corner_table takes them, per unit of
+# scale: constant for A, mixed signs for B, and for C the slope
+# a (1 - 2 x_q)(1 - 2 x_r), whose coefficients sum to 9 a.
+FLAT_SHAPES = (
+    ((1.0, 1.0), (1.0, 1.0)), ((-1.0, -0.5), (0.25, -1.0)), ((1.0, -1.0), (-1.0, 1.0)),
+)
 EPS, TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 # Player p's opponents q < r, and the rows of marginal_form_coefficients
 # that hold p's own-slope coefficients of 1, x_q, x_r and x_q x_r.
@@ -389,6 +406,54 @@ def margin_tables(resolution: int, tol: float):
             ])
 
 
+def flat_margin(table, p: int) -> float:
+    """sum|c| (1 + 16 eps) + 8 tiny over player p's slope coefficients c:
+    at most tol, it puts every lattice slope of p within tol."""
+    c = fg.marginal_form_coefficients(table)[SLOPE_ROWS[p], p].tolist()
+    return sum(map(abs, c)) * (1.0 + 16.0 * EPS) + 8.0 * TINY
+
+
+def flat_table(scales) -> fg.PayoffTable:
+    """The corner table of FLAT_SHAPES, player p's scaled by scales[p]."""
+    return corner_table([
+        [[m * w for w in row] for row in shape] for m, shape in zip(scales, FLAT_SHAPES)
+    ])
+
+
+def flat_limit(p: int, tol: float) -> float:
+    """The greatest scale of player p's flat shape whose margin is at
+    most tol, or 0 when no scale's is."""
+    def flat(m):
+        return flat_margin(flat_table([m if q == p else 0.0 for q in range(3)]), p) <= tol
+
+    if not flat(0.0):
+        return 0.0
+    m = (tol - 8.0 * TINY) / flat_margin(flat_table([1.0] * 3), p)
+    while not flat(m):
+        m = ulps(m, -1)
+    while flat(ulps(m, 1)):
+        m = ulps(m, 1)
+    return m
+
+
+def flat_tables(tol: float):
+    """Tables whose players' scales sit one float under, at and one
+    float over the flat limit, mixed one way and the other; signed zeros
+    and subnormals; and C's cancelling slope at an eighth of tol, whose
+    coefficient sum of 9/8 tol keeps it off the flat test."""
+    at = [flat_limit(p, tol) for p in range(3)]
+    for k in (-1, 0, 1):
+        yield flat_table([ulps(m, k) for m in at])
+    yield flat_table([ulps(at[0], -1), at[1], ulps(at[2], 1)])
+    yield flat_table([ulps(at[0], 1), at[1], ulps(at[2], -1)])
+    yield corner_table([
+        [[-0.0, 5e-324], [0.0, -5e-324]],
+        [[TINY / 2.0, -0.0], [-TINY, 0.0]],
+        [[-0.0, -0.0], [0.0, 0.0]],
+    ])
+    yield flat_table([0.0, 0.0, tol / 8.0])
+
+
 def screen_tables(rng) -> list:
     """Perturbed pd3 tables; tables whose own slopes keep one sign, B's
     and C's far from the band and A's at magnitudes from 1e-300 to 1e149;
@@ -422,6 +487,10 @@ def screens():
             cases += [blind] if resolution <= 61 else []
             for k, table in enumerate(cases):
                 yield f"{k} {resolution} {tol!r}\n" + call(lattice, table, resolution, tol)
+    for resolution in FLAT_RESOLUTIONS:
+        for tol in FLAT_TOLS:
+            for k, table in enumerate(flat_tables(tol)):
+                yield f"flat {k} {resolution} {tol!r}\n" + call(lattice, table, resolution, tol)
 
 
 def part_digests() -> dict[str, tuple[int, str]]:
