@@ -213,8 +213,18 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
     g > bound. At x = 0 the move to 1 gains 1.0 * g = g > bound >= tol,
     so the 0-slice is all False. At x = 1 the move to 0 gains -g < 0
     and the own move gains 0.0 * g = +-0.0, so with tol non-negative
-    the 1-slice holds everywhere. Below -bound the two slices swap. Any
-    other player's plane is built and its band read from it.
+    the 1-slice holds everywhere. Below -bound the two slices swap.
+
+    A player that does not clear is flat when S (1 + 16 eps) + 8 tiny
+    <= tol. On [0, 1]^2 the exact slope has |g| <= S, and the float one
+    is within 5u S + 4 * 2^-1074 of it, so every lattice |g| <= tol:
+    the margin's 32u S and 8 tiny cover that and the rounding of S and
+    of the test itself. With |x| <= 1 and |1 - x| <= 1, every endpoint
+    and interior gain has |fl(x g)| <= |g| <= tol, so every slice of a
+    flat player passes, and its band, as tol <= bound, covers the whole
+    plane. Its axis stays whole and it writes nothing to the mask: it
+    evaluates no slope either. Any other player's plane is built and
+    its band read from it.
 
     The endpoint slices of a player with a plane take the whole of its
     slopes. Interior slices are cleared outside the band, then tested in
@@ -228,19 +238,20 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
     n = grid.size
     bound = 2.0 * (n - 1) * max(tol, _TINY)
     # A cleared player's side: 1 when its slopes all exceed bound, -1
-    # when they all lie below -bound, and 0 when it has a plane.
+    # when they all lie below -bound, and 0 when it is flat or has a plane.
     planes, bands, sides = [None] * 3, [None] * 3, [0] * 3
     for p, c in enumerate(coeffs[_SLOPE, _PLAYER].T.tolist()):
         corners = [_bilinear(c, xq, xr) for xq in (0.0, 1.0) for xr in (0.0, 1.0)]
-        limit = bound + 16.0 * _EPS * sum(map(abs, c)) + 8.0 * _TINY
+        total = sum(map(abs, c))
+        limit = bound + 16.0 * _EPS * total + 8.0 * _TINY
         if min(corners) > limit:
             sides[p] = 1
         elif max(corners) < -limit:
             sides[p] = -1
-        else:
+        elif total * (1.0 + 16.0 * _EPS) + 8.0 * _TINY > tol:
             planes[p] = _slope_plane(coeffs, p, grid[:, None], grid[None, :])
             bands[p] = np.abs(planes[p]) <= bound
-    whole = [band is not None and band.any() for band in bands]
+    whole = [not side if band is None else band.any() for band, side in zip(bands, sides)]
     axes = [slice(None) if w else slice(None, None, n - 1) for w in whole]
     values = [grid[axis] for axis in axes]
     mask = np.ones([v.size for v in values], dtype=bool)
@@ -252,6 +263,7 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
             # The slopes point at 1: the 0-slice fails and the 1-slice
             # holds. Mirrored when they point at 0.
             slices[0 if sides[p] > 0 else -1] = False
+        if planes[p] is None:
             continue
         g = planes[p][axes[q], axes[r]]
         for i in (0, -1):

@@ -261,6 +261,65 @@ def margin_tables(resolution, tol):
             ])
 
 
+# Each player's slope corners per unit of scale, as corner_table takes
+# them: constant for A, mixed signs for B, and for C the slope
+# a (1 - 2 x_q)(1 - 2 x_r), whose coefficients sum to 9 a.
+FLAT_SHAPES = (
+    ((1.0, 1.0), (1.0, 1.0)), ((-1.0, -0.5), (0.25, -1.0)), ((1.0, -1.0), (-1.0, 1.0)),
+)
+
+
+def flat_table(scales) -> PayoffTable:
+    """The corner table of FLAT_SHAPES, player p's scaled by scales[p]."""
+    return corner_table([
+        [[m * w for w in row] for row in shape] for m, shape in zip(scales, FLAT_SHAPES)
+    ])
+
+
+def is_flat(table, p, tol) -> bool:
+    """Whether player p's |slope coefficients| sum S has S (1 + 16 eps)
+    + 8 tiny <= tol, which puts every lattice slope of p within tol."""
+    finfo = np.finfo(float)
+    c = table._polynomial[_SLOPE[:, p], p].tolist()
+    return sum(map(abs, c)) * (1.0 + 16.0 * float(finfo.eps)) + 8.0 * float(finfo.tiny) <= tol
+
+
+def flat_limit(p, tol) -> float:
+    """The greatest scale of player p's flat shape that is flat at tol,
+    or 0 when none is."""
+    def flat(m):
+        return is_flat(flat_table([m if q == p else 0.0 for q in range(3)]), p, tol)
+
+    if not flat(0.0):
+        return 0.0
+    unit = flat_table([1.0] * 3)._polynomial[_SLOPE[:, p], p]
+    m = (tol - 8.0 * float(np.finfo(float).tiny)) / float(np.abs(unit).sum())
+    while not flat(m):
+        m = ulps(m, -1)
+    while flat(ulps(m, 1)):
+        m = ulps(m, 1)
+    return m
+
+
+def flat_tables(tol):
+    """Tables whose players' scales sit one float under, at and one
+    float over the flat limit, and mixed one way and the other; signed
+    zeros and subnormals; and C's cancelling slope at an eighth of tol,
+    whose coefficient sum of 9/8 tol keeps it off the flat test."""
+    at = [flat_limit(p, tol) for p in range(3)]
+    for k in (-1, 0, 1):
+        yield flat_table([ulps(m, k) for m in at])
+    yield flat_table([ulps(at[0], -1), at[1], ulps(at[2], 1)])
+    yield flat_table([ulps(at[0], 1), at[1], ulps(at[2], -1)])
+    tiny = float(np.finfo(float).tiny)
+    yield corner_table([
+        [[-0.0, 5e-324], [0.0, -5e-324]],
+        [[tiny / 2.0, -0.0], [-tiny, 0.0]],
+        [[-0.0, -0.0], [0.0, 0.0]],
+    ])
+    yield flat_table([0.0, 0.0, tol / 8.0])
+
+
 def screen_tables(rng, tol, resolution):
     """Seeded tables for the screen property: a perturbed dilemma, a
     normal table, a small-integer table full of ties, an own-choice-
@@ -273,7 +332,9 @@ def screen_tables(rng, tol, resolution):
     slope corners sit either side of the corner margin; and a slope
     whose four corners are positive while rounding takes some of its
     lattice values to exactly 0, at every resolution here but 2 (a
-    corner rule without its margin would drop those points)."""
+    corner rule without its margin would drop those points); and the
+    flat tables, whose slope coefficient sums sit either side of the
+    flat limit."""
     levels = np.array(DEFAULT_PD_PARAMS.as_tuple())
     yield pd3(PdParams(*(levels + rng.uniform(-0.2, 0.2, 6))))
     yield PayoffTable(rng.normal(size=(8, 3)))
@@ -289,6 +350,7 @@ def screen_tables(rng, tol, resolution):
     yield from margin_tables(resolution, tol)
     flat = [[0.0, 0.0], [0.0, 0.0]]
     yield corner_table([[[1.516, 1.348], [2.0**-52, 2.0**-52]], flat, flat])
+    yield from flat_tables(tol)
 
 
 def expand_screen(screen, grid) -> np.ndarray:
@@ -317,7 +379,7 @@ def test_lattice_screen_matches_reference_bit_for_bit():
                 want = reference_lattice_screen(coeffs, grid, tol)
                 assert np.array_equal(got, want), (resolution, tol, table.entries)
                 cases += 1
-    assert cases == 22 * len(SCREEN_TOLS) * len(SCREEN_RESOLUTIONS)
+    assert cases == 29 * len(SCREEN_TOLS) * len(SCREEN_RESOLUTIONS)
 
 
 def test_lattice_screen_memory_peak_within_reference():
@@ -381,10 +443,14 @@ def test_screen_of_empty_bands_builds_no_full_cube():
 
 def test_a_cleared_player_evaluates_no_slope(monkeypatch):
     # A player whose four slope corners clear the band gets no slope
-    # plane, and its endpoint slices are constants: its slopes are never
-    # evaluated. All of pd3's players clear. With constant slopes
-    # (0, -1, 1), A has a band and B and C clear; with (0, 0, -1), C
-    # clears. Each odd-man-out slope changes sign, so every player there
+    # plane, and its endpoint slices are constants; a flat player, whose
+    # slopes all lie within tol, gets none either, and every slice of it
+    # passes: neither's slopes are evaluated. All of pd3's players
+    # clear. With constant slopes (0, -1, 1), A is flat and B and C
+    # clear; with (0, 0, -1), A and B are flat and C clears; on an
+    # own-choice-blind table every slope is 0. C's slope cancelling to
+    # an eighth of tol has a coefficient sum past it, so it builds its
+    # plane. Each odd-man-out slope changes sign, so every player there
     # builds its plane.
     calls = []
     plane = equilibrium._slope_plane
@@ -399,8 +465,10 @@ def test_a_cleared_player_evaluates_no_slope(monkeypatch):
     grid = np.linspace(0.0, 1.0, n)
     cases = (
         (pd3(), []),
-        (own_slope_table((0.0, -1.0, 1.0)), [(0, (n, n))]),
-        (own_slope_table((0.0, 0.0, -1.0)), [(0, (n, n)), (1, (n, n))]),
+        (own_slope_table((0.0, -1.0, 1.0)), []),
+        (own_slope_table((0.0, 0.0, -1.0)), []),
+        (own_choice_blind_table(np.random.default_rng(5)), []),
+        (flat_table([0.0, 0.0, DEFAULT_NE_TOL / 8.0]), [(2, (n, n))]),
         (coop_game(), [(0, (n, n)), (1, (n, n)), (2, (n, n))]),
     )
     for table, want in cases:
