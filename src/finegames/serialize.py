@@ -85,19 +85,42 @@ def _render(value, level: int) -> str:
             return "{}"
         _, opening, sep, _, closing = _PADS[level] if level < _PAD_DEPTH else _pads(level)
         level += 1
-        # The items list is a temporary, freed once joined, so it is not
-        # alive while the joined text is copied into the result.
-        return (
-            opening
-            + sep.join([_quote(str(k)) + ": " + _render(v, level) for k, v in value.items()])
-            + closing
-        )
+        # Finite exact floats, exact strs and bools are written here as
+        # the dispatch writes them; every other value, a non-finite float
+        # included, takes the dispatch. Each item goes straight into
+        # parts, so no local holds one or the joined text while the join
+        # copies.
+        parts = []
+        for k, v in value.items():
+            t = type(v)
+            if t is float and isfinite(v):
+                parts.append(_quote(str(k)) + ": " + "%.17g" % v)
+            elif t is str:
+                parts.append(_quote(str(k)) + ": " + _quote(v))
+            elif t is bool:
+                parts.append(_quote(str(k)) + (": true" if v else ": false"))
+            else:
+                parts.append(_quote(str(k)) + ": " + _render(v, level))
+        parts[0] = opening + parts[0]
+        parts[-1] += closing
+        return sep.join(parts)
     if t is list:
         if not value:
             return "[]"
         opening, _, sep, closing, _ = _PADS[level] if level < _PAD_DEPTH else _pads(level)
         level += 1
-        return opening + sep.join([_render(v, level) for v in value]) + closing
+        parts = []
+        for v in value:
+            t = type(v)
+            if t is float and isfinite(v):
+                parts.append("%.17g" % v)
+            elif t is str:
+                parts.append(_quote(v))
+            else:
+                parts.append(_render(v, level))
+        parts[0] = opening + parts[0]
+        parts[-1] += closing
+        return sep.join(parts)
     if t is bool:
         return "true" if value else "false"
     if t is int:

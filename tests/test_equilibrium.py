@@ -382,6 +382,23 @@ def test_lattice_screen_matches_reference_bit_for_bit():
     assert cases == 29 * len(SCREEN_TOLS) * len(SCREEN_RESOLUTIONS)
 
 
+def test_a_slope_rounding_past_its_coefficient_sum_is_not_flat():
+    # Summed from the x_q x_r term down, A's float slope at the corner
+    # (1, 1) is one float above S, the float sum of its |coefficients|.
+    # At tol = S a flat test without its margin would pass every slice
+    # of A; the reference fails A's 0-slice at that corner.
+    flat = [[0.0, 0.0], [0.0, 0.0]]
+    corners = [[0.2436537132174069, 0.5869212597356344], [0.34350766827168594, 0.7562781833684613]]
+    coeffs = corner_table([corners, flat, flat])._polynomial
+    tol = sum(map(abs, coeffs[_SLOPE[:, 0], 0].tolist()))
+    assert _slope_plane(coeffs, 0, 1.0, 1.0) > tol
+    for resolution in (2, 3, 11):
+        grid = np.linspace(0.0, 1.0, resolution)
+        want = reference_lattice_screen(coeffs, grid, tol)
+        assert not want.all()
+        assert np.array_equal(expand_screen(_lattice_screen(coeffs, grid, tol), grid), want)
+
+
 def test_lattice_screen_memory_peak_within_reference():
     # Every slope of an own-choice-blind table is 0, so the band covers
     # every interior slice: the screen's worst case.

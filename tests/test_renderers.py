@@ -29,6 +29,7 @@ from finegames import (
     render_markdown,
     run_scenario,
 )
+import finegames.serialize as serialize
 from finegames.serialize import certificate_to_dict, format_float
 
 
@@ -248,3 +249,35 @@ def test_rendering_makes_no_per_node_calls(monkeypatch):
     # The counters do see the reference renderer's per-node calls.
     oracles.reference_render_json(payloads[-1][1])
     assert counts["json.dumps"] > 0 and counts["np.isfinite"] > 0
+
+
+def costly_nodes(value) -> int:
+    """The nodes of a tree of dicts and lists that are not an exact
+    float, str or bool."""
+    t = type(value)
+    children = value.values() if t is dict else value if t is list else ()
+    return (t not in (float, str, bool)) + sum(map(costly_nodes, children))
+
+
+def test_json_leaves_cost_no_render_call(monkeypatch):
+    # Containers write their exact float, str and bool leaves themselves
+    # (these payloads hold bools in dicts only), so the renderer is
+    # entered once per container and per other leaf, such as an int,
+    # None or a numpy float.
+    payloads = [run_scenario(sid).to_dict() for sid in SCENARIOS]
+    payloads.append(lattice_payload(blind_entries(7), 5))
+    expected = [oracles.reference_render_json(p) for p in payloads]
+    render, calls = serialize._render, collections.Counter()
+
+    def counted(value, level):
+        calls["_render"] += 1
+        return render(value, level)
+
+    monkeypatch.setattr(serialize, "_render", counted)
+    for payload, text in zip(payloads, expected):
+        calls.clear()
+        assert render_json(payload) == text
+        assert calls["_render"] == costly_nodes(payload)
+    # The lattice payload: its dict, two ints and list, then per
+    # certificate its dict, triple and slacks.
+    assert calls["_render"] == 4 + 3 * 125
