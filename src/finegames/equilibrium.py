@@ -43,17 +43,21 @@ __all__ = [
 DEFAULT_RESOLUTION = 11
 # Largest lattice resolution. It bounds the screen's boolean cube, which
 # is resolution^3 bytes when every player's slope band has a point: a
-# search at 290 then peaks at 56 MB ru_maxrss (30 MB of it the import)
-# and takes about 23 ms on coop_game and 0.2 s where a band covers the
-# plane. On pd3, whose slope corners all clear the bands, the screen
-# evaluates no slope and writes a 2x2x2 cube of constants: a search
-# takes 0.054 ms at any resolution, with no peak above the 30 MB of the
-# import (2-vCPU VM, numpy 2.4).
+# search at 290 then peaks at 62 MB ru_maxrss (30 MB of it the import)
+# and takes about 23 ms on coop_game, and the screen about 0.2 s where
+# a band of slopes beyond tol covers the plane (pd3 at tol 0.5). A flat
+# player, whose slopes all lie within tol, evaluates no slope: an
+# own-choice-blind table is flat at every player at DEFAULT_NE_TOL, and
+# its screen at 290 takes about 2 ms. On pd3, whose slope corners all
+# clear the bands, the screen evaluates no slope and writes a 2x2x2 cube
+# of constants: a search takes 0.054 ms at any resolution, with no peak
+# above the 30 MB of the import (2-vCPU VM, numpy 2.4).
 MAX_RESOLUTION = 290
 # Most screen hits a search certifies. Each hit becomes a certificate: an
-# own-choice-blind table makes 226,981 at resolution 61, in 0.6 s and at
-# 288 MB ru_maxrss, 35 MB of it the import; `ne` renders them as 80 MB
-# of JSON in 2.3 s at 484 MB ru_maxrss (2-vCPU VM, numpy 2.4).
+# own-choice-blind table makes 226,981 at resolution 61, in 1.2-1.4 s
+# and at 288 MB ru_maxrss, 35 MB of it the import; `ne` writes them as
+# 75 MB of JSON in 3.6-4.0 s, 1.4 s of it rendering, at 469 MB
+# ru_maxrss (2-vCPU VM under other load, numpy 2.4).
 _MAX_LATTICE_HITS = 250_000
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 

@@ -70,16 +70,11 @@ _PADS = tuple(_pads(level) for level in range(_PAD_DEPTH))
 
 
 def _render(value, level: int) -> str:
-    # Exact types first, bool ahead of int, with format_float inlined;
-    # numpy scalars, arrays, tuples and subclasses (np.float64 is a
-    # float) take the isinstance chain after them.
+    # Exact types first, bool ahead of int. Containers write their finite
+    # exact float and exact str leaves themselves, so a bare one and a
+    # non-finite float take the isinstance chain after them, as numpy
+    # scalars, arrays, tuples and subclasses (np.float64 is a float) do.
     t = type(value)
-    if t is float:
-        if isfinite(value):
-            return "%.17g" % value
-        raise ValueError(f"cannot render non-finite value {value!r}")
-    if t is str:
-        return _quote(value)
     if t is dict:
         if not value:
             return "{}"

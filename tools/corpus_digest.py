@@ -58,7 +58,7 @@ by name, so a value that moves from a stored field to a derived
 property leaves the digest as it was. tests/test_corpus_digest.py pins
 the six part digests.
 
-Takes about 2.5 s on a 2-vCPU VM (Python 3.11, numpy 2.4).
+Takes about 3 s on a 2-vCPU VM (Python 3.11, numpy 2.4).
 """
 
 from __future__ import annotations
