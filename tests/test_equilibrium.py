@@ -276,24 +276,37 @@ def flat_table(scales) -> PayoffTable:
     ])
 
 
-def is_flat(table, p, tol) -> bool:
-    """Whether player p's |slope coefficients| sum S has S (1 + 16 eps)
-    + 8 tiny <= tol, which puts every lattice slope of p within tol."""
+def flat_margin(table, p) -> float:
+    """S (1 + 16 eps) + 8 tiny for player p's |slope coefficient| sum S:
+    at most tol, it puts every lattice slope of p within tol."""
     finfo = np.finfo(float)
     c = table._polynomial[_SLOPE[:, p], p].tolist()
-    return sum(map(abs, c)) * (1.0 + 16.0 * float(finfo.eps)) + 8.0 * float(finfo.tiny) <= tol
+    return sum(map(abs, c)) * (1.0 + 16.0 * float(finfo.eps)) + 8.0 * float(finfo.tiny)
 
 
-def flat_limit(p, tol) -> float:
-    """The greatest scale of player p's flat shape that is flat at tol,
-    or 0 when none is."""
+def corner_reach(table, p) -> float:
+    """The larger magnitude of the ends of player p's slope corner range
+    [min - m, max + m], m = 16 eps S + 8 tiny and the four float corners
+    as the screen takes them: at most tol, it puts every lattice slope
+    of p within tol."""
+    finfo = np.finfo(float)
+    c = table._polynomial[_SLOPE[:, p], p].tolist()
+    corners = [
+        c[3] * xq * xr + c[1] * xq + c[2] * xr + c[0] for xq in (0.0, 1.0) for xr in (0.0, 1.0)
+    ]
+    m = 16.0 * float(finfo.eps) * sum(map(abs, c)) + 8.0 * float(finfo.tiny)
+    return max(m - min(corners), max(corners) + m)
+
+
+def flat_limit(p, tol, reach) -> float:
+    """The greatest scale of player p's flat shape whose reach(table, p)
+    is at most tol, or 0 when none is."""
     def flat(m):
-        return is_flat(flat_table([m if q == p else 0.0 for q in range(3)]), p, tol)
+        return reach(flat_table([m if q == p else 0.0 for q in range(3)]), p) <= tol
 
     if not flat(0.0):
         return 0.0
-    unit = flat_table([1.0] * 3)._polynomial[_SLOPE[:, p], p]
-    m = (tol - 8.0 * float(np.finfo(float).tiny)) / float(np.abs(unit).sum())
+    m = (tol - 8.0 * float(np.finfo(float).tiny)) / reach(flat_table([1.0] * 3), p)
     while not flat(m):
         m = ulps(m, -1)
     while flat(ulps(m, 1)):
@@ -303,10 +316,12 @@ def flat_limit(p, tol) -> float:
 
 def flat_tables(tol):
     """Tables whose players' scales sit one float under, at and one
-    float over the flat limit, and mixed one way and the other; signed
-    zeros and subnormals; and C's cancelling slope at an eighth of tol,
-    whose coefficient sum of 9/8 tol keeps it off the flat test."""
-    at = [flat_limit(p, tol) for p in range(3)]
+    float over the limit of their |slope coefficient| sums, and mixed
+    one way and the other; signed zeros and subnormals; C's cancelling
+    slope at an eighth of tol, whose coefficient sum is 9/8 tol; and
+    scales one float under, at and one float over the limit of their
+    corner ranges, where a range within +-tol makes a player flat."""
+    at = [flat_limit(p, tol, flat_margin) for p in range(3)]
     for k in (-1, 0, 1):
         yield flat_table([ulps(m, k) for m in at])
     yield flat_table([ulps(at[0], -1), at[1], ulps(at[2], 1)])
@@ -318,6 +333,9 @@ def flat_tables(tol):
         [[-0.0, -0.0], [0.0, 0.0]],
     ])
     yield flat_table([0.0, 0.0, tol / 8.0])
+    at = [flat_limit(p, tol, corner_reach) for p in range(3)]
+    for k in (-1, 0, 1):
+        yield flat_table([ulps(m, k) for m in at])
 
 
 def screen_tables(rng, tol, resolution):
@@ -333,8 +351,8 @@ def screen_tables(rng, tol, resolution):
     whose four corners are positive while rounding takes some of its
     lattice values to exactly 0, at every resolution here but 2 (a
     corner rule without its margin would drop those points); and the
-    flat tables, whose slope coefficient sums sit either side of the
-    flat limit."""
+    flat tables, whose slope coefficient sums and slope corner ranges
+    sit either side of their flat limits."""
     levels = np.array(DEFAULT_PD_PARAMS.as_tuple())
     yield pd3(PdParams(*(levels + rng.uniform(-0.2, 0.2, 6))))
     yield PayoffTable(rng.normal(size=(8, 3)))
@@ -379,7 +397,7 @@ def test_lattice_screen_matches_reference_bit_for_bit():
                 want = reference_lattice_screen(coeffs, grid, tol)
                 assert np.array_equal(got, want), (resolution, tol, table.entries)
                 cases += 1
-    assert cases == 29 * len(SCREEN_TOLS) * len(SCREEN_RESOLUTIONS)
+    assert cases == 32 * len(SCREEN_TOLS) * len(SCREEN_RESOLUTIONS)
 
 
 def test_a_slope_rounding_past_its_coefficient_sum_is_not_flat():

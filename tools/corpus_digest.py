@@ -49,9 +49,10 @@ Parts:
                tolerances 0, 5e-324, 1e-9 and 0.5, tables whose
                players' |slope coefficient| sums sit one float under,
                at and one float over the flat limit, tables of signed
-               zeros and subnormals, and a slope cancelling to a ninth
-               of its coefficient sum; values and errors recorded as
-               in payoffs.
+               zeros and subnormals, a slope cancelling to a ninth
+               of its coefficient sum, and tables whose players' slope
+               corner ranges sit one float inside, at and one float
+               outside +-tol; values and errors recorded as in payoffs.
 
 A dataclass is recorded by its fields and properties together, sorted
 by name, so a value that moves from a stored field to a derived
@@ -420,15 +421,28 @@ def flat_table(scales) -> fg.PayoffTable:
     ])
 
 
-def flat_limit(p: int, tol: float) -> float:
-    """The greatest scale of player p's flat shape whose margin is at
-    most tol, or 0 when no scale's is."""
+def corner_reach(table, p: int) -> float:
+    """The larger magnitude of the ends of player p's slope corner range
+    [min - m, max + m], m = 16 eps sum|c| + 8 tiny over p's slope
+    coefficients c and the four float corners as the screen takes them:
+    at most tol, it puts every lattice slope of p within tol."""
+    c = fg.marginal_form_coefficients(table)[SLOPE_ROWS[p], p].tolist()
+    corners = [
+        c[3] * xq * xr + c[1] * xq + c[2] * xr + c[0] for xq in (0.0, 1.0) for xr in (0.0, 1.0)
+    ]
+    m = 16.0 * EPS * sum(map(abs, c)) + 8.0 * TINY
+    return max(m - min(corners), max(corners) + m)
+
+
+def flat_limit(p: int, tol: float, reach) -> float:
+    """The greatest scale of player p's flat shape whose reach(table, p)
+    is at most tol, or 0 when no scale's is."""
     def flat(m):
-        return flat_margin(flat_table([m if q == p else 0.0 for q in range(3)]), p) <= tol
+        return reach(flat_table([m if q == p else 0.0 for q in range(3)]), p) <= tol
 
     if not flat(0.0):
         return 0.0
-    m = (tol - 8.0 * TINY) / flat_margin(flat_table([1.0] * 3), p)
+    m = (tol - 8.0 * TINY) / reach(flat_table([1.0] * 3), p)
     while not flat(m):
         m = ulps(m, -1)
     while flat(ulps(m, 1)):
@@ -438,10 +452,11 @@ def flat_limit(p: int, tol: float) -> float:
 
 def flat_tables(tol: float):
     """Tables whose players' scales sit one float under, at and one
-    float over the flat limit, mixed one way and the other; signed zeros
-    and subnormals; and C's cancelling slope at an eighth of tol, whose
-    coefficient sum of 9/8 tol keeps it off the flat test."""
-    at = [flat_limit(p, tol) for p in range(3)]
+    float over the limit of their |slope coefficient| sums, mixed one
+    way and the other; signed zeros and subnormals; C's cancelling slope
+    at an eighth of tol, whose coefficient sum is 9/8 tol; and scales one
+    float under, at and one float over the limit of their corner ranges."""
+    at = [flat_limit(p, tol, flat_margin) for p in range(3)]
     for k in (-1, 0, 1):
         yield flat_table([ulps(m, k) for m in at])
     yield flat_table([ulps(at[0], -1), at[1], ulps(at[2], 1)])
@@ -452,6 +467,9 @@ def flat_tables(tol: float):
         [[-0.0, -0.0], [0.0, 0.0]],
     ])
     yield flat_table([0.0, 0.0, tol / 8.0])
+    at = [flat_limit(p, tol, corner_reach) for p in range(3)]
+    for k in (-1, 0, 1):
+        yield flat_table([ulps(m, k) for m in at])
 
 
 def screen_tables(rng) -> list:
