@@ -207,28 +207,23 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
     at most 5 times, so it is within 5u S of the exact value at that
     point, plus 2^-1074 per underflowing product, and a float corner,
     whose products by 0 and 1 are exact, is within 3u S of the exact
-    corner. Take limit = bound + 16 eps S + 8 tiny. If all four float
-    corners exceed it, every lattice value exceeds
-    limit - 8u S - 4 * 2^-1074, and that exceeds bound by at least
-    21u S + 7 tiny after limit's own rounding, which is at most 3u limit
-    with limit < (1 + 3u) S. The same holds below -limit.
-    Such a player clears: its band is empty, and its endpoint slices
-    are constants, so it evaluates no slope at all. Say every lattice
-    g > bound. At x = 0 the move to 1 gains 1.0 * g = g > bound >= tol,
-    so the 0-slice is all False. At x = 1 the move to 0 gains -g < 0
-    and the own move gains 0.0 * g = +-0.0, so with tol non-negative
-    the 1-slice holds everywhere. Below -bound the two slices swap.
+    corner. So every lattice value lies in the range [lo, hi] =
+    [min(corners) - m, max(corners) + m], m = 16 eps S + 8 tiny: its
+    32u S + 8 tiny exceed those 8u S + 4 * 2^-1074 by more than the
+    rounding of S, of m and of lo and hi (at most u (S + m) each).
 
-    A player that does not clear is flat when S (1 + 16 eps) + 8 tiny
-    <= tol. On [0, 1]^2 the exact slope has |g| <= S, and the float one
-    is within 5u S + 4 * 2^-1074 of it, so every lattice |g| <= tol:
-    the margin's 32u S and 8 tiny cover that and the rounding of S and
-    of the test itself. With |x| <= 1 and |1 - x| <= 1, every endpoint
-    and interior gain has |fl(x g)| <= |g| <= tol, so every slice of a
-    flat player passes, and its band, as tol <= bound, covers the whole
-    plane. Its axis stays whole and it writes nothing to the mask: it
-    evaluates no slope either. Any other player's plane is built and
-    its band read from it.
+    A player with lo > bound clears: its band is empty and its endpoint
+    slices are constants. At x = 0 the move to 1 gains 1.0 * g = g >
+    bound >= tol, so the 0-slice is all False. At x = 1 the move to 0
+    gains -g < 0 and the own move gains 0.0 * g = +-0.0, so with tol
+    non-negative the 1-slice holds everywhere. With hi < -bound the two
+    slices swap. A player with -tol <= lo and hi <= tol is flat: every
+    lattice |g| <= tol, and with |x| <= 1 and |1 - x| <= 1 every
+    endpoint and interior gain has |fl(x g)| <= |g| <= tol, so every
+    slice passes and its band, as tol <= bound, covers the plane. Its
+    axis stays whole and it writes nothing to the mask. Neither kind
+    evaluates a slope; any other player's plane is built and its band
+    read from it.
 
     The endpoint slices of a player with a plane take the whole of its
     slopes. Interior slices are cleared outside the band, then tested in
@@ -246,13 +241,13 @@ def _lattice_screen(coeffs: np.ndarray, grid: np.ndarray, tol: float) -> tuple[n
     planes, bands, sides = [None] * 3, [None] * 3, [0] * 3
     for p, c in enumerate(coeffs[_SLOPE, _PLAYER].T.tolist()):
         corners = [_bilinear(c, xq, xr) for xq in (0.0, 1.0) for xr in (0.0, 1.0)]
-        total = sum(map(abs, c))
-        limit = bound + 16.0 * _EPS * total + 8.0 * _TINY
-        if min(corners) > limit:
+        m = 16.0 * _EPS * sum(map(abs, c)) + 8.0 * _TINY
+        lo, hi = min(corners) - m, max(corners) + m
+        if lo > bound:
             sides[p] = 1
-        elif max(corners) < -limit:
+        elif hi < -bound:
             sides[p] = -1
-        elif total * (1.0 + 16.0 * _EPS) + 8.0 * _TINY > tol:
+        elif lo < -tol or hi > tol:
             planes[p] = _slope_plane(coeffs, p, grid[:, None], grid[None, :])
             bands[p] = np.abs(planes[p]) <= bound
     whole = [not side if band is None else band.any() for band, side in zip(bands, sides)]

@@ -318,9 +318,10 @@ def flat_tables(tol):
     """Tables whose players' scales sit one float under, at and one
     float over the limit of their |slope coefficient| sums, and mixed
     one way and the other; signed zeros and subnormals; C's cancelling
-    slope at an eighth of tol, whose coefficient sum is 9/8 tol; and
-    scales one float under, at and one float over the limit of their
-    corner ranges, where a range within +-tol makes a player flat."""
+    slope at an eighth of tol, flat by its corner range though its
+    coefficient sum is 9/8 tol; and scales one float under, at and one
+    float over the limit of their corner ranges, where a range within
+    +-tol makes a player flat."""
     at = [flat_limit(p, tol, flat_margin) for p in range(3)]
     for k in (-1, 0, 1):
         yield flat_table([ulps(m, k) for m in at])
@@ -403,14 +404,34 @@ def test_lattice_screen_matches_reference_bit_for_bit():
 def test_a_slope_rounding_past_its_coefficient_sum_is_not_flat():
     # Summed from the x_q x_r term down, A's float slope at the corner
     # (1, 1) is one float above S, the float sum of its |coefficients|.
-    # At tol = S a flat test without its margin would pass every slice
-    # of A; the reference fails A's 0-slice at that corner.
+    # At tol = S a coefficient-sum flat test without its margin would
+    # pass every slice of A; the reference fails A's 0-slice at that corner.
     flat = [[0.0, 0.0], [0.0, 0.0]]
     corners = [[0.2436537132174069, 0.5869212597356344], [0.34350766827168594, 0.7562781833684613]]
     coeffs = corner_table([corners, flat, flat])._polynomial
     tol = sum(map(abs, coeffs[_SLOPE[:, 0], 0].tolist()))
     assert _slope_plane(coeffs, 0, 1.0, 1.0) > tol
     for resolution in (2, 3, 11):
+        grid = np.linspace(0.0, 1.0, resolution)
+        want = reference_lattice_screen(coeffs, grid, tol)
+        assert not want.all()
+        assert np.array_equal(expand_screen(_lattice_screen(coeffs, grid, tol), grid), want)
+
+
+@pytest.mark.parametrize("corners", [
+    [[0.2750173308280742, 1.0315029187978852], [1.0755590933629475, 1.0755590933629475]],
+    [[-0.11189459054318485, -0.7204262187273642], [-0.889593703031812, -0.889593703031812]],
+])
+def test_a_slope_rounding_past_its_corners_is_not_flat(corners):
+    # A's slope is constant along x_q = 1, between its two extreme
+    # corners, yet at resolutions 61 and 101 some lattice values there
+    # round one float past them. At tol = the largest |float corner| a
+    # flat test on the bare corners, without the range's margin, would
+    # pass every slice of A; the reference fails one of A's endpoint slices.
+    flat = [[0.0, 0.0], [0.0, 0.0]]
+    coeffs = corner_table([corners, flat, flat])._polynomial
+    tol = max(abs(_slope_plane(coeffs, 0, xq, xr)) for xq in (0.0, 1.0) for xr in (0.0, 1.0))
+    for resolution in (61, 101):
         grid = np.linspace(0.0, 1.0, resolution)
         want = reference_lattice_screen(coeffs, grid, tol)
         assert not want.all()
@@ -484,9 +505,9 @@ def test_a_cleared_player_evaluates_no_slope(monkeypatch):
     # clear. With constant slopes (0, -1, 1), A is flat and B and C
     # clear; with (0, 0, -1), A and B are flat and C clears; on an
     # own-choice-blind table every slope is 0. C's slope cancelling to
-    # an eighth of tol has a coefficient sum past it, so it builds its
-    # plane. Each odd-man-out slope changes sign, so every player there
-    # builds its plane.
+    # an eighth of tol has its corner range within tol, so it is flat
+    # though its coefficient sum of 9/8 tol is not. Each odd-man-out
+    # slope changes sign, so every player there builds its plane.
     calls = []
     plane = equilibrium._slope_plane
 
@@ -503,7 +524,7 @@ def test_a_cleared_player_evaluates_no_slope(monkeypatch):
         (own_slope_table((0.0, -1.0, 1.0)), []),
         (own_slope_table((0.0, 0.0, -1.0)), []),
         (own_choice_blind_table(np.random.default_rng(5)), []),
-        (flat_table([0.0, 0.0, DEFAULT_NE_TOL / 8.0]), [(2, (n, n))]),
+        (flat_table([0.0, 0.0, DEFAULT_NE_TOL / 8.0]), []),
         (coop_game(), [(0, (n, n)), (1, (n, n)), (2, (n, n))]),
     )
     for table, want in cases:
