@@ -31,7 +31,7 @@ from .games import (
     _slopes,
     coop_game,
 )
-from .qstates import PLAYERS, _freeze, _trusted
+from .qstates import PLAYERS, _as_matrix, _freeze, _trusted
 
 __all__ = [
     "CoalitionReduction", "CoalitionValue", "NeCertificate", "coalition_analysis",
@@ -364,12 +364,7 @@ def zero_sum_2x2_value(
     strategies (first index on ties), and everything else uses the
     interior closed form.
     """
-    m = np.array(matrix, dtype=np.float64)
-    if m.shape != (2, 2):
-        raise ShapeError(f"matrix must be 2x2, got {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ShapeError("matrix contains non-finite entries")
-    (a, b), (c, d) = m.tolist()
+    (a, b), (c, d) = _as_matrix(matrix, 2, 2, "matrix", np.float64).tolist()
     return _zero_sum_2x2(a, b, c, d)
 
 
@@ -419,12 +414,16 @@ class CoalitionReduction:
     odd_mix: tuple[float, float]
 
     def __post_init__(self):
-        full = np.array(self.full_matrix, dtype=np.float64)
-        if full.shape != (4, 2):
-            raise ShapeError(f"full_matrix must be 4x2, got {full.shape}")
-        if not np.isfinite(full).all():
-            raise ShapeError("full_matrix contains non-finite entries")
+        _odd_index(self.odd_player)
+        full = _as_matrix(self.full_matrix, 4, 2, "full_matrix", np.float64)
+        kept = tuple(self.kept_rows)
+        indices = len(kept) == 2 and all(type(k) is int and 0 <= k <= 3 for k in kept)
+        if not indices or kept[0] == kept[1]:
+            raise ShapeError(
+                f"kept_rows must be two distinct indices in 0..3, got {self.kept_rows!r}"
+            )
         object.__setattr__(self, "full_matrix", _freeze(full))
+        object.__setattr__(self, "kept_rows", kept)
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -435,6 +434,13 @@ class CoalitionReduction:
     def reduced(self) -> np.ndarray:
         """The 2x2 core: the kept rows of the full matrix."""
         return self.full_matrix[list(self.kept_rows)]
+
+
+def _odd_index(odd_player: str) -> int:
+    """odd_player's place in PLAYERS."""
+    if odd_player not in PLAYERS:
+        raise ShapeError(f"odd_player must be one of {PLAYERS}, got {odd_player!r}")
+    return PLAYERS.index(odd_player)
 
 
 def _eliminate_weakly_dominated_rows(rows: list[list[float]]) -> list[int]:
@@ -464,9 +470,7 @@ def coalition_reduction(table: PayoffTable, odd_player: str) -> CoalitionReducti
     eliminates weakly dominated coalition rows, and solves the 2x2
     core in closed form.
     """
-    if odd_player not in PLAYERS:
-        raise ShapeError(f"odd_player must be one of {PLAYERS}, got {odd_player!r}")
-    odd = PLAYERS.index(odd_player)
+    odd = _odd_index(odd_player)
     i, j = (p for p in range(3) if p != odd)
     # a + b keeps -0.0, sum() does not.
     pooled = [row[i] + row[j] for row in table.entries.tolist()]

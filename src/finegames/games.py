@@ -24,7 +24,7 @@ from .errors import DilemmaViolation, RangeError, ShapeError, clamp_unit
 from .fine import JointDistribution
 from .measurement import MARGINAL_FIELDS, MOBIUS, MarginalConvention, MarginalSet, _SUBSETS
 from .measurement import _apply, convert_marginals
-from .qstates import PLAYERS, _freeze, _trusted, basis_bit
+from .qstates import PLAYERS, _as_matrix, _freeze, _trusted, basis_bit
 
 __all__ = [
     "DEFAULT_PD_PARAMS", "MARGINAL_COEFF_ORDER", "PayoffTable", "PdParams", "StrategyTriple",
@@ -75,11 +75,7 @@ class PayoffTable:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=np.float64)
-        if entries.shape != (8, 3):
-            raise ShapeError(f"payoff table must be 8x3, got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise ShapeError("payoff table contains non-finite entries")
+        entries = _as_matrix(self.entries, 8, 3, "payoff table", np.float64)
         if np.max(np.abs(entries)) > MAX_PAYOFF:
             raise RangeError(_TOO_LARGE)
         object.__setattr__(self, "entries", _freeze(entries))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EIGENVALUE_FLOOR, ZERO_TOL, RangeError, ShapeError, clamp_unit, holds
-from .qstates import PLAYERS, DensityMatrix, _as_vector, _freeze, _trusted
+from .qstates import PLAYERS, DensityMatrix, _as_matrix, _as_vector, _freeze, _trusted
 
 __all__ = [
     "Correlations", "MarginalConvention", "MarginalSet", "PovmElement", "WeightInversion",
@@ -176,16 +176,13 @@ class PovmElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.shape != (8, 8):
-            raise ShapeError(f"POVM element must be 8x8, got {mat.shape}")
+        mat = _as_matrix(self.matrix, 8, 8, "POVM element", np.complex128)
         if float(np.max(np.abs(mat - mat.conj().T))) > ZERO_TOL:
             raise ShapeError("POVM element must be hermitian")
         eigs = np.linalg.eigvalsh(mat)
         if eigs[0] < EIGENVALUE_FLOOR or eigs[-1] > 1.0 - EIGENVALUE_FLOOR:
             raise ShapeError("POVM element eigenvalues must lie in [0, 1]")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _freeze(mat))
 
 
 def _projector_pair(row: int, convention: MarginalConvention) -> tuple:

@@ -53,6 +53,14 @@ def _as_vector(values, length: int, what: str, dtype) -> np.ndarray:
     return arr
 
 
+def _as_matrix(values, rows: int, cols: int, what: str, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    if arr.shape != (rows, cols):
+        raise ShapeError(f"{what} must be {rows}x{cols}, got {arr.shape}")
+    _check_finite(arr, what)
+    return arr
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -160,8 +168,7 @@ def validate_densities(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape[-2:] != (8, 8):
         raise ShapeError(f"density matrices must have shape (..., 8, 8), got {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ShapeError("density matrix contains non-finite entries")
+    _check_finite(rho, "density matrix")
     defect = rho.conj().swapaxes(-1, -2)
     defect -= rho
     herm_defect = float(np.abs(defect).max(initial=0.0))
@@ -187,9 +194,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        rho = np.array(self.matrix, dtype=np.complex128)
-        if rho.shape != (8, 8):
-            raise ShapeError(f"density matrix must be 8x8, got {rho.shape}")
+        rho = _as_matrix(self.matrix, 8, 8, "density matrix", np.complex128)
         object.__setattr__(self, "matrix", _freeze(validate_densities(rho)))
 
     def diagonal(self) -> np.ndarray:

@@ -32,6 +32,7 @@ from finegames import (
     NormalizationError,
     PayoffTable,
     PdParams,
+    PovmElement,
     ProductStateAngles,
     PureState,
     RangeError,
@@ -44,6 +45,7 @@ from finegames import (
     bell_slack_values,
     bell_slacks,
     coalition_analysis,
+    coalition_reduction,
     convert_marginals,
     coop_game,
     extract_marginals,
@@ -506,6 +508,29 @@ CONSTRUCTOR_ERRORS = [
      ShapeError, "full_matrix must be 4x2, got (2, 2)"),
     (lambda: CoalitionReduction("A", np.full((4, 2), INF), (0, 1), 0.0, (1.0, 0.0), (1.0, 0.0)),
      ShapeError, "full_matrix contains non-finite entries"),
+    (lambda: CoalitionReduction("Z", np.zeros((4, 2)), (0, 7), 1.0, (0.5, 0.5), (0.5, 0.5)),
+     ShapeError, "odd_player must be one of ('A', 'B', 'C'), got 'Z'"),
+    # coalition_reduction refuses an odd player with the same message.
+    (lambda: coalition_reduction(coop_game(), "Z"), ShapeError,
+     "odd_player must be one of ('A', 'B', 'C'), got 'Z'"),
+    (lambda: CoalitionReduction("C", np.zeros((4, 2)), (0, 7), 1.0, (0.5, 0.5), (0.5, 0.5)),
+     ShapeError, "kept_rows must be two distinct indices in 0..3, got (0, 7)"),
+    (lambda: CoalitionReduction("C", np.zeros((4, 2)), (2, 2), 1.0, (0.5, 0.5), (0.5, 0.5)),
+     ShapeError, "kept_rows must be two distinct indices in 0..3, got (2, 2)"),
+    (lambda: CoalitionReduction("C", np.zeros((4, 2)), (1, 2, 3), 1.0, (0.5, 0.5), (0.5, 0.5)),
+     ShapeError, "kept_rows must be two distinct indices in 0..3, got (1, 2, 3)"),
+    (lambda: CoalitionReduction("C", np.zeros((4, 2)), (-1, 2), 1.0, (0.5, 0.5), (0.5, 0.5)),
+     ShapeError, "kept_rows must be two distinct indices in 0..3, got (-1, 2)"),
+    (lambda: CoalitionReduction("C", np.zeros((4, 2)), (0.0, 1.0), 1.0, (0.5, 0.5), (0.5, 0.5)),
+     ShapeError, "kept_rows must be two distinct indices in 0..3, got (0.0, 1.0)"),
+    (lambda: PovmElement(np.diag([NAN] + [0.5] * 7)), ShapeError,
+     "POVM element contains non-finite entries"),
+    # An infinite diagonal once passed after a RuntimeWarning from the
+    # hermiticity subtraction, and an all-NaN matrix failed in eigvalsh.
+    (lambda: PovmElement(np.diag([INF] + [0.5] * 7)), ShapeError,
+     "POVM element contains non-finite entries"),
+    (lambda: PovmElement(np.full((8, 8), NAN)), ShapeError,
+     "POVM element contains non-finite entries"),
 ]
 
 
