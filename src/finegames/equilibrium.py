@@ -21,6 +21,7 @@ from .errors import (
 from .games import (
     PayoffTable,
     StrategyTriple,
+    _EXCHANGE,
     _PLAYER,
     _Q,
     _R,
@@ -303,13 +304,8 @@ def _smallest_root(a: float, b: float, c: float, lo: float, hi: float) -> float 
 
 
 def _require_player_symmetric(table: PayoffTable):
-    t = table.entries.reshape(2, 2, 2, 3)
-    defects = (
-        np.max(np.abs(t[..., 0] - np.transpose(t[..., 0], (0, 2, 1)))),
-        np.max(np.abs(t[..., 1] - np.transpose(t[..., 0], (1, 0, 2)))),
-        np.max(np.abs(t[..., 2] - np.transpose(t[..., 0], (2, 1, 0)))),
-    )
-    if float(max(defects)) > ZERO_TOL:
+    entries = table.entries
+    if float(np.max(np.abs(entries - entries[_EXCHANGE, 0]))) > ZERO_TOL:
         raise ShapeError(
             "interior solve needs a player-exchange symmetric payoff table"
         )

@@ -66,6 +66,13 @@ _SYMMETRIC = np.array([
     [_LEVEL[bits[p]][sum(bits) - bits[p]] for p in range(3)]
     for bits in ([basis_bit(k, player) for player in PLAYERS] for k in range(8))
 ])
+# Entry (k, p): outcome k with A's and p's bits swapped (B's and C's for
+# p = A), where a player-symmetric table pays A what it pays p at k.
+_EXCHANGE = np.array([
+    [sum(bits[i] << (2 - j) for j, i in enumerate(swap))
+     for swap in ((0, 2, 1), (1, 0, 2), (2, 1, 0))]
+    for bits in ([basis_bit(k, player) for player in PLAYERS] for k in range(8))
+])
 
 
 @dataclass(frozen=True)
@@ -288,6 +295,4 @@ def payoff_factorizable(table: PayoffTable, s: StrategyTriple) -> np.ndarray:
     """Expected payoffs (A, B, C) of independent mixed strategies: REST
     plus the own probability times the slope."""
     coeffs, x = table._polynomial, np.array(s.as_tuple())
-    xq, xr = x[_Q], x[_R]
-    slope = _bilinear(coeffs[_SLOPE, _PLAYER], xq, xr)
-    return _bilinear(coeffs[_REST, _PLAYER], xq, xr) + x * slope
+    return _bilinear(coeffs[_REST, _PLAYER], x[_Q], x[_R]) + x * _slopes(coeffs, x)

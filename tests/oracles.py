@@ -417,6 +417,19 @@ def reference_zero_sum_2x2_value(matrix):
     return float(value), (float(p), float(1.0 - p)), (float(q), float(1.0 - q))
 
 
+# The player-symmetry defect as product_state_interior_solve took it
+# before it read the table through an outcome-index table, kept verbatim
+# (renamed, and returning the defect its check compared with ZERO_TOL).
+def reference_symmetry_defect(entries: np.ndarray) -> float:
+    t = entries.reshape(2, 2, 2, 3)
+    defects = (
+        np.max(np.abs(t[..., 0] - np.transpose(t[..., 0], (0, 2, 1)))),
+        np.max(np.abs(t[..., 1] - np.transpose(t[..., 0], (1, 0, 2)))),
+        np.max(np.abs(t[..., 2] - np.transpose(t[..., 0], (2, 1, 0)))),
+    )
+    return float(max(defects))
+
+
 def reference_eliminate_weakly_dominated_rows(mat: np.ndarray) -> list[int]:
     keep = list(range(mat.shape[0]))
     changed = True

@@ -41,7 +41,8 @@ from finegames import (
 import finegames.equilibrium as equilibrium
 from finegames.cli import main as cli_main
 from finegames.equilibrium import DEFAULT_NE_TOL, MAX_RESOLUTION, _lattice_screen
-from finegames.games import MAX_PAYOFF, _SLOPE, _slope_plane, _slopes
+from finegames.errors import ZERO_TOL
+from finegames.games import MAX_PAYOFF, _EXCHANGE, _SLOPE, _SYMMETRIC, _slope_plane, _slopes
 from oracles import (
     LITERAL,
     endpoint_certificates,
@@ -53,6 +54,7 @@ from oracles import (
     reference_eliminate_weakly_dominated_rows,
     reference_endpoint_audit,
     reference_lattice_screen,
+    reference_symmetry_defect,
     reference_zero_sum_2x2_value,
     zero_sum_4x2_value,
 )
@@ -1001,6 +1003,41 @@ def test_asymmetric_table_is_rejected():
     entries[0] = (1.0, 2.0, 3.0)
     with pytest.raises(ShapeError):
         product_state_interior_solve(PayoffTable(entries))
+
+
+def exchange_tables(rng):
+    """pd3(), coop_game() and seeded tables of the symmetric layout, with
+    normal levels and with small-integer levels, each also with one
+    seeded entry moved by 0.5, 1 and 2 ZERO_TOL."""
+    bases = [pd3(), coop_game()]
+    bases += [PayoffTable(rng.normal(size=6)[_SYMMETRIC]) for _ in range(8)]
+    bases += [PayoffTable(rng.integers(-2, 3, size=6)[_SYMMETRIC].astype(float)) for _ in range(8)]
+    for table in bases:
+        yield table
+        for factor in (0.5, 1.0, 2.0):
+            entries = table.entries.copy()
+            entries[rng.integers(8), rng.integers(3)] += factor * ZERO_TOL
+            yield PayoffTable(entries)
+
+
+def test_exchange_table_compares_the_pairs_of_three_transposes():
+    message = "interior solve needs a player-exchange symmetric payoff table"
+    defects = []
+    for table in exchange_tables(np.random.default_rng(36)):
+        entries = table.entries
+        want = reference_symmetry_defect(entries)
+        got = float(np.max(np.abs(entries - entries[_EXCHANGE, 0])))
+        assert got.hex() == want.hex()
+        if want > ZERO_TOL:
+            with pytest.raises(ShapeError) as info:
+                equilibrium._require_player_symmetric(table)
+            assert str(info.value) == message
+        else:
+            equilibrium._require_player_symmetric(table)
+        defects.append(want)
+    # Symmetric tables, defects either side of ZERO_TOL and exactly at it.
+    assert min(defects) == 0.0 and max(defects) > ZERO_TOL and ZERO_TOL in defects
+    assert any(0.0 < d < ZERO_TOL for d in defects)
 
 
 def test_asymmetric_table_message_names_no_path():
