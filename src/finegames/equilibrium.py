@@ -433,7 +433,7 @@ class CoalitionReduction:
 
 
 def _odd_index(odd_player: str) -> int:
-    """odd_player's place in PLAYERS."""
+    """odd_player's place in PLAYERS; ShapeError for any other value."""
     if odd_player not in PLAYERS:
         raise ShapeError(f"odd_player must be one of {PLAYERS}, got {odd_player!r}")
     return PLAYERS.index(odd_player)
