@@ -15,6 +15,10 @@ a positive verdict, 1 on a negative verdict (no joint distribution,
 infeasible inversion, not an equilibrium, no interior root), 2 on
 invalid input or usage, 3 on an internal failure (any unexpected
 exception, one "error:" line), so a crash never reads as a verdict.
+
+Each command imports the modules it runs when it runs: `fine`,
+`marginals` and `invert-marginals` never load `games`, `equilibrium` or
+`scenarios`, and `ne` never loads `scenarios`.
 """
 
 from __future__ import annotations
@@ -23,20 +27,9 @@ import argparse
 import json
 import sys
 
-from .equilibrium import (
-    DEFAULT_NE_TOL,
-    DEFAULT_RESOLUTION,
-    MAX_RESOLUTION,
-    grid_ne_search,
-    parity_product_gradient,
-    product_state_interior_solve,
-    verify_ne_factorizable,
-)
-from .errors import FinegamesError, ParamError
+from .errors import DEFAULT_NE_TOL, DEFAULT_RESOLUTION, FinegamesError, ParamError
 from .fine import XiRule, _joint_or_terms, bell_slacks, xi_interval
-from .games import StrategyTriple
 from .measurement import MarginalConvention, extract_marginals, weights_from_marginals
-from .scenarios import SCENARIO_IDS, run_scenario
 from .serialize import (
     _bounded_int,
     _checked,
@@ -51,13 +44,19 @@ from .serialize import (
     to_wire,
 )
 
+# What decoding raises on bad input: a JSONDecodeError, a UnicodeDecodeError
+# from a file that is not UTF-8, a ValueError from an integer literal past
+# the interpreter's digit limit, a RecursionError from too deep a nesting.
+_BAD_JSON = (ValueError, RecursionError)
+
+
 def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as err:
         raise ParamError(f"{what}: cannot read {path!r}: {err}") from None
-    except json.JSONDecodeError as err:
+    except _BAD_JSON as err:
         raise ParamError(f"{what}: {path!r} is not valid JSON: {err}") from None
 
 
@@ -69,14 +68,16 @@ def _parse_params(raw: str | None) -> dict | None:
     else:
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError as err:
+        except _BAD_JSON as err:
             raise ParamError(f"--params: not valid JSON: {err}") from None
     if not isinstance(value, dict):
         raise ParamError("--params: expected a JSON object")
     return value
 
 
-def _parse_triple(raw: str) -> StrategyTriple:
+def _parse_triple(raw: str):
+    from .games import StrategyTriple
+
     parts = raw.split(",")
     if len(parts) != 3:
         raise ParamError('--triple: expected "lam,mu,nu"')
@@ -106,6 +107,8 @@ def _emit(payload, args: argparse.Namespace, title: str):
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
+    from .scenarios import run_scenario
+
     params = _parse_params(args.params) or {}
     for name in ("tol", "resolution", "seed"):
         if getattr(args, name) is not None:
@@ -136,6 +139,14 @@ def cmd_fine(args: argparse.Namespace) -> int:
 
 
 def cmd_ne(args: argparse.Namespace) -> int:
+    from .equilibrium import (
+        MAX_RESOLUTION,
+        grid_ne_search,
+        parity_product_gradient,
+        product_state_interior_solve,
+        verify_ne_factorizable,
+    )
+
     table = load_game(_read_json(args.game, "--game"))
     tol = _finite(args.tol, "--tol", True)
 
@@ -181,6 +192,17 @@ class _Parser(argparse.ArgumentParser):
         raise ParamError(" ".join(message.split()))
 
 
+class _ScenarioIds:
+    """The scenario ids, read from the scenarios module only when an
+    --id is checked (`in` iterates them) or the help names them, so
+    that building the parser does not load it."""
+
+    def __iter__(self):
+        from .scenarios import SCENARIO_IDS
+
+        return iter(SCENARIO_IDS)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="finegames",
@@ -198,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("scenario", help="run a named case study")
-    p.add_argument("--id", required=True, choices=SCENARIO_IDS)
+    # A metavar keeps add_argument from listing the choices.
+    p.add_argument("--id", required=True, choices=_ScenarioIds(), metavar="ID",
+                   help="scenario to run: %(choices)s")
     p.add_argument(
         "--params",
         help="inline JSON object of overrides, or @path to a JSON file",

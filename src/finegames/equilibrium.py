@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    DEFAULT_NE_TOL, FLAT_SLOPE_TOL, ROOT_ZERO_TOL, ZERO_TOL, RangeError, ShapeError, holds,
+    DEFAULT_NE_TOL, DEFAULT_RESOLUTION, FLAT_SLOPE_TOL, ROOT_ZERO_TOL, ZERO_TOL, RangeError,
+    ShapeError, holds,
 )
 from .games import (
     PayoffTable,
@@ -41,7 +42,6 @@ __all__ = [
     "verify_ne_factorizable", "zero_sum_2x2_value",
 ]
 
-DEFAULT_RESOLUTION = 11
 # Largest lattice resolution. It bounds the screen's boolean cube, which
 # is resolution^3 bytes when every player's slope band has a point: a
 # search at 290 then peaks at 62 MB ru_maxrss (30 MB of it the import)

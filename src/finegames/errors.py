@@ -1,7 +1,10 @@
-"""The tolerance policy and the exception types shared across the package.
+"""The tolerance policy, the lattice's default resolution and the
+exception types shared across the package.
 
 Every tolerance is named once below, by role, and no module writes one
-as a literal. `holds` decides every verdict; `clamp_unit` every range."""
+as a literal. `holds` decides every verdict; `clamp_unit` every range.
+The command-line parser reads its defaults here without loading the
+equilibrium module."""
 
 from __future__ import annotations
 
@@ -24,6 +27,8 @@ FLAT_SLOPE_TOL = 1e-15  # coop_best_response_solve: the slope difference it divi
 SLACK_TOL = 1e-12  # Bell slacks, outcome weights and reconstruction terms
 DEFAULT_NE_TOL = 1e-9  # endpoint gains; how far a solved strategy may leave [0, 1]
 REFERENCE_TOL = 1e-9  # reference rows: a default report's distance from a published value
+# Lattice points per axis of an equilibrium search unless a caller names them.
+DEFAULT_RESOLUTION = 11
 
 
 def holds(slack, tol: float = SLACK_TOL):

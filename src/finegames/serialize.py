@@ -12,15 +12,13 @@ from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from sys import float_info
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import NORMALIZATION_TOL, FinegamesError, ParamError, RangeError
 from .fine import BellReport, JointDistribution, XiInterval
-from .games import PayoffTable, PdParams, StrategyTriple, coop_game, pd3
 from .measurement import MarginalConvention, MarginalSet, WeightInversion
-from .equilibrium import CoalitionReduction, CoalitionValue, NeCertificate
 from .qstates import (
     DiagonalMixedState,
     ProductStateAngles,
@@ -33,6 +31,12 @@ from .qstates import (
     product_state,
     w_state,
 )
+
+# games and equilibrium load only when a game is read or one of their
+# values is written, so commands that use neither never load them.
+if TYPE_CHECKING:
+    from .equilibrium import CoalitionReduction, NeCertificate
+    from .games import PayoffTable, PdParams, StrategyTriple
 
 __all__ = [
     "load_game", "load_marginals", "load_schema", "load_state", "render_json",
@@ -261,6 +265,8 @@ def _checked(build: Callable, path: str, *values):
 
 def _pd_params(value, path: str) -> PdParams:
     """Six dilemma levels; a non-finite one is PdParams' error, at path."""
+    from .games import PdParams
+
     if not isinstance(value, (list, tuple)) or len(value) != 6:
         raise ParamError(f"{path}: expected a list of 6 payoff levels")
     return _checked(PdParams, path, *[_number(v, path, i) for i, v in enumerate(value)])
@@ -318,6 +324,8 @@ def state_density(state) -> DensityMatrix:
 
 def load_game(descriptor, path: str = "game") -> PayoffTable:
     """Build a payoff table from its JSON descriptor."""
+    from .games import PayoffTable, coop_game, pd3
+
     d = _ensure_dict(descriptor, path)
     kind = d.get("kind")
     if kind not in GAME_KINDS:
@@ -422,22 +430,43 @@ def coalition_reduction_to_dict(red: CoalitionReduction) -> dict:
     }
 
 
+class _Writers(dict):
+    """Writers keyed by exact type. The types of games and equilibrium
+    enter with their module's other writers on the first lookup of one:
+    a value of such a type exists only once its module is loaded. The
+    first lookup of a type with no writer stores None, so each type
+    misses once."""
+
+    def __missing__(self, t: type):
+        if t.__module__ == f"{__package__}.games":
+            from .games import PdParams, StrategyTriple
+
+            self.update({
+                StrategyTriple: triple_to_list,
+                PdParams: lambda p: list(p.as_tuple()),
+            })
+        elif t.__module__ == f"{__package__}.equilibrium":
+            from .equilibrium import CoalitionReduction, CoalitionValue, NeCertificate
+
+            self.update({
+                NeCertificate: certificate_to_dict,
+                CoalitionReduction: coalition_reduction_to_dict,
+                CoalitionValue: lambda v: {"members": list(v.members), "value": v.value},
+            })
+        return self.setdefault(t, None)
+
+
 # The one JSON form of each library type, the same in every report and
 # CLI payload: to_wire looks up a value's exact type here.
-_WRITERS: dict[type, Callable] = {
+_WRITERS = _Writers({
     MarginalSet: marginals_to_dict,
     BellReport: bell_to_dict,
     XiInterval: interval_to_dict,
     JointDistribution: joint_to_dict,
     WeightInversion: inversion_to_dict,
-    NeCertificate: certificate_to_dict,
-    CoalitionReduction: coalition_reduction_to_dict,
-    StrategyTriple: triple_to_list,
-    CoalitionValue: lambda v: {"members": list(v.members), "value": v.value},
-    PdParams: lambda p: list(p.as_tuple()),
     complex: complex_pair,
     np.ndarray: np.ndarray.tolist,
-}
+})
 
 
 def to_wire(value):
@@ -450,7 +479,7 @@ def to_wire(value):
         return {k: to_wire(v) for k, v in value.items()}
     if t is list:
         return [to_wire(v) for v in value]
-    writer = _WRITERS.get(t)
+    writer = _WRITERS[t]
     return value if writer is None else writer(value)
 
 

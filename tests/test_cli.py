@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import finegames
-import finegames.cli as cli
 from finegames import (
+    SCENARIO_IDS,
     SCENARIOS,
     JointDistribution,
     MarginalConvention,
@@ -426,6 +426,47 @@ def test_malformed_params_and_triple_exit_2(tmp_path, capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+DEEP_JSON = "[" * 5000 + "]" * 5000  # past the decoder's recursion limit
+LONG_INT_JSON = '{"seed": %s}' % ("1" * 5000)  # past the interpreter's digit limit
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (("scenario", "--id", "pd-w", "--params", DEEP_JSON), None,
+         "--params: not valid JSON: maximum recursion depth exceeded"),
+        (("scenario", "--id", "pd-w", "--params", LONG_INT_JSON), None,
+         "--params: not valid JSON: Exceeds the limit (4300 digits)"),
+        (("scenario", "--id", "pd-w", "--params"), DEEP_JSON.encode(),
+         "--params: {path!r} is not valid JSON: maximum recursion depth exceeded"),
+        (("marginals", "--convention", "parity", "--state"), DEEP_JSON.encode(),
+         "--state: {path!r} is not valid JSON: maximum recursion depth exceeded"),
+        (("fine", "--marginals"), DEEP_JSON.encode(),
+         "--marginals: {path!r} is not valid JSON: maximum recursion depth exceeded"),
+        (("ne", "--mode", "grid", "--game"), DEEP_JSON.encode(),
+         "--game: {path!r} is not valid JSON: maximum recursion depth exceeded"),
+        (("ne", "--mode", "grid", "--game"), LONG_INT_JSON.encode(),
+         "--game: {path!r} is not valid JSON: Exceeds the limit (4300 digits)"),
+        (("invert-marginals", "--marginals"), b'{"xi": "\xff"}',
+         "--marginals: {path!r} is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (("scenario", "--id", "pd-w", "--params"), b"\xff\xfe{}",
+         "--params: {path!r} is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["inline-deep", "inline-long-int", "params-deep", "state-deep", "marginals-deep",
+         "game-deep", "game-long-int", "marginals-not-utf8", "params-not-utf8"],
+)
+def test_undecodable_json_exits_2(tmp_path, capsys, argv, content, message):
+    # Bad input every one: a usage error, not an internal failure.
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_bytes(content)
+        argv += (("@" if argv[-1] == "--params" else "") + str(path),)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message.format(path=str(path)))
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "params, name", [('{"q1": NaN}', "params.q1"), ('{"u": Infinity}', "params.u")]
 )
@@ -526,6 +567,58 @@ def test_package_runs_as_a_module():
     assert runs[0].stderr == runs[1].stderr == b""
 
 
+# The modules each command loads besides finegames.cli: a command loads
+# only what it runs.
+READER_MODULES = {"errors", "qstates", "measurement", "fine", "serialize"}
+NE_MODULES = READER_MODULES | {"games", "equilibrium"}
+ALL_MODULES = NE_MODULES | {"scenarios"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (None, set()),
+        (("fine", "--marginals", "@marginals"), READER_MODULES),
+        (("marginals", "--convention", "parity", "--state", "@state"), READER_MODULES),
+        (("invert-marginals", "--marginals", "@marginals"), READER_MODULES),
+        (("ne", "--mode", "grid", "--game", "@game"), NE_MODULES),
+        (("ne", "--mode", "verify", "--triple", "0,0,0", "--game", "@game"), NE_MODULES),
+        (("ne", "--mode", "interior", "--game", "@game"), NE_MODULES),
+        (("scenario", "--id", "pd-ghz"), ALL_MODULES),
+    ],
+    ids=["bare-import", "fine", "marginals", "invert-marginals", "ne-grid", "ne-verify",
+         "ne-interior", "scenario"],
+)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, expected):
+    # A fresh interpreter each: `import finegames` alone (argv None), or
+    # main(argv) with its report written to a file.
+    files = {
+        "@marginals": write(tmp_path, "m.json", PARITY_GHZ),
+        "@state": write(tmp_path, "s.json", GHZ_STATE),
+        "@game": write(tmp_path, "g.json", PD_GAME),
+    }
+    if argv is not None:
+        argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.json")]
+        expected = expected | {"cli"}
+    script = (
+        "import json, sys\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv is None:\n"
+        "    import finegames\n"
+        "else:\n"
+        "    from finegames.cli import main\n"
+        "    assert main(argv) in (0, 1)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('finegames.'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(finegames.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        capture_output=True, env=env, timeout=60, text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert set(json.loads(done.stdout)) == {f"finegames.{m}" for m in expected}
+
+
 HUGE_GAME = {"kind": "custom", "rows": [[1.7e308, -1.7e308, 1.7e308]] * 8}
 
 
@@ -566,7 +659,7 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     def broken(*_args, **_kwargs):
         raise RuntimeError("first line\nsecond line")
 
-    monkeypatch.setattr(cli, "run_scenario", broken)
+    monkeypatch.setattr(finegames.scenarios, "run_scenario", broken)  # cmd_scenario's import
     code, out, err = run(capsys, "scenario", "--id", "pd-ghz")
     assert code == 3
     assert out == ""
@@ -877,11 +970,26 @@ def run_catching_exit(capsys, argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["ne", "-h"]])
+@pytest.mark.parametrize("argv", [["--help"], ["ne", "-h"], ["scenario", "-h"]])
 def test_help_still_exits_0(capsys, argv):
     code, out, err = run_catching_exit(capsys, argv)
     assert (code, err) == (0, "")
     assert out.startswith("usage: finegames")
+
+
+def test_scenario_ids_reach_the_help_and_the_id_check(monkeypatch, capsys):
+    # The parser reads the ids from the scenarios module when it needs
+    # them: the help names every one, and an unknown id is one usage
+    # line that lists them.
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapped help lines
+    code, out, _ = run_catching_exit(capsys, ["scenario", "-h"])
+    assert code == 0
+    assert " --id ID " in out
+    assert " scenario to run: " + ", ".join(SCENARIO_IDS) + "\n" in out
+    code, out, err = run(capsys, "scenario", "--id", "bogus")
+    choices = ", ".join(map(repr, SCENARIO_IDS))
+    assert (code, out) == (2, "")
+    assert err == f"error: argument --id: invalid choice: 'bogus' (choose from {choices})\n"
 
 
 def test_random_argv_fuzz(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """The package's public surface: `__all__` against what the package holds."""
 
-import ast
 import inspect
 from collections import Counter
 from pathlib import Path
@@ -14,14 +13,21 @@ def public_attributes() -> dict:
 
 
 def star_imported_modules() -> list[ModuleType]:
-    """The modules `__init__.py` re-exports with `from .m import *`."""
-    tree = ast.parse(Path(finegames.__file__).read_text())
-    return [
-        getattr(finegames, node.module)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        and [alias.name for alias in node.names] == ["*"]
-    ]
+    """The modules whose `__all__` the package re-exports, in order."""
+    return [getattr(finegames, name) for name in finegames._MODULES]
+
+
+def test_the_package_reexports_every_library_module_in_order():
+    # Every module but the command line; `__all__` is theirs in order,
+    # and each name is the object its module defines.
+    package = Path(finegames.__file__).parent
+    files = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__", "cli"}
+    assert sorted(finegames._MODULES) == sorted(files)
+    modules = star_imported_modules()
+    assert finegames.__all__ == [name for module in modules for name in module.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(finegames, name) is getattr(module, name), name
 
 
 def test_every_public_name_resolves_once():

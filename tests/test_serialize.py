@@ -284,10 +284,12 @@ def test_to_wire_writes_each_library_type_with_its_converter():
         complex: (complex(0.5, -0.25), complex_pair(complex(0.5, -0.25))),
         np.ndarray: (np.array([[1.0, 2.0], [3.0, 4.5]]), [[1.0, 2.0], [3.0, 4.5]]),
     }
-    assert set(expected) == set(_WRITERS)
     for kind, (obj, form) in expected.items():
         assert type(obj) is kind
         assert to_wire(obj) == form, kind.__name__
+    # Checked once to_wire has met every type: games and equilibrium
+    # writers enter on first use, and a type without a writer maps to None.
+    assert set(expected) == {kind for kind, writer in _WRITERS.items() if writer is not None}
 
 
 def test_to_wire_passes_other_values_and_walks_containers():
