@@ -590,8 +590,9 @@ ALL_MODULES = NE_MODULES | {"scenarios"}
          "ne-interior", "scenario"],
 )
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, expected):
-    # A fresh interpreter each: `import finegames` alone (argv None), or
-    # main(argv) with its report written to a file.
+    # A fresh interpreter each: `import finegames` and a private-name
+    # probe, which no module exports (argv None), or main(argv) with its
+    # report written to a file.
     files = {
         "@marginals": write(tmp_path, "m.json", PARITY_GHZ),
         "@state": write(tmp_path, "s.json", GHZ_STATE),
@@ -605,6 +606,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, expected):
         "argv = json.loads(sys.argv[1])\n"
         "if argv is None:\n"
         "    import finegames\n"
+        "    assert not hasattr(finegames, '_probe')\n"
         "else:\n"
         "    from finegames.cli import main\n"
         "    assert main(argv) in (0, 1)\n"

@@ -5,6 +5,8 @@ from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import finegames
 
 
@@ -57,3 +59,8 @@ def test_no_third_party_name_becomes_a_package_attribute():
         elif inspect.isclass(value) or inspect.isfunction(value):
             assert value.__module__.startswith("finegames."), name
     assert not {"np", "numpy", "dataclass", "field", "annotations"} & set(dir(finegames))
+
+
+def test_a_name_no_module_exports_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="module 'finegames' has no attribute 'no_such_name'"):
+        finegames.no_such_name
